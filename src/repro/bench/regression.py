@@ -254,7 +254,8 @@ def _update_benchmarks(
             update_io,
             updates=UPDATE_ROUNDS,
             updates_per_sec=round(UPDATE_ROUNDS / wall, 1),
-            # Updates are durability-bound (~5 fsyncs per apply), and fsync
+            # Commits are durability-bound (<= 2 data fsyncs, 1 WAL append
+            # and 1 pointer swap each, whatever their size), and fsync
             # latency neither correlates with the CPU-spin calibration nor
             # repeats within tens of percent on shared CI disks -- wall
             # would be pure flake.  The splice/analysis counters above are

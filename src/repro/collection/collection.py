@@ -245,7 +245,7 @@ class Collection:
         fsync on the final `.arb`, one pointer swap, one manifest save.  The
         group is atomic: either every operation is reflected in the new
         generation or the document (and the manifest) stays untouched.
-        Returns the :class:`~repro.storage.update.GroupCommitResult`.
+        Returns the :class:`~repro.storage.update.UpdateResult`.
         """
         from repro.collection.manifest import DocumentEntry as _Entry
         from repro.storage.generations import exclusive_writer

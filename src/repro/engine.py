@@ -297,7 +297,7 @@ class Database:
         operation addresses the state its predecessor produced -- but the
         whole group lands as a single generation behind one pointer swap
         and two data fsyncs, whatever its length.  Returns one
-        :class:`~repro.storage.update.GroupCommitResult`.  The same
+        :class:`~repro.storage.update.UpdateResult`.  The same
         optimistic-concurrency guard applies: the group is refused whole if
         another writer moved the base since this handle resolved it.
         """

@@ -396,7 +396,7 @@ class ArbServer:
             pass  # an export error must not leak into asyncio's handler
 
     async def _answer_update(self, message: dict, request_id) -> dict:
-        from repro.storage.update import GroupCommitResult, op_from_spec
+        from repro.storage.update import op_from_spec
 
         specs = message.get("ops")
         if not isinstance(specs, list) or not specs:
@@ -407,8 +407,8 @@ class ArbServer:
             doc_id=message.get("doc_id"),
             retain_generations=message.get("retain"),
         )
-        # The per-update path returns UpdateResult (a list for a sequence);
-        # a coalesced window returns the group's shared GroupCommitResult.
+        # The per-update path returns one result per operation (a list for
+        # a sequence); a coalesced window returns the group's shared one.
         last = result[-1] if isinstance(result, list) else result
         payload = {
             "id": request_id,
@@ -417,7 +417,7 @@ class ArbServer:
             "counter": last.counter,
             "n_nodes": last.n_nodes,
         }
-        if isinstance(last, GroupCommitResult):
+        if last.n_ops > 1:
             payload["group_size"] = last.n_ops
         if len(self.replicas) and message.get("doc_id") is None:
             # This server is a primary: propagate the committed generation.

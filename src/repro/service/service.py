@@ -361,7 +361,7 @@ class QueryService:
         document) commits as **one** group -- one WAL append, one data
         fsync, one pointer swap however many writers rode along -- and
         every rider gets the shared
-        :class:`~repro.storage.update.GroupCommitResult` back.  A group
+        :class:`~repro.storage.update.UpdateResult` back.  A group
         that fails is retried one writer at a time, so only the poisoned
         update surfaces its error.
         """

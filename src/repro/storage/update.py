@@ -2,16 +2,44 @@
 
 The paper treats the `.arb` file as a static artifact: build once, scan
 twice per query.  This module makes documents *mutable* without giving up
-any of that story.  An update -- relabel a node, delete a subtree, insert a
-subtree -- produces a **new generation** of the database beside the old one
-and atomically swaps the generation pointer (:mod:`repro.storage.generations`):
+any of that story.  A **commit** -- a group of one or more operations, each
+relabelling a node, deleting a subtree or inserting one -- produces a **new
+generation** of the database beside the old one and atomically swaps the
+generation pointer (:mod:`repro.storage.generations`):
 
 * readers that already resolved the pointer keep scanning the immutable old
   generation (their snapshot) to the end, untouched by the swap;
-* readers that open after the swap see the new generation;
-* a crash at *any* point before the swap leaves the old generation current
-  and byte-identical (the crash suite injects faults at every stage via the
-  ``REPRO_UPDATE_FAULT`` environment hook).
+* readers that open after the swap see the new generation, with every
+  operation of the group applied -- a group is exactly as visible, and
+  exactly as atomic, as one update.
+
+There is one commit protocol, whatever the size of the group
+(:func:`apply_update` is :func:`apply_many` with a group of one); the crash
+suite can kill it between any two of these steps (:data:`FAULT_POINTS`):
+
+1. analyse the current generation (cached) and parse the operations;
+2. append the group's *intent* to the per-base write-ahead log and fsync it
+   (:mod:`repro.storage.wal`) -- data fsync 1 of 2;
+3. splice the new `.arb`, one splice per operation, each reading its
+   predecessor's output; only the final file is fsynced -- data fsync 2 of 2;
+4. write `.lab`, `.meta` and `.idx` *without* fsyncs: `.lab` and `.meta` ride
+   in the pointer payload, which the swap makes durable anyway, and the
+   `.idx` is checksummed, so a torn one only costs scan speed;
+5. fsync the directory, then swap the pointer (temp file + fsync + rename +
+   directory fsync, counted as one *pointer swap*), then truncate the log.
+
+So a commit of any size costs **at most 2 data fsyncs, 1 WAL append and 1
+pointer swap** (a label table too big for the pointer payload pays two
+more).  A crash before the log is durable means the commit never happened:
+the old generation stays current and byte-identical.  A crash after that
+rolls the commit *forward*: the next open (or the next writer) replays the
+logged group from the untouched old generation and lands on the same bytes
+the crashed writer was producing.  A crash after the swap is a committed
+state; recovery only rebuilds torn `.lab`/`.meta` from the pointer payload
+and drops the spent log.  A commit that *fails* cleanly (bad node id, empty
+result, stale expectation) removes its log record and partial files before
+raising -- all or nothing.  ``REPRO_UPDATE_FAULT`` kills the process at any
+named stage so the crash suite can check each of these sentences.
 
 The key observation that keeps updates cheap is a property of the encoding:
 in first-child/next-sibling pre-order, an unranked subtree is a *contiguous
@@ -20,24 +48,27 @@ range (the parent or left sibling that points at ``v``) ever needs its
 child/sibling flags patched.  A new generation is therefore emitted as a
 **splice of the old page grid**: the unchanged prefix and suffix are copied
 byte-for-byte in page-size chunks (never decoded), and only the affected
-record range plus up to one patch record is re-encoded.  Per update the old
-file is touched by one forward analysis scan plus one sequential splice
-copy -- the same "constant number of linear scans" discipline queries obey.
-The analysis of a generation is cached per ``(path, generation
-fingerprint)`` -- the update layer's analogue of plan-cache keying -- and a
-relabel derives its successor's analysis in memory (one array copy, no
-file scan), so relabel-heavy update streams pay the scan once.  (Query plans themselves never need generation
-keys: a :class:`~repro.plan.plan.QueryPlan` is document-independent by
+record range plus up to one patch record is re-encoded.  Per operation the
+source file is touched by one forward analysis scan plus one sequential
+splice copy -- the same "constant number of linear scans" discipline
+queries obey.  The analysis of a generation is cached per ``(path,
+generation fingerprint)`` -- the update layer's analogue of plan-cache
+keying -- and a relabel derives its successor's analysis in memory (one
+array copy, no file scan), so relabel-heavy update streams pay the scan
+once.  (Query plans themselves never need generation keys: a
+:class:`~repro.plan.plan.QueryPlan` is document-independent by
 construction, which is precisely why plan-cache hits survive updates.)
 
-Node ids in update operations are pre-order indexes of the generation the
-update is applied to -- the same ids query results report -- and each
-applied operation advances the database by exactly one generation.
+Node ids in update operations are pre-order indexes of the state the
+operation is applied to -- the same ids query results report; inside a
+group, operation ``i`` addresses the state operation ``i - 1`` produced.
+The pointer's change counter advances by one per *operation* and the new
+generation takes the counter's value as its number, so one group of N and
+N groups of one leave the same counter and byte-identical files.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -59,7 +90,9 @@ from repro.storage.generations import (
     exclusive_writer,
     fsync_directory,
     generation_base,
+    prune_generations,
     read_pointer,
+    remove_generation_files,
     resolve_logical_base,
     write_metadata,
     write_pointer,
@@ -74,7 +107,7 @@ from repro.storage.pageindex import (
     write_page_index,
 )
 from repro.storage.paging import DEFAULT_PAGE_SIZE, IOStatistics
-from repro.storage.records import decode_node, encode_node, max_label_index
+from repro.storage.records import encode_node, max_label_index
 from repro.tree.unranked import UnrankedNode, UnrankedTree
 from repro.tree.xml_io import parse_xml
 
@@ -208,43 +241,30 @@ class UpdateStatistics:
 
 @dataclass
 class UpdateResult:
-    """Outcome of one applied update: where the database moved to."""
+    """Outcome of one commit: where the database moved to.
 
-    base_path: str
-    old_generation: int
-    new_generation: int
-    counter: int
-    n_nodes: int
-    element_nodes: int = 0
-    char_nodes: int = 0
-    n_tags: int = 0
-    arb_bytes: int = 0
-    statistics: UpdateStatistics = field(default_factory=UpdateStatistics)
-
-
-@dataclass
-class GroupCommitResult:
-    """Outcome of one committed *group* of updates (:func:`apply_many`).
-
-    The whole group lands as a single generation: ``counter`` advanced by
-    ``n_ops`` in one pointer swap, so a group is exactly as visible -- and
-    exactly as atomic -- as one update.  Every rider of a coalesced write
-    batch resolves with the same instance.
+    A commit of ``n_ops`` operations lands as a single generation:
+    ``counter`` advanced by ``n_ops`` in one pointer swap.  Every rider of a
+    coalesced write batch resolves with the same instance.
     """
 
     base_path: str
     old_generation: int
     new_generation: int
     counter: int
-    n_ops: int
     n_nodes: int
     element_nodes: int = 0
     char_nodes: int = 0
     n_tags: int = 0
     arb_bytes: int = 0
-    #: Whether this commit was a WAL replay of a crashed group.
+    n_ops: int = 1
+    #: Whether this commit was a WAL replay of a crashed one.
     replayed: bool = False
     statistics: UpdateStatistics = field(default_factory=UpdateStatistics)
+
+
+#: Alias for callers that import :func:`apply_many`'s result by this name.
+GroupCommitResult = UpdateResult
 
 
 # ---------------------------------------------------------------------- #
@@ -256,27 +276,23 @@ class GroupCommitResult:
 # faults too) and are re-exported above for the crash suites, which have
 # always imported them from this module.
 
-#: The stages a single-op update can be killed at, in execution order.
+#: The stages a commit can be killed at, in execution order.  Up to and
+#: including ``"wal-append"`` a crash discards the commit; from
+#: ``"wal-synced"`` on, the next open rolls it forward.
 FAULT_POINTS = (
-    "analysis",  # analysis done, nothing written yet
-    "mid-arb",  # first bytes of the new .arb written (torn file)
-    "after-arb",  # new .arb complete and fsynced
-    "mid-idx",  # .idx sidecar header written, body not yet (torn index)
-    "after-files",  # .lab, .meta and .idx written too
-    "pointer-tmp",  # pointer temp file written, swap not yet performed
-    "after-swap",  # pointer atomically replaced
-)
-
-#: The extra stages of a *group* commit (:func:`apply_many`), in execution
-#: order.  The group path also passes through ``"mid-arb"`` (first bytes of
-#: every splice in its chain) and ``"pointer-tmp"`` (inside the swap), so a
-#: crash test can hit those shared windows too.
-GROUP_FAULT_POINTS = (
+    "analysis",  # base analysed, operations parsed; nothing written yet
     "wal-append",  # WAL record bytes written, fsync not yet issued
     "wal-synced",  # WAL durable; no generation file written yet
-    "group-files",  # all generation files written (only the .arb fsynced)
-    "group-swapped",  # pointer swapped; WAL not yet truncated
+    "mid-arb",  # first bytes of a splice written (torn .arb)
+    "after-arb",  # final .arb complete and fsynced
+    "mid-idx",  # .idx sidecar header written, body not yet (torn index)
+    "after-files",  # .lab, .meta and .idx written too (unsynced)
+    "pointer-tmp",  # pointer temp file written, swap not yet performed
+    "after-swap",  # pointer atomically replaced; WAL not yet truncated
 )
+
+#: The write-ahead-log stages alone (fired inside :mod:`repro.storage.wal`).
+GROUP_FAULT_POINTS = ("wal-append", "wal-synced")
 
 
 # ---------------------------------------------------------------------- #
@@ -626,15 +642,15 @@ def _splice(
     stats: UpdateStatistics,
     page_size: int,
     *,
-    fsync: bool = True,
+    fsync: bool,
 ) -> None:
     """Emit ``dst`` as ``src`` with ``edits`` applied, copying in page chunks.
 
     The unchanged ranges are moved with plain buffered block copies on the
-    page grid -- no record ever gets decoded -- and the destination is
-    fsynced before returning (unless ``fsync=False``: the group pipeline's
-    intermediate splices are rebuilt from the WAL on a crash, so only its
-    *final* splice pays an fsync).
+    page grid -- no record ever gets decoded.  ``fsync`` says whether the
+    destination must be durable on return: only the *final* splice of a
+    commit's chain is, the intermediate ones are scratch the WAL can
+    always rebuild.
     """
     io = stats.io
     first_write_pending = True
@@ -689,121 +705,199 @@ def _copy_range(src, dst, start: int, end: int, page_size: int, stats, wrote) ->
 # The `.idx` sidecar of the spliced generation
 # ---------------------------------------------------------------------- #
 
+#: ``(pops, pushes, label_bits)`` of one page, or ``None`` for a *stale* page
+#: whose summary must be recomputed from the final `.arb` bytes.
+_PageSummary = tuple[int, int, int] | None
 
-def _write_generation_index(
-    *,
-    old_base: str,
-    new_base: str,
-    edits: list[tuple[int, int, bytes]],
-    old_file_size: int,
-    record_size: int,
-    page_size: int,
-    n_nodes: int,
-    n_label_indices: int,
-) -> None:
-    """Emit the new generation's page-summary sidecar, reusing the old one.
 
-    The splice copies whole old-file ranges at page-aligned shifts whenever
-    the edit deltas allow it; every new page lying wholly inside such a copy
-    inherits the old page's summary verbatim, and only pages overlapping a
-    re-encoded range (or shifted off the page grid) are re-summarised from
-    the new `.arb` bytes.  Like the old sidecar itself, this maintenance is
-    best-effort: a missing or torn old `.idx` just means recomputing more
-    pages.  Its I/O is bookkeeping, not splice work, and is deliberately
-    left out of the update's ``IOStatistics``.
-    """
-    new_size = n_nodes * record_size
-    n_pages = (new_size + page_size - 1) // page_size if new_size else 0
-    old_index = load_page_index(index_path_of(old_base))
-    if old_index is not None and (
-        old_index.record_size != record_size
-        or old_index.page_size != page_size
-        or old_index.n_records * record_size != old_file_size
+def _page_count(file_size: int, page_size: int) -> int:
+    return (file_size + page_size - 1) // page_size
+
+
+def _load_summaries(
+    gen_base: str, file_size: int, record_size: int, page_size: int
+) -> list[_PageSummary]:
+    """The per-page summaries of a generation's `.idx`, all stale when the
+    sidecar is missing, torn or on another grid (best effort, like the
+    sidecar itself: it only means recomputing more pages)."""
+    index = load_page_index(index_path_of(gen_base))
+    if (
+        index is None
+        or index.record_size != record_size
+        or index.page_size != page_size
+        or index.n_records * record_size != file_size
     ):
-        old_index = None
+        return [None] * _page_count(file_size, page_size)
+    return list(zip(index.pops, index.pushes, index.label_bits))
 
+
+def _carry_summaries(
+    old: list[_PageSummary],
+    edits: list[tuple[int, int, bytes]],
+    old_size: int,
+    page_size: int,
+) -> list[_PageSummary]:
+    """The page summaries of a splice's output, inherited where possible.
+
+    The splice copies whole old-file ranges; a new page lying wholly inside
+    a range copied at a *page-aligned* shift holds exactly the records its
+    old counterpart held and inherits that page's summary (stale or not).
+    Every other page -- overlapping a re-encoded range, or shifted off the
+    page grid -- is stale.
+    """
     # Copied ranges in new-file byte coordinates, with their shift vs the old
     # file (new position - old position; edits are record-aligned, so shifts
     # always are too).
     copies: list[tuple[int, int, int]] = []
     old_position = 0
     new_position = 0
-    for offset, old_length, replacement in edits:
+    for offset, old_length, replacement in [*edits, (old_size, 0, b"")]:
         if offset > old_position:
             length = offset - old_position
             copies.append((new_position, new_position + length, new_position - old_position))
             new_position += length
         new_position += len(replacement)
         old_position = offset + old_length
-    if old_file_size > old_position:
-        length = old_file_size - old_position
-        copies.append((new_position, new_position + length, new_position - old_position))
+    new_size = new_position
 
-    pops = [0] * n_pages
-    pushes = [0] * n_pages
-    bits = [0] * n_pages
-    stale = list(range(n_pages))
-    if old_index is not None:
-        kept: list[int] = []
-        copy_cursor = 0
-        for page in range(n_pages):
+    new: list[_PageSummary] = [None] * _page_count(new_size, page_size)
+    for start, end, shift in copies:
+        if shift % page_size:
+            continue
+        page = _page_count(start, page_size)  # first page starting inside the copy
+        while page < len(new):
             new_lo = page * page_size
             new_hi = min(new_lo + page_size, new_size)
-            while copy_cursor < len(copies) and copies[copy_cursor][1] < new_hi:
-                copy_cursor += 1
-            reused = False
-            if copy_cursor < len(copies):
-                seg_start, seg_end, shift = copies[copy_cursor]
-                if seg_start <= new_lo and new_hi <= seg_end and shift % page_size == 0:
-                    old_page = page - shift // page_size
-                    old_lo = old_page * page_size
-                    old_hi = min(old_lo + page_size, old_index.n_records * record_size)
-                    if 0 <= old_page < old_index.n_pages and old_hi - old_lo == new_hi - new_lo:
-                        pops[page] = old_index.pops[old_page]
-                        pushes[page] = old_index.pushes[old_page]
-                        bits[page] = old_index.label_bits[old_page]
-                        reused = True
-            if not reused:
-                kept.append(page)
-        stale = kept
+            if new_hi > end:
+                break
+            old_lo = new_lo - shift
+            # A short last page only matches an equally short old page.
+            if min(old_lo + page_size, old_size) - old_lo == new_hi - new_lo:
+                new[page] = old[old_lo // page_size]
+            page += 1
+    return new
 
-    if stale:
-        with open(new_base + ".arb", "rb") as handle:
-            for page in stale:
-                start = (page * page_size + record_size - 1) // record_size
-                end = min(((page + 1) * page_size + record_size - 1) // record_size, n_nodes)
-                if end <= start:
-                    continue
-                handle.seek(start * record_size)
-                data = handle.read((end - start) * record_size)
-                records = []
-                for position in range(0, len(data), record_size):
-                    node = decode_node(data[position : position + record_size], record_size)
-                    records.append(
-                        (node.label_index, node.has_first_child, node.has_second_child)
-                    )
-                pops[page], pushes[page], bits[page] = summarize_records(records)
 
+def _write_index(
+    gen_base: str,
+    summaries: list[_PageSummary],
+    *,
+    n_nodes: int,
+    record_size: int,
+    page_size: int,
+    n_label_indices: int,
+) -> None:
+    """Write a spliced generation's `.idx`, summarising its stale pages
+    from the final `.arb` bytes (the only writer of a sidecar here).
+
+    No fsync: the file is crc-guarded, and a torn sidecar only costs scan
+    speed.  Its I/O is bookkeeping, not splice work, and is deliberately
+    left out of the update's ``IOStatistics``.
+    """
+    first_bit = 1 << (8 * record_size - 1)
+    second_bit = first_bit >> 1
+    with open(gen_base + ".arb", "rb") as handle:
+        for page, summary in enumerate(summaries):
+            if summary is not None:
+                continue
+            # The records *starting* in the page, as the sidecar defines it.
+            start = (page * page_size + record_size - 1) // record_size
+            end = min(((page + 1) * page_size + record_size - 1) // record_size, n_nodes)
+            handle.seek(start * record_size)
+            data = handle.read(max(end - start, 0) * record_size)
+            records = []
+            for position in range(0, len(data), record_size):
+                value = int.from_bytes(data[position : position + record_size], "big")
+                records.append((value & (second_bit - 1), value & first_bit, value & second_bit))
+            summaries[page] = summarize_records(records)
+    pops, pushes, bits = zip(*summaries)
     index = PageIndex(
         page_size=page_size,
         record_size=record_size,
         n_records=n_nodes,
         n_label_indices=n_label_indices,
-        pops=tuple(pops),
-        pushes=tuple(pushes),
-        label_bits=tuple(bits),
+        pops=pops,
+        pushes=pushes,
+        label_bits=bits,
     )
     write_page_index(
-        index_path_of(new_base),
-        index,
-        fsync=True,
-        mid_write_hook=lambda: fault_point("mid-idx"),
+        index_path_of(gen_base), index, mid_write_hook=lambda: fault_point("mid-idx")
     )
 
 
 # ---------------------------------------------------------------------- #
 # Applying updates
 # ---------------------------------------------------------------------- #
+
+#: Pointer payloads stay small control files; a label table bigger than this
+#: is fsynced eagerly (with `.meta`) instead of riding in the pointer.
+_SIDECAR_LIMIT = 64 * 1024
+
+
+def apply_many(
+    base_path: str,
+    ops: Sequence[UpdateOp],
+    *,
+    page_size: int = DEFAULT_PAGE_SIZE,
+    retain_generations: int | None = None,
+    expected_generation: int | None = None,
+    expected_counter: int | None = None,
+) -> UpdateResult:
+    """Commit ``ops`` as **one group**: one generation, one pointer swap.
+
+    Sequential semantics (each operation's node ids address the state the
+    previous one produced, exactly like :func:`apply_updates`) at the cost
+    of one commit: however many operations ride in the group, durability is
+    two data fsyncs -- the WAL record and the final spliced ``.arb`` --
+    plus one pointer swap (the protocol and its crash semantics are the
+    module docstring's).  The group is atomic both ways: readers see all of
+    it or none of it, and a failed compile (bad node id, empty result)
+    rolls everything back before any pointer moves.
+
+    The counter advances by ``len(ops)`` in the single swap, so a group
+    leaves the same counter state sequential applies would -- optimistic
+    concurrency across mixed writers keeps working unchanged.
+
+    ``retain_generations`` optionally prunes history after a successful
+    swap, keeping the new generation plus ``retain_generations - 1``
+    predecessors (generation 0 is always kept).  The default keeps
+    everything, which is what long-running pinned readers want.
+
+    Writers of one base path are serialised (threads via a per-base lock,
+    processes via an advisory ``flock`` on ``<base>.lock``); readers are
+    never blocked.  ``expected_generation`` is the optimistic-concurrency
+    guard: the operations' node ids were taken from that generation, and if
+    another writer moved the pointer meanwhile the ids may name different
+    nodes -- the commit is then refused with a conflict error instead of
+    silently mutating the wrong subtree.  ``expected_counter`` is the
+    stronger guard over the pointer's change counter, which also moves on
+    an in-place *rebuild* (a rebuild resets the generation to 0, so two
+    states can share a generation number but never a counter).  ``None``
+    applies unconditionally against whatever is current (the single-writer
+    CLI convention).
+    """
+    if base_path.endswith(".arb"):
+        base_path = base_path[: -len(".arb")]
+    # Agree with ArbDatabase.open on what governs a suffixed path: updating
+    # through "doc.g3" must advance "doc", never fork a "doc.g3" lineage.
+    base_path = resolve_logical_base(base_path)
+    ops = list(ops)
+    if not ops:
+        raise StorageError("apply_many needs at least one operation")
+    with exclusive_writer(base_path):
+        from repro.storage import wal
+
+        # A crashed commit may have left a pending WAL record; finish (or
+        # discard) it first, so this writer starts from a settled state.
+        wal.recover_locked(base_path)
+        return _commit_locked(
+            base_path,
+            ops,
+            page_size=page_size,
+            retain_generations=retain_generations,
+            expected_generation=expected_generation,
+            expected_counter=expected_counter,
+        )
 
 
 def apply_update(
@@ -815,168 +909,15 @@ def apply_update(
     expected_generation: int | None = None,
     expected_counter: int | None = None,
 ) -> UpdateResult:
-    """Apply one update to the current generation of ``base_path``.
-
-    Writes generation files beside the current ones, fsyncs them, then
-    atomically swaps the generation pointer.  Readers holding the old
-    generation are untouched; a crash anywhere before the swap leaves the
-    pointer -- and every old byte -- exactly as it was.
-
-    ``retain_generations`` optionally prunes history after a successful
-    swap, keeping the new generation plus ``retain_generations - 1``
-    predecessors (generation 0 is always kept).  The default keeps
-    everything, which is what long-running pinned readers want.
-
-    Writers of one base path are serialised (threads via a per-base lock,
-    processes via an advisory ``flock`` on ``<base>.lock``); readers are
-    never blocked.  ``expected_generation`` is the optimistic-concurrency
-    guard: the operation's node ids were taken from that generation, and if
-    another writer moved the pointer meanwhile the ids may name different
-    nodes -- the apply is then refused with a conflict error instead of
-    silently mutating the wrong subtree.  ``expected_counter`` is the
-    stronger guard over the pointer's change counter, which also moves on
-    an in-place *rebuild* (a rebuild resets the generation to 0, so two
-    states can share a generation number but never a counter).  ``None``
-    applies unconditionally against whatever is current (the single-writer
-    CLI convention).
-    """
-    started = time.perf_counter()
-    if base_path.endswith(".arb"):
-        base_path = base_path[: -len(".arb")]
-    # Agree with ArbDatabase.open on what governs a suffixed path: updating
-    # through "doc.g3" must advance "doc", never fork a "doc.g3" lineage.
-    base_path = resolve_logical_base(base_path)
-    with exclusive_writer(base_path):
-        from repro.storage import wal
-
-        # A crashed group commit may have left a pending WAL record; finish
-        # (or discard) it first, so this writer starts from a settled state.
-        wal.recover_locked(base_path)
-        return _apply_locked(
-            base_path, update, page_size, retain_generations,
-            expected_generation, expected_counter, started,
-        )
-
-
-def _apply_locked(
-    base_path: str,
-    update: UpdateOp,
-    page_size: int,
-    retain_generations: int | None,
-    expected_generation: int | None,
-    expected_counter: int | None,
-    started: float,
-) -> UpdateResult:
-    from repro.storage.generations import prune_generations
-
-    pointer = read_pointer(base_path)
-    if expected_generation is not None and pointer.generation != expected_generation:
-        raise StorageError(
-            f"{base_path}: concurrent update conflict -- expected generation "
-            f"{expected_generation} but {pointer.generation} is current; "
-            f"node ids may be stale (refresh and retry)"
-        )
-    if expected_counter is not None and pointer.counter != expected_counter:
-        raise StorageError(
-            f"{base_path}: concurrent update conflict -- expected change "
-            f"counter {expected_counter} but {pointer.counter} is current "
-            f"(another update or rebuild landed); node ids may be stale "
-            f"(refresh and retry)"
-        )
-    old_base = generation_base(base_path, pointer.generation)
-    stats = UpdateStatistics()
-    database = ArbDatabase.open(old_base, page_size=page_size)
-    try:
-        record_size = database.record_size
-        old_arb = database.arb_path
-        cache_key = structure_cache.key_for(old_arb)
-        structure = structure_cache.get(cache_key)
-        if structure is None:
-            structure = _analyse(database, stats.io)
-            structure_cache.put(cache_key, structure)
-        else:
-            stats.analysis_cache_hit = True
-        labels = LabelTable.load(old_base + ".lab", max_index=max_label_index(record_size))
-        plan = _compile_op(update, structure, labels, record_size)
-    finally:
-        database.close()
-
-    new_counter = pointer.counter + 1
-    new_generation = new_counter  # the counter doubles as the allocator
-    new_base = generation_base(base_path, new_generation)
-    n_nodes = structure.n + plan.n_nodes_delta
-    if n_nodes <= 0:
-        raise StorageError("an update may not leave the database empty")
-    fault_point("analysis")
-
-    # ---- new .arb: splice of the old page grid --------------------------- #
-    _splice(old_arb, new_base + ".arb", database.file_size(), plan.edits, stats, page_size)
-    stats.records_reencoded = sum(
-        len(replacement) // record_size for _, _, replacement in plan.edits
-    )
-    fault_point("after-arb")
-
-    # ---- sidecars: .lab and .meta (durable before the swap) --------------- #
-    labels.save(new_base + ".lab", fsync=True)
-    element_nodes = database.element_nodes + plan.element_delta
-    char_nodes = database.char_nodes + plan.char_delta
-    write_metadata(
-        new_base,
-        n_nodes=n_nodes,
-        record_size=record_size,
-        element_nodes=element_nodes,
-        char_nodes=char_nodes,
-        n_tags=labels.n_tags,
-        counter=new_counter,
-        generation=new_generation,
-        parent_generation=pointer.generation,
-        fsync=True,
-    )
-    _write_generation_index(
-        old_base=old_base,
-        new_base=new_base,
-        edits=plan.edits,
-        old_file_size=database.file_size(),
-        record_size=record_size,
-        page_size=page_size,
-        n_nodes=n_nodes,
-        n_label_indices=FIRST_TAG_INDEX + labels.n_tags,
-    )
-    # A crashed earlier attempt may have left files under this generation
-    # number (the counter only advances at the swap); make sure no pool ever
-    # serves their pages now that the retry overwrote them.
-    invalidate_default_pool(new_base + ".arb")
-    invalidate_index_cache(new_base)
-    # The new files' *directory entries* must be durable before a durable
-    # pointer can name them -- file-data fsyncs alone do not persist the
-    # dirents on a power loss.
-    fsync_directory(os.path.dirname(new_base) or ".")
-    fault_point("after-files")
-
-    # ---- the atomic swap -------------------------------------------------- #
-    write_pointer(
+    """Apply one update to the current generation of ``base_path``: a group
+    of one, committed exactly as :func:`apply_many` commits any group."""
+    return apply_many(
         base_path,
-        GenerationPointer(generation=new_generation, counter=new_counter),
-        fault=fault_point,
-    )
-    fault_point("after-swap")
-
-    if plan.derived is not None:
-        structure_cache.put(structure_cache.key_for(new_base + ".arb"), plan.derived)
-    if retain_generations is not None:
-        prune_generations(base_path, retain_generations)
-    stats.seconds = time.perf_counter() - started
-    return UpdateResult(
-        base_path=base_path,
-        old_generation=pointer.generation,
-        new_generation=new_generation,
-        counter=new_counter,
-        n_nodes=n_nodes,
-        element_nodes=element_nodes,
-        char_nodes=char_nodes,
-        n_tags=labels.n_tags,
-        arb_bytes=n_nodes * record_size,
-        statistics=stats,
+        [update],
+        page_size=page_size,
+        retain_generations=retain_generations,
+        expected_generation=expected_generation,
+        expected_counter=expected_counter,
     )
 
 
@@ -1014,13 +955,26 @@ def apply_updates(
     return results
 
 
-# ---------------------------------------------------------------------- #
-# Group commit
-# ---------------------------------------------------------------------- #
-
-#: Pointer payloads stay small control files; a sidecar bigger than this
-#: falls back to eagerly fsyncing `.lab`/`.meta` instead of embedding them.
-_SIDECAR_LIMIT = 64 * 1024
+def _check_expected(
+    base_path: str,
+    pointer: GenerationPointer,
+    expected_generation: int | None,
+    expected_counter: int | None,
+) -> None:
+    """Refuse a commit whose node ids were taken from another state."""
+    if expected_generation is not None and pointer.generation != expected_generation:
+        raise StorageError(
+            f"{base_path}: concurrent update conflict -- expected generation "
+            f"{expected_generation} but {pointer.generation} is current; "
+            f"node ids may be stale (refresh and retry)"
+        )
+    if expected_counter is not None and pointer.counter != expected_counter:
+        raise StorageError(
+            f"{base_path}: concurrent update conflict -- expected change "
+            f"counter {expected_counter} but {pointer.counter} is current "
+            f"(another update or rebuild landed); node ids may be stale "
+            f"(refresh and retry)"
+        )
 
 
 def _materialize_op(op: UpdateOp) -> UpdateOp:
@@ -1040,135 +994,24 @@ def _materialize_op(op: UpdateOp) -> UpdateOp:
     return op
 
 
-def _write_group_index(
-    new_base: str,
-    *,
-    n_nodes: int,
-    record_size: int,
-    page_size: int,
-    n_label_indices: int,
-) -> None:
-    """Summarise the final spliced `.arb` into its `.idx` sidecar, unsynced.
-
-    The group pipeline cannot reuse the single-splice incremental path (its
-    edits span a whole chain of intermediate files), so it recomputes every
-    page from the final bytes -- which is also what makes the sidecar
-    byte-identical to the one sequential applies would have left.  No fsync:
-    the file is crc-guarded, and a torn sidecar only costs scan speed.
-    """
-    pops: list[int] = []
-    pushes: list[int] = []
-    bits: list[int] = []
-    new_size = n_nodes * record_size
-    n_pages = (new_size + page_size - 1) // page_size if new_size else 0
-    with open(new_base + ".arb", "rb") as handle:
-        for page in range(n_pages):
-            start = (page * page_size + record_size - 1) // record_size
-            end = min(((page + 1) * page_size + record_size - 1) // record_size, n_nodes)
-            records = []
-            if end > start:
-                handle.seek(start * record_size)
-                data = handle.read((end - start) * record_size)
-                for position in range(0, len(data), record_size):
-                    node = decode_node(data[position : position + record_size], record_size)
-                    records.append(
-                        (node.label_index, node.has_first_child, node.has_second_child)
-                    )
-            page_pops, page_pushes, page_bits = summarize_records(records)
-            pops.append(page_pops)
-            pushes.append(page_pushes)
-            bits.append(page_bits)
-    index = PageIndex(
-        page_size=page_size,
-        record_size=record_size,
-        n_records=n_nodes,
-        n_label_indices=n_label_indices,
-        pops=tuple(pops),
-        pushes=tuple(pushes),
-        label_bits=tuple(bits),
-    )
-    write_page_index(index_path_of(new_base), index, fsync=False)
-
-
-def apply_many(
-    base_path: str,
-    ops: Sequence[UpdateOp],
-    *,
-    page_size: int = DEFAULT_PAGE_SIZE,
-    retain_generations: int | None = None,
-    expected_generation: int | None = None,
-    expected_counter: int | None = None,
-) -> GroupCommitResult:
-    """Commit ``ops`` as **one group**: one generation, one pointer swap.
-
-    Sequential semantics (each operation's node ids address the state the
-    previous one produced, exactly like :func:`apply_updates`) at group-
-    commit cost: however many operations ride in the group, durability is
-    two data fsyncs -- the WAL record and the final spliced ``.arb`` --
-    plus one pointer swap.  The intermediate splices of the chain are
-    ordinary unsynced files; if the process dies before the swap, the next
-    open replays the whole group from the WAL, and if it dies after, the
-    pointer payload rebuilds any torn unsynced sidecar.  The group is
-    atomic both ways: readers see all of it or none of it, and a failed
-    compile (bad node id, empty result) rolls everything back before any
-    pointer moves.
-
-    The counter advances by ``len(ops)`` in the single swap, so a group
-    leaves the same counter state sequential applies would -- optimistic
-    concurrency across mixed writers keeps working unchanged.
-    """
-    started = time.perf_counter()
-    if base_path.endswith(".arb"):
-        base_path = base_path[: -len(".arb")]
-    base_path = resolve_logical_base(base_path)
-    ops = list(ops)
-    if not ops:
-        raise StorageError("apply_many needs at least one operation")
-    with exclusive_writer(base_path):
-        from repro.storage import wal
-
-        wal.recover_locked(base_path)
-        return _apply_many_locked(
-            base_path,
-            ops,
-            page_size=page_size,
-            retain_generations=retain_generations,
-            expected_generation=expected_generation,
-            expected_counter=expected_counter,
-            started=started,
-        )
-
-
-def _apply_many_locked(
+def _commit_locked(
     base_path: str,
     ops: list[UpdateOp],
     *,
     page_size: int,
-    retain_generations: int | None,
-    expected_generation: int | None,
-    expected_counter: int | None,
-    started: float | None,
+    retain_generations: int | None = None,
+    expected_generation: int | None = None,
+    expected_counter: int | None = None,
     replaying: bool = False,
-) -> GroupCommitResult:
+) -> UpdateResult:
+    """The one commit routine (writer lock held): every apply entry point
+    and the WAL replay (``replaying=True``: the intent is already logged)
+    end up here."""
     from repro.storage import wal
-    from repro.storage.generations import prune_generations
 
-    if started is None:
-        started = time.perf_counter()
+    started = time.perf_counter()
     pointer = read_pointer(base_path)
-    if expected_generation is not None and pointer.generation != expected_generation:
-        raise StorageError(
-            f"{base_path}: concurrent update conflict -- expected generation "
-            f"{expected_generation} but {pointer.generation} is current; "
-            f"node ids may be stale (refresh and retry)"
-        )
-    if expected_counter is not None and pointer.counter != expected_counter:
-        raise StorageError(
-            f"{base_path}: concurrent update conflict -- expected change "
-            f"counter {expected_counter} but {pointer.counter} is current "
-            f"(another update or rebuild landed); node ids may be stale "
-            f"(refresh and retry)"
-        )
+    _check_expected(base_path, pointer, expected_generation, expected_counter)
 
     old_base = generation_base(base_path, pointer.generation)
     stats = UpdateStatistics()
@@ -1195,6 +1038,11 @@ def _apply_many_locked(
     new_counter = pointer.counter + n_ops
     new_generation = new_counter  # the counter doubles as the allocator
     new_base = generation_base(base_path, new_generation)
+    # The first operation compiles against the base before anything is
+    # written, so a rejected single update leaves no trace at all -- and a
+    # group that could never start is never promised by the log.
+    plan = _compile_op(ops[0], structure, labels, record_size)
+    fault_point("analysis")
 
     if not replaying:
         # Durable intent first (fsync #1): from here on, a crash anywhere
@@ -1213,10 +1061,9 @@ def _apply_many_locked(
     try:
         # ---- splice chain: op i reads op i-1's output ------------------- #
         src_path, src_size = old_arb, old_size
+        summaries = _load_summaries(old_base, old_size, record_size, page_size)
         n_nodes = structure.n
-        final_structure: _Structure | None = None
-        for position, op in enumerate(ops):
-            plan = _compile_op(op, structure, labels, record_size)
+        for position in range(n_ops):
             n_nodes += plan.n_nodes_delta
             if n_nodes <= 0:
                 raise StorageError("an update may not leave the database empty")
@@ -1229,14 +1076,16 @@ def _apply_many_locked(
             # Only the last link of the chain is fsynced (fsync #2): the
             # intermediates are scratch the WAL can always rebuild.
             _splice(src_path, dst_path, src_size, plan.edits, stats, page_size, fsync=last)
+            summaries = _carry_summaries(summaries, plan.edits, src_size, page_size)
             stats.records_reencoded += sum(
                 len(replacement) // record_size for _, _, replacement in plan.edits
             )
+            src_path, src_size = dst_path, n_nodes * record_size
+            if last:
+                break
             if plan.derived is not None:
                 structure = plan.derived
-                if last:
-                    final_structure = structure
-            elif not last:
+            else:
                 # Deletes/inserts moved node ids: re-analyse the freshly
                 # spliced bytes (in memory, never through any shared cache).
                 temp_db = ArbDatabase(
@@ -1247,10 +1096,15 @@ def _apply_many_locked(
                     page_size=page_size,
                 )
                 structure = _analyse(temp_db, stats.io)
-            src_path, src_size = dst_path, n_nodes * record_size
+            plan = _compile_op(ops[position + 1], structure, labels, record_size)
+        fault_point("after-arb")
 
         # ---- unsynced sidecars: the pointer payload backs them up ------- #
-        labels.save(new_base + ".lab")
+        labels_text = labels.as_text()
+        # A table too big to ride in the pointer pays two extra fsyncs
+        # instead of growing the control file without bound.
+        embed = len(labels_text) <= _SIDECAR_LIMIT
+        labels.save(new_base + ".lab", fsync=not embed)
         meta_payload = write_metadata(
             new_base,
             n_nodes=n_nodes,
@@ -1261,58 +1115,43 @@ def _apply_many_locked(
             counter=new_counter,
             generation=new_generation,
             parent_generation=pointer.generation,
+            fsync=not embed,
         )
-        _write_group_index(
+        _write_index(
             new_base,
+            summaries,
             n_nodes=n_nodes,
             record_size=record_size,
             page_size=page_size,
             n_label_indices=FIRST_TAG_INDEX + labels.n_tags,
         )
+        # A crashed earlier attempt may have left files under this generation
+        # number (the counter only advances at the swap); make sure no pool
+        # ever serves their pages now that the retry overwrote them.
         invalidate_default_pool(new_base + ".arb")
         invalidate_index_cache(new_base)
+        # The new files' *directory entries* must be durable before a durable
+        # pointer can name them -- file-data fsyncs alone do not persist the
+        # dirents on a power loss.
         fsync_directory(os.path.dirname(new_base) or ".")
-        fault_point("group-files")
-
-        sidecar: dict | None = {"meta": meta_payload, "labels": labels.as_text()}
-        if len(json.dumps(sidecar)) > _SIDECAR_LIMIT:
-            # Too big to ride in the pointer: pay two extra fsyncs instead
-            # of growing the control file without bound.
-            labels.save(new_base + ".lab", fsync=True)
-            write_metadata(
-                new_base,
-                n_nodes=n_nodes,
-                record_size=record_size,
-                element_nodes=element_nodes,
-                char_nodes=char_nodes,
-                n_tags=labels.n_tags,
-                counter=new_counter,
-                generation=new_generation,
-                parent_generation=pointer.generation,
-                fsync=True,
-            )
-            sidecar = None
+        fault_point("after-files")
 
         # ---- the atomic swap (commits the whole group at once) ---------- #
         write_pointer(
             base_path,
             GenerationPointer(generation=new_generation, counter=new_counter),
             fault=fault_point,
-            sidecar=sidecar,
+            sidecar={"meta": meta_payload, "labels": labels_text} if embed else None,
         )
         committed = True
-        fault_point("group-swapped")
+        fault_point("after-swap")
         wal.clear_wal(base_path)
     except BaseException:
         if not committed:
             # A clean failure rejects the group whole: no pointer moved, so
             # drop the intent record and any partial generation files.
             wal.clear_wal(base_path)
-            for suffix in (".arb", ".lab", ".meta", ".idx"):
-                try:
-                    os.remove(new_base + suffix)
-                except OSError:
-                    pass
+            remove_generation_files(base_path, new_generation)
         raise
     finally:
         for temp in temp_paths:
@@ -1321,22 +1160,22 @@ def _apply_many_locked(
             except OSError:
                 pass
 
-    if final_structure is not None:
-        structure_cache.put(structure_cache.key_for(new_base + ".arb"), final_structure)
+    if plan.derived is not None:  # the last operation's: the new generation's
+        structure_cache.put(structure_cache.key_for(new_base + ".arb"), plan.derived)
     if retain_generations is not None:
         prune_generations(base_path, retain_generations)
     stats.seconds = time.perf_counter() - started
-    return GroupCommitResult(
+    return UpdateResult(
         base_path=base_path,
         old_generation=pointer.generation,
         new_generation=new_generation,
         counter=new_counter,
-        n_ops=n_ops,
         n_nodes=n_nodes,
         element_nodes=element_nodes,
         char_nodes=char_nodes,
         n_tags=labels.n_tags,
         arb_bytes=n_nodes * record_size,
+        n_ops=n_ops,
         replayed=replaying,
         statistics=stats,
     )

@@ -1,9 +1,10 @@
-"""The per-base write-ahead log of the group-commit pipeline.
+"""The per-base write-ahead log of the commit protocol.
 
-A group commit (:func:`repro.storage.update.apply_many`) spends its fsync
-budget -- at most two data fsyncs plus one pointer swap for the whole
-group -- by making only two things durable before the swap: this log and
-the final spliced ``.arb``.  The log is a single checksummed record per
+Every commit (:func:`repro.storage.update.apply_many`; a single
+``apply_update`` is a group of one) spends its fsync budget -- at most two
+data fsyncs plus one pointer swap for the whole group -- by making only
+two things durable before the swap: this log and the final spliced
+``.arb``.  The log is a single checksummed record per
 base path (``<base>.wal``) describing the *intent* of the in-flight group:
 which pointer state it started from, which counter it commits to, and the
 operations themselves in a replayable structural form (XML sources are
@@ -17,7 +18,9 @@ apply) reads the record and compares it with the live pointer:
 * ``base_counter == pointer.counter`` -- the crash hit before the swap.
   The group is **replayed**: the same deterministic splice chain rebuilds
   the target generation from the (untouched) base generation and the swap
-  is retried.  Queued operations survive the crash.
+  is retried.  Queued operations survive the crash.  (A replay that turns
+  out to be invalid against the base is discarded like a torn record: the
+  live writer would have rejected that group whole.)
 * ``target_counter <= pointer.counter`` -- the swap landed (or a later
   writer moved on).  The group's ``.lab``/``.meta`` were written without
   their own fsyncs; if a power loss tore them, they are rebuilt from the
@@ -354,7 +357,15 @@ def recover_locked(base_path: str) -> bool:
             and int(record["base_generation"]) == pointer.generation
         ):
             count_wal_replay()
-            _replay_group(base_path, record)
+            try:
+                _replay_group(base_path, record)
+            except StorageError:
+                # The logged ops are invalid against the base: the crashed
+                # writer would have rejected the group the same way, had it
+                # lived to compile it.  That error was the writer's to get;
+                # the open that happened to find the record must not fail.
+                clear_wal(base_path)
+                return False
             clear_wal(base_path)
             return True
         if int(record["target_counter"]) <= pointer.counter:
@@ -381,14 +392,12 @@ def _replay_group(base_path: str, record: dict) -> None:
     from repro.storage import update as update_module
 
     ops = [deserialize_op(op) for op in record["ops"]]
-    update_module._apply_many_locked(
+    update_module._commit_locked(
         base_path,
         ops,
         page_size=int(record["page_size"]),
-        retain_generations=None,
         expected_generation=int(record["base_generation"]),
         expected_counter=int(record["base_counter"]),
-        started=None,
         replaying=True,
     )
 
@@ -399,8 +408,9 @@ def _repair_committed(base_path: str, pointer) -> bool:
     The group wrote them without fsyncs; the authoritative copy rides in
     the committed pointer's ``sidecar`` payload, which *was* fsynced as
     part of the swap.  Missing or inconsistent sidecar files are rewritten
-    from it; a payload without a sidecar (single-op commits, oversized
-    tables) means the files were fsynced eagerly and need no repair.
+    from it; a payload without a sidecar (oversized label tables, commits
+    by older versions) means the files were fsynced eagerly and need no
+    repair.
     """
     gen_base = generation_base(base_path, pointer.generation)
     payload = read_pointer_payload(base_path) or {}

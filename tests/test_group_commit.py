@@ -2,10 +2,11 @@
 
 The contract under test: a group of N update operations lands as **one**
 spliced generation whose files are byte-identical to what the same
-operations produce applied one commit at a time -- while the whole group
-pays a bounded durability budget (at most 2 data fsyncs, exactly 1 pointer
-swap and 1 WAL append, however large N is) and either commits whole or
-leaves the database untouched.
+operations produce applied one commit at a time (one group of N == N groups
+of one: there is only one commit path) -- while every commit pays the same
+bounded durability budget (at most 2 data fsyncs, exactly 1 pointer swap
+and 1 WAL append, however large N is) and either commits whole or leaves
+the database untouched.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from repro.collection import Collection
 from repro.engine import Database
 from repro.errors import StorageError
 from repro.storage.build import build_database
-from repro.storage.database import ArbDatabase
 from repro.storage.durability import durability
 from repro.storage.generations import generation_base, list_generations, read_pointer
 from repro.storage.update import (
@@ -148,6 +148,19 @@ def test_group_commit_fsync_budget(tmp_path):
     before = durability.snapshot()
     apply_many(base, list(GROUP))
     delta = durability.since(before)
+    assert delta.data_fsyncs <= 2, delta
+    assert delta.pointer_swaps == 1, delta
+    assert delta.wal_appends == 1, delta
+    assert delta.wal_replays == 0, delta
+
+
+def test_single_update_pays_the_same_budget(tmp_path):
+    """A single update is a group of one: same protocol, same budget."""
+    base = _build(tmp_path)
+    before = durability.snapshot()
+    result = apply_update(base, GROUP[1])
+    delta = durability.since(before)
+    assert result.n_ops == 1 and not result.replayed
     assert delta.data_fsyncs <= 2, delta
     assert delta.pointer_swaps == 1, delta
     assert delta.wal_appends == 1, delta
@@ -325,9 +338,8 @@ def test_service_write_window_zero_keeps_per_update_commits(tmp_path):
             return await asyncio.gather(*[service.apply(op) for op in GROUP])
 
     results = asyncio.run(main())
-    # The historical behaviour: per-op UpdateResult, one commit each.
-    assert [type(result).__name__ for result in results] == \
-        ["UpdateResult"] * len(GROUP)
+    # The historical behaviour: one result and one commit per operation.
+    assert [result.n_ops for result in results] == [1] * len(GROUP)
     assert read_pointer(base).counter == 1 + len(GROUP)
     assert len(list_generations(base)) == 1 + len(GROUP)
 

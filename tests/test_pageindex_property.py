@@ -11,9 +11,12 @@ one), the same batch runs the plain full scans.  The invariants:
   above the full-scan count;
 * **corruption is safe** -- a torn/truncated/missing sidecar is detected
   (checksum, size, magic) and silently degrades to full scans;
-* **crashes are safe** -- a crash while the splice writes the new
-  generation's sidecar leaves the old generation fully intact, and a
-  retry produces a valid new sidecar.
+* **crashes are safe** -- a crash while the commit writes the new
+  generation's sidecar leaves the old generation fully intact, and the
+  roll-forward on the next open produces a valid new sidecar;
+* **one writer, one oracle** -- whatever a commit inherited from its
+  parent's sidecar, the `.idx` it leaves equals a from-scratch summary of
+  the final `.arb` bytes.
 """
 
 from __future__ import annotations
@@ -30,11 +33,13 @@ from hypothesis import strategies as st
 
 from repro.engine import Database
 from repro.plan.cache import PlanCache
+from repro.storage.database import ArbDatabase
 from repro.storage.generations import read_pointer, resolve_generation
 from repro.storage.pageindex import (
     index_path_of,
     invalidate_index_cache,
     load_page_index,
+    summarize_arb_bytes,
 )
 from repro.storage.update import (
     FAULT_ENV,
@@ -42,7 +47,10 @@ from repro.storage.update import (
     DeleteSubtree,
     InsertSubtree,
     Relabel,
+    apply_many,
+    apply_to_tree,
 )
+from repro.tree.xml_io import parse_xml
 from tests.strategies import tmnf_programs as programs
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -58,16 +66,16 @@ _NOISE_TAGS = ("n0", "n1", "n2", "n3")
 
 
 @st.composite
-def sectioned_documents(draw) -> str:
+def sectioned_documents(draw, min_sections: int = 1, min_leaves: int = 1) -> str:
     """XML documents made of sections, most of them index-skippable noise."""
     sections = draw(
         st.lists(
             st.tuples(
                 st.booleans(),  # does the section use program-relevant labels?
-                st.integers(min_value=1, max_value=40),
+                st.integers(min_value=min_leaves, max_value=40),
                 st.integers(min_value=0, max_value=len(_NOISE_TAGS) - 1),
             ),
-            min_size=1,
+            min_size=min_sections,
             max_size=12,
         )
     )
@@ -200,6 +208,97 @@ def test_torn_index_falls_back_to_full_scans(tmp_path, corrupt):
 
 
 # ---------------------------------------------------------------------- #
+# The one index writer against an independent oracle
+# ---------------------------------------------------------------------- #
+
+#: A grid fine enough (32 records per page) that hypothesis-sized documents
+#: span many pages and a 32- or 64-node insert shifts the suffix by whole
+#: pages -- the case in which a commit *inherits* summaries instead of
+#: recomputing them.
+ORACLE_PAGE_SIZE = 64
+
+_PARENT_INDEX_STATES = {
+    "intact": lambda path: None,
+    "missing": _corrupt_remove,
+    "torn": _corrupt_truncate,
+}
+
+
+def _assert_index_matches_oracle(base: str) -> None:
+    _, gen_base = resolve_generation(base)
+    database = ArbDatabase.open(gen_base, page_size=ORACLE_PAGE_SIZE)
+    written = load_page_index(index_path_of(gen_base))
+    assert written is not None
+    assert written == summarize_arb_bytes(
+        Path(database.arb_path).read_bytes(),
+        n_records=database.n_nodes,
+        record_size=database.record_size,
+        page_size=ORACLE_PAGE_SIZE,
+        n_label_indices=written.n_label_indices,
+    )
+
+
+def _draw_group(data, mirror):
+    """1-6 valid operations against ``mirror``; ``(ops, the tree they leave)``."""
+    ops = []
+    for _ in range(data.draw(st.integers(1, 6), label="group size")):
+        nodes = list(mirror.iter_nodes())
+        kinds = ("relabel", "insert", "delete") if len(nodes) > 1 else ("relabel", "insert")
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "relabel":
+            op = Relabel(
+                data.draw(st.integers(0, len(nodes) - 1)),
+                data.draw(st.sampled_from(("a", "b", "fresh") + _NOISE_TAGS)),
+            )
+        elif kind == "delete":
+            op = DeleteSubtree(data.draw(st.integers(1, len(nodes) - 1)))
+        else:
+            parent = data.draw(st.integers(0, len(nodes) - 1))
+            n_new = data.draw(st.sampled_from((1, 2, 5, 32, 64)), label="inserted nodes")
+            op = InsertSubtree(
+                parent,
+                "<b>" + "<a/>" * (n_new - 1) + "</b>",
+                position=data.draw(st.integers(0, len(nodes[parent].children))),
+            )
+        ops.append(op)
+        mirror = apply_to_tree(mirror, op)
+    return ops, mirror
+
+
+@given(document=sectioned_documents(min_sections=6, min_leaves=16), data=st.data())
+@settings(max_examples=40, **COMMON_SETTINGS)
+def test_committed_index_equals_a_from_scratch_summary(document, data):
+    """Whatever a commit inherited through its splice chain -- from an intact
+    parent sidecar, or from none at all -- the `.idx` it writes is exactly
+    what :func:`summarize_arb_bytes` computes from the final `.arb` alone."""
+    with tempfile.TemporaryDirectory() as directory:
+        base = f"{directory}/doc"
+        Database.build(document, base, page_size=ORACLE_PAGE_SIZE)
+        mirror = parse_xml(document)
+        assert mirror.node_count() * 2 > 3 * ORACLE_PAGE_SIZE  # multi-page from the start
+        for _ in range(data.draw(st.integers(1, 3), label="commits")):
+            _, parent_base = resolve_generation(base)
+            state = data.draw(st.sampled_from(sorted(_PARENT_INDEX_STATES)), label="parent .idx")
+            _PARENT_INDEX_STATES[state](index_path_of(parent_base))
+            invalidate_index_cache(parent_base)
+            ops, mirror = _draw_group(data, mirror)
+            result = apply_many(base, ops, page_size=ORACLE_PAGE_SIZE)
+            assert result.n_nodes == mirror.node_count()
+            _assert_index_matches_oracle(base)
+
+
+def test_a_shortened_last_page_is_not_inherited(tmp_path):
+    """Cutting the tail off leaves a short last page wholly inside the copied
+    prefix; its old counterpart was longer, so its summary must be recomputed."""
+    base = str(tmp_path / "doc")
+    document = "<r>" + "".join(f"<s{i}>" + "<x/>" * 20 + f"</s{i}>" for i in range(6)) + "</r>"
+    n_nodes = Database.build(document, base, page_size=ORACLE_PAGE_SIZE).n_nodes
+    result = apply_many(base, [DeleteSubtree(n_nodes - 21)], page_size=ORACLE_PAGE_SIZE)  # <s5>
+    assert result.arb_bytes % ORACLE_PAGE_SIZE  # the new last page is short
+    _assert_index_matches_oracle(base)
+
+
+# ---------------------------------------------------------------------- #
 # Crash injection: dying while the new generation's sidecar is half-written
 # ---------------------------------------------------------------------- #
 
@@ -227,31 +326,35 @@ def _crash_apply(base: str, fault: str | None) -> subprocess.CompletedProcess:
     )
 
 
-def test_mid_index_crash_preserves_old_generation_and_retry_recovers(tmp_path):
+def test_mid_index_crash_preserves_old_generation_and_open_rolls_forward(tmp_path):
     base = str(tmp_path / "doc")
     database = Database.build(_SECTIONED_DOC, base, page_size=PAGE_SIZE)
     database.plan_cache = PlanCache()
     before = _answers(database.query_many([_SELECTIVE_QUERY]))
+    old_index = Path(index_path_of(base)).read_bytes()
 
     completed = _crash_apply(base, "mid-idx")
     assert completed.returncode == FAULT_EXIT_CODE, completed.stderr
     assert "survived" not in completed.stdout
 
     # The sidecar write happens before the pointer swap: the old generation
-    # (files, sidecar and answers) is untouched by the dead attempt.
+    # (files, sidecar and answers) is untouched by the dead attempt, and a
+    # reader that pinned it keeps answering from it.
     assert read_pointer(base).generation == 0
-    reopened = Database.open(base, page_size=PAGE_SIZE)
-    reopened.plan_cache = PlanCache()
-    assert load_page_index(index_path_of(resolve_generation(base)[1])) is not None
-    assert _answers(reopened.query_many([_SELECTIVE_QUERY])) == before
+    assert Path(index_path_of(base)).read_bytes() == old_index
+    assert _answers(database.query_many([_SELECTIVE_QUERY])) == before
 
-    # A retry over the torn leftovers succeeds and writes a valid sidecar.
-    completed = _crash_apply(base, None)
-    assert completed.returncode == 0, completed.stderr
-    assert "survived" in completed.stdout
-
+    # The commit's intent was durable long before the sidecar write, so the
+    # next open rolls it forward over the torn leftovers -- and the sidecar
+    # it writes is valid.
     after = Database.open(base, page_size=PAGE_SIZE)
     after.plan_cache = PlanCache()
     assert after.generation > 0
     assert load_page_index(index_path_of(resolve_generation(base)[1])) is not None
     _differential(after, [_SELECTIVE_QUERY])
+
+    # A retry of the same update lands on top of the rolled-forward one.
+    completed = _crash_apply(base, None)
+    assert completed.returncode == 0, completed.stderr
+    assert "survived" in completed.stdout
+    assert Database.open(base, page_size=PAGE_SIZE).n_nodes == after.n_nodes + 2

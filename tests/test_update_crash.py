@@ -1,17 +1,21 @@
-"""Crash consistency of copy-on-write updates (`storage/update.py`).
+"""Crash consistency of copy-on-write commits (`storage/update.py`).
 
-A subprocess applies an update with ``REPRO_UPDATE_FAULT`` naming one of the
-injected fault points; the update code then dies with ``os._exit`` at that
-exact stage -- no cleanup handlers, no flushing, a real crash model.  The
-invariants, at *every* stage:
+A subprocess applies a *single* update with ``REPRO_UPDATE_FAULT`` naming one
+of the commit's fault points; the update code then dies with ``os._exit`` at
+that exact stage -- no cleanup handlers, no flushing, a real crash model.
+The contract, stated once for every stage of :data:`FAULT_POINTS` (a single
+update is a group of one; ``tests/test_wal_crash.py`` holds a group of three
+to the same contract):
 
 * the old generation's files are byte-identical to their pre-update state
-  (copy-on-write means the update path never opens them for writing);
-* the generation pointer is never torn: it resolves to the complete old
-  generation before the atomic swap and to the complete new generation
-  after it;
-* a retry after the crash succeeds and reaches the post-update state, even
-  over the torn files a mid-splice crash left behind.
+  at every stage (copy-on-write means the commit never opens them for
+  writing), and the pointer file parses at every stage;
+* before the intent record is durable (up to ``wal-append``) the commit
+  never happened: the old generation stays current, nothing is replayed;
+* from ``wal-synced`` on the commit is promised: the first open lands on a
+  generation whose files are byte-identical to an uncrashed twin's --
+  replayed from the log before the swap, merely acknowledged after it;
+* the next *writer* recovers the same way before applying its own update.
 """
 
 from __future__ import annotations
@@ -26,13 +30,16 @@ import pytest
 
 from repro.engine import Database
 from repro.storage.build import build_database
+from repro.storage.durability import durability
 from repro.storage.generations import (
+    GENERATION_FILE_SUFFIXES,
+    generation_base,
     list_generations,
     pointer_path,
     read_pointer,
-    resolve_generation,
 )
 from repro.storage.update import FAULT_ENV, FAULT_EXIT_CODE, FAULT_POINTS
+from repro.storage.wal import wal_path
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -48,26 +55,22 @@ apply_update(sys.argv[1], InsertSubtree(0, "<book><isbn/></book>", position=0))
 print("survived")
 """
 
-#: Fault points at which the swap has not happened yet.
-PRE_SWAP_POINTS = tuple(point for point in FAULT_POINTS if point != "after-swap")
+#: Stages at which the intent record is not durable yet: the commit is lost.
+DISCARDED_POINTS = FAULT_POINTS[: FAULT_POINTS.index("wal-synced")]
+#: Stages from which the first open must land on the committed generation.
+PROMISED_POINTS = FAULT_POINTS[FAULT_POINTS.index("wal-synced") :]
 
 
-def _build(tmp_path) -> str:
-    base = str(tmp_path / "doc")
+def _build(tmp_path, name: str = "doc") -> str:
+    base = str(tmp_path / name)
     build_database(DOC, base, text_mode="ignore")
     return base
 
 
-def _generation_files(base: str) -> dict[str, bytes]:
-    """Byte snapshot of the current generation plus the pointer file."""
-    _, gen_base = resolve_generation(base)
-    snapshot = {}
-    for path in (gen_base + ".arb", gen_base + ".lab", gen_base + ".meta",
-                 pointer_path(base)):
-        if os.path.exists(path):
-            with open(path, "rb") as handle:
-                snapshot[path] = handle.read()
-    return snapshot
+def _generation_files(base: str, generation: int) -> dict[str, bytes]:
+    """Byte snapshot of one generation's files, keyed by suffix."""
+    gen_base = generation_base(base, generation)
+    return {suffix: Path(gen_base + suffix).read_bytes() for suffix in GENERATION_FILE_SUFFIXES}
 
 
 def _crash_apply(base: str, fault: str | None) -> subprocess.CompletedProcess:
@@ -86,80 +89,93 @@ def _crash_apply(base: str, fault: str | None) -> subprocess.CompletedProcess:
     )
 
 
-@pytest.mark.parametrize("fault", PRE_SWAP_POINTS)
-def test_crash_before_swap_preserves_the_old_generation(tmp_path, fault):
+@pytest.mark.parametrize("fault", DISCARDED_POINTS)
+def test_crash_before_the_intent_is_durable_discards_the_update(tmp_path, fault):
     base = _build(tmp_path)
-    before = _generation_files(base)
+    old = _generation_files(base, 0)
+    pointer = Path(pointer_path(base)).read_bytes()
     answers_before = Database.open(base).query(BOOKS, engine="disk").selected_nodes()
 
     completed = _crash_apply(base, fault)
     assert completed.returncode == FAULT_EXIT_CODE, completed.stderr
     assert "survived" not in completed.stdout
 
-    # The pointer still names the old generation and every old byte is intact.
-    assert read_pointer(base).generation == 0
-    assert _generation_files(base) == before
-    # Whatever files the dead attempt left are not treated as history:
-    # their numbers exceed the committed counter.
-    assert list_generations(base) == [0]
-
-    # The database reopens cleanly and answers exactly as before the attempt.
+    # The database reopens on the old generation, nothing is replayed, and it
+    # answers exactly as before the attempt.
+    before = durability.snapshot()
     database = Database.open(base)
+    assert durability.since(before).wal_replays == 0
     assert database.generation == 0
     assert database.n_nodes == 6
     assert database.query(BOOKS, engine="disk").selected_nodes() == answers_before
+    # Every old byte is intact, the pointer included, and no history appeared.
+    assert _generation_files(base, 0) == old
+    assert Path(pointer_path(base)).read_bytes() == pointer
+    assert list_generations(base) == [0]
 
 
-def test_crash_after_swap_lands_on_the_complete_new_generation(tmp_path):
+@pytest.mark.parametrize("fault", PROMISED_POINTS)
+def test_crash_after_the_intent_is_durable_lands_on_the_twin_generation(tmp_path, fault):
+    twin = _build(tmp_path, "twin")
+    assert _crash_apply(twin, None).returncode == 0
+    target = read_pointer(twin).generation
+
     base = _build(tmp_path)
-    old = _generation_files(base)
+    old = _generation_files(base, 0)
+    completed = _crash_apply(base, fault)
+    assert completed.returncode == FAULT_EXIT_CODE, (fault, completed.stderr)
+    assert "survived" not in completed.stdout
+    swapped = fault == "after-swap"
+    # Until somebody opens the base, the pointer names whichever complete
+    # generation the crash left current -- never a torn one.
+    assert read_pointer(base).generation == (target if swapped else 0)
 
-    completed = _crash_apply(base, "after-swap")
-    assert completed.returncode == FAULT_EXIT_CODE, completed.stderr
-
-    pointer = read_pointer(base)
-    assert pointer.generation > 0  # the swap happened
+    before = durability.snapshot()
     database = Database.open(base)
-    assert database.generation == pointer.generation
+    # Before the swap the open replays the logged update; after it the
+    # update is already committed and must not be applied twice.
+    assert durability.since(before).wal_replays == (0 if swapped else 1)
+    assert database.generation == target
     assert database.n_nodes == 8  # insert applied in full
     assert database.query(BOOKS, engine="disk").count() == 3
-    # The old generation files are still byte-identical (only the pointer moved).
-    for path, payload in old.items():
-        if path == pointer_path(base):
-            continue
-        with open(path, "rb") as handle:
-            assert handle.read() == payload, path
+    assert _generation_files(base, target) == _generation_files(twin, target)
+    assert _generation_files(base, 0) == old
+    assert os.path.getsize(wal_path(base)) == 0
 
 
 @pytest.mark.parametrize("fault", ["mid-arb", "pointer-tmp"])
-def test_retry_after_crash_recovers(tmp_path, fault):
-    """A crashed attempt (torn new files included) never blocks the retry."""
+def test_next_writer_recovers_before_applying(tmp_path, fault):
+    """A crashed attempt (torn new files included) never blocks the next
+    writer: it rolls the promised update forward, then applies its own."""
     base = _build(tmp_path)
     completed = _crash_apply(base, fault)
     assert completed.returncode == FAULT_EXIT_CODE, completed.stderr
 
-    completed = _crash_apply(base, None)  # same update, no fault
+    completed = _crash_apply(base, None)  # the same update again, no fault
     assert completed.returncode == 0, completed.stderr
     assert "survived" in completed.stdout
 
     database = Database.open(base)
-    assert database.n_nodes == 8
-    assert database.query(BOOKS, engine="disk").count() == 3
+    assert read_pointer(base).counter == 3  # build, replayed update, retry
+    assert database.n_nodes == 10
+    assert database.query(BOOKS, engine="disk").count() == 4
 
 
 def test_mid_splice_crash_leaves_the_torn_file_unreachable(tmp_path):
     base = _build(tmp_path)
     completed = _crash_apply(base, "mid-arb")
     assert completed.returncode == FAULT_EXIT_CODE, completed.stderr
-    # A torn .arb of the attempted generation may exist on disk...
-    pointer = read_pointer(base)
-    attempted = f"{base}.g{pointer.counter + 1}.arb"
-    # ...but no resolution path ever reaches it: the pointer still names the
-    # old generation, whose files pass the open-time size check.
+    # A torn .arb of the attempted generation exists on disk...
+    attempted = generation_base(base, read_pointer(base).counter + 1) + ".arb"
+    assert os.path.getsize(attempted) < 8 * 2  # genuinely incomplete
+    # ...but no resolution path reaches it: the pointer still names the old
+    # generation, and files numbered above the committed counter are not
+    # history.
     assert read_pointer(base).generation == 0
-    assert Database.open(base).n_nodes == 6
-    if os.path.exists(attempted):
-        assert os.path.getsize(attempted) != 8 * 2  # genuinely incomplete
+    assert list_generations(base) == [0]
+    # The roll-forward overwrites it with the complete file.
+    assert Database.open(base).n_nodes == 8
+    assert os.path.getsize(attempted) == 8 * 2
 
 
 def test_pointer_file_is_json_and_never_torn(tmp_path):
@@ -169,6 +185,7 @@ def test_pointer_file_is_json_and_never_torn(tmp_path):
         assert completed.returncode == FAULT_EXIT_CODE, (fault, completed.stderr)
         with open(pointer_path(base), "r", encoding="utf-8") as handle:
             payload = json.load(handle)  # parses at every stage: never torn
-        assert set(payload) == {"generation", "counter"}
+        assert {"generation", "counter"} <= set(payload) <= \
+            {"generation", "counter", "sidecar"}
         # Whatever happened, the pointer resolves to an openable database.
         Database.open(base).query(BOOKS, engine="disk")

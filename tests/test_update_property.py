@@ -1,7 +1,7 @@
 """Property suite: splice updates == rebuild-from-scratch (`storage/update.py`).
 
-For random documents and random update sequences, applying the updates
-copy-on-write on disk must be observationally identical to rebuilding a
+For random documents and random sequences of commits (single updates and
+groups), applying them copy-on-write on disk must be observationally identical to rebuilding a
 fresh database from the equivalently mutated in-memory tree
 (:func:`~repro.storage.update.apply_to_tree`, the executable
 specification):
@@ -74,7 +74,7 @@ def _draw_update(draw, mirror):
 @given(data=st.data())
 def test_apply_equals_rebuild_from_scratch(data):
     tree = data.draw(unranked_trees(max_leaves=8))
-    n_updates = data.draw(st.integers(1, 4))
+    n_commits = data.draw(st.integers(1, 4))
     with tempfile.TemporaryDirectory() as tmp:
         base = os.path.join(tmp, "live")
         build_database(tree, base)
@@ -83,10 +83,17 @@ def test_apply_equals_rebuild_from_scratch(data):
         snapshot_stream = _record_stream(base)
 
         mirror = tree
-        for _ in range(n_updates):
-            update = _draw_update(data.draw, mirror)
-            database.apply(update)
-            mirror = apply_to_tree(mirror, update)
+        for _ in range(n_commits):
+            # A drawn group size: one operation goes through ``apply``, more
+            # through ``apply_many`` -- the same commit path either way, and
+            # the same oracle.
+            group = []
+            for _ in range(data.draw(st.integers(1, 3), label="group size")):
+                group.append(_draw_update(data.draw, mirror))
+                mirror = apply_to_tree(mirror, group[-1])
+            result = database.apply(group[0]) if len(group) == 1 else database.apply_many(group)
+            assert result.n_ops == len(group)
+            assert result.n_nodes == mirror.node_count()
 
         rebuilt_base = os.path.join(tmp, "rebuilt")
         build_database(mirror, rebuilt_base)

@@ -1,8 +1,11 @@
 """Crash consistency of group commits: the `.wal` roll-forward protocol.
 
 A subprocess applies a three-operation group with ``REPRO_UPDATE_FAULT``
-naming one of the group-commit fault points, then dies with ``os._exit`` at
-that exact stage.  The invariants:
+naming one of the commit's fault points, then dies with ``os._exit`` at
+that exact stage.  (``tests/test_update_crash.py`` walks a group of *one*
+through every stage; this suite holds a real group to the same contract and
+covers what only the log itself can get wrong: torn records, crashes during
+replay, invalid logged operations, torn sidecars.)  The invariants:
 
 * before the WAL record is durable (``wal-append``) the group simply never
   happened -- the next open discards the torn WAL and serves the old
@@ -11,7 +14,7 @@ that exact stage.  The invariants:
   group is **promised**: the next open replays it to completion, and the
   replayed generation is byte-identical to the same operations applied one
   commit at a time;
-* after the pointer swap (``group-swapped``) the group is committed; the
+* after the pointer swap (``after-swap``) the group is committed; the
   next open merely truncates the spent WAL;
 * the old generation's bytes survive every stage untouched, and the pointer
   file parses at every stage (never torn).
@@ -39,7 +42,7 @@ from repro.storage.generations import (
 from repro.storage.update import (
     FAULT_ENV,
     FAULT_EXIT_CODE,
-    GROUP_FAULT_POINTS,
+    FAULT_POINTS,
     DeleteSubtree,
     InsertSubtree,
     Relabel,
@@ -74,6 +77,15 @@ apply_many(sys.argv[1], [
 print("survived")
 """
 
+#: A group whose second operation is invalid against the base (node 99 of a
+#: six-node document): the live writer would reject it whole at compile time.
+INVALID_GROUP_SCRIPT = """
+import sys
+from repro.storage.update import Relabel, apply_many
+apply_many(sys.argv[1], [Relabel(1, "x"), Relabel(99, "y")])
+print("survived")
+"""
+
 OPEN_SCRIPT = """
 import sys
 from repro.storage.database import ArbDatabase
@@ -81,10 +93,10 @@ ArbDatabase.open(sys.argv[1])
 print("opened")
 """
 
-#: Group stages at which the WAL record is already durable: the group must
-#: roll forward on the next open.  ``mid-arb`` and ``pointer-tmp`` are the
-#: legacy splice/swap faults the group path passes through as well.
-PROMISED_POINTS = ("wal-synced", "mid-arb", "group-files", "pointer-tmp")
+#: Pre-swap stages at which the WAL record is already durable: the group
+#: must roll forward on the next open.  ``mid-arb`` fires in the *first*
+#: splice of the chain, so the replay also has intermediate files to redo.
+PROMISED_POINTS = ("wal-synced", "mid-arb", "after-files", "pointer-tmp")
 
 
 def _build(tmp_path, name: str = "doc") -> str:
@@ -177,7 +189,7 @@ def test_crash_after_the_wal_is_durable_replays_the_group(tmp_path, fault):
 
 def test_crash_after_the_swap_truncates_the_spent_wal(tmp_path):
     base = _build(tmp_path)
-    completed = _run(GROUP_SCRIPT, base, "group-swapped")
+    completed = _run(GROUP_SCRIPT, base, "after-swap")
     assert completed.returncode == FAULT_EXIT_CODE, completed.stderr
 
     # Committed before the crash: the pointer already names the group's
@@ -208,10 +220,36 @@ def test_torn_wal_record_is_discarded(tmp_path):
     assert database.n_nodes == 6
 
 
+def test_invalid_logged_group_is_discarded_by_the_first_open(tmp_path):
+    """Regression: the writer died between logging an invalid group and
+    compiling it; the *next reader's* open used to raise the writer's
+    ``relabel target 99 out of range`` (only the second open succeeded)."""
+    base = _build(tmp_path)
+    old = _old_generation_bytes(base)
+    pointer = read_pointer(base)
+    completed = _run(INVALID_GROUP_SCRIPT, base, "wal-synced")
+    assert completed.returncode == FAULT_EXIT_CODE, completed.stderr
+    assert read_group(base) is not None  # the doomed promise is on disk
+
+    completed = _run(OPEN_SCRIPT, base, None)
+    assert completed.returncode == 0, completed.stderr
+    assert "opened" in completed.stdout
+
+    # The log is discarded, the pointer stands, and nothing half-applied:
+    # Relabel(1, "x") was valid on its own but a group commits whole.
+    assert os.path.getsize(wal_path(base)) == 0
+    assert read_pointer(base) == pointer
+    assert list_generations(base) == [0]
+    assert _old_generation_bytes(base) == old
+    database = Database.open(base)
+    assert database.generation == 0
+    assert database.query("QUERY :- V.Label[x];", engine="disk").count() == 0
+
+
 def test_replay_is_itself_crash_safe(tmp_path):
     """A crash *during* replay leaves a WAL a later open still honours."""
     base = _build(tmp_path)
-    completed = _run(GROUP_SCRIPT, base, "group-files")
+    completed = _run(GROUP_SCRIPT, base, "after-files")
     assert completed.returncode == FAULT_EXIT_CODE, completed.stderr
 
     # Reopen with a fault at a later stage: the replay starts, crashes.
@@ -228,7 +266,7 @@ def test_replay_is_itself_crash_safe(tmp_path):
 
 
 def test_pointer_parses_at_every_group_stage(tmp_path):
-    for fault in GROUP_FAULT_POINTS:
+    for fault in FAULT_POINTS:
         base = _build(tmp_path, f"doc-{fault}")
         completed = _run(GROUP_SCRIPT, base, fault)
         assert completed.returncode == FAULT_EXIT_CODE, (fault, completed.stderr)
@@ -245,7 +283,7 @@ def test_torn_sidecars_behind_a_committed_pointer_are_repaired(tmp_path):
     hand: after a committed crash, tear the unsynced `.lab` and drop the
     `.meta`; the pointer's sidecar payload must rebuild both on open."""
     base = _build(tmp_path)
-    completed = _run(GROUP_SCRIPT, base, "group-swapped")
+    completed = _run(GROUP_SCRIPT, base, "after-swap")
     assert completed.returncode == FAULT_EXIT_CODE, completed.stderr
 
     new_base = generation_base(base, TARGET_GENERATION)
