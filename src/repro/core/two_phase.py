@@ -17,8 +17,8 @@ we use four hash tables to store and quickly access the states and
 transitions of the two automata").
 
 This module evaluates over in-memory :class:`~repro.tree.binary.BinaryTree`
-instances; :mod:`repro.storage.disk_engine` drives the same evaluator over
-`.arb` files in secondary storage with two linear scans.
+instances; :mod:`repro.plan.batch` drives the same evaluator over `.arb`
+files in secondary storage with two linear scans.
 """
 
 from __future__ import annotations

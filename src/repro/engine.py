@@ -11,9 +11,9 @@ documents* -- and executed by a pluggable backend:
 
 * ``memory`` -- :class:`~repro.core.two_phase.TwoPhaseEvaluator` over the
   in-memory binary tree;
-* ``disk`` -- :class:`~repro.storage.disk_engine.DiskQueryEngine`, i.e. two
-  linear scans of the `.arb` file and a temporary state file, never
-  materialising the tree;
+* ``disk`` -- :func:`~repro.plan.batch.evaluate_batch_on_disk` with a batch
+  of one, i.e. two linear scans of the `.arb` file and a temporary state
+  file, never materialising the tree;
 * ``streaming`` -- one-pass lazy-DFA evaluation for predicate-free downward
   XPath paths (a single linear scan, on disk or in memory);
 * ``fixpoint`` -- the naive datalog fixpoint (reference semantics).

@@ -8,8 +8,9 @@ least model of the TMNF program); they differ in access pattern and cost:
     The two-phase evaluator (Algorithm 4.6) over the in-memory binary tree;
     materialises the tree from disk first if necessary.
 ``disk``
-    The two-linear-scan engine of Section 5 over the `.arb` file; never
-    materialises the tree.
+    The two linear scans of Section 5 over the `.arb` file -- a batch of one
+    through :func:`~repro.plan.batch.evaluate_batch_on_disk`; never
+    materialises the tree, and so cannot report per-node predicate sets.
 ``streaming``
     The one-pass lazy-DFA engine, available only for plans whose source was
     a predicate-free downward XPath path.  Over an on-disk database this
@@ -31,8 +32,8 @@ from typing import TYPE_CHECKING
 
 from repro.baselines.datalog import evaluate_fixpoint
 from repro.errors import EvaluationError
+from repro.plan.batch import evaluate_batch_on_disk
 from repro.plan.result import QueryResult
-from repro.storage.disk_engine import DiskQueryEngine
 from repro.storage.paging import IOStatistics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -109,18 +110,18 @@ class DiskBackend(ExecutionBackend):
                 kernel=None):
         if database.disk is None:
             raise EvaluationError("cannot force disk evaluation: database is in memory")
-        plan.begin_run()
-        engine = DiskQueryEngine(plan.program, memoize=plan.memoize, core=plan.evaluator,
-                                 kernel=kernel)
-        disk_result = engine.evaluate(database.disk, temp_dir=temp_dir, plan=plan)
-        return QueryResult(
-            program=plan.program,
-            selected=disk_result.selected,
-            counts=disk_result.selected_counts,
-            statistics=disk_result.statistics,
-            io=disk_result.io,
-            backend=self.name,
-        )
+        if keep_true_predicates:
+            raise EvaluationError(
+                "the disk backend cannot report per-node true-predicate sets; "
+                "use engine='memory' (or 'auto') with keep_true_predicates"
+            )
+        # A single query is a batch of one.  The planner's disk backend does
+        # not consult the `.idx` sidecar.
+        result = evaluate_batch_on_disk(
+            [plan], database.disk, temp_dir=temp_dir, use_index=False, kernel=kernel
+        )[0]
+        result.backend = self.name
+        return result
 
 
 class StreamingBackend(ExecutionBackend):

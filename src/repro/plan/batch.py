@@ -1,13 +1,29 @@
-"""Batch evaluation: k queries, one pair of linear scans (Section 4/5, batched).
+"""The two-phase disk evaluation: k queries, one pair of linear scans (Sections 4-5).
 
-Evaluating ``k`` independent queries over an `.arb` database naively costs
-``2k`` linear scans of the data file.  This module runs the ``k`` bottom-up
-automata **in lockstep**: one backward scan computes, per node, a *composite*
-state entry (the k interned state ids, ``4k`` bytes) streamed to a single
-temporary state file; one forward scan then runs the k top-down automata in
-lockstep while reading the composite state file backwards.  The `.arb` file
-is therefore read exactly twice -- once per phase -- no matter how many
-queries the batch holds, which the separate ``arb_io`` counter proves.
+This module is the one place where the automata of Algorithm 4.6 are run
+over `.arb` records.  :func:`evaluate_batch_on_disk` evaluates ``k`` plans
+**in lockstep**: one backward scan computes, per node, a *composite* state
+entry (the k interned bottom-up state ids, ``4k`` bytes) streamed to a
+single temporary state file; one forward scan then runs the k top-down
+automata in lockstep while reading the composite state file backwards.  The
+`.arb` file is therefore read exactly twice -- once per phase -- no matter
+how many queries the batch holds, which the separate ``arb_io`` counter
+proves.  A single query is a batch of one: the ``disk`` backend
+(:class:`~repro.plan.backends.DiskBackend`) and the
+:class:`~repro.storage.disk_engine.DiskQueryEngine` facade both call
+:func:`evaluate_batch_on_disk` with one plan, whose four-byte entries are
+the "four bytes per node" state file of the paper.
+
+Two implementations of the scan pair exist, selected per call by
+``kernel=``:
+
+* the pure-Python loops below (:func:`_run_phase1`, :func:`_run_phase2`)
+  are the *reference* and the only path without numpy, for unmemoised
+  plans and for exotic record sizes;
+* :mod:`repro.plan.kernel` is the numpy *accelerator*: the same scans with
+  the per-node work done arraywise, differential-tested against the loops
+  here for identical answers, statistics and I/O counters
+  (``tests/test_kernel_differential.py``).
 
 With a generation's ``.idx`` sidecar present (see
 :mod:`repro.storage.pageindex`), both scans additionally *skip* maximal
@@ -33,12 +49,6 @@ The per-plan automata stay fully independent (each plan keeps its own
 memoised tables and per-run statistics); only the *scan* is shared, along
 with the stack discipline of Proposition 5.1, whose depth bound is
 unchanged (each stack entry simply holds k states instead of one).
-
-The two phases below are the k-ary generalisation of
-:meth:`repro.storage.disk_engine.DiskQueryEngine._run_phase1` /
-``_run_phase2`` and must stay in lockstep with them -- a change to the scan
-or attachment discipline on one side belongs on both (the property test
-``test_batch_of_one_equals_single_disk_evaluation`` guards the pairing).
 """
 
 from __future__ import annotations
@@ -48,11 +58,13 @@ import struct
 import tempfile
 import time
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.two_phase import BOTTOM, EvaluationStatistics
 from repro.errors import EvaluationError
 import repro.plan.kernel as kernel_mod
+from repro.plan.memo import memo_for
 from repro.plan.result import BatchQueryResult, QueryResult
 from repro.storage import pageindex
 from repro.storage.database import ArbDatabase
@@ -119,18 +131,20 @@ def evaluate_batch_on_disk(
     try:
         started = time.perf_counter()
         if runner is not None:
-            runner.run_phase1(state_path, entry_struct, arb_io, state_io)
+            phase1_depth = runner.run_phase1(state_path, entry_struct, arb_io, state_io)
         else:
-            _run_phase1(plans, database, state_path, entry_struct, arb_io, state_io, skip)
+            phase1_depth = _run_phase1(
+                plans, database, state_path, entry_struct, arb_io, state_io, skip
+            )
         phase1_seconds = time.perf_counter() - started
         state_file_bytes = os.path.getsize(state_path)
         started = time.perf_counter()
         if runner is not None:
-            selected, counts, _ = runner.run_phase2(
+            selected, counts, phase2_depth = runner.run_phase2(
                 state_path, entry_struct, arb_io, state_io, collect_selected_nodes
             )
         else:
-            selected, counts, _ = _run_phase2(
+            selected, counts, phase2_depth = _run_phase2(
                 plans, database, state_path, entry_struct, arb_io, state_io,
                 collect_selected_nodes, skip,
             )
@@ -187,6 +201,8 @@ def evaluate_batch_on_disk(
         state_io=state_io,
         statistics=batch_stats,
         state_file_bytes=state_file_bytes,
+        phase1_stack_depth=phase1_depth,
+        phase2_stack_depth=phase2_depth,
         backend="disk-batch",
     )
 
@@ -200,6 +216,8 @@ def evaluate_batch_on_disk(
 class _SkipPlan:
     """Everything both phases need to skip: where, and with which states."""
 
+    #: The batch's plans, in entry order (``star[i]`` belongs to ``plans[i]``).
+    plans: tuple
     #: ``(start, count, region | None)`` partition of ``[0, n_nodes)``.
     segments: tuple
     #: The composite all-neutral state entry (one ``s*`` per plan).
@@ -207,6 +225,11 @@ class _SkipPlan:
     #: Pages a phase-1 scan may touch (gap pages); the page filter proves
     #: that skipped pages are never materialised.
     allowed_pages: frozenset[int]
+
+    def answer_free(self, root_preds: Sequence[frozenset]) -> bool:
+        """Whether no plan can select inside a neutral subtree whose root
+        holds ``root_preds[i]`` for plan ``i``."""
+        return all(map(_region_answer_free, self.plans, root_preds, self.star))
 
 
 def _compute_skip(plans: Sequence["QueryPlan"], database: ArbDatabase) -> _SkipPlan | None:
@@ -217,7 +240,7 @@ def _compute_skip(plans: Sequence["QueryPlan"], database: ArbDatabase) -> _SkipP
         return None
     star: list[int] = []
     for plan in plans:
-        state = pageindex.neutral_state(plan)
+        state = _neutral_state(plan)
         if state is None:
             return None
         star.append(state)
@@ -236,7 +259,81 @@ def _compute_skip(plans: Sequence["QueryPlan"], database: ArbDatabase) -> _SkipP
         first = (start * record_size) // page_size
         last = ((start + count) * record_size - 1) // page_size
         allowed.update(range(first, last + 1))
-    return _SkipPlan(segments=segments, star=tuple(star), allowed_pages=frozenset(allowed))
+    return _SkipPlan(
+        plans=tuple(plans), segments=segments, star=tuple(star),
+        allowed_pages=frozenset(allowed),
+    )
+
+
+def _neutral_state(plan: "QueryPlan") -> int | None:
+    """The single bottom-up state ``s*`` of all-neutral non-root subtrees.
+
+    A node whose label is outside the plan's reachable-label set always
+    produces the same label set for a given child-flag shape
+    (:meth:`~repro.tree.model.NodeSchema.neutral_label_set`).  If the leaf
+    state is a fixed point of all three child shapes, *every* node of a
+    self-contained neutral region lands in it; otherwise the plan cannot
+    skip and ``None`` is returned.  The result is memoised per plan in the
+    lock-guarded :mod:`repro.plan.memo` side table (plans are shared across
+    threads by the plan cache, so nothing is stashed on the plan itself).
+    """
+    return memo_for(plan).neutral_state(lambda: _neutral_state_uncached(plan))
+
+
+def _neutral_state_uncached(plan: "QueryPlan") -> int | None:
+    evaluator = plan.evaluator
+    schema = evaluator.prop.schema
+    compute = evaluator.compute_reachable_states
+
+    def labels_for(has_first: bool, has_second: bool):
+        return schema.neutral_label_set(is_root=False, has_first_child=has_first, has_second_child=has_second)
+
+    leaf = compute(BOTTOM, BOTTOM, labels_for(False, False))
+    if (
+        compute(leaf, BOTTOM, labels_for(True, False)) != leaf
+        or compute(BOTTOM, leaf, labels_for(False, True)) != leaf
+        or compute(leaf, leaf, labels_for(True, True)) != leaf
+    ):
+        return None
+    return leaf
+
+
+#: Bound on the per-plan top-down closure explored before giving up on a
+#: region (give-up means reading it, never wrong answers).
+_ANSWER_FREE_CAP = 512
+
+
+def _region_answer_free(plan: "QueryPlan", root_preds: frozenset, s_star: int) -> bool:
+    """Whether a neutral subtree whose root holds ``root_preds`` can select.
+
+    Closes ``root_preds`` under both top-down child transitions with the
+    neutral state ``s*``; the subtree is answer-free iff no reachable
+    predicate set contains a query predicate.  Memoised per plan in the
+    lock-guarded, bounded :mod:`repro.plan.memo` side table; an oversized
+    closure conservatively reports ``False``.
+    """
+    return memo_for(plan).answer_free(
+        root_preds, lambda: _region_answer_free_uncached(plan, root_preds, s_star)
+    )
+
+
+def _region_answer_free_uncached(plan: "QueryPlan", root_preds: frozenset, s_star: int) -> bool:
+    compute = plan.evaluator.compute_true_preds
+    query_predicates = plan.program.query_predicates
+    seen = {root_preds}
+    frontier = [root_preds]
+    while frontier:
+        preds = frontier.pop()
+        if any(pred in preds for pred in query_predicates):
+            return False
+        if len(seen) > _ANSWER_FREE_CAP:
+            return False
+        for which in (1, 2):
+            child = compute(preds, s_star, which)
+            if child not in seen:
+                seen.add(child)
+                frontier.append(child)
+    return True
 
 
 # ---------------------------------------------------------------------- #
@@ -253,19 +350,25 @@ def _run_phase1(
     state_io: IOStatistics,
     skip: _SkipPlan | None,
 ) -> int:
-    k = len(plans)
-    indices = range(k)
-    schemas = [plan.program.prop_local().schema for plan in plans]
+    indices = range(len(plans))
     computes = [plan.evaluator.compute_reachable_states for plan in plans]
-    # Per-plan memo of label sets keyed by the raw record shape (each plan
-    # has its own schema, so the sets differ per plan); shared helper with
-    # the single-query engine.
-    label_sets = [RecordShapeLabelSets(schema, database.labels) for schema in schemas]
+    # The alphabet symbol of a record: per plan, the label set of its shape
+    # (each plan has its own schema, so the sets differ per plan), and for
+    # the scan one memo from shape to the k sets, so a node costs one lookup.
+    for_records = [
+        RecordShapeLabelSets(plan.program.prop_local().schema, database.labels).for_record
+        for plan in plans
+    ]
+    shape_labels: dict[tuple, list[frozenset[str]]] = {}
+    # What an absent child contributes: BOTTOM for every plan.
+    bottoms = (BOTTOM,) * len(plans)
+    pack = entry_struct.pack
     n = database.n_nodes
-    stack: list[tuple[int, ...]] = []
+    stack: list[Sequence[int]] = []
+    pop = stack.pop
+    push = stack.append
     max_depth = 0
     processed = 0
-    skipped = 0
     if skip is None:
         segments = ((0, n, None),)
         page_filter = None
@@ -273,6 +376,7 @@ def _run_phase1(
         segments = skip.segments
         page_filter = skip.allowed_pages.__contains__
     with PagedWriter(state_path, database.page_size, stats=state_io) as state_writer:
+        write = state_writer.write
         scanner = database.ranged_records(
             backward=True, stats=arb_io, page_filter=page_filter
         )
@@ -284,43 +388,34 @@ def _run_phase1(
                     stack.extend([skip.star] * region.n_roots)
                     if len(stack) > max_depth:
                         max_depth = len(stack)
-                    skipped += seg_count
+                    processed += seg_count
                     continue
                 node_id = seg_start + seg_count
                 for record in scanner.range(seg_start, seg_count):
                     node_id -= 1
-                    first_states: tuple[int, ...] | None = None
-                    second_states: tuple[int, ...] | None = None
-                    if record.has_first_child:
-                        first_states = stack.pop()
-                    if record.has_second_child:
-                        second_states = stack.pop()
-                    is_root = node_id == 0
-                    states: list[int] = []
+                    has_first = record.has_first_child
+                    has_second = record.has_second_child
+                    firsts = pop() if has_first else bottoms
+                    seconds = pop() if has_second else bottoms
+                    shape = (record.label_index, has_first, has_second, node_id == 0)
+                    labels = shape_labels.get(shape)
+                    if labels is None:
+                        labels = shape_labels[shape] = [
+                            for_record(*shape) for for_record in for_records
+                        ]
+                    entry = []
                     for i in indices:
-                        labels = label_sets[i].for_record(
-                            record.label_index,
-                            record.has_first_child,
-                            record.has_second_child,
-                            is_root,
-                        )
-                        states.append(
-                            computes[i](
-                                first_states[i] if first_states is not None else BOTTOM,
-                                second_states[i] if second_states is not None else BOTTOM,
-                                labels,
-                            )
-                        )
-                    entry = tuple(states)
-                    state_writer.write(entry_struct.pack(*entry))
-                    stack.append(entry)
+                        entry.append(computes[i](firsts[i], seconds[i], labels[i]))
+                    write(pack(*entry))
+                    push(entry)
                     if len(stack) > max_depth:
                         max_depth = len(stack)
-                    processed += 1
+                # node_id is now the lowest node the scanner handed out.
+                processed += seg_start + seg_count - node_id
         finally:
             scanner.close()
-    if processed + skipped != n or len(stack) != 1:
-        raise EvaluationError("batch phase 1 did not consume the database consistently")
+    if processed != n or len(stack) != 1:
+        raise EvaluationError(kernel_mod.PHASE1_INCONSISTENT)
     return max_depth
 
 
@@ -339,133 +434,101 @@ def _run_phase2(
     collect_selected_nodes: bool,
     skip: _SkipPlan | None,
 ) -> tuple[list[dict[str, list[int]]], list[dict[str, int]], int]:
-    k = len(plans)
-    indices = range(k)
+    indices = range(len(plans))
     computes = [plan.evaluator.compute_true_preds for plan in plans]
     root_preds = [plan.evaluator.root_true_preds for plan in plans]
-    query_predicates = [plan.program.query_predicates for plan in plans]
     selected: list[dict[str, list[int]]] = [
-        {pred: [] for pred in preds} for preds in query_predicates
+        {pred: [] for pred in plan.program.query_predicates} for plan in plans
     ]
     counts: list[dict[str, int]] = [
-        {pred: 0 for pred in preds} for preds in query_predicates
+        {pred: 0 for pred in plan.program.query_predicates} for plan in plans
+    ]
+    # Every (plan, query predicate) pair the select step tests per node.
+    watched = [
+        (i, pred, counts[i], selected[i][pred] if collect_selected_nodes else None)
+        for i, plan in enumerate(plans)
+        for pred in plan.program.query_predicates
     ]
 
-    # Composite entries decode in batch (one iter_unpack per page); like the
-    # single-query engine, the one-shot state file bypasses any shared pool.
-    # With skipping, phase 1 wrote entries only for non-skipped nodes, and
-    # this phase consumes them only for non-skipped nodes -- the alignment
-    # is exact because the skip decision is static.
+    # Composite entries decode in batch (one iter_unpack per page); the
+    # one-shot state file (written once, read once, deleted) is read with the
+    # database's pager mode but never through a shared pool.  With skipping,
+    # phase 1 wrote entries only for non-skipped nodes, and this phase
+    # consumes them only for non-skipped nodes -- the alignment is exact
+    # because the skip decision is static.
     state_reader = PagedReader(state_path, database.page_size, stats=state_io,
                                config=database.pager.without_pool())
     states_iter = state_reader.unpack_backward(entry_struct)
 
     segments = ((0, database.n_nodes, None),) if skip is None else skip.segments
-    awaiting_second: list[tuple[frozenset[str], ...]] = []
-    next_attachment: tuple[tuple[frozenset[str], ...], int] | None = None
+    # The attachment discipline: the next node is the ``which``-child of the
+    # node holding ``parent_preds``, or -- when that is ``None`` -- the second
+    # child of the innermost node still awaiting one.
+    awaiting_second: list[list[frozenset[str]]] = []
+    parent_preds: list[frozenset[str]] | None = None
+    which = 0
     max_depth = 0
     scanner = database.ranged_records(backward=False, stats=arb_io)
     try:
         for seg_start, seg_count, region in segments:
+            states = states_iter
             if region is not None:
-                star = skip.star
                 # Resolve where each of the run's subtree roots attaches
                 # (peeking, not popping -- a fallback read must see the
                 # untouched discipline) and the predicates it would hold.
-                attachments: list[tuple[tuple[frozenset[str], ...], int]] = []
-                if next_attachment is not None:
-                    attachments.append(next_attachment)
+                attachments = [] if parent_preds is None else [(parent_preds, which)]
                 needed = region.n_roots - len(attachments)
                 if needed > len(awaiting_second):  # pragma: no cover - defensive
                     raise EvaluationError("skip region inconsistent with the scan stack")
-                for back in range(needed):
-                    attachments.append((awaiting_second[-1 - back], 2))
-                answer_free = True
-                for parent_preds, which in attachments:
-                    own_preds = tuple(
-                        computes[i](parent_preds[i], star[i], which) for i in indices
-                    )
-                    for i in indices:
-                        if not pageindex.region_answer_free(plans[i], own_preds[i], star[i]):
-                            answer_free = False
-                            break
-                    if not answer_free:
-                        break
-                if answer_free:
+                attachments += [(awaiting_second[-1 - back], 2) for back in range(needed)]
+                if all(
+                    skip.answer_free([computes[i](parents[i], skip.star[i], child) for i in indices])
+                    for parents, child in attachments
+                ):
                     # The run selects nothing for any plan: cross it without
                     # reading.  Each complete subtree ends in a leaf, so the
                     # net effect on the discipline is exactly the pops.
                     if needed:
                         del awaiting_second[-needed:]
-                    next_attachment = None
+                    parent_preds = None
                     continue
                 # Fallback: read the run after all (counted I/O), substituting
                 # the known s* states; the state file holds no entries for it.
-                for index, record in zip(
-                    range(seg_start, seg_start + seg_count),
-                    scanner.range(seg_start, seg_count),
-                ):
-                    own_states = star
-                    if next_attachment is not None:
-                        parent_preds, which = next_attachment
-                    else:
-                        parent_preds, which = awaiting_second.pop(), 2
-                    preds = tuple(
-                        computes[i](parent_preds[i], own_states[i], which) for i in indices
-                    )
+                states = repeat(skip.star)
+            seg_end = seg_start + seg_count
+            index = seg_start - 1
+            for index, record, own_states in zip(
+                range(seg_start, seg_end), scanner.range(seg_start, seg_count), states
+            ):
+                # attach -> transition -> select -> advance
+                if index == 0:
+                    preds = [root_preds[i](own_states[i]) for i in indices]
+                else:
+                    if parent_preds is None:
+                        parent_preds = awaiting_second.pop()
+                        which = 2
+                    preds = []
                     for i in indices:
-                        for pred in query_predicates[i]:
-                            if pred in preds[i]:
-                                counts[i][pred] += 1
-                                if collect_selected_nodes:
-                                    selected[i][pred].append(index)
-                    if record.has_first_child and record.has_second_child:
+                        preds.append(computes[i](parent_preds[i], own_states[i], which))
+                for i, pred, count, hits in watched:
+                    if pred in preds[i]:
+                        count[pred] += 1
+                        if hits is not None:
+                            hits.append(index)
+                if record.has_first_child:
+                    if record.has_second_child:
                         awaiting_second.append(preds)
                         if len(awaiting_second) > max_depth:
                             max_depth = len(awaiting_second)
-                        next_attachment = (preds, 1)
-                    elif record.has_first_child:
-                        next_attachment = (preds, 1)
-                    elif record.has_second_child:
-                        next_attachment = (preds, 2)
-                    else:
-                        next_attachment = None
-                continue
-            for index, record in zip(
-                range(seg_start, seg_start + seg_count),
-                scanner.range(seg_start, seg_count),
-            ):
-                try:
-                    own_states = next(states_iter)
-                except StopIteration as exc:  # pragma: no cover - defensive
-                    raise EvaluationError("state file shorter than the database") from exc
-                if index == 0:
-                    preds = tuple(root_preds[i](own_states[i]) for i in indices)
-                else:
-                    if next_attachment is not None:
-                        parent_preds, which = next_attachment
-                    else:
-                        parent_preds, which = awaiting_second.pop(), 2
-                    preds = tuple(
-                        computes[i](parent_preds[i], own_states[i], which) for i in indices
-                    )
-                for i in indices:
-                    for pred in query_predicates[i]:
-                        if pred in preds[i]:
-                            counts[i][pred] += 1
-                            if collect_selected_nodes:
-                                selected[i][pred].append(index)
-                if record.has_first_child and record.has_second_child:
-                    awaiting_second.append(preds)
-                    if len(awaiting_second) > max_depth:
-                        max_depth = len(awaiting_second)
-                    next_attachment = (preds, 1)
-                elif record.has_first_child:
-                    next_attachment = (preds, 1)
+                    parent_preds = preds
+                    which = 1
                 elif record.has_second_child:
-                    next_attachment = (preds, 2)
+                    parent_preds = preds
+                    which = 2
                 else:
-                    next_attachment = None
+                    parent_preds = None
+            if index + 1 != seg_end:  # pragma: no cover - defensive
+                raise EvaluationError("state file shorter than the database")
     finally:
         scanner.close()
     return selected, counts, max_depth

@@ -1,11 +1,14 @@
-"""Vectorised lockstep automaton kernel (optional numpy fast path).
+"""Vectorised lockstep automaton kernel (optional numpy accelerator).
 
-The pure-Python lockstep loops in :mod:`repro.plan.batch` and
-:mod:`repro.storage.disk_engine` dominate query wall time by ~35x over the
-I/O they drive: per node and per plan they pay a label-set lookup, a
-transition call and tuple packing in the interpreter.  This module replaces
-that per-node work with array computation while keeping the *evaluation
-semantics* and the *I/O accounting* exactly identical:
+:mod:`repro.plan.batch` holds the reference implementation of the two-phase
+disk evaluation: pure-Python loops that, per node and per plan, pay a
+label-set lookup, a transition call and list building in the interpreter.
+This module is its accelerator.  :func:`batch_kernel` hands
+:func:`~repro.plan.batch.evaluate_batch_on_disk` a :class:`_LockstepKernel`
+whose two phases replace that per-node work with array computation while
+keeping the *evaluation semantics* and the *I/O accounting* exactly
+identical -- for a batch of k plans and for the batch of one that a single
+disk query is:
 
 * the `.arb` file is read through the same
   :class:`~repro.storage.paging.RangedScan` page walks as the pure path
@@ -32,10 +35,12 @@ semantics* and the *I/O accounting* exactly identical:
 The kernel is selected with ``REPRO_KERNEL`` (``numpy`` | ``python`` |
 ``auto``, default auto-detect) or an explicit ``kernel=`` argument threaded
 through the engine, CLI, collection and service layers.  It silently falls
-back to the pure-Python loop when numpy is unavailable, when a plan
-disables memoisation (the laziness-ablation mode recomputes transitions
-per *node*, which arrays cannot reproduce), for exotic record sizes, or
-for documents too large for the packed-key bases.
+back to the reference loop when numpy is unavailable, when a plan disables
+memoisation (the laziness-ablation mode recomputes transitions per *node*,
+which arrays cannot reproduce), for exotic record sizes, or for documents
+too large for the packed-key bases.  Nothing is accepted on faith: the
+differential suite ``tests/test_kernel_differential.py`` holds the kernel to
+the reference loop's answers, statistics and I/O counters, cold and warm.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ from repro.core.automata import StateInterner
 from repro.core.two_phase import BOTTOM
 from repro.errors import EvaluationError
 from repro.plan.memo import memo_for
-from repro.storage import pageindex
 from repro.storage.labels import RecordShapeLabelSets
 from repro.storage.paging import IOStatistics, PagedReader, PagedWriter
 from repro.storage.records import record_struct
@@ -79,6 +83,11 @@ _MAX_KERNEL_NODES = 1 << 20
 
 #: numpy dtypes matching the big-endian record sizes of ``record_struct``.
 _SPAN_DTYPES = {1: ">u1", 2: ">u2", 4: ">u4", 8: ">u8"}
+
+#: The one message for a phase-1 scan whose records do not form one tree
+#: (raised by the reference loop in :mod:`repro.plan.batch` and by
+#: :func:`_require_consistent` here).
+PHASE1_INCONSISTENT = "phase 1 did not consume the database consistently"
 
 _NUMPY: object = False  # unresolved sentinel; resolved to a module or None
 
@@ -129,7 +138,6 @@ def batch_kernel(
     skip,
     *,
     choice: str | None = None,
-    phase1_error: str = "batch phase 1 did not consume the database consistently",
 ):
     """A :class:`_LockstepKernel` for ``plans`` over ``database``, or ``None``.
 
@@ -151,7 +159,12 @@ def batch_kernel(
     for plan in plans:
         if not plan.evaluator.memoize:
             return None
-    return _LockstepKernel(np, list(plans), database, skip, phase1_error)
+    return _LockstepKernel(np, list(plans), database, skip)
+
+
+def _require_consistent(ok: bool) -> None:
+    if not ok:
+        raise EvaluationError(PHASE1_INCONSISTENT)
 
 
 class _KernelPlanTables:
@@ -178,26 +191,18 @@ class _KernelPlanTables:
         return cached
 
 
-def _plan_tables(plan) -> _KernelPlanTables | None:
-    try:
-        return memo_for(plan).kernel_tables(_KernelPlanTables)
-    except TypeError:  # plan is not weak-referenceable (adapter objects)
-        return None
-
-
 class _LockstepKernel:
-    """One batch (or single query) of the vectorised lockstep evaluation.
+    """One batch of the vectorised lockstep evaluation.
 
     The object carries phase-1 products (item model, composite state ids)
     into phase 2; create one per ``evaluate_batch_on_disk`` call.
     """
 
-    def __init__(self, np, plans, database, skip, phase1_error: str):
+    def __init__(self, np, plans, database, skip):
         self._np = np
         self._plans = plans
         self._database = database
         self._skip = skip
-        self._phase1_error = phase1_error
         self._k = len(plans)
 
     # -------------------------------------------------------------- #
@@ -271,8 +276,7 @@ class _LockstepKernel:
             seg_items.append((pos, cnt))
             pos += cnt
         m = pos
-        if m == 0:
-            raise EvaluationError(self._phase1_error)
+        _require_consistent(m > 0)
 
         val = np.zeros(m, dtype=np.uint64)
         real = np.zeros(m, dtype=bool)
@@ -291,8 +295,7 @@ class _LockstepKernel:
         c = flag_f.astype(np.int64) + flag_s.astype(np.int64)
         # Backward-scan stack height after processing item t (descending).
         height = np.cumsum((1 - c)[::-1])[::-1]
-        if int(height[0]) != 1 or int(height.min()) < 1:
-            raise EvaluationError(self._phase1_error)
+        _require_consistent(int(height[0]) == 1 and int(height.min()) >= 1)
         max_depth = int(height.max())
 
         walk = np.cumsum(c - 1) + 1  # running pending count, >= 0 until the last item
@@ -310,12 +313,12 @@ class _LockstepKernel:
             keys = np.sort(walk * m + item_idx)
             target = (walk[t_both] - 1) * m + (t_both + 1)
             at = np.searchsorted(keys, target, side="left")
-            if int(at.max()) >= m:
-                raise EvaluationError(self._phase1_error)
+            _require_consistent(int(at.max()) < m)
             found = keys[at]
             end_first = found - (walk[t_both] - 1) * m
-            if bool((found // m != walk[t_both] - 1).any()) or bool((end_first + 1 >= m).any()):
-                raise EvaluationError(self._phase1_error)
+            _require_consistent(
+                bool((found // m == walk[t_both] - 1).all()) and bool((end_first + 1 < m).all())
+            )
             sc[:m][both] = end_first + 1
 
         # ---- symbol interning: one id per distinct raw value (+ the root)
@@ -425,7 +428,7 @@ class _LockstepKernel:
         dtype = _SPAN_DTYPES[rs]
         first_bit = 1 << (8 * rs - 1)
         second_bit = 1 << (8 * rs - 2)
-        segments, _, star = self._segments()
+        segments = self._segments()[0]
         seg_items = self._seg_items
         m = self._m
         fc = self._fc
@@ -473,15 +476,13 @@ class _LockstepKernel:
             )
 
         root_states = comp_states[comp[0]]
-        root_preds_list = []
-        for i in indices:
-            tables = _plan_tables(plans[i])
-            if tables is not None:
-                root_preds_list.append(tables.root_preds_of(plans[i].evaluator, root_states[i]))
-            else:
-                root_preds_list.append(plans[i].evaluator.root_true_preds(root_states[i]))
         pp: list = [0] * (m + 1)
-        pp[0] = intern_preds(tuple(root_preds_list))
+        pp[0] = intern_preds(
+            tuple(
+                memo_for(plan).kernel_tables(_KernelPlanTables).root_preds_of(plan.evaluator, state)
+                for plan, state in zip(plans, root_states)
+            )
+        )
 
         # ---- top-down composite sweep over gap items (parents first)
         child_key = (np.array(comp[:m], dtype=np.int64) * 4 + wh[:m]).tolist()
@@ -550,12 +551,8 @@ class _LockstepKernel:
                     if pid is None:
                         pid = resolve_td(ppid, star_cid, which)
                         pcomp_of[key] = pid
-                    own = pcomp_states[pid]
-                    for i in indices:
-                        if not pageindex.region_answer_free(plans[i], own[i], star[i]):
-                            answer_free = False
-                            break
-                    if not answer_free:
+                    if not self._skip.answer_free(pcomp_states[pid]):
+                        answer_free = False
                         break
                 if answer_free:
                     continue

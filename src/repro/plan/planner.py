@@ -4,12 +4,14 @@ The rules are deliberately small and transparent:
 
 * an explicit ``engine`` name always wins (it is an error to name a backend
   that cannot execute the plan on the given database);
-* on disk, a plan that compiled to a one-pass streaming query runs on the
-  streaming backend (one linear scan of the `.arb` file instead of two, and
-  no temporary state file), unless per-node true-predicate sets were
-  requested -- the streaming engine cannot produce those;
-* otherwise on-disk databases use the two-scan disk backend and in-memory
-  databases the two-phase memory backend.
+* per-node true-predicate sets (``keep_true_predicates``) need the tree in
+  memory: neither scan backend can produce them, so the memory backend
+  runs (materialising an on-disk database first);
+* otherwise, on disk, a plan that compiled to a one-pass streaming query
+  runs on the streaming backend (one linear scan of the `.arb` file instead
+  of two, and no temporary state file), every other plan on the two-scan
+  disk backend;
+* in-memory databases use the two-phase memory backend.
 """
 
 from __future__ import annotations
@@ -59,8 +61,8 @@ def choose_backend(
                 f"engine {engine!r} cannot execute this query on this database"
             )
         return backend
-    if database.is_on_disk:
-        if plan.streaming_query is not None and not keep_true_predicates:
+    if database.is_on_disk and not keep_true_predicates:
+        if plan.streaming_query is not None:
             return BACKENDS[StreamingBackend.name]
         return BACKENDS[DiskBackend.name]
     return BACKENDS[MemoryBackend.name]

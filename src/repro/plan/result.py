@@ -59,6 +59,12 @@ class BatchQueryResult:
     scan, *independent of k* (the temporary composite state file is counted
     separately in ``state_io``).  Iterating the batch yields the per-query
     :class:`QueryResult` objects in input order.
+
+    ``phase1_stack_depth`` / ``phase2_stack_depth`` are the deepest scan
+    stacks of the two disk phases -- the quantity Proposition 5.1 bounds by
+    the depth of the XML tree.  They are exact when nothing is skipped
+    (``use_index=False``, or no usable ``.idx``); a scan that skips page runs
+    sees only part of the tree, and they stay 0 off the disk path.
     """
 
     results: list[QueryResult]
@@ -66,6 +72,8 @@ class BatchQueryResult:
     state_io: IOStatistics = field(default_factory=IOStatistics)
     statistics: EvaluationStatistics = field(default_factory=EvaluationStatistics)
     state_file_bytes: int = 0
+    phase1_stack_depth: int = 0
+    phase2_stack_depth: int = 0
     backend: str = "memory"
 
     @property

@@ -1,7 +1,6 @@
-"""Two-phase query evaluation directly over secondary storage (Sections 4-5).
+"""Single-query facade over the two-phase disk evaluation (Sections 4-5).
 
-The :class:`DiskQueryEngine` runs Algorithm 4.6 against an `.arb` database
-with exactly the access pattern described in the paper:
+Algorithm 4.6 runs against an `.arb` database in two linear scans:
 
 Phase 1 (bottom-up)
     One **backward linear scan** of the `.arb` file.  For every node the
@@ -21,34 +20,28 @@ Main memory holds only the two automata (hash tables of states and
 transitions, computed lazily) and a stack bounded by the depth of the XML
 tree -- never the tree itself.
 
-:mod:`repro.plan.batch` generalises both phases to k programs in lockstep
-(one composite state entry per node); changes to the scan or attachment
-discipline here must be mirrored there.
+The scans themselves live in :mod:`repro.plan.batch` (the reference loop)
+and :mod:`repro.plan.kernel` (its numpy accelerator); a single query is a
+batch of one.  :class:`DiskQueryEngine` owns one private
+:class:`~repro.plan.plan.QueryPlan`, runs it through
+:func:`~repro.plan.batch.evaluate_batch_on_disk` without the page-skipping
+index, and reports the result as a :class:`DiskEvaluationResult`.
 """
 
 from __future__ import annotations
 
-import os
-import struct
-import tempfile
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.two_phase import BOTTOM, EvaluationStatistics, TwoPhaseEvaluator
+from repro.core.two_phase import EvaluationStatistics
 from repro.errors import EvaluationError
 from repro.storage.database import ArbDatabase
-from repro.storage.labels import RecordShapeLabelSets
-from repro.storage.paging import IOStatistics, PagedReader, PagedWriter
+from repro.storage.paging import IOStatistics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.tmnf.program import TMNFProgram
 
 __all__ = ["DiskQueryEngine", "DiskEvaluationResult"]
-
-#: Bytes per entry of the temporary state file ("four bytes per node").
-STATE_ENTRY_SIZE = 4
-_STATE_STRUCT = struct.Struct(">I")
 
 
 @dataclass
@@ -71,220 +64,55 @@ class DiskEvaluationResult:
         return self.selected[predicate]
 
 
-class _PlanView:
-    """Minimal plan-shaped view of an engine for the lockstep kernel.
-
-    Deliberately not weak-referenceable: the kernel detects that and skips
-    the per-plan table memo, computing everything directly (one engine
-    evaluation has no cross-run state to keep).
-    """
-
-    __slots__ = ("evaluator", "program")
-
-    def __init__(self, engine: "DiskQueryEngine") -> None:
-        self.evaluator = engine.core
-        self.program = engine.program
-
-
 class DiskQueryEngine:
     """Evaluate a TMNF program over an `.arb` database in two linear scans.
 
-    ``core`` may supply an existing :class:`TwoPhaseEvaluator` (e.g. the
-    persistent evaluator of a cached :class:`~repro.plan.plan.QueryPlan`) so
-    that the lazily-memoised automaton tables carry over between queries and
-    databases; by default a fresh evaluator is created.
+    The engine's :attr:`core` evaluator keeps its lazily-memoised automaton
+    tables between :meth:`evaluate` calls, on the same or on different
+    databases; every call reports fresh per-run statistics.
     """
 
-    def __init__(self, program: "TMNFProgram", *, memoize: bool = True,
-                 collect_selected_nodes: bool = True,
-                 core: TwoPhaseEvaluator | None = None,
-                 kernel: str | None = None):
+    def __init__(
+        self,
+        program: "TMNFProgram",
+        *,
+        memoize: bool = True,
+        collect_selected_nodes: bool = True,
+        kernel: str | None = None,
+    ):
+        # Imported here, not at module level: repro.plan imports repro.storage
+        # (whose package import loads this module) while it is initialising.
+        from repro.plan.plan import QueryPlan
+
         self.program = program
-        self.core = core if core is not None else TwoPhaseEvaluator(program, memoize=memoize)
         self.collect_selected_nodes = collect_selected_nodes
         self.kernel = kernel
-        self._schema = program.prop_local().schema
+        self._plan = QueryPlan(program, memoize=memoize)
+        self.core = self._plan.evaluator
 
-    # ------------------------------------------------------------------ #
-
-    def evaluate(self, database: ArbDatabase, *, temp_dir: str | None = None,
-                 plan=None) -> DiskEvaluationResult:
+    def evaluate(self, database: ArbDatabase, *, temp_dir: str | None = None) -> DiskEvaluationResult:
         """Run both phases against ``database``.
 
         ``temp_dir`` controls where the temporary state file is created
-        (default: alongside the database).  ``plan`` optionally names the
-        :class:`~repro.plan.plan.QueryPlan` whose evaluator this engine
-        shares, so the numpy kernel (when selected) can reuse the plan's
-        compiled tables; answers and statistics do not depend on it.
+        (default: alongside the database).
         """
-        io = IOStatistics()
-        runner = self._kernel_runner(database, plan)
-        directory = temp_dir or os.path.dirname(os.path.abspath(database.arb_path)) or "."
-        handle = tempfile.NamedTemporaryFile(
-            prefix=os.path.basename(database.base_path) + ".state.",
-            dir=directory,
-            delete=False,
-        )
-        state_path = handle.name
-        handle.close()
-        try:
-            if runner is not None:
-                phase1_depth = self._run_phase1_kernel(runner, state_path, io)
-            else:
-                phase1_depth = self._run_phase1(database, state_path, io)
-            state_file_bytes = os.path.getsize(state_path)
-            if runner is not None:
-                selected, counts, phase2_depth = self._run_phase2_kernel(runner, state_path, io)
-            else:
-                selected, counts, phase2_depth = self._run_phase2(database, state_path, io)
-        finally:
-            if os.path.exists(state_path):
-                os.remove(state_path)
+        from repro.plan.batch import evaluate_batch_on_disk
 
-        stats = self.core.stats
-        stats.nodes = database.n_nodes
-        first_query = self.program.query_predicates[0]
-        stats.selected = counts.get(first_query, 0)
-        stats.memory_estimate_kb = self.core._memory_estimate_kb()
+        batch = evaluate_batch_on_disk(
+            [self._plan],
+            database,
+            temp_dir=temp_dir,
+            collect_selected_nodes=self.collect_selected_nodes,
+            use_index=False,
+            kernel=self.kernel,
+        )
+        result = batch[0]
         return DiskEvaluationResult(
-            selected=selected,
-            statistics=stats,
-            io=io,
-            phase1_stack_depth=phase1_depth,
-            phase2_stack_depth=phase2_depth,
-            state_file_bytes=state_file_bytes,
-            selected_counts=counts,
+            selected=result.selected,
+            statistics=result.statistics,
+            io=batch.io,
+            phase1_stack_depth=batch.phase1_stack_depth,
+            phase2_stack_depth=batch.phase2_stack_depth,
+            state_file_bytes=batch.state_file_bytes,
+            selected_counts=result.counts,
         )
-
-    # ------------------------------------------------------------------ #
-    # The vectorised kernel (optional; answers and counters identical)
-    # ------------------------------------------------------------------ #
-
-    def _kernel_runner(self, database: ArbDatabase, plan):
-        # Imported lazily: repro.plan imports this module at package import.
-        from repro.plan import kernel as kernel_mod
-
-        target = plan if plan is not None and plan.evaluator is self.core else _PlanView(self)
-        return kernel_mod.batch_kernel(
-            [target], database, None, choice=self.kernel,
-            phase1_error="phase 1 did not consume the database consistently",
-        )
-
-    def _run_phase1_kernel(self, runner, state_path: str, io: IOStatistics) -> int:
-        started = time.perf_counter()
-        depth = runner.run_phase1(state_path, _STATE_STRUCT, io, io)
-        self.core.stats.bu_seconds += time.perf_counter() - started
-        self.core.stats.bu_states = self.core.n_bottom_up_states
-        return depth
-
-    def _run_phase2_kernel(
-        self, runner, state_path: str, io: IOStatistics
-    ) -> tuple[dict[str, list[int]], dict[str, int], int]:
-        started = time.perf_counter()
-        selected, counts, depth = runner.run_phase2(
-            state_path, _STATE_STRUCT, io, io, self.collect_selected_nodes
-        )
-        self.core.stats.td_seconds += time.perf_counter() - started
-        return selected[0], counts[0], depth
-
-    # ------------------------------------------------------------------ #
-    # Phase 1: backward scan, write state file
-    # ------------------------------------------------------------------ #
-
-    def _run_phase1(self, database: ArbDatabase, state_path: str, io: IOStatistics) -> int:
-        started = time.perf_counter()
-        schema = self._schema
-        core = self.core
-        compute = core.compute_reachable_states
-        n = database.n_nodes
-        stack: list[int] = []
-        max_depth = 0
-        count = 0
-        # Shared shape-keyed label-set memo (same helper as the lockstep
-        # batch evaluator and the page-skipping index).
-        label_sets = RecordShapeLabelSets(schema, database.labels)
-        for_record = label_sets.for_record
-        pack = _STATE_STRUCT.pack
-        with PagedWriter(state_path, database.page_size, stats=io) as state_writer:
-            for offset, record in enumerate(database.records_backward(stats=io)):
-                node_id = n - 1 - offset
-                first_state = BOTTOM
-                second_state = BOTTOM
-                if record.has_first_child:
-                    first_state = stack.pop()
-                if record.has_second_child:
-                    second_state = stack.pop()
-                is_root = node_id == 0
-                labels = for_record(
-                    record.label_index,
-                    record.has_first_child,
-                    record.has_second_child,
-                    is_root,
-                )
-                state = compute(first_state, second_state, labels)
-                state_writer.write(pack(state))
-                stack.append(state)
-                if len(stack) > max_depth:
-                    max_depth = len(stack)
-                count += 1
-        if count != n or len(stack) != 1:
-            raise EvaluationError("phase 1 did not consume the database consistently")
-        # Timing bookkeeping matches the in-memory evaluator's convention.
-        core.stats.bu_seconds += time.perf_counter() - started
-        core.stats.bu_states = core.n_bottom_up_states
-        return max_depth
-
-    # ------------------------------------------------------------------ #
-    # Phase 2: forward scan + backward read of the state file
-    # ------------------------------------------------------------------ #
-
-    def _run_phase2(
-        self, database: ArbDatabase, state_path: str, io: IOStatistics
-    ) -> tuple[dict[str, list[int]], dict[str, int], int]:
-        started = time.perf_counter()
-        core = self.core
-        compute = core.compute_true_preds
-        query_predicates = self.program.query_predicates
-        selected: dict[str, list[int]] = {pred: [] for pred in query_predicates}
-        counts: dict[str, int] = {pred: 0 for pred in query_predicates}
-
-        # The temporary state file is read with the database's pager mode but
-        # never through a shared pool (it is written once, read once, deleted).
-        state_reader = PagedReader(state_path, database.page_size, stats=io,
-                                   config=database.pager.without_pool())
-        states = (value for (value,) in state_reader.unpack_backward(_STATE_STRUCT))
-
-        awaiting_second: list[frozenset[str]] = []
-        next_attachment: tuple[frozenset[str], int] | None = None
-        max_depth = 0
-        for index, record in enumerate(database.records_forward(stats=io)):
-            try:
-                own_state = next(states)
-            except StopIteration as exc:  # pragma: no cover - defensive
-                raise EvaluationError("state file shorter than the database") from exc
-            if index == 0:
-                preds = core.root_true_preds(own_state)
-            else:
-                if next_attachment is not None:
-                    parent_preds, which = next_attachment
-                else:
-                    parent_preds, which = awaiting_second.pop(), 2
-                preds = compute(parent_preds, own_state, which)
-            for pred in query_predicates:
-                if pred in preds:
-                    counts[pred] += 1
-                    if self.collect_selected_nodes:
-                        selected[pred].append(index)
-            if record.has_first_child and record.has_second_child:
-                awaiting_second.append(preds)
-                if len(awaiting_second) > max_depth:
-                    max_depth = len(awaiting_second)
-                next_attachment = (preds, 1)
-            elif record.has_first_child:
-                next_attachment = (preds, 1)
-            elif record.has_second_child:
-                next_attachment = (preds, 2)
-            else:
-                next_attachment = None
-        core.stats.td_seconds += time.perf_counter() - started
-        return selected, counts, max_depth

@@ -136,18 +136,17 @@ class LabelTable:
 class RecordShapeLabelSets:
     """Per-plan memo of node label sets keyed by the raw record *shape*.
 
-    Both disk evaluators (the single-query engine and the lockstep batch)
-    turn each record into the alphabet symbol of a plan's bottom-up
-    automaton: the schema's label set for the record's label name and child
-    flags.  Distinct records overwhelmingly share a handful of shapes
+    Both implementations of the disk evaluation (the reference loop in
+    ``plan/batch.py`` and its numpy accelerator ``plan/kernel.py``) turn
+    each record into the alphabet symbol of a plan's bottom-up automaton:
+    the schema's label set for the record's label name and child flags.
+    Distinct records overwhelmingly share a handful of shapes
     ``(label_index, has_first_child, has_second_child, is_root)``, so the
     set is computed once per shape and the per-record work is one dict hit.
     The label name itself is resolved through the table only on a miss.
 
-    This used to be copy-pasted between ``plan/batch.py`` and
-    ``storage/disk_engine.py``; it lives here so both scan paths -- and the
-    page-skipping index, which must derive *exactly* the same label sets --
-    share one source of truth.
+    It lives here so both scan paths -- and the page-skipping index, which
+    must derive *exactly* the same label sets -- share one source of truth.
     """
 
     __slots__ = ("_schema", "_table", "_memo")

@@ -24,7 +24,7 @@ additionally, no record in the run carries a label that any plan of a
 batch can observe (the batch's *reachable-label set*), then every node of
 the run is *neutral* for every plan -- and when a plan's bottom-up
 automaton maps all-neutral subtrees to a single state ``s*`` (checked by
-:func:`neutral_state`), the whole run can be skipped without reading it:
+:mod:`repro.plan.batch`), the whole run can be skipped without reading it:
 phase 1 pushes ``pushes`` copies of the composite ``s*`` entry, phase 2
 carries the top-down run across the extent (see
 :mod:`repro.plan.batch`).
@@ -45,13 +45,11 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from repro.core.two_phase import BOTTOM
 from repro.storage.durability import fsync_file
 from repro.storage.generations import logical_base_of
 from repro.storage.labels import CHARACTER_INDEX_LIMIT, LabelTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.plan.plan import QueryPlan
     from repro.storage.database import ArbDatabase
 
 __all__ = [
@@ -65,8 +63,6 @@ __all__ = [
     "index_for",
     "invalidate_index_cache",
     "relevant_label_bits",
-    "neutral_state",
-    "region_answer_free",
     "compute_skip_regions",
     "segments_of",
     "summarize_records",
@@ -401,7 +397,7 @@ def invalidate_index_cache(base_path: str | None = None) -> None:
 
 
 # ---------------------------------------------------------------------- #
-# Plan-side: reachable labels and the neutral state
+# Plan-side: reachable labels
 # ---------------------------------------------------------------------- #
 
 
@@ -421,81 +417,6 @@ def relevant_label_bits(schemas: Iterable, labels: LabelTable) -> int:
             if tag_index is not None:
                 bits |= 1 << tag_index
     return bits
-
-
-def neutral_state(plan: "QueryPlan") -> int | None:
-    """The single bottom-up state ``s*`` of all-neutral non-root subtrees.
-
-    A node whose label is outside the plan's reachable-label set always
-    produces the same label set for a given child-flag shape
-    (:meth:`~repro.tree.model.NodeSchema.neutral_label_set`).  If the leaf
-    state is a fixed point of all three child shapes, *every* node of a
-    self-contained neutral region lands in it; otherwise the plan cannot
-    skip and ``None`` is returned.  The result is memoised per plan in the
-    lock-guarded :mod:`repro.plan.memo` side table (plans are shared across
-    threads by the plan cache, so nothing is stashed on the plan itself).
-    """
-    from repro.plan.memo import memo_for
-
-    return memo_for(plan).neutral_state(lambda: _neutral_state_uncached(plan))
-
-
-def _neutral_state_uncached(plan: "QueryPlan") -> int | None:
-    evaluator = plan.evaluator
-    schema = evaluator.prop.schema
-    compute = evaluator.compute_reachable_states
-
-    def labels_for(has_first: bool, has_second: bool):
-        return schema.neutral_label_set(is_root=False, has_first_child=has_first, has_second_child=has_second)
-
-    leaf = compute(BOTTOM, BOTTOM, labels_for(False, False))
-    if (
-        compute(leaf, BOTTOM, labels_for(True, False)) != leaf
-        or compute(BOTTOM, leaf, labels_for(False, True)) != leaf
-        or compute(leaf, leaf, labels_for(True, True)) != leaf
-    ):
-        return None
-    return leaf
-
-
-#: Bound on the per-plan top-down closure explored before giving up on a
-#: region (give-up means reading it, never wrong answers).
-_ANSWER_FREE_CAP = 512
-
-
-def region_answer_free(plan: "QueryPlan", root_preds: frozenset, s_star: int) -> bool:
-    """Whether a neutral subtree whose root holds ``root_preds`` can select.
-
-    Closes ``root_preds`` under both top-down child transitions with the
-    neutral state ``s*``; the subtree is answer-free iff no reachable
-    predicate set contains a query predicate.  Memoised per plan in the
-    lock-guarded, bounded :mod:`repro.plan.memo` side table; an oversized
-    closure conservatively reports ``False``.
-    """
-    from repro.plan.memo import memo_for
-
-    return memo_for(plan).answer_free(
-        root_preds, lambda: _region_answer_free_uncached(plan, root_preds, s_star)
-    )
-
-
-def _region_answer_free_uncached(plan: "QueryPlan", root_preds: frozenset, s_star: int) -> bool:
-    compute = plan.evaluator.compute_true_preds
-    query_predicates = plan.program.query_predicates
-    seen = {root_preds}
-    frontier = [root_preds]
-    while frontier:
-        preds = frontier.pop()
-        if any(pred in preds for pred in query_predicates):
-            return False
-        if len(seen) > _ANSWER_FREE_CAP:
-            return False
-        for which in (1, 2):
-            child = compute(preds, s_star, which)
-            if child not in seen:
-                seen.add(child)
-                frontier.append(child)
-    return True
 
 
 # ---------------------------------------------------------------------- #

@@ -53,14 +53,20 @@ class TestDiskEngine:
         database = make_database(tmp_path, parse_xml(document))
         engine = DiskQueryEngine(program)
         result = engine.evaluate(database)
-        # The .arb file is read exactly twice (once per phase); the temporary
-        # state file is written once and read once; that is 4 scans = 4 seeks
-        # plus one seek for the state-file write stream opening.
-        assert result.io.seeks <= 6
-        # Every byte of the .arb file is read exactly twice.
-        assert result.io.bytes_read >= 2 * database.file_size()
+        # The .arb file is read exactly twice (once per phase) and the
+        # temporary state file once: three read scans = three seeks, every
+        # file on one page.  Exact values, so a changed access pattern for
+        # single queries fails here.
+        assert (database.file_size(), database.n_nodes) == (402, 201)
+        assert result.io.seeks == 3
+        assert result.io.pages_read == 3
+        assert result.io.pages_written == 1
+        # Every byte of the .arb file is read exactly twice, the state file once.
+        assert result.io.bytes_read == 1608 == 2 * 402 + 804
+        assert result.io.bytes_written == 804
         # The temporary state file holds four bytes per node (footnote 12).
-        assert result.state_file_bytes == 4 * database.n_nodes
+        assert result.state_file_bytes == 804 == 4 * database.n_nodes
+        assert (result.phase1_stack_depth, result.phase2_stack_depth) == (1, 0)
 
     def test_stack_depth_bounded_by_xml_depth(self, tmp_path):
         from repro.tree import parse_xml
@@ -70,8 +76,7 @@ class TestDiskEngine:
         database = make_database(tmp_path, parse_xml(document))
         result = DiskQueryEngine(program).evaluate(database)
         # XML depth is 2 (r > x > a).
-        assert result.phase1_stack_depth <= 3
-        assert result.phase2_stack_depth <= 3
+        assert (result.phase1_stack_depth, result.phase2_stack_depth) == (2, 1)
 
     def test_counts_available_without_collecting_nodes(self, tmp_path):
         from repro.tree import parse_xml
@@ -89,12 +94,21 @@ class TestDiskEngine:
 
         program = TMNFProgram.parse(EVEN_ODD_EXAMPLE, query_predicates="Even")
         engine = DiskQueryEngine(program)
-        first = make_database(tmp_path, parse_xml("<r><a/><a/></r>"), name="one")
-        second = make_database(tmp_path, parse_xml("<r><a/><a/><b/></r>"), name="two")
-        engine.evaluate(first)
+        one = make_database(tmp_path, parse_xml("<r><a/><a/></r>"), name="one")
+        two = make_database(tmp_path, parse_xml("<r><a/><a/><b/></r>"), name="two")
+        first = engine.evaluate(one)
         transitions_after_first = engine.core.n_bottom_up_transitions
-        engine.evaluate(second)
-        # The second run reuses most transitions; the table keeps growing only
-        # for genuinely new (state, state, labels) combinations.
-        assert engine.core.n_bottom_up_transitions >= transitions_after_first
-        assert engine.core.stats.bu_transitions < first.n_nodes + second.n_nodes
+        assert first.statistics.bu_transitions == transitions_after_first > 0
+        second = engine.evaluate(two)
+        # The second run reuses the first run's transitions: the table grows
+        # only by the genuinely new (state, state, labels) combinations this
+        # run computed, fewer than one per node.
+        grown = engine.core.n_bottom_up_transitions - transitions_after_first
+        assert second.statistics.bu_transitions == grown < two.n_nodes
+        # Every run reports its own statistics; the first result is not
+        # rewritten by the second.
+        assert first.statistics is not second.statistics
+        assert first.statistics.nodes == one.n_nodes
+        assert second.statistics.nodes == two.n_nodes
+        # A repeat over a database already seen recomputes nothing.
+        assert engine.evaluate(one).statistics.bu_transitions == 0

@@ -116,9 +116,21 @@ class TestBackendsAndPlanner:
         assert disk.query(BOOK_QUERY).backend == "disk"
         # Predicate-free downward XPath over disk goes to the one-scan engine.
         assert disk.query("//book", language="xpath").backend == "streaming"
-        # ... but not when per-node predicate sets are requested.
+        # ... but per-node predicate sets need the tree in memory.
         kept = disk.query("//book", language="xpath", keep_true_predicates=True)
-        assert kept.backend == "disk"
+        assert kept.backend == "memory"
+
+    def test_keep_true_predicates_on_disk_is_never_dropped(self, tmp_path):
+        disk = _disk_database(tmp_path)
+        expected = _memory_database().query(BOOK_QUERY, keep_true_predicates=True)
+        # auto routes to the backend that can produce the sets ...
+        kept = disk.query(BOOK_QUERY, keep_true_predicates=True)
+        assert kept.backend == "memory"
+        assert kept.true_predicates == expected.true_predicates
+        assert kept.true_predicates is not None
+        # ... and an explicit disk engine refuses instead of returning None.
+        with pytest.raises(EvaluationError, match="engine='memory'"):
+            disk.query(BOOK_QUERY, engine="disk", keep_true_predicates=True)
 
     def test_explicit_engines_agree(self, tmp_path):
         disk = _disk_database(tmp_path, text_mode="ignore")

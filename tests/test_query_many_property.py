@@ -19,11 +19,15 @@ import tempfile
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import Database
+from repro import Database, DiskQueryEngine
 from repro.baselines.datalog import evaluate_fixpoint
 from repro.plan import PlanCache
+from repro.plan.kernel import numpy_available
 from repro.tree import BinaryTree
 from tests.strategies import tmnf_programs as programs, unranked_trees
+
+#: The lockstep implementations available here (numpy is optional).
+KERNELS = ("python", "numpy") if numpy_available() else ("python",)
 
 COMMON_SETTINGS = dict(
     deadline=None,
@@ -66,3 +70,34 @@ def test_batch_of_one_equals_single_disk_evaluation(program, tree):
         single = database.query(program, engine="disk")
         assert batch[0].selected == single.selected
         assert batch.state_file_bytes == 4 * database.n_nodes
+
+        # A single disk query IS a batch of one without the index: every
+        # counter is equal, not just the answers -- per kernel, cold (a fresh
+        # plan per run, so the transition counters are this run's), on a
+        # geometry where records straddle pages and every file spans several.
+        paged = Database.build(tree, f"{directory}/paged", page_size=7)
+        observed = []
+        for kernel in KERNELS:
+            paged.plan_cache = PlanCache()
+            batch = paged.query_many([program], use_index=False, kernel=kernel)
+            paged.plan_cache = PlanCache()
+            single = paged.query(program, engine="disk", kernel=kernel)
+            facade = DiskQueryEngine(program, kernel=kernel).evaluate(paged.disk)
+            assert single.backend == "disk"
+            for result, io in ((single, single.io), (facade, facade.io)):
+                assert result.selected == batch[0].selected
+                assert _counters(result.statistics, io) == _counters(batch[0].statistics, batch.io)
+            depths = (facade.phase1_stack_depth, facade.phase2_stack_depth)
+            assert depths == (batch.phase1_stack_depth, batch.phase2_stack_depth)
+            assert facade.state_file_bytes == batch.state_file_bytes == 4 * paged.n_nodes
+            observed.append((batch[0].selected, _counters(batch[0].statistics, batch.io), depths))
+        # ... and the two kernels agree with each other on all of it.
+        assert all(entry == observed[0] for entry in observed)
+
+
+def _counters(statistics, io):
+    return (
+        statistics.bu_transitions, statistics.td_transitions, statistics.bu_states,
+        statistics.td_states, statistics.nodes, statistics.selected,
+        io.pages_read, io.bytes_read, io.bytes_written, io.seeks,
+    )
