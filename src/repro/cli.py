@@ -79,11 +79,28 @@ import sys
 from repro.collection import EXECUTORS, Collection
 from repro.engine import Database
 from repro.errors import ReproError
+from repro.plan.kernel import KERNEL_CHOICES
 from repro.storage.build import build_database
 from repro.storage.bufferpool import resolve_pager
 from repro.storage.database import ArbDatabase
 
 __all__ = ["main", "build_parser"]
+
+
+def _add_execution_flags(parser, pager_help: str, no_index_help: str) -> None:
+    """Declare ``--pager`` / ``--no-index`` / ``--kernel``, the flags of
+    :class:`~repro.plan.options.ExecutionOptions`, on a subcommand."""
+    parser.add_argument("--pager", choices=("buffered", "mmap"), default=None, help=pager_help)
+    parser.add_argument("--no-index", action="store_true", help=no_index_help)
+    parser.add_argument("--kernel", choices=KERNEL_CHOICES, default=None,
+                        help="lockstep automaton kernel for disk scans: vectorised numpy or "
+                             "the pure-Python loop (default: REPRO_KERNEL or auto-detect; "
+                             "identical answers and I/O counters)")
+
+
+def _execution_keywords(args: argparse.Namespace) -> dict:
+    """The keywords those flags stand for, as the library entry points spell them."""
+    return {"pager_mode": args.pager, "use_index": not args.no_index, "kernel": args.kernel}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,15 +131,13 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--batch", action="store_true",
                        help="evaluate all given queries together "
                             "(on disk: one pair of linear scans for the whole batch)")
-    query.add_argument("--pager", choices=("buffered", "mmap"), default=None,
-                       help="page access mode for .arb scans: buffered reads through "
-                            "the shared buffer pool, or zero-copy mmap "
-                            "(identical I/O counters either way)")
-    query.add_argument("--no-index", action="store_true",
-                       help="ignore the .idx page-summary sidecar: force full scans "
-                            "even for selective batches (identical answers)")
-    query.add_argument("--kernel", choices=("auto", "numpy", "python"), default=None,
-                       help="lockstep automaton kernel for disk scans: vectorised numpy or the pure-Python loop (default: REPRO_KERNEL or auto-detect; identical answers and I/O counters)")
+    _add_execution_flags(
+        query,
+        "page access mode for .arb scans: buffered reads through the shared "
+        "buffer pool, or zero-copy mmap (identical I/O counters either way)",
+        "ignore the .idx page-summary sidecar: force full scans "
+        "even for selective batches (identical answers)",
+    )
     query.add_argument("--ids", action="store_true", help="print selected node ids")
     query.add_argument("--mark-up", action="store_true",
                        help="print the document with selected nodes marked up")
@@ -190,12 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of parallel workers (default: 1)")
     cquery.add_argument("--executor", choices=EXECUTORS, default="thread",
                         help="worker pool kind (default: thread)")
-    cquery.add_argument("--pager", choices=("buffered", "mmap"), default=None,
-                        help="page access mode for per-document .arb scans")
-    cquery.add_argument("--no-index", action="store_true",
-                        help="ignore .idx page-summary sidecars (identical answers)")
-    cquery.add_argument("--kernel", choices=("auto", "numpy", "python"), default=None,
-                        help="lockstep automaton kernel for disk scans: vectorised numpy or the pure-Python loop (default: REPRO_KERNEL or auto-detect; identical answers and I/O counters)")
+    _add_execution_flags(cquery, "page access mode for per-document .arb scans",
+                         "ignore .idx page-summary sidecars (identical answers)")
     cquery.add_argument("--ids", action="store_true",
                         help="print selected node ids per document")
 
@@ -225,12 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shard workers per batch (collection targets only)")
     serve.add_argument("--executor", choices=EXECUTORS, default="thread",
                        help="worker pool kind for collection targets")
-    serve.add_argument("--pager", choices=("buffered", "mmap"), default=None,
-                       help="page access mode for .arb scans of the served target")
-    serve.add_argument("--no-index", action="store_true",
-                       help="ignore .idx page-summary sidecars for served batches")
-    serve.add_argument("--kernel", choices=("auto", "numpy", "python"), default=None,
-                       help="lockstep automaton kernel for disk scans: vectorised numpy or the pure-Python loop (default: REPRO_KERNEL or auto-detect; identical answers and I/O counters)")
+    _add_execution_flags(serve, "page access mode for .arb scans of the served target",
+                         "ignore .idx page-summary sidecars for served batches")
     serve.add_argument("--ready-file", metavar="PATH",
                        help="write 'host port' to PATH once the listener is bound")
     serve.add_argument("--replicate", choices=("async", "sync"), default="async",
@@ -408,7 +415,7 @@ def _command_collection_query(args: argparse.Namespace) -> int:
     result = collection.query_many(
         queries, language=language, query_predicate=args.query_predicate,
         engine=args.engine, n_workers=args.workers, executor=args.executor,
-        pager_mode=args.pager, use_index=not args.no_index, kernel=args.kernel,
+        **_execution_keywords(args),
     )
     statistics = result.statistics
     print(f"collection      : {len(result)} documents, {statistics.nodes} nodes")
@@ -465,9 +472,7 @@ def _command_serve(args: argparse.Namespace) -> int:
                 max_write_batch=args.max_write_batch,
                 n_workers=args.workers,
                 executor=args.executor,
-                pager_mode=args.pager,
-                use_index=not args.no_index,
-                kernel=args.kernel,
+                **_execution_keywords(args),
                 replication_mode=args.replicate,
             )
         )

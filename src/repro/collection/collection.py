@@ -34,6 +34,7 @@ from repro.collection.manifest import (
 from repro.collection.result import CollectionQueryResult
 from repro.errors import StorageError
 from repro.plan.cache import PlanCache, default_plan_cache
+from repro.plan.options import ExecutionOptions
 from repro.storage.build import build_database
 from repro.tmnf.program import TMNFProgram
 
@@ -395,21 +396,14 @@ class Collection:
         goes through the planner and may use the one-scan streaming backend.
         See :mod:`repro.collection.executor` for the ``executor`` semantics.
         """
+        options = ExecutionOptions(
+            engine=engine, temp_dir=temp_dir, collect_selected_nodes=collect_selected_nodes,
+            use_index=use_index, kernel=kernel, pager_mode=pager_mode,
+        )
         return run_collection_query(
-            self.documents,
-            self.root,
-            list(queries),
-            cache=self.plan_cache,
-            language=language,
-            query_predicate=query_predicate,
-            engine=engine,
-            n_workers=n_workers,
-            executor=executor,
-            collect_selected_nodes=collect_selected_nodes,
-            temp_dir=temp_dir,
-            pager_mode=pager_mode,
-            use_index=use_index,
-            kernel=kernel,
+            self.documents, self.root, list(queries), cache=self.plan_cache, options=options,
+            language=language, query_predicate=query_predicate,
+            n_workers=n_workers, executor=executor,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -12,13 +12,12 @@ and evaluates every shard on a pool:
     the collection's keyed :class:`~repro.plan.cache.PlanCache`, so a plan
     compiled for the first document is a cache *hit* for every other shard
     and its memoised automaton tables are reused corpus-wide.  Because a
-    plan's evaluator is single-threaded by design, workers serialise
-    executions per plan with one lock per plan (acquired in a global order,
-    so k-plan batches cannot deadlock).  Since every shard of one call runs
-    the *same* plan set, this serialises the evaluations of a collection
-    query almost completely -- which CPython's GIL would do to the
-    pure-Python evaluation anyway.  Choose threads for corpus-wide plan
-    sharing with a thread-safe API, not for throughput.
+    plan's evaluator is single-threaded by design, the plan dispatcher
+    serialises executions per plan (:mod:`repro.plan.locks`).  Since every
+    shard of one call runs the *same* plan set, this serialises the
+    evaluations of a collection query almost completely -- which CPython's
+    GIL would do to the pure-Python evaluation anyway.  Choose threads for
+    corpus-wide plan sharing with a thread-safe API, not for throughput.
 ``process``
     a :class:`~concurrent.futures.ProcessPoolExecutor` for real CPU
     parallelism -- the executor that actually scales throughput with
@@ -27,13 +26,12 @@ and evaluates every shard on a pool:
     documents *within* a shard, and the coordinator's shared cache still
     serves repeated collection-level calls.
 
-Whatever the pool, each document is evaluated through the plan layer: a
-batch (or a forced ``disk`` engine) runs on
-:func:`~repro.plan.batch.evaluate_batch_on_disk` -- one backward plus one
-forward scan of the document's `.arb` file for the *whole* batch -- while a
-single query under ``auto`` goes through
-:func:`~repro.plan.planner.choose_backend`, which e.g. routes a streamable
-XPath path to the one-scan streaming backend.
+Whatever the pool, each document is evaluated by the one plan dispatcher,
+:meth:`Database.execute_plans <repro.engine.Database.execute_plans>`: a
+batch (or a forced ``disk`` engine) runs on one backward plus one forward
+scan of the document's `.arb` file for the *whole* batch, while a single
+streamable XPath path under ``auto`` is handed to the planner, which routes
+it to the one-scan streaming backend.
 """
 
 from __future__ import annotations
@@ -42,22 +40,22 @@ import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.collection.manifest import DocumentEntry
 from repro.collection.result import CollectionQueryResult, DocumentQueryResult
 from repro.core.two_phase import EvaluationStatistics
 from repro.errors import EvaluationError
-from repro.plan.batch import evaluate_batch_on_disk
+# Not called here any more (documents run through Database.execute_plans);
+# the name stays importable from this module only because
+# benchmarks/suite/tracing.py patches it by module attribute.
+from repro.plan.batch import evaluate_batch_on_disk  # noqa: F401
 from repro.plan.cache import PlanCache
-from repro.plan.locks import plans_locked as _plans_locked
-from repro.plan.planner import AUTO_ENGINE, choose_backend
+from repro.plan.options import ExecutionOptions
+from repro.plan.planner import AUTO_ENGINE
 from repro.storage.bufferpool import resolve_pager
 from repro.storage.paging import IOStatistics
 from repro.tmnf.program import TMNFProgram
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.plan.plan import QueryPlan
 
 __all__ = ["EXECUTORS", "partition_documents", "run_collection_query"]
 
@@ -96,10 +94,6 @@ def partition_documents(
 # Shard evaluation (runs inside a worker)
 # ---------------------------------------------------------------------- #
 
-# Per-plan execution locks now live in repro.plan.locks, shared with the
-# query service layer; the thread executor below serialises executions per
-# plan through the same registry.
-
 
 @dataclass
 class _ShardTask:
@@ -112,34 +106,18 @@ class _ShardTask:
     #: writer applies updates mid-query.
     documents: list[tuple[str, str, int]]
     queries: list[str | TMNFProgram]
+    # ``options.pager_mode`` is a *mode*, not a PagerConfig: the process pool
+    # pickles tasks, and each worker should attach its own process-wide
+    # buffer pool.
+    options: ExecutionOptions
     language: str = "tmnf"
     query_predicate: str | tuple[str, ...] | None = None
-    engine: str | None = None
-    collect_selected_nodes: bool = True
-    temp_dir: str | None = None
-    # Pager *mode* rather than a PagerConfig: the process pool pickles tasks,
-    # and each worker should attach its own process-wide buffer pool.
-    pager_mode: str | None = None
-    use_index: bool = True
-    kernel: str | None = None
 
 
 @dataclass
 class _ShardOutcome:
     shard_index: int
     documents: list[DocumentQueryResult] = field(default_factory=list)
-
-
-def _use_lockstep_batch(plans: Sequence["QueryPlan"], engine: str | None) -> bool:
-    """Whether the document runs on the single-scan-pair batch evaluator."""
-    if engine == "disk":
-        return True
-    if engine in (None, AUTO_ENGINE):
-        # A single streamable query is the planner's territory (it can halve
-        # the I/O with the one-scan streaming backend); everything else
-        # batches: one backward + one forward scan however many queries.
-        return not (len(plans) == 1 and plans[0].streaming_query is not None)
-    return False
 
 
 def evaluate_shard(task: _ShardTask, cache: PlanCache | None = None) -> _ShardOutcome:
@@ -156,69 +134,39 @@ def evaluate_shard(task: _ShardTask, cache: PlanCache | None = None) -> _ShardOu
     outcome = _ShardOutcome(shard_index=task.shard_index)
     # All shards of one process share the default buffer pool, so a page one
     # worker read is a memory hit for every other scan of that document.
-    pager = resolve_pager(task.pager_mode)
+    pager = resolve_pager(task.options.pager_mode)
     for doc_id, base_path, generation in task.documents:
         database = Database.open(base_path, pager=pager, generation=generation)
         database.plan_cache = cache
         try:
-            outcome.documents.append(
-                _evaluate_document(doc_id, database, task, cache)
-            )
+            outcome.documents.append(_evaluate_document(doc_id, database, task))
         finally:
             database.close()
     return outcome
 
 
-def _evaluate_document(
-    doc_id: str, database, task: _ShardTask, cache: PlanCache
-) -> DocumentQueryResult:
-    planned = [
-        cache.lookup(query, language=task.language, query_predicate=task.query_predicate)
+def _evaluate_document(doc_id: str, database, task: _ShardTask) -> DocumentQueryResult:
+    plans, hits = zip(*(
+        database.plan(query, language=task.language, query_predicate=task.query_predicate)
         for query in task.queries
-    ]
-    plans = [plan for plan, _ in planned]
-    with _plans_locked(plans):
-        if _use_lockstep_batch(plans, task.engine):
-            batch = evaluate_batch_on_disk(
-                plans,
-                database.disk,
-                temp_dir=task.temp_dir,
-                collect_selected_nodes=task.collect_selected_nodes,
-                use_index=task.use_index,
-                kernel=task.kernel,
-            )
-            results = list(batch.results)
-            arb_io, state_io = batch.arb_io, batch.state_io
-            state_file_bytes = batch.state_file_bytes
-            backend = batch.backend
-        else:
-            results = []
-            arb_io, state_io = IOStatistics(), IOStatistics()
-            state_file_bytes = 0
-            for plan in plans:
-                chosen = choose_backend(plan, database, engine=task.engine)
-                result = chosen.execute(plan, database, temp_dir=task.temp_dir,
-                                        kernel=task.kernel)
-                if not task.collect_selected_nodes:
-                    result.selected = {pred: [] for pred in result.selected}
-                if result.io is not None:
-                    # memory/fixpoint report zero I/O; streaming reads only
-                    # the `.arb` file (one forward scan).
-                    arb_io.add(result.io)
-                results.append(result)
-            names = {result.backend for result in results}
-            backend = names.pop() if len(names) == 1 else "mixed"
-    for (plan, hit), result in zip(planned, results):
-        result.statistics.plan_cache_hits = int(hit)
-        result.statistics.plan_cache_misses = int(not hit)
+    ))
+    # A single streamable query is the planner's territory (it can halve the
+    # I/O with the one-scan streaming backend); everything else batches: one
+    # backward + one forward scan however many queries.
+    planner = (
+        len(plans) == 1
+        and plans[0].streaming_query is not None
+        and task.options.engine in (None, AUTO_ENGINE)
+    )
+    batch = database.execute_plans(plans, task.options, hits=hits, planner=planner)
     return DocumentQueryResult(
         doc_id=doc_id,
         shard_index=task.shard_index,
-        results=results,
-        arb_io=arb_io,
-        state_io=state_io,
-        state_file_bytes=state_file_bytes,
-        backend=backend,
+        results=batch.results,
+        arb_io=batch.arb_io,
+        state_io=batch.state_io,
+        state_file_bytes=batch.state_file_bytes,
+        backend=batch.backend,
         n_nodes=database.n_nodes,
     )
 
@@ -234,25 +182,18 @@ def run_collection_query(
     queries: Sequence[str | TMNFProgram],
     *,
     cache: PlanCache,
+    options: ExecutionOptions,
     language: str = "tmnf",
     query_predicate: str | tuple[str, ...] | None = None,
-    engine: str | None = None,
     n_workers: int = 1,
     executor: str = "thread",
-    collect_selected_nodes: bool = True,
-    temp_dir: str | None = None,
-    pager_mode: str | None = None,
-    use_index: bool = True,
-    kernel: str | None = None,
 ) -> CollectionQueryResult:
     """Evaluate ``queries`` over every document, sharded across ``n_workers``.
 
-    ``pager_mode`` selects the scan path per worker (``"buffered"`` scans
-    share the worker process's buffer pool, ``"mmap"`` maps each document);
-    the per-document I/O counters are identical either way.  ``use_index``
-    lets each document's batch skip pages through its ``.idx`` sidecar.
-    ``kernel`` picks the lockstep automaton loop per worker (numpy or pure
-    Python; identical answers and counters).
+    Every worker gets ``options`` whole: ``pager_mode`` selects its scan path
+    (``"buffered"`` scans share the worker process's buffer pool, ``"mmap"``
+    maps each document; the per-document I/O counters are identical either
+    way), the rest goes to the plan dispatcher per document.
     """
     if not queries:
         raise EvaluationError("a collection query needs at least one query")
@@ -283,14 +224,9 @@ def run_collection_query(
                 for entry in shard
             ],
             queries=list(queries),
+            options=options,
             language=language,
             query_predicate=query_predicate,
-            engine=engine,
-            collect_selected_nodes=collect_selected_nodes,
-            temp_dir=temp_dir,
-            pager_mode=pager_mode,
-            use_index=use_index,
-            kernel=kernel,
         )
         for index, shard in enumerate(shards)
     ]

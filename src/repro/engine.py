@@ -42,6 +42,8 @@ from typing import Iterable, Sequence
 from repro.errors import EvaluationError
 from repro.plan.batch import evaluate_batch_on_disk
 from repro.plan.cache import PlanCache, default_plan_cache
+from repro.plan.locks import plans_locked
+from repro.plan.options import ExecutionOptions
 from repro.plan.plan import QueryPlan, compile_query
 from repro.plan.planner import AUTO_ENGINE, choose_backend
 from repro.plan.result import BatchQueryResult, QueryResult
@@ -387,21 +389,15 @@ class Database:
         ``"python"`` or ``"auto"``; default defers to ``REPRO_KERNEL``).
         Answers, statistics and I/O counters are identical either way.
         """
-        engine = self._resolve_engine(engine, force_disk)
+        options = ExecutionOptions(
+            engine=self._resolve_engine(engine, force_disk), temp_dir=temp_dir, kernel=kernel
+        )
         plan, hit = self.plan(
             query, language=language, query_predicate=query_predicate, memoize=memoize
         )
-        backend = choose_backend(
-            plan, self, engine=engine, keep_true_predicates=keep_true_predicates
-        )
-        result = backend.execute(
-            plan, self, keep_true_predicates=keep_true_predicates, temp_dir=temp_dir,
-            kernel=kernel,
-        )
-        if hit is not None:
-            result.statistics.plan_cache_hits = int(hit)
-            result.statistics.plan_cache_misses = int(not hit)
-        return result
+        return self.execute_plans(
+            [plan], options, hits=[hit], planner=True, keep_true_predicates=keep_true_predicates
+        )[0]
 
     def query_many(
         self,
@@ -433,44 +429,77 @@ class Database:
         """
         if not queries:
             raise EvaluationError("query_many needs at least one query")
-        planned = [
-            self.plan(q, language=language, query_predicate=query_predicate,
-                      memoize=memoize)
+        plans, hits = zip(*(
+            self.plan(q, language=language, query_predicate=query_predicate, memoize=memoize)
             for q in queries
-        ]
-        plans = [plan for plan, _ in planned]
-        if self.is_on_disk and engine in (None, AUTO_ENGINE, "disk"):
-            batch = evaluate_batch_on_disk(
-                plans, self._disk, temp_dir=temp_dir,
-                collect_selected_nodes=collect_selected_nodes,
-                use_index=use_index, kernel=kernel,
-            )
-        else:
-            if engine == "disk":
-                raise EvaluationError("cannot force disk evaluation: database is in memory")
-            results = []
-            aggregate = BatchQueryResult(results=results)
-            for plan in plans:
-                backend = choose_backend(plan, self, engine=engine)
-                result = backend.execute(plan, self, temp_dir=temp_dir, kernel=kernel)
-                if not collect_selected_nodes:
-                    result.selected = {pred: [] for pred in result.selected}
-                results.append(result)
-                stats = result.statistics
-                aggregate.statistics.bu_seconds += stats.bu_seconds
-                aggregate.statistics.td_seconds += stats.td_seconds
-                aggregate.statistics.bu_transitions += stats.bu_transitions
-                aggregate.statistics.td_transitions += stats.td_transitions
-                aggregate.statistics.selected += stats.selected
-                if result.io is not None:
-                    aggregate.arb_io.add(result.io)
-            aggregate.statistics.nodes = self.n_nodes
-            backends_used = {result.backend for result in results}
-            aggregate.backend = (
-                backends_used.pop() if len(backends_used) == 1 else "mixed"
-            )
-            batch = aggregate
-        for (plan, hit), result in zip(planned, batch.results):
+        ))
+        options = ExecutionOptions(
+            engine=engine, temp_dir=temp_dir, collect_selected_nodes=collect_selected_nodes,
+            use_index=use_index, kernel=kernel,
+        )
+        return self.execute_plans(plans, options, hits=hits)
+
+    def execute_plans(
+        self,
+        plans: Sequence[QueryPlan],
+        options: ExecutionOptions,
+        *,
+        hits: Sequence[bool | None] = (),
+        planner: bool = False,
+        keep_true_predicates: bool = False,
+    ) -> BatchQueryResult:
+        """Run compiled ``plans`` over this database: the one plan dispatcher.
+
+        :meth:`query`, :meth:`query_many`, the collection shard worker and
+        the query service all end here.  An on-disk database under
+        ``options.engine`` of ``None``/``"auto"``/``"disk"`` runs the whole
+        list as **one** lockstep scan pair
+        (:func:`~repro.plan.batch.evaluate_batch_on_disk`); anything else --
+        and everything when ``planner`` is set, which is how :meth:`query`
+        and a collection's single streamable query ask for the planner's
+        per-query choice -- runs plan by plan on
+        :func:`~repro.plan.planner.choose_backend`'s pick.
+
+        The plans' execution locks (:mod:`repro.plan.locks`) are held
+        throughout, so callers on any number of threads may share cached
+        plans.  ``hits`` are the plan-cache lookup flags to record on the
+        per-query statistics (``None`` entries, or no ``hits`` at all, leave
+        them untouched).
+        """
+        disk = self._disk
+        engine = options.engine
+        with plans_locked(plans):
+            if not planner and disk is not None and engine in (None, AUTO_ENGINE, "disk"):
+                batch = evaluate_batch_on_disk(plans, disk, options)
+            else:
+                batch = BatchQueryResult(results=[])
+                totals = batch.statistics
+                for plan in plans:
+                    backend = choose_backend(
+                        plan, self, engine=engine, keep_true_predicates=keep_true_predicates
+                    )
+                    result = backend.execute(
+                        plan, self, options, keep_true_predicates=keep_true_predicates
+                    )
+                    if not options.collect_selected_nodes:
+                        result.selected = {pred: [] for pred in result.selected}
+                    batch.results.append(result)
+                    stats = result.statistics
+                    totals.bu_seconds += stats.bu_seconds
+                    totals.td_seconds += stats.td_seconds
+                    totals.bu_transitions += stats.bu_transitions
+                    totals.td_transitions += stats.td_transitions
+                    totals.selected += stats.selected
+                    if result.io is not None:
+                        # memory/fixpoint report zero I/O; streaming reads
+                        # only the `.arb` file (one forward scan).
+                        batch.arb_io.add(result.io)
+                totals.nodes = self.n_nodes
+                names = {result.backend for result in batch.results}
+                batch.backend = names.pop() if len(names) == 1 else "mixed"
+        if disk is not None:
+            batch.snapshot = (disk.generation, disk.change_counter)
+        for hit, result in zip(hits, batch.results):
             if hit is not None:
                 result.statistics.plan_cache_hits = int(hit)
                 result.statistics.plan_cache_misses = int(not hit)

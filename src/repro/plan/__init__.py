@@ -27,6 +27,7 @@ from repro.plan.backends import (
 )
 from repro.plan.batch import evaluate_batch_on_disk
 from repro.plan.cache import PlanCache, default_plan_cache
+from repro.plan.options import ExecutionOptions
 from repro.plan.plan import QueryPlan, compile_query
 from repro.plan.planner import BACKENDS, choose_backend
 from repro.plan.result import BatchQueryResult, QueryResult
@@ -46,4 +47,5 @@ __all__ = [
     "BACKENDS",
     "choose_backend",
     "evaluate_batch_on_disk",
+    "ExecutionOptions",
 ]

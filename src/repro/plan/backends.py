@@ -28,6 +28,7 @@ executes with zero recompiled automaton transitions on any backend.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from repro.baselines.datalog import evaluate_fixpoint
@@ -38,6 +39,7 @@ from repro.storage.paging import IOStatistics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine import Database
+    from repro.plan.options import ExecutionOptions
     from repro.plan.plan import QueryPlan
 
 __all__ = [
@@ -61,10 +63,9 @@ class ExecutionBackend:
         self,
         plan: "QueryPlan",
         database: "Database",
+        options: "ExecutionOptions",
         *,
         keep_true_predicates: bool = False,
-        temp_dir: str | None = None,
-        kernel: str | None = None,
     ) -> QueryResult:
         raise NotImplementedError
 
@@ -80,8 +81,7 @@ class MemoryBackend(ExecutionBackend):
     def can_execute(self, plan: "QueryPlan", database: "Database") -> bool:
         return True  # a disk database can always be materialised
 
-    def execute(self, plan, database, *, keep_true_predicates=False, temp_dir=None,
-                kernel=None):
+    def execute(self, plan, database, options, *, keep_true_predicates=False):
         plan.begin_run()
         evaluation = plan.evaluator.evaluate(
             database.binary_tree(), keep_true_predicates=keep_true_predicates
@@ -106,8 +106,7 @@ class DiskBackend(ExecutionBackend):
     def can_execute(self, plan: "QueryPlan", database: "Database") -> bool:
         return database.is_on_disk
 
-    def execute(self, plan, database, *, keep_true_predicates=False, temp_dir=None,
-                kernel=None):
+    def execute(self, plan, database, options, *, keep_true_predicates=False):
         if database.disk is None:
             raise EvaluationError("cannot force disk evaluation: database is in memory")
         if keep_true_predicates:
@@ -117,9 +116,7 @@ class DiskBackend(ExecutionBackend):
             )
         # A single query is a batch of one.  The planner's disk backend does
         # not consult the `.idx` sidecar.
-        result = evaluate_batch_on_disk(
-            [plan], database.disk, temp_dir=temp_dir, use_index=False, kernel=kernel
-        )[0]
+        result = evaluate_batch_on_disk([plan], database.disk, replace(options, use_index=False))[0]
         result.backend = self.name
         return result
 
@@ -132,8 +129,7 @@ class StreamingBackend(ExecutionBackend):
     def can_execute(self, plan: "QueryPlan", database: "Database") -> bool:
         return plan.streaming_query is not None
 
-    def execute(self, plan, database, *, keep_true_predicates=False, temp_dir=None,
-                kernel=None):
+    def execute(self, plan, database, options, *, keep_true_predicates=False):
         from repro.tree.xml_io import tree_to_sax_events
 
         engine = plan.streaming_engine
@@ -184,8 +180,7 @@ class FixpointBackend(ExecutionBackend):
     def can_execute(self, plan: "QueryPlan", database: "Database") -> bool:
         return True
 
-    def execute(self, plan, database, *, keep_true_predicates=False, temp_dir=None,
-                kernel=None):
+    def execute(self, plan, database, options, *, keep_true_predicates=False):
         stats = plan.begin_run()
         started = time.perf_counter()
         result = evaluate_fixpoint(plan.program, database.binary_tree())

@@ -15,7 +15,7 @@ proves.  A single query is a batch of one: the ``disk`` backend
 the "four bytes per node" state file of the paper.
 
 Two implementations of the scan pair exist, selected per call by
-``kernel=``:
+``options.kernel``:
 
 * the pure-Python loops below (:func:`_run_phase1`, :func:`_run_phase2`)
   are the *reference* and the only path without numpy, for unmemoised
@@ -65,6 +65,7 @@ from repro.core.two_phase import BOTTOM, EvaluationStatistics
 from repro.errors import EvaluationError
 import repro.plan.kernel as kernel_mod
 from repro.plan.memo import memo_for
+from repro.plan.options import ExecutionOptions
 from repro.plan.result import BatchQueryResult, QueryResult
 from repro.storage import pageindex
 from repro.storage.database import ArbDatabase
@@ -81,23 +82,16 @@ __all__ = ["evaluate_batch_on_disk"]
 def evaluate_batch_on_disk(
     plans: Sequence["QueryPlan"],
     database: ArbDatabase,
-    *,
-    temp_dir: str | None = None,
-    collect_selected_nodes: bool = True,
-    use_index: bool = True,
-    kernel: str | None = None,
+    options: ExecutionOptions = ExecutionOptions(),
 ) -> BatchQueryResult:
     """Evaluate ``plans`` over ``database`` with one backward + one forward scan.
 
-    ``use_index`` (default on) lets the scan pair skip pages through the
-    generation's ``.idx`` sidecar when one exists; answers are identical
-    either way, only ``pages_read`` shrinks.
-
-    ``kernel`` picks the lockstep implementation (``"numpy"``, ``"python"``
-    or ``"auto"``; default defers to ``REPRO_KERNEL``/auto-detect).  The
-    numpy kernel produces identical answers, statistics and I/O counters --
-    the differential suite ``tests/test_kernel_differential.py`` enforces
-    it the way buffered==mmap is enforced.
+    Of ``options`` this reads ``temp_dir``, ``collect_selected_nodes``,
+    ``use_index`` (skip pages through the generation's ``.idx`` sidecar when
+    one exists; answers are identical either way, only ``pages_read``
+    shrinks) and ``kernel`` (the numpy kernel produces identical answers,
+    statistics and I/O counters -- ``tests/test_kernel_differential.py``
+    enforces it the way buffered==mmap is enforced).
     """
     if not plans:
         raise EvaluationError("batch evaluation needs at least one query")
@@ -113,14 +107,14 @@ def evaluate_batch_on_disk(
     for plan in unique_plans:
         plan.begin_run()
 
-    skip = _compute_skip(plans, database) if use_index else None
-    runner = kernel_mod.batch_kernel(plans, database, skip, choice=kernel)
+    skip = _compute_skip(plans, database) if options.use_index else None
+    runner = kernel_mod.batch_kernel(plans, database, skip, choice=options.kernel)
 
     arb_io = IOStatistics()
     state_io = IOStatistics()
     entry_struct = struct.Struct(f">{len(plans)}I")
 
-    directory = temp_dir or os.path.dirname(os.path.abspath(database.arb_path)) or "."
+    directory = options.temp_dir or os.path.dirname(os.path.abspath(database.arb_path)) or "."
     handle = tempfile.NamedTemporaryFile(
         prefix=os.path.basename(database.base_path) + ".batchstate.",
         dir=directory,
@@ -141,12 +135,12 @@ def evaluate_batch_on_disk(
         started = time.perf_counter()
         if runner is not None:
             selected, counts, phase2_depth = runner.run_phase2(
-                state_path, entry_struct, arb_io, state_io, collect_selected_nodes
+                state_path, entry_struct, arb_io, state_io, options.collect_selected_nodes
             )
         else:
             selected, counts, phase2_depth = _run_phase2(
                 plans, database, state_path, entry_struct, arb_io, state_io,
-                collect_selected_nodes, skip,
+                options.collect_selected_nodes, skip,
             )
         phase2_seconds = time.perf_counter() - started
     finally:

@@ -3,9 +3,11 @@
 A :class:`~repro.plan.plan.QueryPlan` is *looked up* thread-safely through
 the :class:`~repro.plan.cache.PlanCache`, but it must never be *executed* by
 two threads at once: its evaluator memoises into shared hash tables and
-carries per-run statistics.  Every multi-threaded execution site -- the
-collection executor's thread pool, the query service's evaluation thread --
-therefore serialises executions per plan through the registry below.
+carries per-run statistics.  The one execution site of cached plans --
+:meth:`Database.execute_plans <repro.engine.Database.execute_plans>`, which
+``Database.query`` / ``query_many``, the collection shard workers and the
+query service all go through -- therefore serialises executions per plan
+through the registry below, whoever the caller and whatever its threads.
 
 The registry hands out one :class:`threading.Lock` per live plan without
 touching ``QueryPlan`` itself, which keeps plans picklable for the process

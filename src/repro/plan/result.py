@@ -65,6 +65,11 @@ class BatchQueryResult:
     the depth of the XML tree.  They are exact when nothing is skipped
     (``use_index=False``, or no usable ``.idx``); a scan that skips page runs
     sees only part of the tree, and they stay 0 off the disk path.
+
+    ``snapshot`` is the ``(generation, change_counter)`` of the on-disk
+    snapshot the answers were read from (``None`` for an in-memory
+    database): what a server must report as the reply's version, whatever
+    the handle has been refreshed to since.
     """
 
     results: list[QueryResult]
@@ -75,6 +80,7 @@ class BatchQueryResult:
     phase1_stack_depth: int = 0
     phase2_stack_depth: int = 0
     backend: str = "memory"
+    snapshot: tuple[int, int] | None = None
 
     @property
     def io(self) -> IOStatistics:

@@ -52,6 +52,10 @@ class ServiceResponse:
     #: document however many requests coalesced (shared object across the
     #: batch's responses, so aggregate it per batch, not per response).
     batch_arb_io: IOStatistics | None = None
+    #: ``(generation, change_counter)`` of the on-disk snapshot this answer
+    #: was read from (``None`` for in-memory and collection targets) -- not
+    #: necessarily what the target is pinned to by the time the reply is sent.
+    snapshot: tuple[int, int] | None = None
     #: Whether this request was answered by a retried single-request batch
     #: after its original shared batch failed (fault isolation path).
     isolated_retry: bool = False

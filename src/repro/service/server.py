@@ -27,9 +27,10 @@ commit and share its single WAL append / fsync pair.
 Replication ops
 ---------------
 On-disk database targets additionally speak the generation-shipping
-replication protocol (see :mod:`repro.replication`).  Query and update
-responses carry the served snapshot's ``generation`` and change
-``counter`` so routers and clients can reason about freshness, and three
+replication protocol (see :mod:`repro.replication`).  A query response
+carries the ``generation`` and change ``counter`` of the snapshot its answer
+was read from, an update response those it committed, so routers and
+clients can reason about freshness, and three
 ops drive the replication channel itself::
 
     {"op": "register_replica", "host": "127.0.0.1", "port": 9001}
@@ -109,7 +110,6 @@ def _response_payload(
     response: ServiceResponse,
     *,
     ids: bool,
-    version: tuple[int, int] | None = None,
 ) -> dict:
     arb_io = response.batch_arb_io
     payload = {
@@ -124,10 +124,11 @@ def _response_payload(
         "evaluation_seconds": round(response.evaluation_seconds, 6),
         "arb_pages_read": arb_io.pages_read if arb_io is not None else 0,
     }
-    if version is not None:
-        # The served snapshot's generation and change counter: the freshness
-        # signal routers use to fence stale replicas.
-        payload["generation"], payload["counter"] = version
+    if response.snapshot is not None:
+        # The generation and change counter of the snapshot this answer was
+        # read from (not of whatever the target has been refreshed to since):
+        # the freshness signal routers use to fence stale replicas.
+        payload["generation"], payload["counter"] = response.snapshot
     if ids:
         selected = response.selected_nodes()
         if not isinstance(selected, list):  # collection: per-document mapping
@@ -292,12 +293,7 @@ class ArbServer:
             language=message.get("language", "tmnf"),
             query_predicate=message.get("query_predicate"),
         )
-        return _response_payload(
-            request_id,
-            response,
-            ids=bool(message.get("ids")),
-            version=self._target_version(),
-        )
+        return _response_payload(request_id, response, ids=bool(message.get("ids")))
 
     # ------------------------------------------------------------------ #
     # Replication (generation shipping)

@@ -14,8 +14,8 @@ each paying their own.  :class:`QueryService` implements that window:
 * a single batcher task collects everything that arrives within
   ``window`` seconds (or up to ``max_batch`` requests, whichever comes
   first) and evaluates the whole batch with **one** call into the plan
-  layer -- :func:`~repro.plan.batch.evaluate_batch_on_disk` for an on-disk
-  database, :meth:`Collection.query_many` for a collection (one scan pair
+  dispatcher -- :meth:`Database.execute_plans` for a database (one scan
+  pair on disk), the collection executor for a collection (one scan pair
   *per document* for the whole batch, dispatched across the collection's
   shard executors);
 * the batch result is demultiplexed back to the callers: each gets its own
@@ -30,8 +30,8 @@ Compilation happens per request and evaluation errors are attached per
 future, so no request can poison another or wedge the batcher.
 
 Evaluation runs on a dedicated worker thread (the asyncio loop stays
-responsive while a batch scans), serialised per plan through
-:mod:`repro.plan.locks` like every other multi-threaded execution site.
+responsive while a batch scans); the plan dispatcher serialises it per plan
+against every other thread executing the same cached plans.
 """
 
 from __future__ import annotations
@@ -44,11 +44,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.collection.collection import Collection
+from repro.collection.executor import run_collection_query
 from repro.engine import Database
 from repro.errors import ServiceClosedError, ServiceError, ServiceOverloadedError
-from repro.plan.batch import evaluate_batch_on_disk
-from repro.plan.locks import plans_locked
-from repro.plan.planner import choose_backend
+from repro.plan.options import ExecutionOptions
 from repro.service.request import ServiceResponse, ServiceStats
 from repro.storage.paging import IOStatistics
 
@@ -99,6 +98,7 @@ class _Outcome:
     result: object | None = None
     error: BaseException | None = None
     arb_io: IOStatistics | None = None
+    snapshot: tuple[int, int] | None = None
     batch_size: int = 1
     batch_id: int = 0
     evaluation_seconds: float = 0.0
@@ -152,18 +152,15 @@ class QueryService:
         self.max_pending = max_pending
         self.write_window = write_window
         self.max_write_batch = max_write_batch
-        self.collect_selected_nodes = collect_selected_nodes
-        self.temp_dir = temp_dir
         self.n_workers = n_workers
         self.executor = executor
-        #: Scan path for collection shards (database targets carry their own
-        #: PagerConfig from Database.open); counters are mode-independent.
-        self.pager_mode = pager_mode
-        #: Whether coalesced batches may skip pages via `.idx` sidecars.
-        self.use_index = use_index
-        #: Lockstep automaton kernel for disk batches (numpy or pure Python;
-        #: identical answers and counters either way).
-        self.kernel = kernel
+        #: How every coalesced batch runs.  ``pager_mode`` only reaches
+        #: collection shards (a database target carries the PagerConfig it
+        #: was opened with); the engine is always the dispatcher's default.
+        self.options = ExecutionOptions(
+            temp_dir=temp_dir, collect_selected_nodes=collect_selected_nodes,
+            use_index=use_index, kernel=kernel, pager_mode=pager_mode,
+        )
         self.plan_cache = target.plan_cache
 
         self._stats = ServiceStats()
@@ -664,6 +661,7 @@ class QueryService:
                     queued_seconds=queued,
                     evaluation_seconds=outcome.evaluation_seconds,
                     batch_arb_io=outcome.arb_io,
+                    snapshot=outcome.snapshot,
                     isolated_retry=outcome.isolated_retry,
                 )
             )
@@ -672,18 +670,26 @@ class QueryService:
     # Batch evaluation (worker thread)
     # ------------------------------------------------------------------ #
 
-    def _evaluate_batch(self, batch: list[_Pending]) -> list[_Outcome]:
-        plans = [request.plan for request in batch]
+    def _evaluate_batch(self, batch: list[_Pending], *, isolated: bool = False) -> list[_Outcome]:
         started = time.perf_counter()
         try:
-            results, arb_io = self._execute(plans)
-        except Exception:
+            results, arb_io, snapshot = self._execute([request.plan for request in batch])
+        except Exception as exc:
+            if isolated:
+                return [
+                    _Outcome(
+                        error=exc,
+                        batch_id=self._assign_batch_id(),
+                        evaluation_seconds=time.perf_counter() - started,
+                        isolated_retry=True,
+                    )
+                ]
             # Error isolation: something in the *shared* evaluation raised.
-            # Re-run the batch one request at a time so only the poisoned
-            # request surfaces its error; its batch-mates pay an extra scan
-            # pair but still get clean answers.
+            # Re-run the batch one request at a time (each a batch of one) so
+            # only the poisoned request surfaces its error; its batch-mates
+            # pay an extra scan pair but still get clean answers.
             self._stats.isolation_retries += 1
-            return [self._evaluate_single(request) for request in batch]
+            return [self._evaluate_batch([request], isolated=True)[0] for request in batch]
         elapsed = time.perf_counter() - started
         self._record_batch(len(batch), arb_io, elapsed)
         batch_id = self._assign_batch_id()
@@ -691,34 +697,14 @@ class QueryService:
             _Outcome(
                 result=result,
                 arb_io=arb_io,
+                snapshot=snapshot,
                 batch_size=len(batch),
                 batch_id=batch_id,
                 evaluation_seconds=elapsed,
+                isolated_retry=isolated,
             )
             for result in results
         ]
-
-    def _evaluate_single(self, request: _Pending) -> _Outcome:
-        started = time.perf_counter()
-        try:
-            results, arb_io = self._execute([request.plan])
-        except Exception as exc:
-            return _Outcome(
-                error=exc,
-                batch_id=self._assign_batch_id(),
-                evaluation_seconds=time.perf_counter() - started,
-                isolated_retry=True,
-            )
-        elapsed = time.perf_counter() - started
-        self._record_batch(1, arb_io, elapsed)
-        return _Outcome(
-            result=results[0],
-            arb_io=arb_io,
-            batch_size=1,
-            batch_id=self._assign_batch_id(),
-            evaluation_seconds=elapsed,
-            isolated_retry=True,
-        )
 
     def _assign_batch_id(self) -> int:
         self._next_batch_id += 1
@@ -733,56 +719,23 @@ class QueryService:
             stats.coalesced_requests += size
         stats.arb_io.add(arb_io)  # in place: no dataclass churn per batch
 
-    def _execute(self, plans: list["QueryPlan"]) -> tuple[list, IOStatistics]:
-        """Evaluate ``plans`` together; returns per-plan results + batch I/O."""
-        if isinstance(self.target, Collection):
-            return self._execute_collection(plans)
-        return self._execute_database(plans)
-
-    def _execute_database(self, plans: list["QueryPlan"]) -> tuple[list, IOStatistics]:
-        database = self.target
-        if database.is_on_disk:
-            with plans_locked(plans):
-                batch = evaluate_batch_on_disk(
-                    plans,
-                    database.disk,
-                    temp_dir=self.temp_dir,
-                    collect_selected_nodes=self.collect_selected_nodes,
-                    use_index=self.use_index,
-                    kernel=self.kernel,
-                )
-            return list(batch.results), batch.arb_io
-        results = []
-        arb_io = IOStatistics()
-        with plans_locked(plans):
-            for plan in plans:
-                backend = choose_backend(plan, database)
-                result = backend.execute(plan, database, temp_dir=self.temp_dir,
-                                         kernel=self.kernel)
-                if not self.collect_selected_nodes:
-                    result.selected = {pred: [] for pred in result.selected}
-                if result.io is not None:
-                    arb_io.add(result.io)
-                results.append(result)
-        return results, arb_io
-
-    def _execute_collection(self, plans: list["QueryPlan"]) -> tuple[list, IOStatistics]:
-        collection = self.target
-        full = collection.query_many(
-            [plan.program for plan in plans],
-            n_workers=self.n_workers,
-            executor=self.executor,
-            collect_selected_nodes=self.collect_selected_nodes,
-            temp_dir=self.temp_dir,
-            pager_mode=self.pager_mode,
-            use_index=self.use_index,
-            kernel=self.kernel,
+    def _execute(self, plans: list["QueryPlan"]) -> tuple[list, IOStatistics, tuple | None]:
+        """Evaluate ``plans`` together: per-plan results, batch I/O, snapshot read."""
+        target = self.target
+        if isinstance(target, Database):
+            batch = target.execute_plans(plans, self.options)
+            return batch.results, batch.arb_io, batch.snapshot
+        full = run_collection_query(
+            target.documents, target.root, [plan.program for plan in plans],
+            cache=target.plan_cache, options=self.options,
+            n_workers=self.n_workers, executor=self.executor,
         )
         # Demultiplex the corpus-wide batch into per-request single-query
         # views; they share the batch's I/O counter objects, so idempotent
         # merges (CollectionQueryResult.merged) count each scan pair once.
+        # A collection versions per document, so the batch names no snapshot.
         views = [full.for_query(index) for index in range(len(plans))]
-        return views, full.arb_io
+        return views, full.arb_io, None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "running" if self._running else "stopped"

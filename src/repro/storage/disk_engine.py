@@ -30,7 +30,7 @@ index, and reports the result as a :class:`DiskEvaluationResult`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from repro.core.two_phase import EvaluationStatistics
@@ -82,11 +82,14 @@ class DiskQueryEngine:
     ):
         # Imported here, not at module level: repro.plan imports repro.storage
         # (whose package import loads this module) while it is initialising.
+        from repro.plan.options import ExecutionOptions
         from repro.plan.plan import QueryPlan
 
         self.program = program
-        self.collect_selected_nodes = collect_selected_nodes
-        self.kernel = kernel
+        # A single query through this facade never consults the `.idx` sidecar.
+        self._options = ExecutionOptions(
+            collect_selected_nodes=collect_selected_nodes, use_index=False, kernel=kernel
+        )
         self._plan = QueryPlan(program, memoize=memoize)
         self.core = self._plan.evaluator
 
@@ -98,14 +101,7 @@ class DiskQueryEngine:
         """
         from repro.plan.batch import evaluate_batch_on_disk
 
-        batch = evaluate_batch_on_disk(
-            [self._plan],
-            database,
-            temp_dir=temp_dir,
-            collect_selected_nodes=self.collect_selected_nodes,
-            use_index=False,
-            kernel=self.kernel,
-        )
+        batch = evaluate_batch_on_disk([self._plan], database, replace(self._options, temp_dir=temp_dir))
         result = batch[0]
         return DiskEvaluationResult(
             selected=result.selected,

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
-from repro.cli import main as cli_main
+from repro.cli import build_parser, main as cli_main
 
 DOCUMENT = "<library><book><title>ab</title></book><dvd/><book/></library>"
 BOOK_QUERY = "QUERY :- V.Label[book];"
@@ -95,3 +97,51 @@ def test_collection_query_missing_collection(tmp_path, capsys):
         "collection", "query", str(tmp_path / "nope"), "-q", BOOK_QUERY,
     ]) == 1
     assert "not a collection" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "subcommand, pager_help, no_index_help",
+    [
+        (
+            ["query"],
+            "page access mode for .arb scans: buffered reads through the shared buffer "
+            "pool, or zero-copy mmap (identical I/O counters either way)",
+            "ignore the .idx page-summary sidecar: force full scans even for selective "
+            "batches (identical answers)",
+        ),
+        (
+            ["collection", "query"],
+            "page access mode for per-document .arb scans",
+            "ignore .idx page-summary sidecars (identical answers)",
+        ),
+        (
+            ["serve"],
+            "page access mode for .arb scans of the served target",
+            "ignore .idx page-summary sidecars for served batches",
+        ),
+    ],
+)
+def test_execution_flags_are_the_same_on_every_subcommand(subcommand, pager_help, no_index_help):
+    """``--pager`` / ``--no-index`` / ``--kernel`` come from one helper; what
+    each subcommand's ``--help`` says about them is what it always said."""
+    parser = build_parser()
+    for name in subcommand:
+        (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = subparsers.choices[name]
+    flags = {action.dest: action for action in parser._actions}
+    described = [
+        (flags[dest].option_strings, flags[dest].choices, flags[dest].default, flags[dest].help)
+        for dest in ("pager", "no_index", "kernel")
+    ]
+    assert described == [
+        (["--pager"], ("buffered", "mmap"), None, pager_help),
+        (["--no-index"], None, False, no_index_help),
+        (
+            ["--kernel"], ("auto", "numpy", "python"), None,
+            "lockstep automaton kernel for disk scans: vectorised numpy or the pure-Python "
+            "loop (default: REPRO_KERNEL or auto-detect; identical answers and I/O counters)",
+        ),
+    ]
+    # Declared together, in this order, as at every release so far.
+    dests = [action.dest for action in parser._actions]
+    assert dests[dests.index("pager"):][:3] == ["pager", "no_index", "kernel"]

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import itertools
+import sys
+import threading
+
 import pytest
 
 from repro import Database, TMNFProgram
 from repro.cli import main as cli_main
+from repro.datasets.treebank import TAGS, generate_treebank
 from repro.errors import EvaluationError
 from repro.plan import PlanCache, QueryPlan, choose_backend, default_plan_cache
+from repro.plan.kernel import numpy_available
 from repro.storage.paging import IOStatistics
 from repro.tree.xml_io import parse_xml, tree_to_sax_events
 
@@ -289,6 +295,71 @@ class TestBatchEvaluation:
         database = _memory_database()
         with pytest.raises(EvaluationError):
             database.query_many([BOOK_QUERY], engine="disk")
+
+
+class TestSharedPlansAcrossThreads:
+    """``Database.query`` on several threads sharing one plan cache.
+
+    Every thread has its own ``Database.open`` of its own on-disk treebank
+    and steps through the same 150 *cold* XPath queries behind a barrier, so
+    all of them execute each freshly compiled plan at once.  Without the
+    dispatcher's per-plan locks the threads grow one evaluator's memo tables
+    concurrently: a run then dies with "dictionary changed size during
+    iteration" (CPython 3.11) or returns wrong answer sets (the two-thread
+    form of this scenario on other interpreters).  Six threads over
+    documents of staggered sizes make one thread finish while another is
+    still filling the tables in nearly every query, which is what makes the
+    unlocked code fail within the first few dozen queries rather than once
+    in a few hundred.
+    """
+
+    SIZES = (300, 500, 800, 1300, 2100, 3400)
+    QUERIES = [f"//{a}[{b}]//{c}" for a, b, c in itertools.product(TAGS, repeat=3)][:150]
+
+    def test_concurrent_queries_on_shared_cold_plans_are_correct(self, tmp_path):
+        kernel = "numpy" if numpy_available() else "python"
+        bases = []
+        for seed, size in enumerate(self.SIZES):
+            bases.append(str(tmp_path / f"treebank{seed}"))
+            Database.build(generate_treebank(size, seed=seed), bases[-1]).close()
+        shared = PlanCache()
+        barrier = threading.Barrier(len(bases))
+        answers = [[] for _ in bases]
+        errors = []
+
+        def worker(index: int) -> None:
+            database = Database.open(bases[index])
+            database.plan_cache = shared
+            try:
+                for query in self.QUERIES:
+                    barrier.wait()
+                    result = database.query(query, language="xpath", kernel=kernel)
+                    answers[index].append(result.selected_nodes())
+            except threading.BrokenBarrierError:
+                pass  # another thread failed first and reported it
+            except Exception as exc:
+                errors.append(exc)
+                barrier.abort()
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(bases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        for base, answered in zip(bases, answers):
+            reference = Database.open(base)
+            reference.plan_cache = PlanCache()
+            expected = [
+                reference.query(query, language="xpath", engine="memory").selected_nodes()
+                for query in self.QUERIES
+            ]
+            assert answered == expected
 
 
 class TestDirectDiskAccess:

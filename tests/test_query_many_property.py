@@ -11,15 +11,22 @@ exactly what
 The program generator draws rules freely from all four TMNF templates (as in
 ``test_property_equivalence``) so that up/down/local rule interactions are
 exercised inside the lockstep scan, not just label filters.
+
+The three entry points that execute a batch -- :meth:`Database.query_many`,
+:meth:`Collection.query_many` and :class:`QueryService` -- are one plan
+dispatcher behind three front doors, so over the same on-disk document they
+must agree on everything they report, whatever execution options are drawn;
+the two routing rules that *do* differ by caller are pinned at the end.
 """
 
 from __future__ import annotations
 
+import asyncio
 import tempfile
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import Database, DiskQueryEngine
+from repro import Collection, Database, DiskQueryEngine, QueryService
 from repro.baselines.datalog import evaluate_fixpoint
 from repro.plan import PlanCache
 from repro.plan.kernel import numpy_available
@@ -101,3 +108,95 @@ def _counters(statistics, io):
         statistics.td_states, statistics.nodes, statistics.selected,
         io.pages_read, io.bytes_read, io.bytes_written, io.seeks,
     )
+
+
+# --------------------------------------------------------------------------- #
+# One dispatcher behind three entry points
+# --------------------------------------------------------------------------- #
+
+
+def _served(database, queries, *, language="tmnf", **options):
+    """``queries`` through a QueryService as one coalesced batch."""
+
+    async def scenario():
+        service = QueryService(database, window=5.0, max_batch=len(queries), **options)
+        async with service:
+            return await asyncio.gather(
+                *(service.submit(query, language=language) for query in queries)
+            )
+
+    return asyncio.run(scenario())
+
+
+@given(
+    batch=st.lists(programs(), min_size=1, max_size=4),
+    tree=unranked_trees(),
+    engine=st.sampled_from((None, "disk", "memory")),
+    use_index=st.booleans(),
+    collect=st.booleans(),
+    kernel=st.sampled_from(KERNELS),
+)
+@settings(max_examples=25, **COMMON_SETTINGS)
+def test_database_collection_and_service_agree(batch, tree, engine, use_index, collect, kernel):
+    options = dict(collect_selected_nodes=collect, use_index=use_index, kernel=kernel)
+    with tempfile.TemporaryDirectory() as directory:
+        collection = Collection.create(f"{directory}/corpus", plan_cache=PlanCache())
+        doc_id = collection.add_document(tree).doc_id
+        database = collection.open_database(doc_id)
+        database.plan_cache = PlanCache()
+        direct = database.query_many(batch, engine=engine, **options)
+        sharded = collection.query_many(batch, engine=engine, **options).document(doc_id)
+        assert [r.selected for r in sharded.results] == [r.selected for r in direct]
+        assert [r.counts for r in sharded.results] == [r.counts for r in direct]
+        assert sharded.arb_io == direct.arb_io
+        assert sharded.state_file_bytes == direct.state_file_bytes
+        assert sharded.backend == direct.backend == ("memory" if engine == "memory" else "disk-batch")
+        if not collect:
+            assert all(nodes == [] for r in direct for nodes in r.selected.values())
+        if engine == "memory":
+            return  # the service has no engine keyword: it always takes the dispatcher's default
+        database.plan_cache = PlanCache()
+        responses = _served(database, batch, **options)
+        assert [r.result.selected for r in responses] == [r.selected for r in direct]
+        assert [r.result.counts for r in responses] == [r.counts for r in direct]
+        assert all(r.batch_size == len(batch) for r in responses)
+        assert all(r.batch_arb_io == direct.arb_io for r in responses)
+        # A lockstep result's ``io`` is the batch's `.arb` plus state-file I/O,
+        # so its written bytes are the state file the service does not report.
+        assert all(r.result.io.bytes_written == direct.state_file_bytes for r in responses)
+        assert all(r.result.backend == direct.backend for r in responses)
+        assert direct.snapshot is not None
+        assert all(r.snapshot == direct.snapshot for r in responses)
+
+
+def test_routing_rules_that_differ_by_caller_are_pinned():
+    """A lone streamable query: planner from ``Collection.query`` and
+    ``Database.query``, lockstep pair from ``Database.query_many`` and the
+    service; an explicit ``engine="disk"`` batches everywhere."""
+    streamable = "//book/title"
+    with tempfile.TemporaryDirectory() as directory:
+        collection = Collection.create(f"{directory}/corpus", plan_cache=PlanCache())
+        document = "<lib>" + "<book><title>ab</title></book><dvd/>" * 400 + "</lib>"
+        doc_id = collection.add_document(document).doc_id
+        database = collection.open_database(doc_id)
+
+        pair = database.query_many([streamable], language="xpath")
+        assert (pair.backend, pair.arb_io.seeks) == ("disk-batch", 2)
+        served = _served(database, [streamable], language="xpath")[0]
+        assert (served.result.backend, served.batch_arb_io) == ("disk-batch", pair.arb_io)
+
+        streamed = collection.query(streamable, language="xpath").document(doc_id)
+        assert (streamed.backend, streamed.arb_io.seeks) == ("streaming", 1)
+        # One forward scan instead of a scan pair: half the pages.
+        assert 2 * streamed.arb_io.pages_read == pair.arb_io.pages_read
+        assert streamed.state_file_bytes == 0
+        assert streamed.selected_nodes() == pair[0].selected_nodes()
+        single = database.query(streamable, language="xpath")
+        assert (single.backend, single.io) == ("streaming", streamed.arb_io)
+
+        forced = collection.query(streamable, language="xpath", engine="disk").document(doc_id)
+        assert (forced.backend, forced.arb_io) == ("disk-batch", pair.arb_io)
+        assert database.query_many([streamable], language="xpath", engine="disk").backend == "disk-batch"
+        # Two queries always batch, streamable or not.
+        both = collection.query_many([streamable, "//dvd"], language="xpath").document(doc_id)
+        assert (both.backend, both.arb_io) == ("disk-batch", pair.arb_io)

@@ -237,6 +237,39 @@ def test_register_replica_ships_catch_up_and_reports(tmp_path):
     assert replica_read["counter"] == update["counter"]
 
 
+def test_read_reply_names_the_snapshot_it_read(tmp_path):
+    """The reply's generation/counter belong to the answer, not to reply time.
+
+    An update that commits after a read was evaluated but before its payload
+    is built refreshes the served handle; the reply must still name the
+    snapshot its ids came from, or a router would credit a stale answer with
+    a fresh counter.
+    """
+    base, _ = _build_pair(tmp_path)
+
+    async def scenario():
+        async with ArbServer(_open_served(base)) as server:
+            before = await server._answer({"op": "replica_stats"}, 0)
+            submit = server.service.submit
+
+            async def submit_then_update(*args, **kwargs):
+                response = await submit(*args, **kwargs)
+                await server.service.apply(Relabel(2, "tome"))
+                return response
+
+            server.service.submit = submit_then_update
+            stale = await server._answer({"query": "//t", "language": "xpath", "ids": True}, 1)
+            server.service.submit = submit
+            fresh = await server._answer({"query": "//t", "language": "xpath", "ids": True}, 2)
+            return before, stale, fresh
+
+    before, stale, fresh = asyncio.run(scenario())
+    assert stale["selected"][""] == [2, 5]  # node 2 was still a <t> in that snapshot
+    assert (stale["generation"], stale["counter"]) == (before["generation"], before["counter"])
+    assert fresh["selected"][""] == [5]
+    assert fresh["counter"] > stale["counter"]
+
+
 def test_install_generation_wire_op_refreshes_served_snapshot(tmp_path):
     primary_base, _ = _build_pair(tmp_path)
     replica_base = _clone_base(primary_base, tmp_path / "r0")
