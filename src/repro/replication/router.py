@@ -1,9 +1,9 @@
 """``ArbRouter``: fan a JSON-lines query stream across replica servers.
 
 The router is the client-facing tier of the replication topology (``arb
-router``).  It speaks exactly the :mod:`repro.service.server` wire protocol
-on its listening port and forwards every line to one of the backend
-``ArbServer`` processes:
+router``).  It speaks exactly the :mod:`repro.wire` protocol on its
+listening port (the ops are :mod:`repro.service.server`'s) and forwards
+every line to one of the backend ``ArbServer`` processes:
 
 * **reads** (``query`` ops) go to a replica.  A request carrying a
   ``doc_id`` is routed by consistent hash
@@ -40,12 +40,15 @@ re-registered the same way when it comes back.
 from __future__ import annotations
 
 import asyncio
-import json
 
 from repro.errors import ServiceError
 from repro.replication.hashring import ConsistentHashRing
-from repro.replication.shipping import DEFAULT_STREAM_LIMIT
-from repro.storage.generations import atomic_write_text
+from repro.wire import (
+    DEFAULT_STREAM_LIMIT,
+    BackendUnavailableError,
+    LineClient,
+    LineServer,
+)
 
 __all__ = ["ArbRouter", "BackendUnavailableError", "route"]
 
@@ -57,22 +60,11 @@ DEFAULT_PING_INTERVAL = 0.5
 DEFAULT_REQUEST_TIMEOUT = 60.0
 
 
-class BackendUnavailableError(ServiceError):
-    """A backend connection failed; ``sent`` says whether the request left."""
-
-    def __init__(self, message: str, *, sent: bool):
-        self.sent = sent
-        super().__init__(message)
-
-
-class _Backend:
+class _Backend(LineClient):
     """One upstream ``ArbServer``: a multiplexed connection plus its health."""
 
     def __init__(self, host: str, port: int, *, stream_limit: int):
-        self.host = host
-        self.port = int(port)
-        self.name = f"{host}:{port}"
-        self.stream_limit = stream_limit
+        super().__init__(host, port, stream_limit=stream_limit)
         #: Transport-level availability (connection up or presumed
         #: re-openable) and replication-level freshness (a fenced replica is
         #: alive but behind the primary, so reads must not see it).
@@ -81,118 +73,7 @@ class _Backend:
         #: The change counter the backend last reported via replica_stats.
         self.counter = 0
         self.generation = 0
-        self.requests = 0
         self.failures = 0
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-        self._read_task: asyncio.Task | None = None
-        self._pending: dict[int, asyncio.Future] = {}
-        self._next_id = 0
-        self._send_lock = asyncio.Lock()
-
-    # -- connection management ---------------------------------------- #
-
-    async def _ensure_connected(self) -> None:
-        if (
-            self._writer is not None
-            and not self._writer.is_closing()
-            # A dead read loop means replies can never arrive on this
-            # connection, even if the transport still accepts writes --
-            # a request sent over it would hang on its future.
-            and self._read_task is not None
-            and not self._read_task.done()
-        ):
-            return
-        await self._teardown()
-        try:
-            self._reader, self._writer = await asyncio.open_connection(
-                self.host, self.port, limit=self.stream_limit
-            )
-        except OSError as error:
-            raise BackendUnavailableError(
-                f"backend {self.name} is unreachable: {error}", sent=False
-            ) from error
-        self._read_task = asyncio.ensure_future(self._read_loop())
-
-    async def _read_loop(self) -> None:
-        reader = self._reader
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                try:
-                    payload = json.loads(line)
-                except ValueError:
-                    continue  # a torn line cannot name a pending future
-                future = self._pending.pop(payload.get("id"), None)
-                if future is not None and not future.done():
-                    future.set_result(payload)
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            self._fail_pending(f"backend {self.name} dropped the connection")
-
-    def _fail_pending(self, reason: str) -> None:
-        pending, self._pending = self._pending, {}
-        for future in pending.values():
-            if not future.done():
-                future.set_exception(BackendUnavailableError(reason, sent=True))
-
-    async def _teardown(self) -> None:
-        if self._read_task is not None:
-            self._read_task.cancel()
-            try:
-                await self._read_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._read_task = None
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            self._writer = None
-            self._reader = None
-        self._fail_pending(f"backend {self.name} connection closed")
-
-    async def close(self) -> None:
-        await self._teardown()
-
-    # -- requests ------------------------------------------------------ #
-
-    async def request(
-        self, message: dict, *, timeout: float | None = DEFAULT_REQUEST_TIMEOUT
-    ) -> dict:
-        """Forward ``message`` (ids are rewritten) and await its reply."""
-        async with self._send_lock:
-            await self._ensure_connected()
-            wire_id = self._next_id
-            self._next_id += 1
-            future = asyncio.get_running_loop().create_future()
-            self._pending[wire_id] = future
-            outgoing = dict(message)
-            outgoing["id"] = wire_id
-            try:
-                self._writer.write(json.dumps(outgoing).encode("utf-8") + b"\n")
-                await self._writer.drain()
-            except (ConnectionError, OSError) as error:
-                self._pending.pop(wire_id, None)
-                await self._teardown()
-                raise BackendUnavailableError(
-                    f"backend {self.name} refused the request: {error}", sent=False
-                ) from error
-        self.requests += 1
-        try:
-            if timeout is None:
-                return await future
-            return await asyncio.wait_for(future, timeout)
-        except (asyncio.TimeoutError, TimeoutError):
-            self._pending.pop(wire_id, None)
-            raise BackendUnavailableError(
-                f"backend {self.name} did not answer within {timeout}s", sent=True
-            ) from None
 
     def as_row(self) -> dict:
         return {
@@ -206,7 +87,7 @@ class _Backend:
         }
 
 
-class ArbRouter:
+class ArbRouter(LineServer):
     """A consistent-hash / round-robin front door over replica servers."""
 
     def __init__(
@@ -221,12 +102,10 @@ class ArbRouter:
         register_replicas: bool = True,
         stream_limit: int = DEFAULT_STREAM_LIMIT,
     ):
-        self.host = host
-        self.port = port
+        super().__init__(self._dispatch, host=host, port=port, stream_limit=stream_limit)
         self.ping_interval = ping_interval
         self.request_timeout = request_timeout
         self.register_replicas = register_replicas
-        self.stream_limit = stream_limit
         self.primary = _Backend(*primary, stream_limit=stream_limit)
         self._replicas = [
             _Backend(*replica, stream_limit=stream_limit) for replica in replicas
@@ -237,54 +116,29 @@ class ArbRouter:
         self._by_name = {backend.name: backend for backend in self._replicas}
         self._round_robin = 0
         self._primary_counter = 0
-        self._server: asyncio.AbstractServer | None = None
         self._health_task: asyncio.Task | None = None
         self._retries = 0
 
     # -- lifecycle ------------------------------------------------------ #
 
     async def start(self) -> tuple[str, int]:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=self.stream_limit
-        )
-        self.host, self.port = self._server.sockets[0].getsockname()[:2]
+        await super().start()
         if self.register_replicas:
-            await self._register_all()
+            for backend in self._replicas:
+                await self._register_one(backend)
         self._health_task = asyncio.ensure_future(self._health_loop())
         return self.host, self.port
 
     async def stop(self) -> None:
         if self._health_task is not None:
             self._health_task.cancel()
-            try:
-                await self._health_task
-            except asyncio.CancelledError:
-                pass
+            await asyncio.gather(self._health_task, return_exceptions=True)
             self._health_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await super().stop()
         for backend in [*self._replicas, self.primary]:
             await backend.close()
 
-    async def __aenter__(self) -> "ArbRouter":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.stop()
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            raise ServiceError("router is not started")
-        await self._server.serve_forever()
-
     # -- registration and health ---------------------------------------- #
-
-    async def _register_all(self) -> None:
-        for backend in self._replicas:
-            await self._register_one(backend)
 
     async def _register_one(self, backend: _Backend) -> bool:
         """Tell the primary to ship to ``backend`` (catch-up included)."""
@@ -455,9 +309,8 @@ class ArbRouter:
             self._retries += 1
             return await self.primary.request(message, timeout=self.request_timeout)
 
-    def _router_stats(self, request_id) -> dict:
+    def _router_stats(self) -> dict:
         return {
-            "id": request_id,
             "ok": True,
             "router": True,
             "primary": self.primary.as_row(),
@@ -466,93 +319,26 @@ class ArbRouter:
             "retries": self._retries,
         }
 
-    # -- the client-facing listener -------------------------------------- #
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        write_lock = asyncio.Lock()
-        #: Per-connection burst pinning: all requests in flight together ride
-        #: one replica, so a client burst coalesces there into one scan pair.
-        state: dict = {"pinned": None, "inflight": 0}
-        tasks: set[asyncio.Task] = set()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ConnectionError, OSError):
-                    break
-                if not line:
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                task = asyncio.ensure_future(
-                    self._handle_line(line, writer, write_lock, state)
-                )
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-        finally:
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover - client gone
-                pass
-
-    async def _handle_line(
-        self,
-        line: bytes,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        state: dict,
-    ) -> None:
-        request_id = None
-        try:
-            message = json.loads(line)
-            request_id = message.get("id")
-            payload = await self._dispatch(message, state)
-            payload["id"] = request_id
-        except ServiceError as error:
-            payload = {
-                "id": request_id,
-                "ok": False,
-                "error": str(error),
-                "error_type": type(error).__name__,
-            }
-        except Exception as error:  # malformed JSON, bad field types, ...
-            payload = {
-                "id": request_id,
-                "ok": False,
-                "error": f"bad request: {error}",
-                "error_type": type(error).__name__,
-            }
-        async with write_lock:
-            writer.write(json.dumps(payload).encode("utf-8") + b"\n")
-            try:
-                await writer.drain()
-            except (ConnectionError, OSError):  # pragma: no cover - client gone
-                pass
-
     async def _dispatch(self, message: dict, state: dict) -> dict:
         op = message.get("op", "query")
         if op == "ping":
             return {"ok": True, "pong": True, "router": True}
         if op == "router_stats":
-            return self._router_stats(message.get("id"))
-        forwarded = dict(message)
+            return self._router_stats()
         if op == "query":
-            # A new burst starts when the connection goes idle->busy; every
-            # request admitted while others are in flight shares the pin.
-            if state["inflight"] == 0:
+            # Per-connection burst pinning: all requests in flight together
+            # ride one replica, so a client burst coalesces there into one
+            # scan pair.  A new burst starts when the connection goes
+            # idle->busy; every request admitted while others are in flight
+            # shares the pin.
+            if not state.get("inflight"):
                 state["pinned"] = None
-            state["inflight"] += 1
+            state["inflight"] = state.get("inflight", 0) + 1
             try:
-                return await self._route_read(forwarded, state)
+                return await self._route_read(message, state)
             finally:
                 state["inflight"] -= 1
-        return await self._route_primary(forwarded)
+        return await self._route_primary(message)
 
 
 async def route(
@@ -570,18 +356,5 @@ async def route(
     written ``host port`` line once the listener is bound.
     """
     router = ArbRouter(primary, replicas, host=host, port=port, **options)
-    bound_host, bound_port = await router.start()
-    print(
-        f"arb router: listening on {bound_host}:{bound_port} "
-        f"(primary {router.primary.name}, "
-        f"{len(router._replicas)} replicas)",
-        flush=True,
-    )
-    if ready_file:
-        atomic_write_text(ready_file, f"{bound_host} {bound_port}\n")
-    try:
-        await router.serve_forever()
-    except asyncio.CancelledError:  # pragma: no cover - interactive shutdown
-        pass
-    finally:
-        await router.stop()
+    detail = f" (primary {router.primary.name}, {len(router._replicas)} replicas)"
+    await router.run("arb router", ready_file, detail)

@@ -29,11 +29,11 @@ catches the replica up.
 from __future__ import annotations
 
 import asyncio
-import json
 from dataclasses import dataclass
 
 from repro.errors import ServiceError
 from repro.storage.generations import export_generation
+from repro.wire import DEFAULT_STREAM_LIMIT, LineClient
 
 __all__ = [
     "DEFAULT_SHIP_TIMEOUT",
@@ -42,11 +42,6 @@ __all__ = [
     "ReplicaSet",
     "ship_snapshot",
 ]
-
-#: StreamReader buffer limit for replication-capable connections.  The
-#: default asyncio limit (64 KiB) is far too small for a JSON line carrying
-#: a base64-encoded generation; servers and shipping clients both raise it.
-DEFAULT_STREAM_LIMIT = 256 * 1024 * 1024
 
 #: How long one replica may take to install a shipped generation.
 DEFAULT_SHIP_TIMEOUT = 60.0
@@ -62,40 +57,22 @@ async def ship_snapshot(
     """Send one generation snapshot to one replica server; its ack payload.
 
     Raises :class:`~repro.errors.ServiceError` when the replica is
-    unreachable, closes mid-install, or refuses the snapshot.
+    unreachable, closes mid-install, answers something that is not a reply,
+    or refuses the snapshot.
     """
+    client = LineClient(host, port)
     try:
-        reader, writer = await asyncio.open_connection(
-            host, port, limit=DEFAULT_STREAM_LIMIT
+        reply = await client.request(
+            {"op": "install_generation", "snapshot": snapshot}, timeout=timeout
         )
-    except OSError as error:
-        raise ServiceError(f"replica {host}:{port} is unreachable: {error}") from error
-    try:
-        message = {"op": "install_generation", "snapshot": snapshot}
-        writer.write(json.dumps(message).encode("utf-8") + b"\n")
-        await writer.drain()
-        line = await asyncio.wait_for(reader.readline(), timeout)
-        if not line:
-            raise ServiceError(
-                f"replica {host}:{port} closed the connection mid-install"
-            )
-        reply = json.loads(line)
-        if not reply.get("ok"):
-            raise ServiceError(
-                f"replica {host}:{port} refused the generation: "
-                f"{reply.get('error', 'unknown error')}"
-            )
-        return reply
-    except (ConnectionError, OSError, asyncio.TimeoutError, TimeoutError) as error:
-        raise ServiceError(
-            f"shipping to replica {host}:{port} failed: {error!r}"
-        ) from error
     finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):  # pragma: no cover - replica gone
-            pass
+        await client.close()
+    if not reply.get("ok"):
+        raise ServiceError(
+            f"replica {host}:{port} refused the generation: "
+            f"{reply.get('error', 'unknown error')}"
+        )
+    return reply
 
 
 @dataclass

@@ -6,7 +6,8 @@ the batch entry points of the plan layer -- so N concurrent clients on one
 document cost one backward + one forward scan of its `.arb` file, the
 paper's k-independence guarantee turned into serving amortisation.  See
 :mod:`repro.service.service` for the coalescing/fault-isolation machinery
-and :mod:`repro.service.server` for the ``arb serve`` TCP front end.
+and :mod:`repro.service.server` for the ops of ``arb serve`` (the wire
+they travel on is :mod:`repro.wire`).
 """
 
 from repro.service.request import ServiceResponse, ServiceStats

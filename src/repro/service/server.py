@@ -1,7 +1,7 @@
-"""A line-delimited JSON front end for :class:`QueryService` (``arb serve``).
+"""The ops of ``arb serve``: a :class:`QueryService` behind the JSON-lines wire.
 
-The wire protocol is deliberately small: one JSON object per line in each
-direction.  Requests::
+Framing, id echo, error envelopes and the stream limit belong to
+:mod:`repro.wire`; this module is the op catalogue.  Requests::
 
     {"id": 7, "query": "QUERY :- V.Label[b];"}
     {"id": 8, "query": "//b", "language": "xpath", "ids": true}
@@ -10,19 +10,18 @@ direction.  Requests::
     {"op": "stats"}
     {"op": "ping"}
 
-Responses echo ``id`` and carry either the answer or a clean error::
+A query is answered with its count and the telemetry of the batch it rode::
 
     {"id": 7, "ok": true, "count": 3, "batch_size": 5, "coalesced": true,
      "plan_cache_hit": true, "arb_pages_read": 12, ...}
-    {"id": 8, "ok": false, "error": "line 1: ...", "error_type": "TMNFSyntaxError"}
 
-Every request line is handled as its own task, so the many in-flight
-requests of one connection (and of concurrent connections) coalesce into
-shared scan pairs exactly like in-process callers -- the server is a thin
-demultiplexer over one :class:`QueryService`.  The same holds for
-``update`` requests when the service runs with a positive write window
-(``arb serve --write-window``): concurrent update lines ride one group
-commit and share its single WAL append / fsync pair.
+The wire hands over every request line as its own task, so the in-flight
+requests of all connections coalesce into shared scan pairs exactly like
+in-process callers -- the server is a thin demultiplexer over one
+:class:`QueryService`.  The same holds for ``update`` requests when the
+service runs with a positive write window (``arb serve --write-window``):
+concurrent update lines ride one group commit and share its single WAL
+append / fsync pair.
 
 Replication ops
 ---------------
@@ -65,21 +64,18 @@ and fencing signal.
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 
 from repro.collection.collection import Collection
 from repro.collection.manifest import MANIFEST_NAME
 from repro.engine import Database
 from repro.errors import ReproError, ServiceClosedError, ServiceError
-from repro.replication.shipping import DEFAULT_STREAM_LIMIT, ReplicaSet
+from repro.replication.shipping import ReplicaSet
 from repro.service.request import ServiceResponse
 from repro.service.service import QueryService
 from repro.storage.bufferpool import resolve_pager
-from repro.storage.generations import (
-    atomic_write_text,
-    install_generation,
-)
+from repro.storage.generations import install_generation
+from repro.wire import DEFAULT_STREAM_LIMIT, LineServer, request_many
 
 __all__ = ["ArbServer", "open_target", "request_many", "serve"]
 
@@ -105,15 +101,9 @@ def open_target(path: str, pager_mode: str | None = None) -> Database | Collecti
     return Database.open(path, pager=resolve_pager(pager_mode))
 
 
-def _response_payload(
-    request_id,
-    response: ServiceResponse,
-    *,
-    ids: bool,
-) -> dict:
+def _response_payload(response: ServiceResponse, *, ids: bool) -> dict:
     arb_io = response.batch_arb_io
     payload = {
-        "id": request_id,
         "ok": True,
         "count": response.count(),
         "batch_size": response.batch_size,
@@ -138,7 +128,7 @@ def _response_payload(
     return payload
 
 
-class ArbServer:
+class ArbServer(LineServer):
     """Serve a :class:`QueryService` over TCP with the JSON-lines protocol."""
 
     def __init__(
@@ -156,133 +146,41 @@ class ArbServer:
                 f"replication_mode must be 'async' or 'sync', "
                 f"not {replication_mode!r}"
             )
+        super().__init__(self._answer, host=host, port=port, stream_limit=stream_limit)
         self.service = QueryService(target, **service_options)
-        self.host = host
-        self.port = port
         self.replication_mode = replication_mode
-        self.stream_limit = stream_limit
         #: Replicas registered through ``register_replica``; empty until a
         #: router (or operator) makes this server a primary.
         self.replicas = ReplicaSet()
         self._ship_tasks: set[asyncio.Task] = set()
-        self._server: asyncio.AbstractServer | None = None
 
     async def start(self) -> tuple[str, int]:
         """Start service + listener; returns the bound ``(host, port)``."""
         await self.service.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=self.stream_limit
-        )
-        self.host, self.port = self._server.sockets[0].getsockname()[:2]
-        return self.host, self.port
+        return await super().start()
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await super().stop()
         if self._ship_tasks:
             # Let async generation ships finish: a replica must not miss the
             # last committed generation just because the primary shut down.
             await asyncio.gather(*self._ship_tasks, return_exceptions=True)
         await self.service.stop()
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            raise ServiceError("server is not started")
-        await self._server.serve_forever()
-
-    async def __aenter__(self) -> "ArbServer":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.stop()
-
-    # ------------------------------------------------------------------ #
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        write_lock = asyncio.Lock()
-        tasks: set[asyncio.Task] = set()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ConnectionError, OSError):  # abnormal disconnect
-                    break
-                if not line:
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                # One task per request line: later lines must not wait for
-                # earlier answers, or they could never share a window.
-                task = asyncio.ensure_future(
-                    self._handle_line(line, writer, write_lock)
-                )
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-        finally:
-            # Let in-flight requests finish (their writes fail quietly if the
-            # client is gone) before closing; abandoning them would leak
-            # exceptions into asyncio's default handler.
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover - client gone
-                pass
-
-    async def _handle_line(
-        self, line: bytes, writer: asyncio.StreamWriter, write_lock: asyncio.Lock
-    ) -> None:
-        request_id = None
-        try:
-            message = json.loads(line)
-            request_id = message.get("id")
-            payload = await self._answer(message, request_id)
-        except ReproError as error:
-            payload = {
-                "id": request_id,
-                "ok": False,
-                "error": str(error),
-                "error_type": type(error).__name__,
-            }
-        except Exception as error:  # malformed JSON, bad field types, ...
-            payload = {
-                "id": request_id,
-                "ok": False,
-                "error": f"bad request: {error}",
-                "error_type": type(error).__name__,
-            }
-        async with write_lock:
-            writer.write(json.dumps(payload).encode("utf-8") + b"\n")
-            try:
-                await writer.drain()
-            except (ConnectionError, OSError):  # pragma: no cover - client gone
-                pass
-
-    async def _answer(self, message: dict, request_id) -> dict:
+    async def _answer(self, message: dict, state=None) -> dict:
         op = message.get("op", "query")
         if op == "ping":
-            return {"id": request_id, "ok": True, "pong": True}
+            return {"ok": True, "pong": True}
         if op == "stats":
-            return {
-                "id": request_id,
-                "ok": True,
-                "stats": self.service.stats().as_row(),
-            }
+            return {"ok": True, "stats": self.service.stats().as_row()}
         if op == "update":
-            return await self._answer_update(message, request_id)
+            return await self._answer_update(message)
         if op == "register_replica":
-            return await self._answer_register_replica(message, request_id)
+            return await self._answer_register_replica(message)
         if op == "install_generation":
-            return await self._answer_install_generation(message, request_id)
+            return await self._answer_install_generation(message)
         if op == "replica_stats":
-            return self._answer_replica_stats(request_id)
+            return self._answer_replica_stats()
         if op != "query":
             raise ServiceError(f"unknown op {op!r}")
         query = message.get("query")
@@ -293,7 +191,7 @@ class ArbServer:
             language=message.get("language", "tmnf"),
             query_predicate=message.get("query_predicate"),
         )
-        return _response_payload(request_id, response, ids=bool(message.get("ids")))
+        return _response_payload(response, ids=bool(message.get("ids")))
 
     # ------------------------------------------------------------------ #
     # Replication (generation shipping)
@@ -320,7 +218,7 @@ class ArbServer:
             "to ship)"
         )
 
-    async def _answer_register_replica(self, message: dict, request_id) -> dict:
+    async def _answer_register_replica(self, message: dict) -> dict:
         host = message.get("host")
         port = message.get("port")
         if not isinstance(host, str) or not isinstance(port, int):
@@ -333,14 +231,9 @@ class ArbServer:
         # generation immediately.  Installation is idempotent on the replica,
         # so a router can re-register a lagging replica to force a catch-up.
         report = await self.replicas.ship_current(base_path, only=(host, port))
-        return {
-            "id": request_id,
-            "ok": True,
-            "registered": len(self.replicas),
-            "ship": report,
-        }
+        return {"ok": True, "registered": len(self.replicas), "ship": report}
 
-    async def _answer_install_generation(self, message: dict, request_id) -> dict:
+    async def _answer_install_generation(self, message: dict) -> dict:
         snapshot = message.get("snapshot")
         if not isinstance(snapshot, dict):
             raise ServiceError("install_generation needs a 'snapshot' object")
@@ -354,14 +247,13 @@ class ArbServer:
         )
         generation, counter = await self.service.refresh_target()
         return {
-            "id": request_id,
             "ok": True,
             "installed": bool(result.get("installed")),
             "generation": generation,
             "counter": counter,
         }
 
-    def _answer_replica_stats(self, request_id) -> dict:
+    def _answer_replica_stats(self) -> dict:
         if not self.service.is_running:
             # A stopping server must not advertise itself as a healthy
             # replica: routers use this op as the health/fencing probe.
@@ -369,7 +261,6 @@ class ArbServer:
         version = self._target_version()
         generation, counter = version if version is not None else (0, 0)
         return {
-            "id": request_id,
             "ok": True,
             "generation": generation,
             "counter": counter,
@@ -391,7 +282,7 @@ class ArbServer:
         except ReproError:  # per-replica errors are already recorded;
             pass  # an export error must not leak into asyncio's handler
 
-    async def _answer_update(self, message: dict, request_id) -> dict:
+    async def _answer_update(self, message: dict) -> dict:
         from repro.storage.update import op_from_spec
 
         specs = message.get("ops")
@@ -407,7 +298,6 @@ class ArbServer:
         # a sequence); a coalesced window returns the group's shared one.
         last = result[-1] if isinstance(result, list) else result
         payload = {
-            "id": request_id,
             "ok": True,
             "generation": last.new_generation,
             "counter": last.counter,
@@ -437,84 +327,8 @@ async def serve(
 ) -> None:
     """Open ``target_path`` and serve it until cancelled (``arb serve``).
 
-    ``ready_file``, when given, receives one line ``host port`` once the
-    listener is bound -- the hook scripts and tests use to discover an
-    ephemeral port.  It is written atomically (temp file + rename): an
-    in-place write would let a polling watcher read the file *between*
-    create and write and see it empty, or -- re-announcing after a restart
-    -- see a torn mix of old and new endpoint.
+    ``ready_file`` is :meth:`repro.wire.LineServer.run`'s.
     """
     target = open_target(target_path, pager_mode=service_options.get("pager_mode"))
     server = ArbServer(target, host=host, port=port, **service_options)
-    bound_host, bound_port = await server.start()
-    print(f"arb serve: listening on {bound_host}:{bound_port}", flush=True)
-    if ready_file:
-        atomic_write_text(ready_file, f"{bound_host} {bound_port}\n")
-    try:
-        await server.serve_forever()
-    except asyncio.CancelledError:  # pragma: no cover - interactive shutdown
-        pass
-    finally:
-        await server.stop()
-
-
-async def request_many(
-    host: str,
-    port: int,
-    messages: list[dict],
-) -> list[dict]:
-    """Send ``messages`` concurrently over one connection; answers by ``id``.
-
-    Each message gets an ``id`` (its list index) if it has none; the returned
-    list is aligned with the input order whatever order the server answered
-    in.  This is the client used by ``arb client`` and the smoke tests.
-    """
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        # Wire ids are the list indices -- always unique, so a duplicate or
-        # colliding caller-supplied id can never make two answers land on one
-        # key (which would hang the read loop below).  The caller's own id is
-        # restored on the way out.
-        prepared = []
-        for index, message in enumerate(messages):
-            message = dict(message)
-            message["id"] = index
-            prepared.append(message)
-        # Send everything up front so the server can coalesce the burst.
-        for message in prepared:
-            writer.write(json.dumps(message).encode("utf-8") + b"\n")
-        await writer.drain()
-        answers: dict[int, dict] = {}
-        while len(answers) < len(prepared):
-            line = await reader.readline()
-            if not line:
-                raise ServiceError("server closed the connection mid-burst")
-            payload = json.loads(line)
-            # A reply must name one of the ids still outstanding.  An id-less
-            # reply (the server failed before it could parse the id -- e.g. a
-            # malformed line corrupted the stream) or an alien id would
-            # otherwise be buried under a wrong key and hang this loop on the
-            # missing answer; surface it as a clean protocol error instead.
-            reply_id = payload.get("id")
-            if not isinstance(reply_id, int) or not (
-                0 <= reply_id < len(prepared) and reply_id not in answers
-            ):
-                detail = payload.get("error") or json.dumps(payload)
-                raise ServiceError(
-                    f"server sent an unsolicited or id-less reply "
-                    f"(id={reply_id!r}): {detail}"
-                )
-            answers[reply_id] = payload
-        ordered = []
-        for index, message in enumerate(messages):
-            payload = answers[index]
-            if "id" in message:
-                payload["id"] = message["id"]
-            ordered.append(payload)
-        return ordered
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):  # pragma: no cover - server gone
-            pass
+    await server.run("arb serve", ready_file)

@@ -147,32 +147,6 @@ def test_inprocess_server_protocol(tmp_path):
     assert stats["stats"]["batches"] == 1
 
 
-@pytest.mark.timeout(30)
-def test_request_many_survives_colliding_client_ids(tmp_path):
-    """Caller ids that collide with the wire defaults must not hang the client."""
-    import asyncio
-
-    from repro.service import ArbServer, request_many
-
-    base = str(tmp_path / "doc")
-    build_database(DOCUMENT, base)
-    database = Database.open(base)
-    database.plan_cache = PlanCache()
-
-    async def main():
-        async with ArbServer(database, window=0.02) as server:
-            return await request_many(server.host, server.port, [
-                {"query": "QUERY :- V.Label[book];"},
-                {"query": "QUERY :- V.Label[dvd];", "id": 0},  # collides
-                {"query": "QUERY :- V.Label[t];", "id": 0},    # twice
-            ])
-
-    books, dvds, titles = asyncio.run(main())
-    assert (books["count"], dvds["count"], titles["count"]) == (2, 1, 2)
-    # The caller's ids are echoed back, the anonymous one keeps its index.
-    assert (books["id"], dvds["id"], titles["id"]) == (0, 0, 0)
-
-
 @pytest.mark.timeout(60)
 def test_inprocess_server_collection_target(tmp_path):
     import asyncio

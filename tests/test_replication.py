@@ -2,9 +2,9 @@
 
 Covers the consistent-hash ring, the export/install snapshot round-trip,
 the primary's replication wire ops, the router's routing and failover
-behaviour, and the service-layer bugfixes that rode along (id-less reply
-handling in ``request_many``, the ``open_target`` directory diagnostic).
-The multi-process kill/restart soak lives in ``test_replication_soak.py``.
+behaviour, and the ``open_target`` directory diagnostic that rode along.
+The multi-process kill/restart soak lives in ``test_replication_soak.py``;
+the wire contract (framing, ids, ``request_many``) in ``test_wire.py``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import asyncio
 import base64
 import glob
-import json
 import shutil
 
 import pytest
@@ -483,57 +482,6 @@ def test_router_serves_reads_from_primary_when_all_replicas_die(tmp_path):
 # --------------------------------------------------------------------- #
 # Service-layer bugfix regressions (satellites)
 # --------------------------------------------------------------------- #
-
-
-def test_request_many_surfaces_idless_replies_as_service_error(tmp_path):
-    """A reply without a usable id must raise, not hang under a None key.
-
-    Regression: the read loop stored replies under ``payload.get("id")``;
-    an id-less error reply (e.g. the server answering a malformed line)
-    landed under ``None`` and either KeyError'd the reorder or hung the
-    loop waiting for an answer that already arrived.
-    """
-
-    async def scenario():
-        async def fake_server(reader, writer):
-            await reader.readline()
-            # An id-less error reply, as sent for an unparseable line.
-            writer.write(
-                json.dumps({"ok": False, "error": "bad line"}).encode() + b"\n"
-            )
-            await writer.drain()
-            writer.close()
-
-        server = await asyncio.start_server(fake_server, "127.0.0.1", 0)
-        host, port = server.sockets[0].getsockname()[:2]
-        try:
-            with pytest.raises(ServiceError, match="id-less"):
-                await request_many(host, port, [{"query": "//book"}])
-        finally:
-            server.close()
-            await server.wait_closed()
-
-    asyncio.run(scenario())
-
-
-def test_request_many_rejects_unsolicited_ids(tmp_path):
-    async def scenario():
-        async def fake_server(reader, writer):
-            await reader.readline()
-            writer.write(json.dumps({"id": 999, "ok": True}).encode() + b"\n")
-            await writer.drain()
-            writer.close()
-
-        server = await asyncio.start_server(fake_server, "127.0.0.1", 0)
-        host, port = server.sockets[0].getsockname()[:2]
-        try:
-            with pytest.raises(ServiceError, match="unsolicited"):
-                await request_many(host, port, [{"query": "//book"}])
-        finally:
-            server.close()
-            await server.wait_closed()
-
-    asyncio.run(scenario())
 
 
 def test_open_target_directory_without_manifest_is_diagnosed(tmp_path):
