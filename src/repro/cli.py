@@ -73,6 +73,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import json
 import os
 import sys
 
@@ -83,6 +84,13 @@ from repro.plan.kernel import KERNEL_CHOICES
 from repro.storage.build import build_database
 from repro.storage.bufferpool import resolve_pager
 from repro.storage.database import ArbDatabase
+from repro.storage.update import (
+    DeleteSubtree,
+    InsertSubtree,
+    Relabel,
+    apply_many,
+    op_from_spec,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -598,58 +606,47 @@ def _parse_node_id(text: str, what: str) -> int:
         raise ReproError(f"{what} must be a node id (an integer), got {text!r}") from None
 
 
-def _command_update_group(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.storage.update import apply_many, op_from_spec
-
-    if args.group == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        with open(args.group, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    ops = [op_from_spec(json.loads(line)) for line in lines if line.strip()]
-    if not ops:
-        raise ReproError(f"--group file holds no update specs: {args.group}")
-    result = apply_many(args.database, ops, retain_generations=args.retain)
-    stats = result.statistics
-    print(f"group commit    : {result.n_ops} operations in one generation")
-    print(f"generation      : {result.old_generation} -> {result.new_generation} "
-          f"(change counter {result.counter})")
-    print(f"nodes           : {result.n_nodes} "
-          f"({result.element_nodes} element, {result.char_nodes} char)")
-    print(f"wall time       : {stats.seconds:.4f}s")
-    return 0
+def _update_ops(args: argparse.Namespace) -> list:
+    """The operations one ``arb update`` invocation names, in order."""
+    if args.group is not None:
+        if args.group == "-":
+            lines = sys.stdin.read().splitlines()
+        else:
+            with open(args.group, "r", encoding="utf-8") as handle:
+                lines = handle.read().splitlines()
+        ops = [op_from_spec(json.loads(line)) for line in lines if line.strip()]
+        if not ops:
+            raise ReproError(f"--group file holds no update specs: {args.group}")
+        return ops
+    if args.relabel is not None:
+        node_text, label = args.relabel
+        return [Relabel(_parse_node_id(node_text, "--relabel NODE"), label,
+                        is_text=args.text)]
+    if args.delete is not None:
+        return [DeleteSubtree(args.delete)]
+    parent_text, xml = args.insert
+    if os.path.exists(xml):
+        with open(xml, "r", encoding="utf-8") as handle:
+            xml = handle.read()
+    return [InsertSubtree(_parse_node_id(parent_text, "--insert PARENT"), xml,
+                          position=args.at, text_mode=args.text_mode)]
 
 
 def _command_update(args: argparse.Namespace) -> int:
-    from repro.storage.update import DeleteSubtree, InsertSubtree, Relabel, apply_update
-
-    if args.group is not None:
-        return _command_update_group(args)
-    if args.relabel is not None:
-        node_text, label = args.relabel
-        update = Relabel(_parse_node_id(node_text, "--relabel NODE"), label,
-                         is_text=args.text)
-    elif args.delete is not None:
-        update = DeleteSubtree(args.delete)
-    else:
-        parent_text, xml = args.insert
-        if os.path.exists(xml):
-            with open(xml, "r", encoding="utf-8") as handle:
-                xml = handle.read()
-        update = InsertSubtree(_parse_node_id(parent_text, "--insert PARENT"), xml,
-                               position=args.at, text_mode=args.text_mode)
-    result = apply_update(args.database, update, retain_generations=args.retain)
+    result = apply_many(args.database, _update_ops(args), retain_generations=args.retain)
     stats = result.statistics
+    grouped = args.group is not None
+    if grouped:
+        print(f"group commit    : {result.n_ops} operations in one generation")
     print(f"generation      : {result.old_generation} -> {result.new_generation} "
           f"(change counter {result.counter})")
     print(f"nodes           : {result.n_nodes} "
           f"({result.element_nodes} element, {result.char_nodes} char)")
-    print(f"splice          : {stats.records_reencoded} records re-encoded, "
-          f"{stats.bytes_copied} bytes copied unchanged "
-          f"({stats.pages_spliced} chunks)")
-    print(f"analysis        : {'cached' if stats.analysis_cache_hit else 'one forward scan'}")
+    if not grouped:
+        print(f"splice          : {stats.records_reencoded} records re-encoded, "
+              f"{stats.bytes_copied} bytes copied unchanged "
+              f"({stats.pages_spliced} chunks)")
+        print(f"analysis        : {'cached' if stats.analysis_cache_hit else 'one forward scan'}")
     print(f"wall time       : {stats.seconds:.4f}s")
     return 0
 

@@ -36,6 +36,8 @@ from repro.errors import StorageError
 from repro.plan.cache import PlanCache, default_plan_cache
 from repro.plan.options import ExecutionOptions
 from repro.storage.build import build_database
+from repro.storage.generations import exclusive_writer, read_pointer
+from repro.storage.update import apply_many
 from repro.tmnf.program import TMNFProgram
 
 __all__ = ["Collection"]
@@ -60,7 +62,7 @@ class Collection:
         self.root = os.path.abspath(root)
         self.manifest = manifest
         self.plan_cache = plan_cache if plan_cache is not None else default_plan_cache()
-        # Serialises apply() calls on this collection object: the per-base
+        # Serialises apply_many() calls on this collection object: the per-base
         # writer flock only covers same-document writers, but two applies to
         # *different* documents still race on the shared manifest save
         # (last save would persist a pre-replace snapshot: a lost update).
@@ -115,8 +117,6 @@ class Collection:
         validate_doc_id(doc_id)
         if doc_id in self.manifest:
             raise StorageError(f"duplicate document id: {doc_id!r}")
-        from repro.storage.generations import read_pointer
-
         base = os.path.join(DOCUMENTS_DIR, doc_id)
         stats = build_database(source, os.path.join(self.root, base),
                                text_mode=text_mode, name=doc_id)
@@ -165,33 +165,48 @@ class Collection:
     # ------------------------------------------------------------------ #
 
     def apply(self, doc_id: str, update, *, retain_generations: int | None = None):
-        """Apply an update (or a sequence) to one document, copy-on-write.
+        """Apply one update to a document, or a sequence **one generation
+        per operation**.
 
-        The document gains a new `.arb` generation (see
-        :mod:`repro.storage.update`); the manifest entry is replaced with
-        one carrying the new generation and node counts, and the manifest
-        is saved.  Collection queries that started before the swap keep
-        evaluating the generations they pinned at coordination time; new
-        queries see the new generation.  Returns the
-        :class:`~repro.storage.update.UpdateResult` (a list for a
-        sequence of operations).
+        A single operation is ``apply_many(doc_id, [update])``: one
+        :class:`~repro.storage.update.UpdateResult`.  A list or tuple is
+        the same call once per operation and returns the list of results:
+        the manifest is advanced and saved after **every** operation, so a
+        mid-sequence failure leaves it pointing at the last generation
+        that actually landed.  Use :meth:`apply_many` to land a sequence as
+        one generation behind one manifest save.
+        """
+        if not isinstance(update, (list, tuple)):
+            return self.apply_many(doc_id, [update], retain_generations=retain_generations)
+        return [
+            self.apply_many(doc_id, [op], retain_generations=retain_generations)
+            for op in update
+        ]
 
-        A sequence is applied one operation at a time and the manifest is
-        advanced after **every** successful operation, so a mid-sequence
-        failure leaves the manifest pointing at the last generation that
-        actually landed -- never at a stale one.  Node ids are interpreted
-        against the generation the manifest records; a foreign writer
-        having advanced the document meanwhile is refused as a conflict.
+    def apply_many(self, doc_id: str, ops: Sequence, *,
+                   retain_generations: int | None = None):
+        """Commit ``ops`` to one document copy-on-write as **one group**.
+
+        The one collection entry to :func:`repro.storage.update.apply_many`:
+        the document gains one new `.arb` generation (one WAL append, one
+        data fsync on the final `.arb`, one pointer swap), the manifest
+        entry is replaced with one carrying the new generation and node
+        counts, and the manifest is saved once.  The group is atomic:
+        either every operation is reflected in the new generation or the
+        document (and the manifest) stays untouched.  Collection queries
+        that started before the swap keep evaluating the generations they
+        pinned at coordination time; new queries see the new generation.
+        Returns the :class:`~repro.storage.update.UpdateResult`.
+
+        Node ids are interpreted against the generation the manifest
+        records; a foreign writer having advanced the document meanwhile
+        is refused as a conflict.
 
         ``retain_generations`` prunes history; keep it generous enough to
         cover in-flight collection queries, which pin their generations at
         coordination time and only open each document when its shard worker
         reaches it (a pruned-away pinned generation fails that open).
         """
-        from repro.collection.manifest import DocumentEntry as _Entry
-        from repro.storage.generations import exclusive_writer
-        from repro.storage.update import apply_update
-
         with self._apply_lock, exclusive_writer(os.path.join(self.root, "collection")):
             # Another *process* may have advanced other documents since this
             # manifest was loaded; adopt its generation bumps so our save
@@ -199,72 +214,17 @@ class Collection:
             # unsaved additions are kept -- only newer generations merge in.
             self._adopt_saved_generations()
             entry = self.manifest.get(doc_id)
-            base_path = entry.base_path(self.root)
-            sequence = isinstance(update, (list, tuple))
-            results: list = []
-            expected = entry.generation
-            # Counter 0 means an entry from before the counter existed:
-            # fall back to the generation-only guard for compatibility.
-            expected_counter = entry.counter or None
-            try:
-                for op in update if sequence else (update,):
-                    results.append(
-                        apply_update(base_path, op,
-                                     retain_generations=retain_generations,
-                                     expected_generation=expected,
-                                     expected_counter=expected_counter)
-                    )
-                    expected = results[-1].new_generation
-                    expected_counter = results[-1].counter
-            finally:
-                if results:
-                    latest = results[-1]
-                    self.manifest.replace(
-                        _Entry(
-                            doc_id=doc_id,
-                            base=entry.base,
-                            n_nodes=latest.n_nodes,
-                            element_nodes=latest.element_nodes,
-                            char_nodes=latest.char_nodes,
-                            n_tags=latest.n_tags,
-                            arb_bytes=latest.arb_bytes,
-                            generation=latest.new_generation,
-                            counter=latest.counter,
-                        )
-                    )
-                    self.manifest.save(self.root)
-            return results if sequence else results[0]
-
-    def apply_many(self, doc_id: str, ops: Sequence, *,
-                   retain_generations: int | None = None):
-        """Apply ``ops`` to one document as a single group commit.
-
-        Unlike :meth:`apply` with a sequence -- which splices one generation
-        *per operation* and rewrites the manifest after each -- the whole
-        group lands as **one** spliced generation (see
-        :func:`repro.storage.update.apply_many`): one WAL append, one data
-        fsync on the final `.arb`, one pointer swap, one manifest save.  The
-        group is atomic: either every operation is reflected in the new
-        generation or the document (and the manifest) stays untouched.
-        Returns the :class:`~repro.storage.update.UpdateResult`.
-        """
-        from repro.collection.manifest import DocumentEntry as _Entry
-        from repro.storage.generations import exclusive_writer
-        from repro.storage.update import apply_many
-
-        with self._apply_lock, exclusive_writer(os.path.join(self.root, "collection")):
-            self._adopt_saved_generations()
-            entry = self.manifest.get(doc_id)
-            base_path = entry.base_path(self.root)
             result = apply_many(
-                base_path,
-                list(ops),
+                entry.base_path(self.root),
+                ops,
                 retain_generations=retain_generations,
                 expected_generation=entry.generation,
+                # Counter 0 means an entry from before the counter existed:
+                # fall back to the generation-only guard for compatibility.
                 expected_counter=entry.counter or None,
             )
             self.manifest.replace(
-                _Entry(
+                DocumentEntry(
                     doc_id=doc_id,
                     base=entry.base,
                     n_nodes=result.n_nodes,

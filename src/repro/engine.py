@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, StorageError
 from repro.plan.batch import evaluate_batch_on_disk
 from repro.plan.cache import PlanCache, default_plan_cache
 from repro.plan.locks import plans_locked
@@ -50,6 +50,7 @@ from repro.plan.result import BatchQueryResult, QueryResult
 from repro.storage.build import build_database
 from repro.storage.database import ArbDatabase
 from repro.storage.paging import DEFAULT_PAGE_SIZE, PagerConfig
+from repro.storage.update import apply_many
 from repro.tmnf.program import TMNFProgram
 from repro.tree.binary import BinaryTree
 from repro.tree.unranked import UnrankedTree
@@ -245,81 +246,67 @@ class Database:
         return self
 
     def apply(self, update, *, retain_generations: int | None = None):
-        """Apply one update (or a sequence) copy-on-write; see
-        :mod:`repro.storage.update`.
+        """Apply one update, or a sequence **one generation per operation**.
 
-        Each operation writes a new `.arb` generation beside the current
-        one and atomically swaps the generation pointer; this handle then
+        A single operation is ``apply_many([update])``: one
+        :class:`~repro.storage.update.UpdateResult`.  A list or tuple is the
+        same call once per operation -- each lands as its own generation
+        (its own WAL append, fsyncs and pointer swap) and addresses the
+        state its predecessor produced -- and returns the list of results;
+        a failure leaves the operations before it committed.  Use
+        :meth:`apply_many` to land a sequence as one generation.
+        """
+        if not isinstance(update, (list, tuple)):
+            return self.apply_many([update], retain_generations=retain_generations)
+        results = []
+        for op in update:
+            if results and results[-1].counter != self._disk.change_counter:
+                # The refresh after the previous commit found a foreign
+                # writer's generation: ``op``'s node ids address a state
+                # that is no longer current.
+                raise StorageError(
+                    f"{self.name}: concurrent update conflict -- another writer "
+                    f"landed between two operations of the sequence; node ids "
+                    f"may be stale (refresh and retry)"
+                )
+            results.append(self.apply_many([op], retain_generations=retain_generations))
+        return results
+
+    def apply_many(self, ops, *, retain_generations: int | None = None):
+        """Commit ``ops`` copy-on-write as **one group**: one generation.
+
+        The one engine entry to :func:`repro.storage.update.apply_many`.
+        Each operation addresses the state its predecessor produced; the
+        whole group is spliced into one new `.arb` generation beside the
+        current one, behind one WAL append, two data fsyncs and one atomic
+        pointer swap whatever its length.  This handle then
         :meth:`refresh`\\ es onto the new generation, while every *other*
         open handle (and every in-flight scan) keeps its snapshot.  Returns
-        one :class:`~repro.storage.update.UpdateResult` for a single
-        operation, a list for a sequence.
+        one :class:`~repro.storage.update.UpdateResult`.
 
         The operations' node ids are interpreted against **this handle's**
         pinned generation: if another writer advanced the database since
-        this handle (last) resolved the pointer, the apply is refused with
-        a conflict :class:`~repro.errors.StorageError` rather than
+        this handle (last) resolved the pointer, the group is refused whole
+        with a conflict :class:`~repro.errors.StorageError` rather than
         relabelling or deleting whatever now lives at those ids --
         :meth:`refresh`, re-derive the ids, and retry.
         """
-        from repro.storage.update import apply_update, apply_updates
-
         if self._disk is None:
             raise EvaluationError(
                 "updates apply to on-disk databases; build one with Database.build"
             )
-        base = self._disk.logical_base_path
-        pinned = self._disk.generation
-        pinned_counter = self._disk.change_counter
         try:
             # The handle's page size doubles as the `.idx` summary grid, so
             # the splice must write the new generation's sidecar on the same
             # grid this handle (and its siblings) scan with.
-            if isinstance(update, (list, tuple)):
-                result = apply_updates(
-                    base, update, retain_generations=retain_generations,
-                    page_size=self._disk.page_size,
-                    expected_generation=pinned, expected_counter=pinned_counter,
-                )
-            else:
-                result = apply_update(
-                    base, update, retain_generations=retain_generations,
-                    page_size=self._disk.page_size,
-                    expected_generation=pinned, expected_counter=pinned_counter,
-                )
-        finally:
-            self.refresh()
-        return result
-
-    def apply_many(self, ops, *, retain_generations: int | None = None):
-        """Commit a sequence of updates as **one group**; see
-        :func:`repro.storage.update.apply_many`.
-
-        Same sequential semantics as ``apply([op1, op2, ...])`` -- each
-        operation addresses the state its predecessor produced -- but the
-        whole group lands as a single generation behind one pointer swap
-        and two data fsyncs, whatever its length.  Returns one
-        :class:`~repro.storage.update.UpdateResult`.  The same
-        optimistic-concurrency guard applies: the group is refused whole if
-        another writer moved the base since this handle resolved it.
-        """
-        from repro.storage.update import apply_many
-
-        if self._disk is None:
-            raise EvaluationError(
-                "updates apply to on-disk databases; build one with Database.build"
-            )
-        base = self._disk.logical_base_path
-        try:
-            result = apply_many(
-                base, ops, retain_generations=retain_generations,
+            return apply_many(
+                self._disk.logical_base_path, ops, retain_generations=retain_generations,
                 page_size=self._disk.page_size,
                 expected_generation=self._disk.generation,
                 expected_counter=self._disk.change_counter,
             )
         finally:
             self.refresh()
-        return result
 
     # ------------------------------------------------------------------ #
     # Planning

@@ -89,7 +89,7 @@ class ServiceStats:
     completed: int = 0
     #: Requests that surfaced an error (their own, never a batch-mate's).
     failed: int = 0
-    #: Requests rejected by admission control (queue depth limit).
+    #: Queries and updates rejected by admission control (queue depth limit).
     rejected: int = 0
     #: Batches evaluated (each one scan pair per document touched).
     batches: int = 0
@@ -101,8 +101,8 @@ class ServiceStats:
     #: Copy-on-write updates applied through :meth:`QueryService.apply`.
     updates: int = 0
     #: Write groups committed (each one WAL append + one generation splice,
-    #: however many updates rode in it).  Stays 0 with ``write_window=0``,
-    #: where every update commits on its own.
+    #: however many updates rode in it; with ``write_window=0`` every
+    #: update is a group of one).
     write_batches: int = 0
     #: Updates that shared their group commit with at least one other update.
     coalesced_updates: int = 0

@@ -75,6 +75,7 @@ from repro.service.request import ServiceResponse
 from repro.service.service import QueryService
 from repro.storage.bufferpool import resolve_pager
 from repro.storage.generations import install_generation
+from repro.storage.update import op_from_spec
 from repro.wire import DEFAULT_STREAM_LIMIT, LineServer, request_many
 
 __all__ = ["ArbServer", "open_target", "request_many", "serve"]
@@ -283,28 +284,24 @@ class ArbServer(LineServer):
             pass  # an export error must not leak into asyncio's handler
 
     async def _answer_update(self, message: dict) -> dict:
-        from repro.storage.update import op_from_spec
-
         specs = message.get("ops")
         if not isinstance(specs, list) or not specs:
             raise ServiceError("an update request needs a non-empty 'ops' list")
-        ops = [op_from_spec(spec) for spec in specs]
+        # One request is one declared group, whatever its length; a bad
+        # spec, doc_id or "retain" is refused before anything queues.
         result = await self.service.apply(
-            ops if len(ops) > 1 else ops[0],
+            [op_from_spec(spec) for spec in specs],
             doc_id=message.get("doc_id"),
             retain_generations=message.get("retain"),
         )
-        # The per-update path returns one result per operation (a list for
-        # a sequence); a coalesced window returns the group's shared one.
-        last = result[-1] if isinstance(result, list) else result
         payload = {
             "ok": True,
-            "generation": last.new_generation,
-            "counter": last.counter,
-            "n_nodes": last.n_nodes,
+            "generation": result.new_generation,
+            "counter": result.counter,
+            "n_nodes": result.n_nodes,
         }
-        if last.n_ops > 1:
-            payload["group_size"] = last.n_ops
+        if result.n_ops > 1:
+            payload["group_size"] = result.n_ops
         if len(self.replicas) and message.get("doc_id") is None:
             # This server is a primary: propagate the committed generation.
             # Sync mode ships before the ack (the ack carries the fan-out

@@ -32,6 +32,12 @@ future, so no request can poison another or wedge the batcher.
 Evaluation runs on a dedicated worker thread (the asyncio loop stays
 responsive while a batch scans); the plan dispatcher serialises it per plan
 against every other thread executing the same cached plans.
+
+Updates (:meth:`QueryService.apply`) take the same road on a second lane:
+admitted under the same bound, parked, taken in groups by the same loop
+(:meth:`QueryService._run_lane`) and committed on the same worker thread by
+one call to the target's ``apply_many`` -- a single update is a group of
+one.
 """
 
 from __future__ import annotations
@@ -40,8 +46,8 @@ import asyncio
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable
 
 from repro.collection.collection import Collection
 from repro.collection.executor import run_collection_query
@@ -49,7 +55,9 @@ from repro.engine import Database
 from repro.errors import ServiceClosedError, ServiceError, ServiceOverloadedError
 from repro.plan.options import ExecutionOptions
 from repro.service.request import ServiceResponse, ServiceStats
+from repro.storage.generations import read_pointer
 from repro.storage.paging import IOStatistics
+from repro.storage.update import check_retain
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.plan.plan import QueryPlan
@@ -62,8 +70,8 @@ DEFAULT_WINDOW = 0.005
 DEFAULT_MAX_BATCH = 64
 #: Default admission-control bound on queued requests.
 DEFAULT_MAX_PENDING = 1024
-#: Default *write* coalescing window: 0 keeps the historical behaviour
-#: (every update commits on its own, with its own fsyncs).
+#: Default *write* coalescing window: 0 never waits, so every update
+#: commits on its own (a group of one, with its own fsyncs).
 DEFAULT_WRITE_WINDOW = 0.0
 #: Default cap on how many updates ride one group commit.
 DEFAULT_MAX_WRITE_BATCH = 16
@@ -82,18 +90,18 @@ class _Pending:
 
 @dataclass
 class _PendingWrite:
-    """An update parked on the write-coalescing queue."""
+    """An update (its operations, in order) parked on the write lane."""
 
-    update: object
+    ops: list
     doc_id: str | None
     retain_generations: int | None
     future: asyncio.Future
-    enqueued_at: float
 
 
 @dataclass
 class _Outcome:
-    """What one request gets back from its (possibly retried) batch."""
+    """What one rider gets back from its (possibly retried) batch; a write
+    fills ``result`` or ``error`` only."""
 
     result: object | None = None
     error: BaseException | None = None
@@ -103,6 +111,42 @@ class _Outcome:
     batch_id: int = 0
     evaluation_seconds: float = 0.0
     isolated_retry: bool = False
+
+
+@dataclass
+class _Lane:
+    """One coalescing queue, and what :meth:`QueryService._run_lane` does
+    with a batch taken from it."""
+
+    #: Seconds the first queued rider holds the door open (0: never waits).
+    window: float
+    #: Most riders one batch takes.
+    limit: int
+    #: Riders share a batch while ``key`` agrees with the first one's.
+    key: Callable[[object], object]
+    #: ``run(batch) -> outcomes``, on the evaluation worker thread.
+    run: Callable[[list], list[_Outcome]]
+    #: ``deliver(batch, outcomes, dequeued_at)`` resolves the futures.
+    deliver: Callable[[list, list[_Outcome], float], None]
+    queue: deque = field(default_factory=deque)
+    wakeup: asyncio.Event = field(default_factory=asyncio.Event)
+    full: asyncio.Event = field(default_factory=asyncio.Event)
+    task: asyncio.Task | None = None
+
+    def put(self, rider) -> None:
+        self.queue.append(rider)
+        self.wakeup.set()
+        if len(self.queue) >= self.limit:
+            self.full.set()
+
+    def take(self) -> list:
+        """The next batch: the longest prefix agreeing on ``key``, FIFO."""
+        batch = [self.queue.popleft()]
+        first = self.key(batch[0])
+        while (self.queue and len(batch) < self.limit
+               and self.key(self.queue[0]) == first):
+            batch.append(self.queue.popleft())
+        return batch
 
 
 class QueryService:
@@ -164,22 +208,17 @@ class QueryService:
         self.plan_cache = target.plan_cache
 
         self._stats = ServiceStats()
-        self._queue: deque[_Pending] = deque()
-        self._writes: deque[_PendingWrite] = deque()
+        #: The read lane and the write lane, while the service runs.
+        self._reads: _Lane | None = None
+        self._writes: _Lane | None = None
         #: Requests past admission but still compiling (counted against
         #: max_pending so a compile burst cannot overshoot the queue bound).
         self._reserved = 0
         self._running = False
         self._accepting = False
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._batcher: asyncio.Task | None = None
-        self._write_batcher: asyncio.Task | None = None
         self._pool: ThreadPoolExecutor | None = None
         self._compile_pool: ThreadPoolExecutor | None = None
-        self._wakeup: asyncio.Event | None = None
-        self._batch_full: asyncio.Event | None = None
-        self._write_wakeup: asyncio.Event | None = None
-        self._write_full: asyncio.Event | None = None
         self._next_request_id = 0
         self._next_batch_id = 0
 
@@ -188,12 +227,10 @@ class QueryService:
     # ------------------------------------------------------------------ #
 
     async def start(self) -> "QueryService":
-        """Start the batcher; must be called from the serving event loop."""
+        """Start the two lanes; must be called from the serving event loop."""
         if self._running:
             raise ServiceError("service is already running")
         self._loop = asyncio.get_running_loop()
-        self._wakeup = asyncio.Event()
-        self._batch_full = asyncio.Event()
         self._pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="arb-service"
         )
@@ -204,13 +241,21 @@ class QueryService:
         )
         self._running = True
         self._accepting = True
-        self._batcher = asyncio.ensure_future(self._run_batcher())
-        if self.write_window > 0:
-            # Writes only queue when a coalescing window is configured; with
-            # the default 0 every update keeps its historical direct path.
-            self._write_wakeup = asyncio.Event()
-            self._write_full = asyncio.Event()
-            self._write_batcher = asyncio.ensure_future(self._run_write_batcher())
+        # Any queued requests share one scan pair.
+        self._reads = _Lane(
+            window=self.window, limit=self.max_batch, key=lambda request: None,
+            run=self._evaluate_batch, deliver=self._deliver,
+        )
+        # A group commit splices one base path, so only same-document
+        # updates ride together; without a window nobody waits for company
+        # and every update is a group of one.
+        self._writes = _Lane(
+            window=self.write_window,
+            limit=self.max_write_batch if self.write_window > 0 else 1,
+            key=lambda write: write.doc_id, run=self._apply_group, deliver=self._deliver_writes,
+        )
+        for lane in (self._reads, self._writes):
+            lane.task = asyncio.ensure_future(self._run_lane(lane))
         return self
 
     async def stop(self) -> None:
@@ -218,7 +263,7 @@ class QueryService:
 
         Two-phase: new submissions are rejected immediately, then requests
         already past admission (possibly still compiling) are allowed to
-        enqueue and the batcher drains the queue before shutting down.
+        enqueue and each lane drains its queue before shutting down.
         """
         if not self._running:
             return
@@ -226,22 +271,13 @@ class QueryService:
         while self._reserved:
             await asyncio.sleep(0.001)  # in-flight admissions finish compiling
         self._running = False
-        assert self._wakeup is not None and self._batcher is not None
-        self._wakeup.set()
-        self._batch_full.set()
-        await self._batcher
-        self._batcher = None
-        if self._write_batcher is not None:
-            self._write_wakeup.set()
-            self._write_full.set()
-            await self._write_batcher
-            self._write_batcher = None
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self._compile_pool is not None:
-            self._compile_pool.shutdown(wait=True)
-            self._compile_pool = None
+        for lane in (self._reads, self._writes):
+            lane.wakeup.set()
+            lane.full.set()
+            await lane.task
+        for pool in (self._pool, self._compile_pool):
+            pool.shutdown(wait=True)
+        self._pool = self._compile_pool = None
 
     async def __aenter__(self) -> "QueryService":
         return await self.start()
@@ -255,8 +291,23 @@ class QueryService:
 
     @property
     def pending(self) -> int:
-        """Requests currently queued for coalescing."""
-        return len(self._queue)
+        """Queries and updates currently queued for coalescing."""
+        if self._reads is None:
+            return 0
+        return len(self._reads.queue) + len(self._writes.queue)
+
+    def _admit(self) -> None:
+        """Admission control, the same for a query and an update."""
+        if not self._running or not self._accepting:
+            raise ServiceClosedError("the query service is not running")
+        depth = self.pending + self._reserved
+        if depth >= self.max_pending:
+            self._stats.rejected += 1
+            raise ServiceOverloadedError(
+                f"query service overloaded: {depth} requests pending "
+                f"(limit {self.max_pending})",
+                pending=depth,
+            )
 
     def stats(self) -> ServiceStats:
         """The live service-lifetime counters (see :class:`ServiceStats`)."""
@@ -281,16 +332,7 @@ class QueryService:
         :class:`~repro.errors.ReproError` the query itself earns -- a
         malformed query fails here, before it can touch a shared batch.
         """
-        if not self._running or not self._accepting:
-            raise ServiceClosedError("the query service is not running")
-        depth = len(self._queue) + self._reserved
-        if depth >= self.max_pending:
-            self._stats.rejected += 1
-            raise ServiceOverloadedError(
-                f"query service overloaded: {depth} requests pending "
-                f"(limit {self.max_pending})",
-                pending=depth,
-            )
+        self._admit()
         # Compile (or look up) before queueing: a parse/validation error is
         # this caller's problem alone and must never enter a shared batch.
         # The lookup runs off the event loop so a compile burst cannot stall
@@ -320,10 +362,7 @@ class QueryService:
             future=self._loop.create_future(),
             enqueued_at=time.perf_counter(),
         )
-        self._queue.append(pending)
-        self._wakeup.set()
-        if len(self._queue) >= self.max_batch:
-            self._batch_full.set()
+        self._reads.put(pending)
         return await pending.future
 
     # ------------------------------------------------------------------ #
@@ -337,10 +376,26 @@ class QueryService:
         doc_id: str | None = None,
         retain_generations: int | None = None,
     ):
-        """Apply a copy-on-write update to the served target.
+        """Apply a copy-on-write update to the served target: **one group**.
 
-        The update runs on the service's single evaluation worker -- the
-        same thread that evaluates coalesced batches -- so it *serialises*
+        ``update`` is one operation or a sequence; a sequence is a declared
+        group (the wire ``update`` op sends one) and always lands as one
+        generation, unlike :meth:`Database.apply`, which gives every
+        operation of a sequence its own.  Either way this returns one
+        :class:`~repro.storage.update.UpdateResult`.
+
+        Every update parks on the write lane.  What arrives within
+        ``write_window`` seconds (up to ``max_write_batch`` updates, and for
+        collections targeting the *same* document) commits as **one**
+        group -- one WAL append, one data fsync, one pointer swap however
+        many writers rode along -- and every rider gets the shared result
+        back.  With ``write_window=0`` (the default) the lane never waits
+        and every update commits on its own.  A group that fails before it
+        commits is retried one writer at a time, so only the poisoned update
+        surfaces its error.
+
+        Groups run on the service's single evaluation worker -- the same
+        thread that evaluates coalesced batches -- so they *serialise*
         against batch demux by construction: every batch is evaluated
         entirely before or entirely after the generation swap, which is
         what guarantees one consistent generation per batch.  Database
@@ -348,44 +403,24 @@ class QueryService:
         collection targets (``doc_id`` required) advance the manifest, so
         later coalesced batches pin the new generation per shard.
 
-        With ``write_window=0`` (the default) the update commits on its
-        own and this returns the
-        :class:`~repro.storage.update.UpdateResult` (a list for a sequence
-        of operations) -- the historical behaviour.  With a positive
-        ``write_window`` the update parks on the write-coalescing queue:
-        everything that arrives within the window (up to
-        ``max_write_batch``, and for collections targeting the *same*
-        document) commits as **one** group -- one WAL append, one data
-        fsync, one pointer swap however many writers rode along -- and
-        every rider gets the shared
-        :class:`~repro.storage.update.UpdateResult` back.  A group
-        that fails is retried one writer at a time, so only the poisoned
-        update surfaces its error.
+        Admission is :meth:`submit`'s: the same ``max_pending`` bound and
+        the same refusals.  A ``retain_generations`` the commit would
+        refuse is refused here, before the update can enter a shared group.
         """
-        if not self._running:
-            raise ServiceClosedError("the query service is not running")
+        self._admit()
         if isinstance(self.target, Collection):
             if doc_id is None:
                 raise ServiceError("updating a collection target needs doc_id=...")
         elif doc_id is not None:
             raise ServiceError("doc_id only applies to collection targets")
-        if self.write_window <= 0:
-            result = await self._loop.run_in_executor(
-                self._pool, self._apply_one, update, doc_id, retain_generations
-            )
-            self._stats.updates += 1
-            return result
+        check_retain(retain_generations)
         pending = _PendingWrite(
-            update=update,
+            ops=list(update) if isinstance(update, (list, tuple)) else [update],
             doc_id=doc_id,
             retain_generations=retain_generations,
             future=self._loop.create_future(),
-            enqueued_at=time.perf_counter(),
         )
-        self._writes.append(pending)
-        self._write_wakeup.set()
-        if len(self._writes) >= self.max_write_batch:
-            self._write_full.set()
+        self._writes.put(pending)
         return await pending.future
 
     async def run_on_worker(self, fn, *args):
@@ -453,125 +488,62 @@ class QueryService:
         )
 
     # ------------------------------------------------------------------ #
-    # The batcher
+    # The lanes
     # ------------------------------------------------------------------ #
 
-    async def _run_batcher(self) -> None:
-        assert self._loop is not None
+    async def _run_lane(self, lane: _Lane) -> None:
+        """The one coalescing loop: wait, take a batch, run it, deliver.
+
+        Both lanes run their batches on the same single evaluation worker,
+        so reads and writes stay serialised against each other.
+        """
         while True:
-            if not self._queue:
+            if not lane.queue:
                 if not self._running:
                     return
-                self._wakeup.clear()
-                await self._wakeup.wait()
+                lane.wakeup.clear()
+                await lane.wakeup.wait()
                 continue
-            # The coalescing window: the first queued request holds the door
+            # The coalescing window: the first queued rider holds the door
             # open for ``window`` seconds so concurrent arrivals can share
-            # its scan pair; a full batch (or a stopping service) dispatches
-            # immediately.
-            if self.window > 0 and self._running and len(self._queue) < self.max_batch:
-                self._batch_full.clear()
+            # its scan pair or its commit; a full batch (or a stopping
+            # service) dispatches immediately.
+            if lane.window > 0 and self._running and len(lane.queue) < lane.limit:
+                lane.full.clear()
                 try:
-                    await asyncio.wait_for(self._batch_full.wait(), timeout=self.window)
+                    await asyncio.wait_for(lane.full.wait(), timeout=lane.window)
                 except (asyncio.TimeoutError, TimeoutError):
                     pass
-            size = min(self.max_batch, len(self._queue))
-            batch = [self._queue.popleft() for _ in range(size)]
+            batch = lane.take()
             dequeued_at = time.perf_counter()
             try:
-                outcomes = await self._loop.run_in_executor(
-                    self._pool, self._evaluate_batch, batch
-                )
-                self._deliver(batch, outcomes, dequeued_at)
+                outcomes = await self._loop.run_in_executor(self._pool, lane.run, batch)
+                lane.deliver(batch, outcomes, dequeued_at)
             except BaseException as exc:  # defensive: never wedge the loop
-                for request in batch:
-                    if not request.future.done():
-                        self._stats.failed += 1
-                        request.future.set_exception(
-                            ServiceError(f"batch evaluation failed: {exc!r}")
-                        )
-                if isinstance(exc, (KeyboardInterrupt, SystemExit)):
+                failed = _Outcome(error=ServiceError(f"batch failed: {exc!r}"))
+                lane.deliver(batch, [failed] * len(batch), dequeued_at)
+                if not isinstance(exc, Exception):
                     raise
 
-    async def _run_write_batcher(self) -> None:
-        """Collect updates arriving within ``write_window`` into group commits.
+    def _committed_counter(self, doc_id: str | None) -> int | None:
+        """The on-disk change counter an update to ``doc_id`` commits
+        against (``None`` where there is none and the commit will say so)."""
+        target = self.target
+        if isinstance(target, Collection):
+            if doc_id not in target.manifest:
+                return None
+            return read_pointer(target.manifest.get(doc_id).base_path(target.root)).counter
+        if not target.is_on_disk:
+            return None
+        return read_pointer(target.disk.logical_base_path).counter
 
-        Groups execute on the same single evaluation worker as query batches
-        and per-window singleton updates, so writes stay serialised against
-        batch demux exactly like the direct :meth:`apply` path.
+    def _apply_group(self, group: list[_PendingWrite]) -> list[_Outcome]:
+        """Commit one write group (worker thread); per-writer outcomes.
+
+        This is where "an update is applied at most once" lives: the only
+        re-run is the isolation retry below, and it runs only if the failed
+        attempt provably committed nothing.
         """
-        assert self._loop is not None
-        while True:
-            if not self._writes:
-                if not self._running:
-                    return
-                self._write_wakeup.clear()
-                await self._write_wakeup.wait()
-                continue
-            if (self.write_window > 0 and self._running
-                    and len(self._writes) < self.max_write_batch):
-                self._write_full.clear()
-                try:
-                    await asyncio.wait_for(
-                        self._write_full.wait(), timeout=self.write_window
-                    )
-                except (asyncio.TimeoutError, TimeoutError):
-                    pass
-            # A group commit splices one base path, so only the longest
-            # same-document prefix rides together; updates to another
-            # document start the next group (FIFO order is preserved).
-            first = self._writes[0]
-            group = [self._writes.popleft()]
-            while (self._writes and len(group) < self.max_write_batch
-                   and self._writes[0].doc_id == first.doc_id):
-                group.append(self._writes.popleft())
-            try:
-                outcomes = await self._loop.run_in_executor(
-                    self._pool, self._apply_group, group
-                )
-                for pending, (result, error) in zip(group, outcomes):
-                    if pending.future.done():  # pragma: no cover - cancelled
-                        continue
-                    if error is not None:
-                        pending.future.set_exception(error)
-                    else:
-                        self._stats.updates += 1
-                        pending.future.set_result(result)
-            except BaseException as exc:  # defensive: never wedge the loop
-                for pending in group:
-                    if not pending.future.done():
-                        pending.future.set_exception(
-                            ServiceError(f"write batch failed: {exc!r}")
-                        )
-                if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-                    raise
-
-    def _apply_one(self, update, doc_id, retain_generations):
-        """The per-update commit path (worker thread).
-
-        A caller-supplied *sequence* of operations is already a declared
-        group (the wire ``update`` op sends one), so it always rides the
-        group-commit path -- one generation, one WAL append -- even when
-        no other writer shared its window.
-        """
-        if isinstance(update, (list, tuple)) and len(update) > 1:
-            if isinstance(self.target, Collection):
-                return self.target.apply_many(
-                    doc_id, update, retain_generations=retain_generations
-                )
-            return self.target.apply_many(
-                update, retain_generations=retain_generations
-            )
-        if isinstance(update, (list, tuple)):
-            update = update[0]
-        if isinstance(self.target, Collection):
-            return self.target.apply(
-                doc_id, update, retain_generations=retain_generations
-            )
-        return self.target.apply(update, retain_generations=retain_generations)
-
-    def _apply_group(self, group: list[_PendingWrite]) -> list[tuple]:
-        """Commit one write group (worker thread); per-writer outcomes."""
         # Retention resolves per rider: ``None`` means "the default" and
         # contributes no constraint, and the riders that *did* ask for
         # pruning get the most conservative of their answers (max keeps the
@@ -584,51 +556,37 @@ class QueryService:
             if pending.retain_generations is not None
         ]
         retain = max(explicit) if explicit else None
-        if len(group) == 1:
-            # A lone writer in its window keeps the per-update commit path
-            # (and its historical result types).
-            pending = group[0]
-            try:
-                result = self._apply_one(
-                    pending.update, pending.doc_id, pending.retain_generations
-                )
-            except Exception as exc:
-                return [(None, exc)]
-            self._record_write_batch(1)
-            return [(result, None)]
-        ops: list = []
-        for pending in group:
-            if isinstance(pending.update, (list, tuple)):
-                ops.extend(pending.update)
-            else:
-                ops.append(pending.update)
+        ops = [op for pending in group for op in pending.ops]
+        doc_id = group[0].doc_id
+        # Collection.apply_many names the document first.
+        document = () if doc_id is None else (doc_id,)
+        before = self._committed_counter(doc_id)
         try:
-            if isinstance(self.target, Collection):
-                result = self.target.apply_many(
-                    group[0].doc_id, ops, retain_generations=retain
-                )
-            else:
-                result = self.target.apply_many(ops, retain_generations=retain)
-        except Exception:
-            # Fault isolation, mirroring the query batcher: the group is
-            # rejected whole (nothing committed), so re-run one writer at a
-            # time and let only the poisoned update surface its error.
+            result = self.target.apply_many(*document, ops, retain_generations=retain)
+        except Exception as exc:
+            if len(group) == 1 or self._committed_counter(doc_id) != before:
+                # Nobody to isolate from -- or the counter moved, so the
+                # group is on disk and a step after the swap failed.
+                return [_Outcome(error=exc)] * len(group)
+            # Fault isolation, mirroring the query lane: the group was
+            # rejected whole, so re-run one writer at a time and let only
+            # the poisoned update surface its error.
             self._stats.isolation_retries += 1
-            outcomes = []
-            for pending in group:
-                try:
-                    outcomes.append((
-                        self._apply_one(
-                            pending.update, pending.doc_id,
-                            pending.retain_generations,
-                        ),
-                        None,
-                    ))
-                except Exception as exc:
-                    outcomes.append((None, exc))
-            return outcomes
+            return [self._apply_group([pending])[0] for pending in group]
         self._record_write_batch(len(group))
-        return [(result, None)] * len(group)
+        return [_Outcome(result=result)] * len(group)
+
+    def _deliver_writes(
+        self, group: list[_PendingWrite], outcomes: list[_Outcome], dequeued_at: float
+    ) -> None:
+        for pending, outcome in zip(group, outcomes):
+            if pending.future.done():  # pragma: no cover - cancelled caller
+                continue
+            if outcome.error is not None:
+                pending.future.set_exception(outcome.error)
+            else:
+                self._stats.updates += 1
+                pending.future.set_result(outcome.result)
 
     def _record_write_batch(self, size: int) -> None:
         stats = self._stats

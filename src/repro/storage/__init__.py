@@ -25,7 +25,6 @@ from repro.storage.update import (
     apply_many,
     apply_to_tree,
     apply_update,
-    apply_updates,
 )
 
 __all__ = [
@@ -63,6 +62,5 @@ __all__ = [
     "GroupCommitResult",
     "apply_many",
     "apply_update",
-    "apply_updates",
     "apply_to_tree",
 ]

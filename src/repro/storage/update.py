@@ -125,7 +125,7 @@ __all__ = [
     "apply_many",
     "apply_to_tree",
     "apply_update",
-    "apply_updates",
+    "check_retain",
     "fault_point",
     "op_from_spec",
 ]
@@ -834,6 +834,18 @@ def _write_index(
 _SIDECAR_LIMIT = 64 * 1024
 
 
+def check_retain(retain_generations: object) -> None:
+    """Refuse a ``retain_generations`` that :func:`prune_generations` would
+    refuse: ``None`` (keep everything) or an ``int >= 1`` pass.  Public so
+    that a write entry which queues updates can refuse at submit time."""
+    if retain_generations is not None and (
+        type(retain_generations) is not int or retain_generations < 1
+    ):
+        raise StorageError(
+            f"retain_generations must be None or an integer >= 1, got {retain_generations!r}"
+        )
+
+
 def apply_many(
     base_path: str,
     ops: Sequence[UpdateOp],
@@ -846,8 +858,8 @@ def apply_many(
     """Commit ``ops`` as **one group**: one generation, one pointer swap.
 
     Sequential semantics (each operation's node ids address the state the
-    previous one produced, exactly like :func:`apply_updates`) at the cost
-    of one commit: however many operations ride in the group, durability is
+    previous one produced, exactly like committing them one by one) at the
+    cost of one commit: however many operations ride in the group, durability is
     two data fsyncs -- the WAL record and the final spliced ``.arb`` --
     plus one pointer swap (the protocol and its crash semantics are the
     module docstring's).  The group is atomic both ways: readers see all of
@@ -861,7 +873,9 @@ def apply_many(
     ``retain_generations`` optionally prunes history after a successful
     swap, keeping the new generation plus ``retain_generations - 1``
     predecessors (generation 0 is always kept).  The default keeps
-    everything, which is what long-running pinned readers want.
+    everything, which is what long-running pinned readers want.  A value
+    pruning would refuse is refused here, before the lock and the log: a
+    commit must never land and *then* raise.
 
     Writers of one base path are serialised (threads via a per-base lock,
     processes via an advisory ``flock`` on ``<base>.lock``); readers are
@@ -884,6 +898,7 @@ def apply_many(
     ops = list(ops)
     if not ops:
         raise StorageError("apply_many needs at least one operation")
+    check_retain(retain_generations)
     with exclusive_writer(base_path):
         from repro.storage import wal
 
@@ -919,40 +934,6 @@ def apply_update(
         expected_generation=expected_generation,
         expected_counter=expected_counter,
     )
-
-
-def apply_updates(
-    base_path: str,
-    updates: Sequence[UpdateOp],
-    *,
-    page_size: int = DEFAULT_PAGE_SIZE,
-    retain_generations: int | None = None,
-    expected_generation: int | None = None,
-    expected_counter: int | None = None,
-) -> list[UpdateResult]:
-    """Apply ``updates`` in order; each advances the database one generation.
-
-    Node ids in each operation refer to the generation produced by the
-    previous one (sequential semantics, like issuing the updates one by
-    one).  When ``expected_generation`` / ``expected_counter`` guard the
-    first operation, each later one expects its predecessor's result, so a
-    foreign writer slipping between two operations of the sequence is
-    detected too.
-    """
-    results = []
-    for update in updates:
-        result = apply_update(
-            base_path,
-            update,
-            page_size=page_size,
-            retain_generations=retain_generations,
-            expected_generation=expected_generation,
-            expected_counter=expected_counter,
-        )
-        expected_generation = result.new_generation
-        expected_counter = result.counter
-        results.append(result)
-    return results
 
 
 def _check_expected(

@@ -6,20 +6,25 @@ operations produce applied one commit at a time (one group of N == N groups
 of one: there is only one commit path) -- while every commit pays the same
 bounded durability budget (at most 2 data fsyncs, exactly 1 pointer swap
 and 1 WAL append, however large N is) and either commits whole or leaves
-the database untouched.
+the database untouched.  Every write entry above storage -- engine,
+collection, service, wire -- is a caller of that one routine, so the same
+identity is checked through each of them.
 """
 
 from __future__ import annotations
 
+import asyncio
 import os
 import tempfile
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.collection import Collection
 from repro.engine import Database
-from repro.errors import StorageError
+from repro.errors import ServiceClosedError, ServiceOverloadedError, StorageError
+from repro.service import ArbServer, QueryService, request_many
 from repro.storage.build import build_database
 from repro.storage.durability import durability
 from repro.storage.generations import generation_base, list_generations, read_pointer
@@ -34,6 +39,7 @@ from repro.storage.update import (
     op_from_spec,
 )
 from repro.storage.wal import wal_path
+from repro.tree.xml_io import parse_xml, serialize_xml
 
 from tests.strategies import unranked_trees
 
@@ -62,6 +68,112 @@ def _file_bytes(path: str) -> bytes:
 
 def _generation_bytes(base: str, generation: int, suffix: str) -> bytes:
     return _file_bytes(generation_base(base, generation) + suffix)
+
+
+def _files_of(base: str) -> dict[str, bytes]:
+    """Every file of the database -- pointer, WAL, all generations -- by
+    name (the empty ``.lock`` sidecar aside: taking the lock creates it)."""
+    directory = os.path.dirname(base)
+    return {
+        name: _file_bytes(os.path.join(directory, name))
+        for name in sorted(os.listdir(directory))
+        if name.startswith(os.path.basename(base) + ".") and not name.endswith(".lock")
+    }
+
+
+# --------------------------------------------------------------------------- #
+# The write entries: each applies ``ops`` to a fresh database built from
+# ``tree`` under ``tmp`` and returns the base path it wrote to
+# --------------------------------------------------------------------------- #
+
+
+def _built(tmp: str, tree) -> str:
+    base = os.path.join(tmp, "grouped")
+    build_database(tree, base)
+    return base
+
+
+def _through_storage(tmp, tree, ops, specs):
+    base = _built(tmp, tree)
+    apply_many(base, ops)
+    return base
+
+
+def _through_database(apply):
+    def entry(tmp, tree, ops, specs):
+        base = _built(tmp, tree)
+        apply(Database.open(base), ops)
+        return base
+
+    return entry
+
+
+def _through_collection(apply):
+    def entry(tmp, tree, ops, specs):
+        collection = Collection.create(os.path.join(tmp, "corpus"))
+        collection.add_document(tree, doc_id="one")
+        apply(collection, ops)
+        record = collection.manifest.get("one")
+        base = record.base_path(collection.root)
+        pointer = read_pointer(base)
+        assert (record.generation, record.counter) == (pointer.generation, pointer.counter)
+        return base
+
+    return entry
+
+
+def _through_service(write_window: float, *, declared: bool):
+    def entry(tmp, tree, ops, specs):
+        base = _built(tmp, tree)
+
+        async def main():
+            async with QueryService(Database.open(base), write_window=write_window) as service:
+                if declared:
+                    await service.apply(ops)
+                else:  # FIFO: the lane commits them in submission order
+                    await asyncio.gather(*[service.apply(op) for op in ops])
+
+        asyncio.run(main())
+        return base
+
+    return entry
+
+
+def _through_wire(tmp, tree, ops, specs):
+    base = _built(tmp, tree)
+
+    async def main():
+        server = ArbServer(Database.open(base), port=0)
+        host, port = await server.start()
+        try:
+            (reply,) = await request_many(host, port, [{"op": "update", "ops": specs}])
+            assert reply["ok"], reply
+        finally:
+            await server.stop()
+
+    asyncio.run(main())
+    return base
+
+
+WRITE_ENTRIES = {
+    "storage.apply_many": _through_storage,
+    "Database.apply per op": _through_database(
+        lambda database, ops: [database.apply(op) for op in ops]
+    ),
+    "Database.apply(sequence)": _through_database(lambda database, ops: database.apply(ops)),
+    "Database.apply_many": _through_database(lambda database, ops: database.apply_many(ops)),
+    "Collection.apply(sequence)": _through_collection(
+        lambda collection, ops: collection.apply("one", ops)
+    ),
+    "Collection.apply_many": _through_collection(
+        lambda collection, ops: collection.apply_many("one", ops)
+    ),
+    "QueryService.apply per op, window 0": _through_service(0.0, declared=False),
+    "QueryService.apply per op, window > 0": _through_service(0.02, declared=False),
+    "QueryService.apply(sequence), window 0": _through_service(0.0, declared=True),
+    "QueryService.apply(sequence), window > 0": _through_service(0.02, declared=True),
+    "wire update": _through_wire,
+}
 
 
 # --------------------------------------------------------------------------- #
@@ -93,48 +205,58 @@ def test_group_is_byte_identical_to_sequential_applies(tmp_path):
         os.path.getsize(wal_path(grouped)) == 0
 
 
+@pytest.mark.parametrize("entry", sorted(WRITE_ENTRIES))
 @settings(
     max_examples=20,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 @given(data=st.data())
-def test_random_groups_equal_sequential_applies(data):
-    """apply_many(ops) == N x apply_update(op), for random valid groups."""
+def test_random_groups_equal_sequential_applies(entry, data):
+    """ops through any write entry == N x apply_update(op) == the tree
+    oracle, for random valid groups: same final bytes, same counter."""
     labels = ("a", "b", "c")
     tree = data.draw(unranked_trees(max_leaves=6))
     n_ops = data.draw(st.integers(1, 4))
     mirror = tree
-    ops = []
+    specs = []
     for _ in range(n_ops):
         nodes = list(mirror.iter_nodes())
         kinds = ["relabel", "insert"] + (["delete"] if len(nodes) > 1 else [])
         kind = data.draw(st.sampled_from(kinds))
         if kind == "relabel":
-            op = Relabel(data.draw(st.integers(0, len(nodes) - 1)),
-                         data.draw(st.sampled_from(labels)))
+            spec = {
+                "kind": kind,
+                "node": data.draw(st.integers(0, len(nodes) - 1)),
+                "label": data.draw(st.sampled_from(labels)),
+            }
         elif kind == "delete":
-            op = DeleteSubtree(data.draw(st.integers(1, len(nodes) - 1)))
+            spec = {"kind": kind, "node": data.draw(st.integers(1, len(nodes) - 1))}
         else:
             parent = data.draw(st.integers(0, len(nodes) - 1))
-            position = data.draw(st.integers(0, len(nodes[parent].children)))
-            op = InsertSubtree(parent, data.draw(unranked_trees(max_leaves=3)),
-                               position=position)
-        ops.append(op)
-        mirror = apply_to_tree(mirror, op)
+            spec = {
+                "kind": kind,
+                "parent": parent,
+                "xml": serialize_xml(data.draw(unranked_trees(max_leaves=3))),
+                "at": data.draw(st.integers(0, len(nodes[parent].children))),
+            }
+        specs.append(spec)
+        mirror = apply_to_tree(mirror, op_from_spec(spec))
+    ops = [op_from_spec(spec) for spec in specs]
 
     with tempfile.TemporaryDirectory() as tmp:
-        grouped = os.path.join(tmp, "grouped")
         sequential = os.path.join(tmp, "sequential")
-        build_database(tree, grouped)
         build_database(tree, sequential)
-        result = apply_many(grouped, ops)
         for op in ops:
             apply_update(sequential, op)
-        assert result.n_nodes == mirror.node_count()
+        grouped = WRITE_ENTRIES[entry](tmp, tree, ops, specs)
+        pointer = read_pointer(grouped)
+        assert pointer.counter == read_pointer(sequential).counter == 1 + n_ops
+        assert pointer.generation == read_pointer(sequential).generation
         for suffix in (".arb", ".lab", ".idx"):
-            assert _generation_bytes(grouped, result.new_generation, suffix) == \
-                _generation_bytes(sequential, result.new_generation, suffix), suffix
+            assert _generation_bytes(grouped, pointer.generation, suffix) == \
+                _generation_bytes(sequential, pointer.generation, suffix), suffix
+        assert Database.open(grouped).unranked_tree().to_nested() == mirror.to_nested()
 
 
 # --------------------------------------------------------------------------- #
@@ -154,11 +276,21 @@ def test_group_commit_fsync_budget(tmp_path):
     assert delta.wal_replays == 0, delta
 
 
-def test_single_update_pays_the_same_budget(tmp_path):
-    """A single update is a group of one: same protocol, same budget."""
+def _apply_through_service(base: str, op):
+    async def main():
+        async with QueryService(Database.open(base)) as service:  # write_window=0
+            return await service.apply(op)
+
+    return asyncio.run(main())
+
+
+@pytest.mark.parametrize("apply_one", [apply_update, _apply_through_service])
+def test_single_update_pays_the_same_budget(tmp_path, apply_one):
+    """A single update is a group of one: same protocol, same budget --
+    committed directly or through the service's write lane."""
     base = _build(tmp_path)
     before = durability.snapshot()
-    result = apply_update(base, GROUP[1])
+    result = apply_one(base, GROUP[1])
     delta = durability.since(before)
     assert result.n_ops == 1 and not result.replayed
     assert delta.data_fsyncs <= 2, delta
@@ -205,6 +337,18 @@ def test_empty_group_is_rejected(tmp_path):
     base = _build(tmp_path)
     with pytest.raises(StorageError):
         apply_many(base, [])
+
+
+@pytest.mark.parametrize("retain", [0, -1, "2", 1.5, True])
+def test_bad_retain_is_refused_before_anything_is_written(tmp_path, retain):
+    """Regression: ``retain_generations=0`` used to commit the update and
+    *then* raise from the pruning step -- a committed update reported as a
+    failure."""
+    base = _build(tmp_path)
+    before = _files_of(base)
+    with pytest.raises(StorageError, match="retain_generations"):
+        apply_update(base, GROUP[1], retain_generations=retain)
+    assert _files_of(base) == before
 
 
 def test_stale_expectation_is_refused(tmp_path):
@@ -268,10 +412,6 @@ def test_op_from_spec_round_trip(tmp_path):
 
 
 def test_service_coalesces_concurrent_updates_into_one_group(tmp_path):
-    import asyncio
-
-    from repro.service import QueryService
-
     base = _build(tmp_path)
     database = Database.open(base)
 
@@ -303,10 +443,6 @@ def test_service_coalesces_concurrent_updates_into_one_group(tmp_path):
 def test_service_applies_an_op_sequence_as_one_group(tmp_path):
     """A caller-supplied sequence (the wire ``update`` op sends one) is a
     declared group: one generation, even with no write window."""
-    import asyncio
-
-    from repro.service import QueryService
-
     base = _build(tmp_path)
     database = Database.open(base)
 
@@ -326,10 +462,6 @@ def test_service_applies_an_op_sequence_as_one_group(tmp_path):
 
 
 def test_service_write_window_zero_keeps_per_update_commits(tmp_path):
-    import asyncio
-
-    from repro.service import QueryService
-
     base = _build(tmp_path)
     database = Database.open(base)
 
@@ -352,10 +484,6 @@ def test_service_mixed_group_keeps_explicit_retention(tmp_path):
     discarded retention for the whole group as soon as one rider used the
     default -- the common case, since most writers never pass it.
     """
-    import asyncio
-
-    from repro.service import QueryService
-
     base = _build(tmp_path)
     # An intermediate generation for the pruning to bite on (generation 0,
     # the original build, is never pruned).
@@ -381,10 +509,6 @@ def test_service_mixed_group_keeps_explicit_retention(tmp_path):
 
 
 def test_service_isolates_a_poisoned_update_in_a_group(tmp_path):
-    import asyncio
-
-    from repro.service import QueryService
-
     base = _build(tmp_path)
     database = Database.open(base)
 
@@ -405,3 +529,161 @@ def test_service_isolates_a_poisoned_update_in_a_group(tmp_path):
     # The clean riders still landed (per-op fallback after the group failed).
     assert database.query(BOOKS, engine="disk").count() == 1
     assert database.query("QUERY :- V.Label[tome];", engine="disk").count() == 1
+
+
+# --------------------------------------------------------------------------- #
+# At most once: what the service may and may not re-run
+# --------------------------------------------------------------------------- #
+
+#: Non-idempotent riders: applied twice, each leaves a different tree.
+RIDERS = (DeleteSubtree(2), InsertSubtree(0, "<cd/>", position=0), Relabel(1, "tome"))
+
+
+def _oracle(ops) -> object:
+    tree = parse_xml(DOC, text_mode="ignore")
+    for op in ops:
+        tree = apply_to_tree(tree, op)
+    return tree.to_nested()
+
+
+def test_service_rider_with_bad_retain_is_refused_alone(tmp_path):
+    """Regression: a rider with ``retain_generations=0`` made its group
+    commit, *then* raise from pruning, and the "nothing was committed"
+    isolation retry applied every rider a second time."""
+    base = _build(tmp_path)
+    database = Database.open(base)
+
+    async def main():
+        async with QueryService(database, write_window=0.05) as service:
+            outcomes = await asyncio.gather(
+                service.apply(RIDERS[0]),
+                service.apply(RIDERS[2], retain_generations=0),
+                service.apply(RIDERS[1]),
+                return_exceptions=True,
+            )
+            return outcomes, service.stats()
+
+    (first, refused, third), stats = asyncio.run(main())
+    assert isinstance(refused, StorageError) and "retain_generations" in str(refused)
+    assert first is third and first.n_ops == 2
+    assert read_pointer(base).counter == 1 + 2
+    assert stats.isolation_retries == 0
+    assert database.unranked_tree().to_nested() == _oracle(RIDERS[:2])
+
+
+def test_service_never_retries_a_group_that_committed(tmp_path, monkeypatch):
+    """A step after the pointer swap fails: the group is on disk, so every
+    rider gets the error and none is applied again."""
+    base = _build(tmp_path)
+    database = Database.open(base)
+
+    def failing_prune(base_path, retain):
+        raise StorageError("injected post-commit failure")
+
+    monkeypatch.setattr("repro.storage.update.prune_generations", failing_prune)
+
+    async def main():
+        async with QueryService(database, write_window=0.05) as service:
+            outcomes = await asyncio.gather(
+                *[service.apply(op, retain_generations=2) for op in RIDERS], return_exceptions=True
+            )
+            return outcomes, service.stats()
+
+    outcomes, stats = asyncio.run(main())
+    assert all(isinstance(outcome, StorageError) for outcome in outcomes)
+    assert read_pointer(base).counter == 1 + len(RIDERS)
+    assert stats.isolation_retries == 0
+    assert database.unranked_tree().to_nested() == _oracle(RIDERS)
+
+
+def test_wire_update_with_bad_retain_is_refused_at_submit(tmp_path):
+    base = _build(tmp_path)
+    before = _files_of(base)
+    update = {"op": "update", "ops": [{"kind": "delete", "node": 2}]}
+
+    async def main():
+        server = ArbServer(Database.open(base), port=0, write_window=0.05)
+        host, port = await server.start()
+        try:
+            return await request_many(host, port, [{**update, "retain": 0}, {**update, "retain": "2"}])
+        finally:
+            await server.stop()
+
+    for reply in asyncio.run(main()):
+        assert not reply["ok"] and reply["error_type"] == "StorageError", reply
+        assert "retain_generations" in reply["error"]
+    assert _files_of(base) == before
+
+
+@pytest.mark.parametrize("write_window", [0.0, 0.05])
+def test_service_rejected_lone_update_writes_nothing(tmp_path, write_window):
+    """A group of one that cannot compile is an error, not a retry."""
+    base = _build(tmp_path)
+    before = _files_of(base)
+
+    async def main():
+        async with QueryService(Database.open(base), write_window=write_window) as service:
+            with pytest.raises(StorageError, match="out of range"):
+                await service.apply(DeleteSubtree(999))
+            return service.stats()
+
+    stats = asyncio.run(main())
+    assert stats.isolation_retries == 0 and stats.updates == 0
+    assert _files_of(base) == before
+
+
+def test_service_admits_updates_under_max_pending(tmp_path):
+    """A flood of updates past the bound gets typed refusals, and no
+    refused update is committed."""
+    base = _build(tmp_path)
+    database = Database.open(base)
+    flood = [InsertSubtree(0, "<cd/>", position=0)] * 10
+
+    async def main():
+        async with QueryService(database, write_window=0.05, max_pending=4) as service:
+            tasks = [asyncio.ensure_future(service.apply(op)) for op in flood]
+            await asyncio.sleep(0)  # every apply runs up to its queue or its refusal
+            pending = service.pending
+            outcomes = await asyncio.gather(*tasks, return_exceptions=True)
+            return outcomes, pending, service.stats()
+
+    outcomes, pending, stats = asyncio.run(main())
+    refused = [outcome for outcome in outcomes if isinstance(outcome, BaseException)]
+    assert pending == 4
+    assert len(refused) == 6 and stats.rejected == 6
+    assert all(isinstance(outcome, ServiceOverloadedError) for outcome in refused)
+    assert stats.updates == 4
+    assert read_pointer(base).counter == 1 + 4
+    assert database.n_nodes == 6 + 4
+
+
+def test_service_refuses_updates_once_it_stops_accepting(tmp_path):
+    """stop() is two-phase; an update arriving after phase one must not
+    enqueue behind lanes that are about to drain."""
+    base = _build(tmp_path)
+    database = Database.open(base)
+    before = _files_of(base)
+    release = threading.Event()
+
+    class SlowCache:
+        def lookup(self, query, **options):
+            release.wait(timeout=30)
+            return database.plan_cache.lookup(query, **options)
+
+    async def main():
+        service = QueryService(database, write_window=0.05)
+        service.plan_cache = SlowCache()
+        await service.start()
+        reader = asyncio.ensure_future(service.submit(BOOKS))
+        await asyncio.sleep(0.01)  # the read is past admission, compiling
+        stopping = asyncio.ensure_future(service.stop())
+        await asyncio.sleep(0.01)  # stop() waits for that admission to finish
+        with pytest.raises(ServiceClosedError):
+            await service.apply(GROUP[0])
+        release.set()
+        answer = await reader
+        await stopping
+        return answer
+
+    assert asyncio.run(main()).count() == 2
+    assert _files_of(base) == before

@@ -240,6 +240,25 @@ def test_apply_sequence_advances_one_generation_per_op(tmp_path):
     assert len(list_generations(base)) == 4  # generation 0 plus three updates
 
 
+def test_apply_sequence_refuses_to_continue_past_a_foreign_writer(tmp_path, monkeypatch):
+    base = _build(tmp_path)
+    db = Database.open(base)
+    refresh = Database.refresh
+
+    def refresh_after_a_foreign_write(self):
+        monkeypatch.setattr(Database, "refresh", refresh)  # once
+        apply_update(base, Relabel(0, "shelf"))
+        return refresh(self)
+
+    monkeypatch.setattr(Database, "refresh", refresh_after_a_foreign_write)
+    with pytest.raises(StorageError, match="conflict"):
+        db.apply([Relabel(4, "book"), DeleteSubtree(1)])
+    # The first operation and the foreign one landed; the second operation's
+    # ids addressed a state that was no longer current, so it did not.
+    assert read_pointer(base).counter == 1 + 2
+    assert db.n_nodes == 6
+
+
 def test_counter_survives_rebuild_and_never_reuses_generation_numbers(tmp_path):
     base = _build(tmp_path)
     apply_update(base, Relabel(4, "book"))
