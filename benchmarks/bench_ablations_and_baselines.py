@@ -18,12 +18,13 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import report
+from repro import DiskQueryEngine
 from repro.baselines.datalog import evaluate_fixpoint
 from repro.bench.figure6 import load_block_tree
 from repro.bench.reporting import format_table
 from repro.core.two_phase import TwoPhaseEvaluator
 from repro.datasets.random_queries import STEP_SOME_CHILD, TREEBANK_ALPHABET, random_query_batch
-from repro.storage import ArbDatabase, DiskQueryEngine, build_database
+from repro.storage import ArbDatabase, build_database
 from repro.streaming import StreamingEngine
 from repro.tmnf import TMNFProgram
 from repro.xpath import xpath_to_program

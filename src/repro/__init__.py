@@ -20,10 +20,10 @@ from repro.core.two_phase import EvaluationResult, EvaluationStatistics, TwoPhas
 from repro.engine import BatchQueryResult, Database, QueryResult, compile_query
 from repro.errors import ReproError
 from repro.plan import PlanCache, QueryPlan, default_plan_cache
+from repro.plan.disk_engine import DiskQueryEngine
 from repro.service import ArbServer, QueryService, ServiceResponse, ServiceStats
 from repro.storage.bufferpool import BufferPool, default_buffer_pool, resolve_pager
 from repro.storage.database import ArbDatabase
-from repro.storage.disk_engine import DiskQueryEngine
 from repro.storage.paging import IOStatistics, PagerConfig
 from repro.storage.update import (
     DeleteSubtree,

@@ -1,8 +1,9 @@
 """The benchmark-regression harness behind the ``bench-regression`` CI gate.
 
 Runs the *fast* benchmark subset -- figure-6-style datasets, full
-forward/backward `.arb` scans and a disk query batch in both pager modes
-(the batch twice over: ``query-batch`` pins the pure-Python lockstep loop,
+forward/backward `.arb` scans and a disk query batch (entry names keep the
+``/buffered`` suffix the committed baseline knows them by; the batch runs
+twice over: ``query-batch`` pins the pure-Python lockstep loop,
 ``query-batch-kernel`` forces the vectorised numpy kernel and asserts
 in-process that its answers and access-pattern counters match the pure
 loop exactly while beating it by :data:`MIN_KERNEL_SPEEDUP`),
@@ -15,8 +16,8 @@ routed across 1/2/4 in-process replicas; answers must be byte-identical to
 the primary's direct evaluation, see :mod:`repro.bench.replication`) --
 and writes one JSON record per benchmark::
 
-    {"name": "scan-forward/treebank/mmap", "wall_seconds": 0.0021,
-     "pages_read": 1, "seeks": 1, "bytes_read": 120132}
+    {"name": "scan-forward/treebank/buffered", "wall_seconds": 0.0072,
+     "pages_read": 2, "seeks": 1, "bytes_read": 120002}
 
 The committed ``BENCH_baseline.json`` is the trajectory anchor; a PR run
 (``BENCH_pr.json``) is compared against it with two very different rules:
@@ -55,13 +56,10 @@ from repro.engine import Database
 from repro.plan.kernel import numpy_available
 from repro.storage.build import build_database
 from repro.storage.database import ArbDatabase
-from repro.storage.paging import IOStatistics, PagerConfig
+from repro.storage.paging import IOStatistics
 from repro.storage.update import Relabel, apply_update
 
 __all__ = ["run_benchmarks", "compare_benchmarks", "main"]
-
-#: Pager modes every benchmark runs under.
-MODES = ("buffered", "mmap")
 
 #: Figure-6 blocks and the label queries batched over each on disk (the
 #: datasets' actual alphabets, so the batches select real nodes and the
@@ -161,56 +159,47 @@ def run_benchmarks(
             base = os.path.join(tmp, block)
             build_database(tree.to_unranked(), base)
             queries = [f"QUERY :- V.Label[{label}];" for label in labels]
-            per_mode_io: dict[str, tuple] = {}
-            for mode in MODES:
-                pager = PagerConfig(mode=mode)
-                arb = ArbDatabase.open(base, pager=pager)
-                seconds, stats = _best_of(lambda: _scan_stats(arb, backward=False), repeats)
-                entries.append(_entry(f"scan-forward/{block}/{mode}", seconds, stats))
-                forward_io = stats
-                seconds, stats = _best_of(lambda: _scan_stats(arb, backward=True), repeats)
-                entries.append(_entry(f"scan-backward/{block}/{mode}", seconds, stats))
-                backward_io = stats
+            arb = ArbDatabase.open(base)
+            seconds, stats = _best_of(lambda: _scan_stats(arb, backward=False), repeats)
+            entries.append(_entry(f"scan-forward/{block}/buffered", seconds, stats))
+            seconds, stats = _best_of(lambda: _scan_stats(arb, backward=True), repeats)
+            entries.append(_entry(f"scan-backward/{block}/buffered", seconds, stats))
 
-                database = Database.open(base, pager=pager)
-                # One untimed warm-up evaluation so plan compilation and lazy
-                # automaton construction never leak into the gated timing.
-                # The kernel is pinned to the pure-Python loop so this entry
-                # keeps timing the baseline loop whatever REPRO_KERNEL says.
-                database.query_many(queries, engine="disk", temp_dir=tmp, kernel="python")
-                seconds, batch = _best_of(
-                    lambda: database.query_many(queries, engine="disk", temp_dir=tmp, kernel="python"),
+            database = Database.open(base)
+            # One untimed warm-up evaluation so plan compilation and lazy
+            # automaton construction never leak into the gated timing.
+            # The kernel is pinned to the pure-Python loop so this entry
+            # keeps timing the baseline loop whatever REPRO_KERNEL says.
+            database.query_many(queries, engine="disk", temp_dir=tmp, kernel="python")
+            seconds, batch = _best_of(
+                lambda: database.query_many(queries, engine="disk", temp_dir=tmp, kernel="python"),
+                repeats,
+            )
+            entries.append(
+                _entry(
+                    f"query-batch/{block}/buffered",
+                    seconds,
+                    batch.arb_io,
+                    selected=sum(result.count() for result in batch.results),
+                )
+            )
+            if numpy_available():
+                name = f"query-batch-kernel/{block}/buffered"
+                database.query_many(queries, engine="disk", temp_dir=tmp, kernel="numpy")
+                kernel_seconds, kernel_batch = _best_of(
+                    lambda: database.query_many(queries, engine="disk", temp_dir=tmp, kernel="numpy"),
                     repeats,
                 )
+                _assert_kernel_parity(name, batch, kernel_batch, seconds, kernel_seconds)
                 entries.append(
                     _entry(
-                        f"query-batch/{block}/{mode}",
-                        seconds,
-                        batch.arb_io,
-                        selected=sum(result.count() for result in batch.results),
+                        name,
+                        kernel_seconds,
+                        kernel_batch.arb_io,
+                        selected=sum(result.count() for result in kernel_batch.results),
+                        speedup=round(seconds / kernel_seconds, 2),
                     )
                 )
-                if numpy_available():
-                    name = f"query-batch-kernel/{block}/{mode}"
-                    database.query_many(queries, engine="disk", temp_dir=tmp, kernel="numpy")
-                    kernel_seconds, kernel_batch = _best_of(
-                        lambda: database.query_many(queries, engine="disk", temp_dir=tmp, kernel="numpy"),
-                        repeats,
-                    )
-                    _assert_kernel_parity(name, batch, kernel_batch, seconds, kernel_seconds)
-                    entries.append(
-                        _entry(
-                            name,
-                            kernel_seconds,
-                            kernel_batch.arb_io,
-                            selected=sum(result.count() for result in kernel_batch.results),
-                            speedup=round(seconds / kernel_seconds, 2),
-                        )
-                    )
-                per_mode_io[mode] = (forward_io, backward_io, batch.arb_io)
-            # The recorded artifact itself guarantees mode-independence; fail
-            # the run outright if the two modes ever disagree on a counter.
-            _assert_modes_agree(block, per_mode_io)
         _update_benchmarks(tmp, entries, repeats, treebank_nodes, acgt_exponent)
         _group_commit_benchmark(tmp, entries, treebank_nodes, acgt_exponent)
         _selectivity_benchmarks(tmp, entries, repeats)
@@ -229,9 +218,9 @@ def _update_benchmarks(
     fixed dataset, so the counters are gated exactly and the wall clock is
     gated calibrated like every other benchmark (``updates_per_sec`` rides
     along as telemetry).  ``query-batch-postupdate`` then runs the standard
-    treebank query batch on the updated generation in both pager modes: its
-    pages/seeks/bytes must match the pre-update batch exactly -- updates
-    must not erode the paper's two-scan guarantee.
+    treebank query batch on the updated generation: its pages/seeks/bytes
+    must match the pre-update batch exactly -- updates must not erode the
+    paper's two-scan guarantee.
     """
     tree = load_block_tree(
         "treebank", treebank_nodes=treebank_nodes, acgt_exponent=acgt_exponent
@@ -264,23 +253,22 @@ def _update_benchmarks(
         )
     )
 
-    for mode in MODES:
-        database = Database.open(base, pager=PagerConfig(mode=mode))
-        # Pinned to the pure loop like query-batch, so the entry stays
-        # comparable to its baseline whatever REPRO_KERNEL says.
-        database.query_many(queries, engine="disk", temp_dir=tmp, kernel="python")  # warm-up
-        seconds, batch = _best_of(
-            lambda: database.query_many(queries, engine="disk", temp_dir=tmp, kernel="python"),
-            repeats,
+    database = Database.open(base)
+    # Pinned to the pure loop like query-batch, so the entry stays
+    # comparable to its baseline whatever REPRO_KERNEL says.
+    database.query_many(queries, engine="disk", temp_dir=tmp, kernel="python")  # warm-up
+    seconds, batch = _best_of(
+        lambda: database.query_many(queries, engine="disk", temp_dir=tmp, kernel="python"),
+        repeats,
+    )
+    entries.append(
+        _entry(
+            "query-batch-postupdate/treebank/buffered",
+            seconds,
+            batch.arb_io,
+            selected=sum(result.count() for result in batch.results),
         )
-        entries.append(
-            _entry(
-                f"query-batch-postupdate/treebank/{mode}",
-                seconds,
-                batch.arb_io,
-                selected=sum(result.count() for result in batch.results),
-            )
-        )
+    )
 
 
 def _group_commit_benchmark(
@@ -456,18 +444,6 @@ def _assert_kernel_parity(name, pure, fast, pure_seconds: float, fast_seconds: f
             f"{name}: numpy kernel is only {pure_seconds / fast_seconds:.2f}x faster than "
             f"the pure loop (gate: >= {MIN_KERNEL_SPEEDUP:.0f}x)"
         )
-
-
-def _assert_modes_agree(block: str, per_mode_io: dict) -> None:
-    reference = None
-    for mode, pair in per_mode_io.items():
-        counters = [(io.pages_read, io.seeks, io.bytes_read) for io in pair]
-        if reference is None:
-            reference = counters
-        elif counters != reference:
-            raise AssertionError(
-                f"{block}: I/O counters differ between pager modes: {reference} vs {mode}={counters}"
-            )
 
 
 # ---------------------------------------------------------------------- #

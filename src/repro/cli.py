@@ -95,10 +95,9 @@ from repro.storage.update import (
 __all__ = ["main", "build_parser"]
 
 
-def _add_execution_flags(parser, pager_help: str, no_index_help: str) -> None:
-    """Declare ``--pager`` / ``--no-index`` / ``--kernel``, the flags of
+def _add_execution_flags(parser, no_index_help: str) -> None:
+    """Declare ``--no-index`` / ``--kernel``, the flags of
     :class:`~repro.plan.options.ExecutionOptions`, on a subcommand."""
-    parser.add_argument("--pager", choices=("buffered", "mmap"), default=None, help=pager_help)
     parser.add_argument("--no-index", action="store_true", help=no_index_help)
     parser.add_argument("--kernel", choices=KERNEL_CHOICES, default=None,
                         help="lockstep automaton kernel for disk scans: vectorised numpy or "
@@ -108,7 +107,7 @@ def _add_execution_flags(parser, pager_help: str, no_index_help: str) -> None:
 
 def _execution_keywords(args: argparse.Namespace) -> dict:
     """The keywords those flags stand for, as the library entry points spell them."""
-    return {"pager_mode": args.pager, "use_index": not args.no_index, "kernel": args.kernel}
+    return {"use_index": not args.no_index, "kernel": args.kernel}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,13 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--batch", action="store_true",
                        help="evaluate all given queries together "
                             "(on disk: one pair of linear scans for the whole batch)")
-    _add_execution_flags(
-        query,
-        "page access mode for .arb scans: buffered reads through the shared "
-        "buffer pool, or zero-copy mmap (identical I/O counters either way)",
-        "ignore the .idx page-summary sidecar: force full scans "
-        "even for selective batches (identical answers)",
-    )
+    _add_execution_flags(query, "ignore the .idx page-summary sidecar: force full scans "
+                                "even for selective batches (identical answers)")
     query.add_argument("--ids", action="store_true", help="print selected node ids")
     query.add_argument("--mark-up", action="store_true",
                        help="print the document with selected nodes marked up")
@@ -213,8 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of parallel workers (default: 1)")
     cquery.add_argument("--executor", choices=EXECUTORS, default="thread",
                         help="worker pool kind (default: thread)")
-    _add_execution_flags(cquery, "page access mode for per-document .arb scans",
-                         "ignore .idx page-summary sidecars (identical answers)")
+    _add_execution_flags(cquery, "ignore .idx page-summary sidecars (identical answers)")
     cquery.add_argument("--ids", action="store_true",
                         help="print selected node ids per document")
 
@@ -244,8 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shard workers per batch (collection targets only)")
     serve.add_argument("--executor", choices=EXECUTORS, default="thread",
                        help="worker pool kind for collection targets")
-    _add_execution_flags(serve, "page access mode for .arb scans of the served target",
-                         "ignore .idx page-summary sidecars for served batches")
+    _add_execution_flags(serve, "ignore .idx page-summary sidecars for served batches")
     serve.add_argument("--ready-file", metavar="PATH",
                        help="write 'host port' to PATH once the listener is bound")
     serve.add_argument("--replicate", choices=("async", "sync"), default="async",
@@ -298,10 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_database(path: str, pager_mode: str | None = None) -> Database:
+def _open_database(path: str) -> Database:
     if path.endswith(".xml"):
         return Database.from_xml_file(path)
-    return Database.open(path, pager=resolve_pager(pager_mode))
+    return Database.open(path, pager=resolve_pager())
 
 
 def _command_build(args: argparse.Namespace) -> int:
@@ -327,7 +319,7 @@ def _collect_queries(args: argparse.Namespace) -> tuple[list[str], str]:
 
 
 def _command_query(args: argparse.Namespace) -> int:
-    database = _open_database(args.database, pager_mode=args.pager)
+    database = _open_database(args.database)
     queries, language = _collect_queries(args)
     if args.batch:
         return _run_batch_query(database, queries, language, args)

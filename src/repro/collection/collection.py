@@ -314,7 +314,6 @@ class Collection:
         executor: str = "thread",
         collect_selected_nodes: bool = True,
         temp_dir: str | None = None,
-        pager_mode: str | None = None,
         use_index: bool = True,
         kernel: str | None = None,
     ) -> CollectionQueryResult:
@@ -328,7 +327,6 @@ class Collection:
             executor=executor,
             collect_selected_nodes=collect_selected_nodes,
             temp_dir=temp_dir,
-            pager_mode=pager_mode,
             use_index=use_index,
             kernel=kernel,
         )
@@ -344,7 +342,6 @@ class Collection:
         executor: str = "thread",
         collect_selected_nodes: bool = True,
         temp_dir: str | None = None,
-        pager_mode: str | None = None,
         use_index: bool = True,
         kernel: str | None = None,
     ) -> CollectionQueryResult:
@@ -358,7 +355,7 @@ class Collection:
         """
         options = ExecutionOptions(
             engine=engine, temp_dir=temp_dir, collect_selected_nodes=collect_selected_nodes,
-            use_index=use_index, kernel=kernel, pager_mode=pager_mode,
+            use_index=use_index, kernel=kernel,
         )
         return run_collection_query(
             self.documents, self.root, list(queries), cache=self.plan_cache, options=options,

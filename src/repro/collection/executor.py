@@ -106,9 +106,6 @@ class _ShardTask:
     #: writer applies updates mid-query.
     documents: list[tuple[str, str, int]]
     queries: list[str | TMNFProgram]
-    # ``options.pager_mode`` is a *mode*, not a PagerConfig: the process pool
-    # pickles tasks, and each worker should attach its own process-wide
-    # buffer pool.
     options: ExecutionOptions
     language: str = "tmnf"
     query_predicate: str | tuple[str, ...] | None = None
@@ -132,9 +129,10 @@ def evaluate_shard(task: _ShardTask, cache: PlanCache | None = None) -> _ShardOu
     if cache is None:
         cache = PlanCache()
     outcome = _ShardOutcome(shard_index=task.shard_index)
-    # All shards of one process share the default buffer pool, so a page one
-    # worker read is a memory hit for every other scan of that document.
-    pager = resolve_pager(task.options.pager_mode)
+    # All shards of one process share the default buffer pool (attached here,
+    # in the worker: tasks are pickled), so a page one worker read is a
+    # memory hit for every other scan of that document.
+    pager = resolve_pager()
     for doc_id, base_path, generation in task.documents:
         database = Database.open(base_path, pager=pager, generation=generation)
         database.plan_cache = cache
@@ -190,10 +188,8 @@ def run_collection_query(
 ) -> CollectionQueryResult:
     """Evaluate ``queries`` over every document, sharded across ``n_workers``.
 
-    Every worker gets ``options`` whole: ``pager_mode`` selects its scan path
-    (``"buffered"`` scans share the worker process's buffer pool, ``"mmap"``
-    maps each document; the per-document I/O counters are identical either
-    way), the rest goes to the plan dispatcher per document.
+    Every worker gets ``options`` whole and hands it to the plan dispatcher
+    per document; its scans share the worker process's buffer pool.
     """
     if not queries:
         raise EvaluationError("a collection query needs at least one query")

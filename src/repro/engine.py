@@ -114,12 +114,11 @@ class Database:
              page_size: int = DEFAULT_PAGE_SIZE) -> "Database":
         """Open an on-disk `.arb` database; queries will run in two linear scans.
 
-        ``pager`` selects the scan path -- ``PagerConfig(mode="mmap")`` for
-        zero-copy mapped scans, or a config carrying a shared
-        :class:`~repro.storage.bufferpool.BufferPool` (see
-        :func:`repro.storage.bufferpool.resolve_pager`).  Whatever the
-        configuration, the reported I/O counters are identical; only
-        wall-clock time changes.
+        ``pager`` optionally attaches a shared
+        :class:`~repro.storage.bufferpool.BufferPool` to every scan (see
+        :func:`repro.storage.bufferpool.resolve_pager`).  With or without
+        it, the reported I/O counters are identical; only wall-clock time
+        changes.
 
         Opening acquires a snapshot: the database's generation pointer is
         resolved here, once, and every scan this object ever runs reads

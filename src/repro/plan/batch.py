@@ -10,7 +10,7 @@ automata in lockstep while reading the composite state file backwards.  The
 how many queries the batch holds, which the separate ``arb_io`` counter
 proves.  A single query is a batch of one: the ``disk`` backend
 (:class:`~repro.plan.backends.DiskBackend`) and the
-:class:`~repro.storage.disk_engine.DiskQueryEngine` facade both call
+:class:`~repro.plan.disk_engine.DiskQueryEngine` facade both call
 :func:`evaluate_batch_on_disk` with one plan, whose four-byte entries are
 the "four bytes per node" state file of the paper.
 
@@ -43,7 +43,7 @@ single bottom-up state ``s*``:
 Skipped pages cause no physical I/O and are not counted in ``pages_read``;
 seeks grow by exactly one per page-sequence jump.  Answers are identical
 with and without the index -- the differential property suite
-(``tests/test_pageindex_property.py``) enforces it like buffered==mmap.
+(``tests/test_pageindex_property.py``) enforces it like pooled==unpooled.
 
 The per-plan automata stay fully independent (each plan keeps its own
 memoised tables and per-run statistics); only the *scan* is shared, along
@@ -91,7 +91,7 @@ def evaluate_batch_on_disk(
     one exists; answers are identical either way, only ``pages_read``
     shrinks) and ``kernel`` (the numpy kernel produces identical answers,
     statistics and I/O counters -- ``tests/test_kernel_differential.py``
-    enforces it the way buffered==mmap is enforced).
+    enforces it the way pooled==unpooled is enforced).
     """
     if not plans:
         raise EvaluationError("batch evaluation needs at least one query")
@@ -445,11 +445,10 @@ def _run_phase2(
     ]
 
     # Composite entries decode in batch (one iter_unpack per page); the
-    # one-shot state file (written once, read once, deleted) is read with the
-    # database's pager mode but never through a shared pool.  With skipping,
-    # phase 1 wrote entries only for non-skipped nodes, and this phase
-    # consumes them only for non-skipped nodes -- the alignment is exact
-    # because the skip decision is static.
+    # one-shot state file (written once, read once, deleted) is never read
+    # through a shared pool.  With skipping, phase 1 wrote entries only for
+    # non-skipped nodes, and this phase consumes them only for non-skipped
+    # nodes -- the alignment is exact because the skip decision is static.
     state_reader = PagedReader(state_path, database.page_size, stats=state_io,
                                config=database.pager.without_pool())
     states_iter = state_reader.unpack_backward(entry_struct)

@@ -35,6 +35,9 @@ from typing import TYPE_CHECKING
 
 from repro.core.two_phase import EvaluationStatistics
 from repro.errors import EvaluationError
+from repro.plan.batch import evaluate_batch_on_disk
+from repro.plan.options import ExecutionOptions
+from repro.plan.plan import QueryPlan
 from repro.storage.database import ArbDatabase
 from repro.storage.paging import IOStatistics
 
@@ -80,11 +83,6 @@ class DiskQueryEngine:
         collect_selected_nodes: bool = True,
         kernel: str | None = None,
     ):
-        # Imported here, not at module level: repro.plan imports repro.storage
-        # (whose package import loads this module) while it is initialising.
-        from repro.plan.options import ExecutionOptions
-        from repro.plan.plan import QueryPlan
-
         self.program = program
         # A single query through this facade never consults the `.idx` sidecar.
         self._options = ExecutionOptions(
@@ -99,8 +97,6 @@ class DiskQueryEngine:
         ``temp_dir`` controls where the temporary state file is created
         (default: alongside the database).
         """
-        from repro.plan.batch import evaluate_batch_on_disk
-
         batch = evaluate_batch_on_disk([self._plan], database, replace(self._options, temp_dir=temp_dir))
         result = batch[0]
         return DiskEvaluationResult(

@@ -13,7 +13,7 @@ disk query is:
 * the `.arb` file is read through the same
   :class:`~repro.storage.paging.RangedScan` page walks as the pure path
   (same pages, same seeks, same bytes -- differential-tested the same way
-  buffered==mmap is), whole pages at a time via
+  pooled==unpooled is), whole pages at a time via
   :meth:`~repro.storage.paging.RangedScan.spans_range` and
   ``numpy.frombuffer``;
 * the tree structure (child links, subtree extents, stack depths) is
@@ -54,7 +54,7 @@ from repro.errors import EvaluationError
 from repro.plan.memo import memo_for
 from repro.storage.labels import RecordShapeLabelSets
 from repro.storage.paging import IOStatistics, PagedReader, PagedWriter
-from repro.storage.records import record_struct
+from repro.storage.records import flag_masks, record_struct
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.plan.plan import QueryPlan
@@ -286,8 +286,7 @@ class _LockstepKernel:
                 val[a:a + cnt] = seg_values[seg_index]
                 real[a:a + cnt] = True
 
-        first_bit = 1 << (8 * rs - 1)
-        second_bit = 1 << (8 * rs - 2)
+        first_bit, second_bit = flag_masks(rs)
         flag_f = (val & np.uint64(first_bit)) != 0
         flag_s = (val & np.uint64(second_bit)) != 0
 
@@ -426,8 +425,7 @@ class _LockstepKernel:
         indices = range(k)
         rs = db.record_size
         dtype = _SPAN_DTYPES[rs]
-        first_bit = 1 << (8 * rs - 1)
-        second_bit = 1 << (8 * rs - 2)
+        first_bit, second_bit = flag_masks(rs)
         segments = self._segments()[0]
         seg_items = self._seg_items
         m = self._m

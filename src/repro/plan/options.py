@@ -19,11 +19,10 @@ __all__ = ["ExecutionOptions"]
 class ExecutionOptions:
     """How to run compiled plans over one database (immutable, picklable).
 
-    ``None`` in ``kernel`` / ``pager_mode`` means "not given": the consumer
-    (:func:`repro.plan.kernel.resolve_kernel`,
-    :func:`repro.storage.bufferpool.resolve_pager`) then takes the
-    ``REPRO_*`` environment variable and after that the built-in default --
-    keyword > environment > default.
+    ``None`` in ``kernel`` means "not given": the consumer
+    (:func:`repro.plan.kernel.resolve_kernel`) then takes the
+    ``REPRO_KERNEL`` environment variable and after that the built-in
+    default -- keyword > environment > default.
     """
 
     #: Backend name; ``None`` / ``"auto"`` leaves the choice to the planner.
@@ -36,7 +35,3 @@ class ExecutionOptions:
     use_index: bool = True
     #: Lockstep loop: ``"numpy"`` / ``"python"`` / ``"auto"`` (``REPRO_KERNEL``).
     kernel: str | None = None
-    #: Scan path a collection worker opens its documents with: ``"buffered"``
-    #: / ``"mmap"`` (``REPRO_PAGER_MODE``); a :class:`Database` carries the
-    #: pager it was opened with instead.
-    pager_mode: str | None = None

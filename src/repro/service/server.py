@@ -81,12 +81,8 @@ from repro.wire import DEFAULT_STREAM_LIMIT, LineServer, request_many
 __all__ = ["ArbServer", "open_target", "request_many", "serve"]
 
 
-def open_target(path: str, pager_mode: str | None = None) -> Database | Collection:
-    """Open ``path`` as a collection root, an `.arb` base path, or an XML file.
-
-    ``pager_mode`` selects the scan path for an `.arb` target (collections
-    resolve it per shard at query time, XML targets are in memory).
-    """
+def open_target(path: str) -> Database | Collection:
+    """Open ``path`` as a collection root, an `.arb` base path, or an XML file."""
     if os.path.isdir(path):
         if os.path.exists(os.path.join(path, MANIFEST_NAME)):
             return Collection.open(path)
@@ -99,7 +95,7 @@ def open_target(path: str, pager_mode: str | None = None) -> Database | Collecti
         )
     if path.endswith(".xml"):
         return Database.from_xml_file(path)
-    return Database.open(path, pager=resolve_pager(pager_mode))
+    return Database.open(path, pager=resolve_pager())
 
 
 def _response_payload(response: ServiceResponse, *, ids: bool) -> dict:
@@ -326,6 +322,6 @@ async def serve(
 
     ``ready_file`` is :meth:`repro.wire.LineServer.run`'s.
     """
-    target = open_target(target_path, pager_mode=service_options.get("pager_mode"))
+    target = open_target(target_path)
     server = ArbServer(target, host=host, port=port, **service_options)
     await server.run("arb serve", ready_file)

@@ -171,7 +171,6 @@ class QueryService:
         temp_dir: str | None = None,
         n_workers: int = 1,
         executor: str = "thread",
-        pager_mode: str | None = None,
         use_index: bool = True,
         kernel: str | None = None,
     ):
@@ -198,12 +197,11 @@ class QueryService:
         self.max_write_batch = max_write_batch
         self.n_workers = n_workers
         self.executor = executor
-        #: How every coalesced batch runs.  ``pager_mode`` only reaches
-        #: collection shards (a database target carries the PagerConfig it
-        #: was opened with); the engine is always the dispatcher's default.
+        #: How every coalesced batch runs; the engine is always the
+        #: dispatcher's default.
         self.options = ExecutionOptions(
             temp_dir=temp_dir, collect_selected_nodes=collect_selected_nodes,
-            use_index=use_index, kernel=kernel, pager_mode=pager_mode,
+            use_index=use_index, kernel=kernel,
         )
         self.plan_cache = target.plan_cache
 

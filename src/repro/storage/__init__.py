@@ -1,9 +1,8 @@
-"""The Arb secondary-storage model: .arb databases, linear scans, disk engine."""
+"""The Arb secondary-storage model: .arb databases, linear scans, updates."""
 
 from repro.storage.bufferpool import BufferPool, BufferPoolStats, default_buffer_pool
 from repro.storage.build import BuildStatistics, DatabaseBuilder, build_database
 from repro.storage.database import ArbDatabase
-from repro.storage.disk_engine import DiskEvaluationResult, DiskQueryEngine
 from repro.storage.generations import (
     GenerationPointer,
     list_generations,
@@ -35,8 +34,6 @@ __all__ = [
     "BuildStatistics",
     "DatabaseBuilder",
     "build_database",
-    "DiskQueryEngine",
-    "DiskEvaluationResult",
     "LabelTable",
     "IOStatistics",
     "PagedReader",

@@ -241,17 +241,8 @@ def invalidate_default_pool(path: str) -> None:
         _default_pool.invalidate(path)
 
 
-def resolve_pager(mode: str | None = None, *, pooled: bool = True) -> PagerConfig:
-    """A :class:`~repro.storage.paging.PagerConfig` from a mode name.
-
-    ``mode`` of ``None`` falls back to the ``REPRO_PAGER_MODE`` environment
-    variable, then to ``"buffered"``.  Buffered configurations get the
-    process-wide :func:`default_buffer_pool` attached (unless ``pooled`` is
-    false); mmap scans share hot pages through the OS page cache instead.
-    This is the resolution every multi-scan entry point (collection shards,
-    the query service, the CLI) funnels through.
-    """
-    if mode is None:
-        mode = os.environ.get("REPRO_PAGER_MODE", "buffered")
-    pool = default_buffer_pool() if pooled and mode == "buffered" else None
-    return PagerConfig(mode=mode, pool=pool)
+def resolve_pager(*, pooled: bool = True) -> PagerConfig:
+    """The :class:`~repro.storage.paging.PagerConfig` of a multi-scan entry
+    point (collection shards, the query service, the CLI): scans share the
+    process-wide :func:`default_buffer_pool` unless ``pooled`` is false."""
+    return PagerConfig(pool=default_buffer_pool() if pooled else None)

@@ -43,7 +43,13 @@ from repro.storage.pageindex import (
     invalidate_index_cache,
     write_page_index,
 )
-from repro.storage.paging import BackwardPagedWriter, IOStatistics, PagedReader, PagedWriter
+from repro.storage.paging import (
+    BackwardPagedWriter,
+    IOStatistics,
+    PagedReader,
+    PagedWriter,
+    check_page_size,
+)
 from repro.storage.records import (
     DEFAULT_RECORD_SIZE,
     decode_event,
@@ -117,6 +123,7 @@ class DatabaseBuilder:
         page_size: int = 64 * 1024,
         keep_event_file: bool = False,
     ):
+        check_page_size(page_size)  # before any source is parsed or file created
         self.record_size = record_size
         self.page_size = page_size
         self.keep_event_file = keep_event_file

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 from repro.errors import StorageError
@@ -23,7 +23,13 @@ from repro.storage.generations import (
     resolve_logical_base,
 )
 from repro.storage.labels import LabelTable
-from repro.storage.paging import DEFAULT_PAGE_SIZE, IOStatistics, PagedReader, PagerConfig
+from repro.storage.paging import (
+    DEFAULT_PAGE_SIZE,
+    IOStatistics,
+    PagedReader,
+    PagerConfig,
+    check_page_size,
+)
 from repro.storage.records import (
     NodeRecord,
     decode_node,
@@ -47,8 +53,8 @@ class ArbDatabase:
     element_nodes: int = 0
     char_nodes: int = 0
     page_size: int = DEFAULT_PAGE_SIZE
-    #: How scans materialise pages (buffered reads, shared buffer pool, or
-    #: zero-copy mmap); never changes the logical I/O counters.
+    #: What scans fetch pages through (an optional shared buffer pool);
+    #: never changes the logical I/O counters.
     pager: PagerConfig = field(default_factory=PagerConfig)
     #: The user-facing base path (without any generation suffix) and the
     #: generation this handle is pinned to.  A handle never re-resolves the
@@ -83,8 +89,8 @@ class ArbDatabase:
              generation: int | None = None) -> "ArbDatabase":
         """Open ``<base_path>.arb`` (with its ``.lab`` and ``.meta`` companions).
 
-        ``pager`` selects the scan path (``buffered``/``mmap``, optional
-        shared buffer pool); the default is plain buffered reads.
+        ``pager`` optionally attaches a shared buffer pool to every scan;
+        the default is plain reads.
 
         Opening acquires a **snapshot**: the generation pointer of
         ``base_path`` (if one exists -- see
@@ -94,6 +100,7 @@ class ArbDatabase:
         explicit generation instead of the pointer's current one; a base
         path already carrying a ``.g<N>`` suffix is likewise opened as-is.
         """
+        check_page_size(page_size)
         if base_path.endswith(".arb"):
             base_path = base_path[: -len(".arb")]
         # A name like "snapshot.g2" is only a generation of base "snapshot"
@@ -161,22 +168,26 @@ class ArbDatabase:
     def file_size(self) -> int:
         return os.path.getsize(self.arb_path)
 
-    def reader(self, stats: IOStatistics | None = None) -> PagedReader:
-        return PagedReader(self.arb_path, self.page_size, stats=stats, config=self.pager)
+    def reader(self, stats: IOStatistics | None = None, page_filter=None) -> PagedReader:
+        """The `.arb` file on this handle's page grid, counting into ``stats``.
+
+        ``page_filter`` optionally guards its scans against touching pages
+        they must not (see :class:`~repro.storage.paging.PagerConfig`).
+        """
+        config = self.pager
+        if page_filter is not None:
+            config = replace(config, page_filter=page_filter)
+        return PagedReader(self.arb_path, self.page_size, stats=stats, config=config)
 
     def records_forward(self, stats: IOStatistics | None = None) -> Iterator[NodeRecord]:
-        """All node records in pre-order (one forward linear scan).
-
-        Decoding is batched: whole pages are unpacked with one C-level
-        ``iter_unpack`` call and raw values are interned through a shared
-        value -> :class:`NodeRecord` table, so the per-record Python work is
-        a dict hit.
-        """
-        return self._decoded_records(self.reader(stats), backward=False)
+        """All node records in pre-order (one forward linear scan)."""
+        records = _RangedRecords(self.reader(stats), self.record_size, backward=False)
+        return records.range(0, self.n_nodes)
 
     def records_backward(self, stats: IOStatistics | None = None) -> Iterator[NodeRecord]:
         """All node records in reverse pre-order (one backward linear scan)."""
-        return self._decoded_records(self.reader(stats), backward=True)
+        records = _RangedRecords(self.reader(stats), self.record_size, backward=True)
+        return records.range(0, self.n_nodes)
 
     def ranged_records(self, *, backward: bool, stats: IOStatistics | None = None,
                        page_filter=None) -> "_RangedRecords":
@@ -186,16 +197,8 @@ class ArbDatabase:
         :class:`NodeRecord` instances for one record range at a time; all
         ranges of the scan share one page source, and the I/O counters stay
         exact (one seek at the start plus one per page-sequence jump).
-        ``page_filter`` optionally guards the scan against touching pages it
-        must not (see :class:`~repro.storage.paging.PagerConfig`).
         """
-        config = self.pager
-        if page_filter is not None:
-            from dataclasses import replace as _replace
-
-            config = _replace(config, page_filter=page_filter)
-        reader = PagedReader(self.arb_path, self.page_size, stats=stats, config=config)
-        return _RangedRecords(reader, self.record_size, backward=backward)
+        return _RangedRecords(self.reader(stats, page_filter), self.record_size, backward=backward)
 
     def ranged_spans(self, *, backward: bool, stats: IOStatistics | None = None,
                      page_filter=None):
@@ -204,34 +207,12 @@ class ArbDatabase:
         Returns a :class:`~repro.storage.paging.RangedScan` whose
         :meth:`~repro.storage.paging.RangedScan.spans_range` yields raw
         ``(view, start, n_records)`` record spans for whole-page decoding
-        (e.g. ``numpy.frombuffer``) instead of per-record tuples.  The
-        underlying page source, caching and I/O accounting are identical to
-        :meth:`ranged_records`: scans that fetch the same page sequence
-        report the same counters, whichever record view they use.
+        (e.g. ``numpy.frombuffer``) instead of per-record tuples.  It is the
+        scan :meth:`ranged_records` decodes from: scans that fetch the same
+        page sequence report the same counters, whichever record view they
+        use.
         """
-        config = self.pager
-        if page_filter is not None:
-            from dataclasses import replace as _replace
-
-            config = _replace(config, page_filter=page_filter)
-        reader = PagedReader(self.arb_path, self.page_size, stats=stats, config=config)
-        return reader.ranged_scan(backward=backward)
-
-    def _decoded_records(self, reader: PagedReader, backward: bool) -> Iterator[NodeRecord]:
-        record_size = self.record_size
-        fmt = record_struct(record_size)
-        if fmt is None:  # exotic record size: per-record fallback
-            raws = (reader.records_backward if backward else reader.records_forward)(record_size)
-            for raw in raws:
-                yield decode_node(raw, record_size)
-            return
-        table = node_record_table(record_size)
-        lookup = table.get
-        for (value,) in reader.unpack_backward(fmt) if backward else reader.unpack_forward(fmt):
-            record = lookup(value)
-            if record is None:
-                record = table[value] = decode_node_value(value, record_size)
-            yield record
+        return self.reader(stats, page_filter).ranged_scan(backward=backward)
 
     def label_name(self, record: NodeRecord) -> str:
         return self.labels.name_of(record.label_index)
@@ -349,12 +330,13 @@ class ArbDatabase:
 class _RangedRecords:
     """Decoded-record view over a :class:`~repro.storage.paging.RangedScan`.
 
-    Supported record sizes decode page-at-a-time through the interned
-    value -> :class:`NodeRecord` table, exactly like the full-scan path;
-    exotic record sizes fall back to per-record decoding.
+    Supported record sizes decode page-at-a-time (whole pages unpacked with
+    one C-level ``iter_unpack`` call) and raw values are interned through a
+    shared value -> :class:`NodeRecord` table, so the per-record Python work
+    is a dict hit; exotic record sizes fall back to per-record decoding.
     """
 
-    def __init__(self, reader, record_size: int, *, backward: bool):
+    def __init__(self, reader: PagedReader, record_size: int, *, backward: bool):
         self._scan = reader.ranged_scan(backward=backward)
         self._record_size = record_size
         self._fmt = record_struct(record_size)

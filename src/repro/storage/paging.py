@@ -15,34 +15,29 @@ covers bytes ``[i * page_size, (i+1) * page_size)``), so a forward scan, a
 backward scan and a concurrent scan of the same file all touch the *same*
 pages -- which is what lets a shared
 :class:`~repro.storage.bufferpool.BufferPool` serve one scan's pages to
-another.  A "seek" is counted once per scan (the reposition to the start or
-end of the file); a pure sequential scan never adds more.
+another.  A "seek" is counted at a scan's first page fetch (the reposition to
+the start or end of the file) and once more per jump in the fetched page
+sequence; a pure sequential scan never adds more than the one.
 
-:class:`PagerConfig` selects how pages are materialised:
+There is one way to read a file: a :class:`RangedScan` opens the page source,
+fetches every page (plain ``read()`` calls, optionally through the shared LRU
+:class:`~repro.storage.bufferpool.BufferPool` of a :class:`PagerConfig`) and
+counts it; a plain scan is a ranged scan of one range.  The **logical**
+:class:`IOStatistics` counters are identical whatever the pool state: a page
+access costs one page read whether it came from the OS or the pool.  The
+counters are the paper's verifiable artifact -- configuration may change
+wall-clock time only.  (Physical reads performed on behalf of a pool are
+tracked separately on the pool itself.)
 
-``buffered``
-    ordinary ``read()`` calls, optionally through a shared LRU
-    :class:`~repro.storage.bufferpool.BufferPool`;
-``mmap``
-    the file is memory-mapped once per scan and records are yielded as
-    zero-copy ``memoryview`` slices.
-
-The **logical** :class:`IOStatistics` counters are identical whatever the
-mode or pool state: a page access costs one page read whether it came from
-the OS, the pool or a mapping.  The counters are the paper's verifiable
-artifact -- configuration may change wall-clock time only.  (Physical reads
-performed on behalf of a pool are tracked separately on the pool itself.)
-
-Record decoding is batched: :meth:`PagedReader.unpack_forward` /
-:meth:`PagedReader.unpack_backward` run ``struct.Struct.iter_unpack`` over
-whole page-aligned spans (one C call per page instead of one Python-level
-unpack per record); records straddling a page boundary -- possible whenever
-the record size does not divide the page size -- are stitched individually.
+Record decoding is batched: :meth:`RangedScan.unpack_range` runs
+``struct.Struct.iter_unpack`` over whole page-aligned spans (one C call per
+page instead of one Python-level unpack per record); records straddling a
+page boundary -- possible whenever the record size does not divide the page
+size -- are stitched individually.
 """
 
 from __future__ import annotations
 
-import mmap as _mmap
 import os
 import struct
 from dataclasses import dataclass, field
@@ -61,13 +56,17 @@ __all__ = [
     "BackwardPagedWriter",
     "RangedScan",
     "DEFAULT_PAGE_SIZE",
-    "PAGER_MODES",
+    "check_page_size",
 ]
 
 DEFAULT_PAGE_SIZE = 64 * 1024
 
-#: Supported page-materialisation modes.
-PAGER_MODES = ("buffered", "mmap")
+
+def check_page_size(page_size: object) -> None:
+    """Refuse a page size no reader or writer can work with: anything but an
+    ``int >= 1`` (bools included), before any file is created or opened."""
+    if type(page_size) is not int or page_size < 1:
+        raise StorageError(f"page_size must be an integer >= 1, got {page_size!r}")
 
 
 @dataclass
@@ -110,38 +109,29 @@ class IOStatistics:
 
 @dataclass(frozen=True)
 class PagerConfig:
-    """How scans materialise pages: access mode plus an optional shared pool.
+    """What a scan's page fetches go through: a shared pool, a page guard.
 
-    ``mode`` is ``"buffered"`` (plain reads) or ``"mmap"`` (zero-copy
-    ``memoryview`` slices of a per-scan memory mapping).  ``pool`` is a
-    shared :class:`~repro.storage.bufferpool.BufferPool` consulted before
-    the file on every page access; it applies to buffered scans only (a
-    mapping already shares hot pages through the OS page cache).  Neither
-    setting changes the logical :class:`IOStatistics` of a scan.
+    ``pool`` is a shared :class:`~repro.storage.bufferpool.BufferPool`
+    consulted before the file on every page access; it never changes the
+    logical :class:`IOStatistics` of a scan.
 
     ``page_filter`` is an optional guard predicate over page indexes: a
     scan configured with one must never materialise a page the filter
-    rejects, and both sources raise :class:`~repro.errors.StorageError` if
+    rejects, and the fetch raises :class:`~repro.errors.StorageError` if
     asked to.  The page-skipping index uses it to *prove* that skipped
     pages cause no physical I/O (the filter is an assertion, not the skip
     mechanism itself).
     """
 
-    mode: str = "buffered"
     pool: "BufferPool | None" = None
     page_filter: object = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in PAGER_MODES:
-            names = ", ".join(PAGER_MODES)
-            raise StorageError(f"unknown pager mode {self.mode!r} (use one of: {names})")
 
     def without_pool(self) -> "PagerConfig":
         """This configuration minus the pool and any page filter (for
         single-use temp files, which live on their own page grid)."""
         if self.pool is None and self.page_filter is None:
             return self
-        return PagerConfig(mode=self.mode)
+        return PagerConfig()
 
 
 @dataclass
@@ -153,6 +143,7 @@ class PagedWriter:
     stats: IOStatistics = field(default_factory=IOStatistics)
 
     def __post_init__(self) -> None:
+        check_page_size(self.page_size)
         self._handle = open(self.path, "wb")
         self._buffer = bytearray()
 
@@ -192,6 +183,7 @@ class BackwardPagedWriter:
 
     def __init__(self, path: str, total_size: int, page_size: int = DEFAULT_PAGE_SIZE,
                  stats: IOStatistics | None = None):
+        check_page_size(page_size)
         self.path = path
         self.total_size = total_size
         self.page_size = page_size
@@ -250,28 +242,27 @@ class BackwardPagedWriter:
 
 
 # ---------------------------------------------------------------------- #
-# Scan-time page sources
+# The page source
 # ---------------------------------------------------------------------- #
 
 
-class _BufferedScanSource:
+class _PageSource:
     """Pages via ``read()``, optionally read-through a shared buffer pool."""
 
     __slots__ = ("_path", "_page_size", "_file_size", "_pool", "_key_path",
                  "_generation", "_handle", "_position", "_filter")
 
-    def __init__(self, path: str, page_size: int, file_size: int,
-                 pool: "BufferPool | None", page_filter=None):
-        self._path = path
-        self._page_size = page_size
-        self._file_size = file_size
-        self._pool = pool
-        self._filter = page_filter
+    def __init__(self, reader: "PagedReader"):
+        self._path = reader.path
+        self._page_size = reader.page_size
+        self._file_size = reader.file_size
+        self._pool = pool = reader.config.pool
+        self._filter = reader.config.page_filter
         self._handle = None
         self._position = 0
         if pool is not None:
-            self._key_path = os.path.abspath(path)
-            self._generation = pool.generation_for(path)
+            self._key_path = os.path.abspath(reader.path)
+            self._generation = pool.generation_for(reader.path)
 
     def page(self, index: int):
         if self._filter is not None and not self._filter(index):
@@ -307,45 +298,14 @@ class _BufferedScanSource:
             self._handle = None
 
 
-class _MmapScanSource:
-    """Zero-copy pages: ``memoryview`` slices of a per-scan memory mapping."""
-
-    __slots__ = ("_view", "_page_size", "_file_size", "_path", "_filter")
-
-    def __init__(self, path: str, page_size: int, file_size: int, page_filter=None):
-        with open(path, "rb") as handle:
-            # The mapping outlives the descriptor.  Slices handed to
-            # consumers keep the map alive by reference; an explicit
-            # mmap.close() would raise BufferError while any is exported,
-            # so the map is reclaimed by reference counting instead.
-            mapped = _mmap.mmap(handle.fileno(), 0, access=_mmap.ACCESS_READ)
-        self._view = memoryview(mapped)
-        self._page_size = page_size
-        self._file_size = file_size
-        self._path = path
-        self._filter = page_filter
-
-    def page(self, index: int):
-        if self._filter is not None and not self._filter(index):
-            raise StorageError(f"{self._path}: page {index} rejected by the page filter")
-        base = index * self._page_size
-        return self._view[base:min(base + self._page_size, self._file_size)]
-
-    def close(self) -> None:
-        view, self._view = self._view, None
-        if view is not None:
-            view.release()
-
-
 class PagedReader:
-    """Page-buffered reader of fixed-size records, forward or backward.
+    """One file of fixed-size records on the page grid, and its counters.
 
-    The reader is strictly sequential within one scan; creating a new scan
-    (calling :meth:`records_forward` / :meth:`records_backward` /
-    :meth:`unpack_forward` / :meth:`unpack_backward`) counts one seek, as
-    would happen with a real file descriptor repositioned to the start or
-    end of the file.  ``config`` selects the page source (buffered reads,
-    a shared buffer pool, or an mmap) without changing any counter.
+    The reader holds what every scan of the file shares -- path, page size,
+    :class:`PagerConfig` and the :class:`IOStatistics` the scans count into
+    -- and reads nothing itself: :meth:`ranged_scan` hands out the
+    :class:`RangedScan` that does, and the whole-file streams below are a
+    scan of the one range covering the file.
 
     Records are yielded as zero-copy ``memoryview`` slices of the page
     buffers wherever possible (plain ``bytes`` only for records straddling
@@ -356,6 +316,7 @@ class PagedReader:
     def __init__(self, path: str, page_size: int = DEFAULT_PAGE_SIZE,
                  stats: IOStatistics | None = None,
                  config: PagerConfig | None = None):
+        check_page_size(page_size)
         if not os.path.exists(path):
             raise StorageError(f"no such file: {path}")
         self.path = path
@@ -364,291 +325,79 @@ class PagedReader:
         self.config = config if config is not None else PagerConfig()
         self.file_size = os.path.getsize(path)
 
-    # ------------------------------------------------------------------ #
-    # Record streams
-    # ------------------------------------------------------------------ #
-
-    def records_forward(self, record_size: int, offset: int = 0, count: int | None = None):
-        """Yield fixed-size records from ``offset`` towards the end of the file."""
-        total = self._forward_total(record_size, offset, count)
-        self.stats.seeks += 1
-        for view, start, n in self._walk_forward(record_size, offset, total):
-            if view is None:
-                yield start
-            else:
-                end = start + n * record_size
-                for position in range(start, end, record_size):
-                    yield view[position:position + record_size]
-
-    def records_backward(self, record_size: int, count: int | None = None):
-        """Yield fixed-size records from the end of the file towards the start."""
-        total, usable = self._backward_total(record_size, count)
-        self.stats.seeks += 1
-        for view, start, n in self._walk_backward(record_size, total, usable):
-            if view is None:
-                yield start
-            else:
-                position = start + n * record_size
-                for _ in range(n):
-                    position -= record_size
-                    yield view[position:position + record_size]
-
-    # ------------------------------------------------------------------ #
-    # Batched struct decoding
-    # ------------------------------------------------------------------ #
-
-    def unpack_forward(self, fmt: struct.Struct, offset: int = 0,
-                       count: int | None = None) -> Iterator[tuple]:
-        """Decode records forward with one ``iter_unpack`` per in-page span.
-
-        Yields what ``fmt.unpack`` would per record, but the per-record
-        Python-level slicing and unpacking is replaced by one C-level
-        ``fmt.iter_unpack`` call per page -- the fast path of every `.arb`
-        and state-file scan.
-        """
-        record_size = fmt.size
-        total = self._forward_total(record_size, offset, count)
-        self.stats.seeks += 1
-        for view, start, n in self._walk_forward(record_size, offset, total):
-            if view is None:
-                yield fmt.unpack(start)
-            else:
-                yield from fmt.iter_unpack(view[start:start + n * record_size])
-
-    def unpack_backward(self, fmt: struct.Struct, count: int | None = None) -> Iterator[tuple]:
-        """Decode records backward with one ``iter_unpack`` per in-page span."""
-        record_size = fmt.size
-        total, usable = self._backward_total(record_size, count)
-        self.stats.seeks += 1
-        for view, start, n in self._walk_backward(record_size, total, usable):
-            if view is None:
-                yield fmt.unpack(start)
-            else:
-                values = list(fmt.iter_unpack(view[start:start + n * record_size]))
-                yield from reversed(values)
-
-    # ------------------------------------------------------------------ #
-    # Page-at-a-time record spans (the vectorised-kernel read path)
-    # ------------------------------------------------------------------ #
-
-    def spans_forward(self, record_size: int, offset: int = 0, count: int | None = None):
-        """Yield ``(view, start, n_records)`` record spans in forward order.
-
-        The bulk-decode analogue of :meth:`records_forward`: each span is a
-        run of ``n_records`` contiguous records beginning at byte ``start``
-        of ``view``, ready for one C-level decode (``struct.iter_unpack`` or
-        ``numpy.frombuffer``) instead of per-record slicing.  Records that
-        straddle a page boundary arrive assembled as ``(None, bytes, 1)``.
-        I/O accounting is identical to the record streams: one seek per
-        scan, every page counted exactly once when fetched.
-        """
-        total = self._forward_total(record_size, offset, count)
-        self.stats.seeks += 1
-        yield from self._walk_forward(record_size, offset, total)
-
-    def spans_backward(self, record_size: int, count: int | None = None):
-        """Yield ``(view, start, n_records)`` record spans in backward order.
-
-        Spans arrive in descending page order and each span's records must
-        be consumed from its high end downwards (the records *within* a
-        span are stored ascending).  Accounting matches
-        :meth:`records_backward` exactly.
-        """
-        total, usable = self._backward_total(record_size, count)
-        self.stats.seeks += 1
-        yield from self._walk_backward(record_size, total, usable)
-
-    # ------------------------------------------------------------------ #
-    # The shared page walks
-    # ------------------------------------------------------------------ #
-
-    def _forward_total(self, record_size: int, offset: int, count: int | None) -> int:
-        if record_size <= 0:
-            raise StorageError("record_size must be positive")
-        if count is not None:
-            return count
-        return max(0, self.file_size - offset) // record_size
-
-    def _backward_total(self, record_size: int, count: int | None) -> tuple[int, int]:
-        if record_size <= 0:
-            raise StorageError("record_size must be positive")
-        usable = self.file_size - (self.file_size % record_size)
-        total = usable // record_size if count is None else count
-        return total, usable
-
-    def _open_source(self):
-        if self.config.mode == "mmap":
-            return _MmapScanSource(self.path, self.page_size, self.file_size,
-                                   self.config.page_filter)
-        return _BufferedScanSource(self.path, self.page_size, self.file_size,
-                                   self.config.pool, self.config.page_filter)
-
     def ranged_scan(self, *, backward: bool = False) -> "RangedScan":
-        """A multi-range scan over this file sharing one page source.
+        """The scan that reads this file, one record range at a time.
 
-        Use for scans that *skip* parts of the file: each range is walked
-        like a normal scan, pages shared between adjacent ranges are
-        fetched once, and a seek is counted at the first fetch plus once
-        per discontinuity in the fetched page sequence -- so a single range
-        covering the whole file costs exactly what a plain scan costs.
+        Each range is walked in the scan's direction, pages shared between
+        adjacent ranges are fetched once, and a seek is counted at the first
+        fetch plus once per discontinuity in the fetched page sequence -- so
+        one range covering the whole file costs exactly one seek.
         """
         return RangedScan(self, backward=backward)
 
-    def _walk_forward(self, record_size: int, offset: int, total: int, _fetch=None):
-        """Yield ``(view, start, n_records)`` spans in forward order.
+    def _whole(self, decoder, unit, count: int | None, backward: bool):
+        """``decoder`` (a :class:`RangedScan` method) over the one range
+        covering the file: all its whole records, or the ``count`` first
+        (forward) / last (backward)."""
+        record_size = getattr(unit, "size", unit)
+        if record_size <= 0:
+            raise StorageError("record_size must be positive")
+        in_file = self.file_size // record_size
+        total = in_file if count is None else count
+        scan = self.ranged_scan(backward=backward)
+        return decoder(scan, unit, in_file - total if backward else 0, total)
 
-        Straddling records are assembled and yielded as ``(None, bytes, 1)``.
-        Every page on the canonical grid is fetched at most once and counted
-        exactly when fetched, whatever the source.  ``_fetch`` substitutes a
-        caller-managed page fetcher (shared source, caching and counting);
-        without it the walk opens its own source and counts every fetch.
-        """
-        if total <= 0:
-            return
-        page_size = self.page_size
-        stats = self.stats
-        n_pages = (self.file_size + page_size - 1) // page_size
-        first_page = offset // page_size
-        source = None
-        emitted = 0
-        carry = bytearray()
-        try:
-            for page_index in range(first_page, n_pages):
-                if _fetch is not None:
-                    view = _fetch(page_index)
-                else:
-                    if source is None:
-                        source = self._open_source()
-                    view = source.page(page_index)
-                    stats.bytes_read += len(view)
-                    stats.pages_read += 1
-                start = offset - page_index * page_size if page_index == first_page else 0
-                if start >= len(view):
-                    continue
-                if carry:
-                    take = min(record_size - len(carry), len(view) - start)
-                    carry += view[start:start + take]
-                    start += take
-                    if len(carry) < record_size:
-                        continue
-                    yield None, bytes(carry), 1
-                    carry.clear()
-                    emitted += 1
-                    if emitted >= total:
-                        return
-                span = (len(view) - start) // record_size
-                if span > total - emitted:
-                    span = total - emitted
-                if span:
-                    yield view, start, span
-                    emitted += span
-                    if emitted >= total:
-                        return
-                    start += span * record_size
-                if start < len(view):
-                    carry += view[start:]
-            raise StorageError(
-                f"{self.path}: expected {total} records of {record_size} bytes, got {emitted}"
-            )
-        finally:
-            if source is not None:
-                source.close()
+    def records_forward(self, record_size: int, count: int | None = None):
+        """Yield fixed-size records from the start of the file towards its end."""
+        return self._whole(RangedScan.records_range, record_size, count, False)
 
-    def _walk_backward(self, record_size: int, total: int, usable: int, _fetch=None):
-        """Yield ``(view, start, n_records)`` spans in backward order.
+    def records_backward(self, record_size: int, count: int | None = None):
+        """Yield fixed-size records from the end of the file towards its start."""
+        return self._whole(RangedScan.records_range, record_size, count, True)
 
-        A span's records must be consumed from its high end downwards;
-        straddling records are assembled and yielded as ``(None, bytes, 1)``.
-        ``usable`` is the byte offset just past the last record of interest,
-        so a caller-supplied ``(total, usable)`` pair addresses any record
-        range; ``_fetch`` substitutes a shared page fetcher as in
-        :meth:`_walk_forward`.
-        """
-        if total <= 0:
-            return
-        if usable <= 0:
-            raise StorageError(
-                f"{self.path}: expected {total} records of {record_size} bytes, got 0"
-            )
-        page_size = self.page_size
-        stats = self.stats
-        source = None
-        emitted = 0
-        pending: list = []  # segments of the straddler being assembled, high to low
-        rec_end = usable
-        try:
-            for page_index in range((usable - 1) // page_size, -1, -1):
-                if _fetch is not None:
-                    view = _fetch(page_index)
-                else:
-                    if source is None:
-                        source = self._open_source()
-                    view = source.page(page_index)
-                    stats.bytes_read += len(view)
-                    stats.pages_read += 1
-                base = page_index * page_size
-                if pending:
-                    rec_start = rec_end - record_size
-                    pending.append(view[max(rec_start - base, 0):len(view)])
-                    if rec_start < base:
-                        continue  # the record reaches below this page too
-                    yield None, b"".join(reversed(pending)), 1
-                    pending.clear()
-                    emitted += 1
-                    rec_end = rec_start
-                    if emitted >= total:
-                        return
-                span = (rec_end - base) // record_size
-                if span > total - emitted:
-                    span = total - emitted
-                if span:
-                    start = rec_end - base - span * record_size
-                    yield view, start, span
-                    emitted += span
-                    rec_end -= span * record_size
-                    if emitted >= total:
-                        return
-                if rec_end > base:
-                    # A record straddles this page's lower boundary; hold its
-                    # top part until the lower page(s) provide the rest.
-                    pending.append(view[0:rec_end - base])
-            raise StorageError(
-                f"{self.path}: expected {total} records of {record_size} bytes, got {emitted}"
-            )
-        finally:
-            if source is not None:
-                source.close()
+    def unpack_backward(self, fmt: struct.Struct, count: int | None = None) -> Iterator[tuple]:
+        """Decode records backward with one ``iter_unpack`` per in-page span."""
+        return self._whole(RangedScan.unpack_range, fmt, count, True)
+
+    def spans_backward(self, record_size: int, count: int | None = None):
+        """Yield ``(view, start, n_records)`` record spans in backward order."""
+        return self._whole(RangedScan.spans_range, record_size, count, True)
 
 
 # ---------------------------------------------------------------------- #
-# Multi-range scans (the page-skipping read path)
+# The scan: the one place that opens a source, fetches a page and counts it
 # ---------------------------------------------------------------------- #
 
 
 class RangedScan:
     """Scan selected record ranges of one file through a single page source.
 
-    The index-guided batch evaluator reads the file as a sequence of *gaps*
-    between skipped regions.  All ranges of one scan share the page source
-    and a one-page cache (a page holding both the tail of one range and the
-    head of the next is fetched once), and the accounting stays honest:
+    Every read of a paged file is one of these.  A full scan is the one
+    range covering the file; the index-guided batch evaluator reads the
+    file as a sequence of *gaps* between skipped regions.  All ranges of
+    one scan share the page source and a one-page cache (a page holding
+    both the tail of one range and the head of the next is fetched once),
+    and the accounting stays honest:
 
     * ``pages_read`` / ``bytes_read`` count every page actually fetched,
       exactly once per scan;
     * ``seeks`` counts the first fetch plus one per discontinuity in the
       fetched page sequence -- so a scan whose single range covers the
-      whole file costs exactly one seek, like a plain linear scan, and
-      every skip that jumps pages costs exactly one more.
+      whole file costs exactly one seek, every skip that jumps pages costs
+      exactly one more, and a scan that fetches no page counts none.
 
-    Ranges must be visited in scan order (ascending for a forward scan,
-    descending for a backward one).
+    The direction is fixed at creation and ranges must be visited in scan
+    order (ascending for a forward scan, descending for a backward one).
+    The three decoders yield a range as page spans (:meth:`spans_range`),
+    struct tuples (:meth:`unpack_range`) or raw records
+    (:meth:`records_range`).
     """
 
     def __init__(self, reader: PagedReader, *, backward: bool = False):
         self._reader = reader
         self._step = -1 if backward else 1
         self._backward = backward
-        self._source = None
+        self._source: _PageSource | None = None
         self._cache_index: int | None = None
         self._cache_view = None
         self._last_fetched: int | None = None
@@ -657,7 +406,7 @@ class RangedScan:
         if index == self._cache_index:
             return self._cache_view
         if self._source is None:
-            self._source = self._reader._open_source()
+            self._source = _PageSource(self._reader)
         view = self._source.page(index)
         stats = self._reader.stats
         stats.bytes_read += len(view)
@@ -669,74 +418,149 @@ class RangedScan:
         self._cache_view = view
         return view
 
+    # ------------------------------------------------------------------ #
+    # The three decoders
+    # ------------------------------------------------------------------ #
+
+    def spans_range(self, record_size: int, start: int, count: int):
+        """Records ``start .. start+count-1`` as ``(view, start, n_records)`` spans.
+
+        Each span is a run of ``n_records`` contiguous records beginning at
+        byte ``start`` of ``view``, ready for one C-level decode
+        (``struct.iter_unpack`` or ``numpy.frombuffer``); a record that
+        straddles a page boundary arrives assembled as ``(None, bytes, 1)``.
+        A backward scan yields spans in descending page order, and each
+        span's records (stored ascending) are consumed from its high end.
+        """
+        walk = self._walk_backward if self._backward else self._walk_forward
+        try:
+            yield from walk(record_size, start, count)
+        finally:
+            # The file is held open only while a range is walked (the cached
+            # page survives), so a one-range scan needs no close() from its
+            # consumer; the next range reopens it on its first real read.
+            if self._source is not None:
+                self._source.close()
+
     def unpack_range(self, fmt: struct.Struct, start: int, count: int) -> Iterator[tuple]:
-        """Decode records ``start .. start+count-1`` in the scan direction."""
-        record_size = fmt.size
-        if self._backward:
-            walk = self._reader._walk_backward(
-                record_size, count, (start + count) * record_size, _fetch=self._fetch
-            )
-            for view, span_start, n in walk:
-                if view is None:
-                    yield fmt.unpack(span_start)
-                else:
-                    values = list(fmt.iter_unpack(view[span_start:span_start + n * record_size]))
-                    yield from reversed(values)
-        else:
-            walk = self._reader._walk_forward(
-                record_size, start * record_size, count, _fetch=self._fetch
-            )
-            for view, span_start, n in walk:
-                if view is None:
-                    yield fmt.unpack(span_start)
-                else:
-                    yield from fmt.iter_unpack(view[span_start:span_start + n * record_size])
+        """What ``fmt.unpack`` gives per record of the range, in the scan
+        direction, with one C-level ``iter_unpack`` per span."""
+        size = fmt.size
+        for view, span_start, n in self.spans_range(size, start, count):
+            if view is None:
+                yield fmt.unpack(span_start)
+            elif self._backward:
+                yield from reversed(list(fmt.iter_unpack(view[span_start:span_start + n * size])))
+            else:
+                yield from fmt.iter_unpack(view[span_start:span_start + n * size])
 
     def records_range(self, record_size: int, start: int, count: int):
         """Raw fixed-size records of one range, in the scan direction."""
-        if self._backward:
-            walk = self._reader._walk_backward(
-                record_size, count, (start + count) * record_size, _fetch=self._fetch
-            )
-            for view, span_start, n in walk:
-                if view is None:
-                    yield span_start
-                else:
-                    position = span_start + n * record_size
-                    for _ in range(n):
-                        position -= record_size
-                        yield view[position:position + record_size]
-        else:
-            walk = self._reader._walk_forward(
-                record_size, start * record_size, count, _fetch=self._fetch
-            )
-            for view, span_start, n in walk:
-                if view is None:
-                    yield span_start
-                else:
-                    end = span_start + n * record_size
-                    for position in range(span_start, end, record_size):
-                        yield view[position:position + record_size]
+        for view, span_start, n in self.spans_range(record_size, start, count):
+            if view is None:
+                yield span_start
+            else:
+                positions = range(span_start, span_start + n * record_size, record_size)
+                for position in reversed(positions) if self._backward else positions:
+                    yield view[position:position + record_size]
 
-    def spans_range(self, record_size: int, start: int, count: int):
-        """Record spans of one range, in the scan direction.
+    # ------------------------------------------------------------------ #
+    # The two page walks
+    # ------------------------------------------------------------------ #
 
-        The bulk-decode analogue of :meth:`records_range`: yields the same
-        ``(view, start, n_records)`` spans as
-        :meth:`PagedReader.spans_forward` / :meth:`~PagedReader.spans_backward`
-        but through the scan's shared page source, so the multi-range seek
-        and page accounting is preserved exactly.
+    def _short(self, record_size: int, total: int, emitted: int) -> StorageError:
+        return StorageError(
+            f"{self._reader.path}: expected {total} records of {record_size} bytes, got {emitted}"
+        )
+
+    def _walk_forward(self, record_size: int, first: int, total: int):
+        """Spans of ``total`` records from record ``first`` upwards.
+
+        Every page on the canonical grid is fetched at most once and
+        counted exactly when fetched.
         """
-        if self._backward:
-            yield from self._reader._walk_backward(
-                record_size, count, (start + count) * record_size, _fetch=self._fetch
-            )
-        else:
-            yield from self._reader._walk_forward(
-                record_size, start * record_size, count, _fetch=self._fetch
-            )
+        if total <= 0:
+            return
+        fetch = self._fetch
+        page_size = self._reader.page_size
+        file_size = self._reader.file_size
+        offset = first * record_size
+        first_page = offset // page_size
+        emitted = 0
+        carry = bytearray()
+        for page_index in range(first_page, (file_size + page_size - 1) // page_size):
+            view = fetch(page_index)
+            start = offset - page_index * page_size if page_index == first_page else 0
+            if start >= len(view):
+                continue
+            if carry:
+                take = min(record_size - len(carry), len(view) - start)
+                carry += view[start:start + take]
+                start += take
+                if len(carry) < record_size:
+                    continue
+                yield None, bytes(carry), 1
+                carry.clear()
+                emitted += 1
+                if emitted >= total:
+                    return
+            span = (len(view) - start) // record_size
+            if span > total - emitted:
+                span = total - emitted
+            if span:
+                yield view, start, span
+                emitted += span
+                if emitted >= total:
+                    return
+                start += span * record_size
+            if start < len(view):
+                carry += view[start:]
+        raise self._short(record_size, total, emitted)
+
+    def _walk_backward(self, record_size: int, first: int, total: int):
+        """Spans of ``total`` records from record ``first + total - 1`` downwards."""
+        if total <= 0:
+            return
+        fetch = self._fetch
+        page_size = self._reader.page_size
+        rec_end = (first + total) * record_size  # just past the next record to emit
+        in_file = self._reader.file_size // record_size
+        if first + total > in_file:
+            raise self._short(record_size, total, max(0, in_file - first))
+        emitted = 0
+        pending: list = []  # segments of the straddler being assembled, high to low
+        for page_index in range((rec_end - 1) // page_size, -1, -1):
+            view = fetch(page_index)
+            base = page_index * page_size
+            if pending:
+                rec_start = rec_end - record_size
+                pending.append(view[max(rec_start - base, 0):len(view)])
+                if rec_start < base:
+                    continue  # the record reaches below this page too
+                yield None, b"".join(reversed(pending)), 1
+                pending.clear()
+                emitted += 1
+                rec_end = rec_start
+                if emitted >= total:
+                    return
+            span = (rec_end - base) // record_size
+            if span > total - emitted:
+                span = total - emitted
+            if span:
+                span_start = rec_end - base - span * record_size
+                yield view, span_start, span
+                emitted += span
+                rec_end -= span * record_size
+                if emitted >= total:
+                    return
+            if rec_end > base:
+                # A record straddles this page's lower boundary; hold its
+                # top part until the lower page(s) provide the rest.
+                pending.append(view[0:rec_end - base])
+        raise self._short(record_size, total, emitted)
 
     def close(self) -> None:
+        """Drop the page source and the cached page."""
         if self._source is not None:
             self._source.close()
             self._source = None

@@ -31,6 +31,7 @@ __all__ = [
     "decode_event",
     "decode_event_value",
     "max_label_index",
+    "flag_masks",
     "record_struct",
     "node_record_table",
 ]
@@ -73,6 +74,13 @@ def max_label_index(record_size: int = DEFAULT_RECORD_SIZE) -> int:
     return (1 << (8 * record_size - 2)) - 1
 
 
+def flag_masks(record_size: int = DEFAULT_RECORD_SIZE) -> tuple[int, int]:
+    """The ``(has_first_child, has_second_child)`` bit masks of a node record
+    value: its two highest bits.  Everything below the second is the label."""
+    first_bit = 1 << (8 * record_size - 1)
+    return first_bit, first_bit >> 1
+
+
 @dataclass(frozen=True, slots=True)
 class NodeRecord:
     """A decoded `.arb` node record."""
@@ -104,8 +112,7 @@ def encode_node(
 
 def decode_node_value(value: int, record_size: int = DEFAULT_RECORD_SIZE) -> NodeRecord:
     """Decode one node record already read as an unsigned big-endian int."""
-    first_bit = 1 << (8 * record_size - 1)
-    second_bit = 1 << (8 * record_size - 2)
+    first_bit, second_bit = flag_masks(record_size)
     return NodeRecord(
         label_index=value & (second_bit - 1),
         has_first_child=bool(value & first_bit),

@@ -18,8 +18,8 @@ Record decoding is page-batched underneath
 ``records_backward`` unpack whole pages with one ``iter_unpack`` call and
 intern the decoded :class:`NodeRecord` values), so the per-node cost here is
 the ``visit`` callback, not the decoding; the database's
-:class:`~repro.storage.paging.PagerConfig` (buffered / mmap / buffer pool)
-selects how the pages are materialised without changing ``io``.
+:class:`~repro.storage.paging.PagerConfig` (with or without a buffer pool)
+never changes ``io``.
 """
 
 from __future__ import annotations

@@ -107,7 +107,7 @@ from repro.storage.pageindex import (
     write_page_index,
 )
 from repro.storage.paging import DEFAULT_PAGE_SIZE, IOStatistics
-from repro.storage.records import encode_node, max_label_index
+from repro.storage.records import encode_node, flag_masks, max_label_index
 from repro.tree.unranked import UnrankedNode, UnrankedTree
 from repro.tree.xml_io import parse_xml
 
@@ -794,8 +794,7 @@ def _write_index(
     speed.  Its I/O is bookkeeping, not splice work, and is deliberately
     left out of the update's ``IOStatistics``.
     """
-    first_bit = 1 << (8 * record_size - 1)
-    second_bit = first_bit >> 1
+    first_bit, second_bit = flag_masks(record_size)
     with open(gen_base + ".arb", "rb") as handle:
         for page, summary in enumerate(summaries):
             if summary is not None:

@@ -176,7 +176,7 @@ def test_rebuild_through_builder_invalidates_default_pool(tmp_path):
     base = str(tmp_path / "doc")
     build_database("<r><a/></r>", base, text_mode="ignore")
     pool = default_buffer_pool()
-    config = resolve_pager("buffered")
+    config = resolve_pager()
     assert config.pool is pool
 
     db = ArbDatabase.open(base, pager=config)
@@ -275,12 +275,13 @@ def test_update_generations_never_collide_in_the_pool(tmp_path):
 
 
 def test_resolve_pager_modes(monkeypatch):
-    assert resolve_pager("buffered").pool is default_buffer_pool()
-    assert resolve_pager("mmap").pool is None
-    assert resolve_pager("buffered", pooled=False).pool is None
+    assert resolve_pager().pool is default_buffer_pool()
+    assert resolve_pager(pooled=False).pool is None
+    # The page-source knob is gone: a variable left in an environment is
+    # ignored, and there is no mode to pass.
     monkeypatch.setenv("REPRO_PAGER_MODE", "mmap")
-    assert resolve_pager().mode == "mmap"
-    monkeypatch.delenv("REPRO_PAGER_MODE")
-    assert resolve_pager().mode == "buffered"
-    with pytest.raises(StorageError):
-        resolve_pager("paged")
+    assert resolve_pager() == PagerConfig(pool=default_buffer_pool())
+    with pytest.raises(TypeError):
+        resolve_pager("mmap")
+    with pytest.raises(TypeError):
+        PagerConfig(mode="mmap")

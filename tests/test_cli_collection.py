@@ -100,30 +100,21 @@ def test_collection_query_missing_collection(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "subcommand, pager_help, no_index_help",
+    "subcommand, no_index_help",
     [
         (
             ["query"],
-            "page access mode for .arb scans: buffered reads through the shared buffer "
-            "pool, or zero-copy mmap (identical I/O counters either way)",
             "ignore the .idx page-summary sidecar: force full scans even for selective "
             "batches (identical answers)",
         ),
-        (
-            ["collection", "query"],
-            "page access mode for per-document .arb scans",
-            "ignore .idx page-summary sidecars (identical answers)",
-        ),
-        (
-            ["serve"],
-            "page access mode for .arb scans of the served target",
-            "ignore .idx page-summary sidecars for served batches",
-        ),
+        (["collection", "query"], "ignore .idx page-summary sidecars (identical answers)"),
+        (["serve"], "ignore .idx page-summary sidecars for served batches"),
     ],
+    ids=["query", "collection-query", "serve"],
 )
-def test_execution_flags_are_the_same_on_every_subcommand(subcommand, pager_help, no_index_help):
-    """``--pager`` / ``--no-index`` / ``--kernel`` come from one helper; what
-    each subcommand's ``--help`` says about them is what it always said."""
+def test_execution_flags_are_the_same_on_every_subcommand(subcommand, no_index_help, capsys):
+    """``--no-index`` / ``--kernel`` come from one helper; what each
+    subcommand's ``--help`` says about them is what it always said."""
     parser = build_parser()
     for name in subcommand:
         (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -131,10 +122,9 @@ def test_execution_flags_are_the_same_on_every_subcommand(subcommand, pager_help
     flags = {action.dest: action for action in parser._actions}
     described = [
         (flags[dest].option_strings, flags[dest].choices, flags[dest].default, flags[dest].help)
-        for dest in ("pager", "no_index", "kernel")
+        for dest in ("no_index", "kernel")
     ]
     assert described == [
-        (["--pager"], ("buffered", "mmap"), None, pager_help),
         (["--no-index"], None, False, no_index_help),
         (
             ["--kernel"], ("auto", "numpy", "python"), None,
@@ -144,4 +134,11 @@ def test_execution_flags_are_the_same_on_every_subcommand(subcommand, pager_help
     ]
     # Declared together, in this order, as at every release so far.
     dests = [action.dest for action in parser._actions]
-    assert dests[dests.index("pager"):][:3] == ["pager", "no_index", "kernel"]
+    assert dests[dests.index("no_index"):][:2] == ["no_index", "kernel"]
+    assert "pager" not in dests
+    # ... and the flag they used to travel with is an argparse error.
+    with pytest.raises(SystemExit) as refused:
+        cli_main([*subcommand, "target", *([] if subcommand == ["serve"] else ["-q", BOOK_QUERY]),
+                  "--pager", "buffered"])
+    assert refused.value.code == 2
+    assert "unrecognized arguments: --pager buffered" in capsys.readouterr().err

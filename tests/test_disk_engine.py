@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import random
 
+from repro import DiskQueryEngine
 from repro.baselines.datalog import evaluate_fixpoint
 from repro.core.two_phase import TwoPhaseEvaluator
-from repro.storage import ArbDatabase, DiskQueryEngine, build_database
+from repro.storage import ArbDatabase, build_database
 from repro.tmnf import TMNFProgram
 from repro.tree import BinaryTree
 from tests.conftest import EVEN_ODD_EXAMPLE, RUNNING_EXAMPLE, random_unranked_tree

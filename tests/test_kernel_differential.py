@@ -5,7 +5,7 @@ database and any query batch it must produce exactly what the pure-Python
 lockstep loop produces -- the same selected nodes, the same evaluation
 statistics (transition and state counts; wall-clock excepted) and the same
 I/O counters, byte for byte.  These properties are enforced the way
-buffered==mmap and indexed==full-scan are enforced elsewhere:
+pooled==unpooled and indexed==full-scan are enforced elsewhere:
 
 * **random documents and batches** -- cold and warm plan caches, with and
   without the page-skipping sidecar;

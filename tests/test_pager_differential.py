@@ -1,14 +1,17 @@
 """Differential suite: every pager configuration is the same scan.
 
-The zero-copy mmap path, the plain buffered path and the buffer-pooled path
-are three materialisations of one logical access pattern; the paper's
-verifiable artifact is the pattern, not the plumbing.  These tests pin that
-contract over generated documents and adversarial file geometries:
+Plain reads and reads through a buffer pool are two materialisations of one
+logical access pattern; the paper's verifiable artifact is the pattern, not
+the plumbing.  These tests pin that contract over generated documents and
+adversarial file geometries:
 
 * byte-identical record streams in both directions,
 * **identical** :class:`~repro.storage.paging.IOStatistics` (bytes, pages,
-  seeks) whatever the mode and whatever the pool's hit rate,
+  seeks) with and without a pool and whatever the pool's hit rate,
 * identical query answers and I/O through the full disk engine.
+
+(The multi-range walk every disk query takes has the same pooled ==
+unpooled leg in ``tests/test_paging_invariants.py``.)
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from repro.storage.database import ArbDatabase
 from repro.storage.paging import IOStatistics, PagedReader, PagerConfig
 from tests.strategies import unranked_trees
 
-#: The three materialisations under test; "pooled" gets a fresh pool per use.
-MODES = ("buffered", "mmap", "pooled")
+#: The two materialisations under test; "pooled" gets a fresh pool per use.
+MODES = ("buffered", "pooled")
 
 #: Geometries where records straddle page boundaries (see
 #: tests/test_paging_invariants.py for the rationale of each shape).
@@ -49,9 +52,7 @@ QUERIES = [
 
 
 def _config(mode: str) -> PagerConfig:
-    if mode == "pooled":
-        return PagerConfig(mode="buffered", pool=BufferPool())
-    return PagerConfig(mode=mode)
+    return PagerConfig(pool=BufferPool() if mode == "pooled" else None)
 
 
 def _scan_file(path: str, record_size: int, page_size: int, mode: str):
@@ -136,10 +137,10 @@ def test_modes_agree_on_arb_databases(tree):
             outcomes[mode] = (forward, backward, stats)
         reference = outcomes["buffered"]
         assert reference[0] == reference[1][::-1]
-        for mode in ("mmap", "pooled"):
-            assert outcomes[mode][0] == reference[0]
-            assert outcomes[mode][1] == reference[1]
-            assert outcomes[mode][2] == reference[2], "IOStatistics must not depend on the pager"
+        pooled = outcomes["pooled"]
+        assert pooled[0] == reference[0]
+        assert pooled[1] == reference[1]
+        assert pooled[2] == reference[2], "IOStatistics must not depend on the pager"
 
 
 @settings(max_examples=10, deadline=None)
@@ -159,12 +160,11 @@ def test_modes_agree_on_disk_queries(tree):
                 batch.state_io,
             )
         reference = per_mode["buffered"]
-        for mode in ("mmap", "pooled"):
-            selected, counts, arb_io, state_io = per_mode[mode]
-            assert selected == reference[0], mode
-            assert counts == reference[1], mode
-            assert arb_io == reference[2], f".arb I/O differs in mode {mode}"
-            assert state_io == reference[3], f"state-file I/O differs in mode {mode}"
+        selected, counts, arb_io, state_io = per_mode["pooled"]
+        assert selected == reference[0]
+        assert counts == reference[1]
+        assert arb_io == reference[2], ".arb I/O differs through the pool"
+        assert state_io == reference[3], "state-file I/O differs through the pool"
 
 
 @pytest.mark.parametrize("mode", MODES)
