@@ -1,14 +1,13 @@
-"""Shared configuration and fixtures for the benchmark suite.
+"""Shared configuration and fixtures for the Figure 5/6 and ablation drivers.
 
 Scale is controlled with the ``REPRO_BENCH_SCALE`` environment variable:
 
 ``small`` (default)
-    finishes in a few minutes on a laptop; used for CI and the recorded
-    ``bench_output.txt``.
+    finishes in a few minutes on a laptop.
 ``medium`` / ``large``
     progressively closer to the paper's database sizes (the paper's original
-    sizes -- 33M-300M nodes -- are impractical in pure Python; see DESIGN.md
-    and EXPERIMENTS.md for the scaling discussion).
+    sizes -- 33M-300M nodes -- are impractical in pure Python; the docstring
+    of ``repro.bench.figure5`` discusses the scaling).
 """
 
 from __future__ import annotations

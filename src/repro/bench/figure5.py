@@ -3,8 +3,9 @@
 The paper reports, for Treebank, ACGT-infix, ACGT-flat and SwissProt: the
 numbers of element and character nodes, the number of tags, the database
 creation time and the sizes of the `.arb`, `.lab` and temporary `.evt` files.
-This module builds the four databases (from the synthetic dataset generators;
-see DESIGN.md for the substitutions) and returns the same row format.
+This module builds the four databases (from the synthetic dataset generators
+of :mod:`repro.datasets`, which stand in for the paper's corpora) and returns
+the same row format.
 
 Scale is controlled by a single factor: the paper's originals have ~32M to
 ~300M nodes, which is out of reach for a pure-Python run in CI time, so the

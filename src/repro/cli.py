@@ -606,7 +606,14 @@ def _update_ops(args: argparse.Namespace) -> list:
         else:
             with open(args.group, "r", encoding="utf-8") as handle:
                 lines = handle.read().splitlines()
-        ops = [op_from_spec(json.loads(line)) for line in lines if line.strip()]
+        ops = []
+        for number, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
+            try:
+                ops.append(op_from_spec(json.loads(line)))
+            except json.JSONDecodeError as error:
+                raise ReproError(f"--group line {number} is not JSON: {error.msg}") from None
         if not ops:
             raise ReproError(f"--group file holds no update specs: {args.group}")
         return ops
@@ -663,7 +670,7 @@ def main(argv: list[str] | None = None) -> int:
             return _command_router(args)
         if args.command == "client":
             return _command_client(args)
-    except ReproError as error:
+    except (ReproError, OSError) as error:  # OSError: a named file cannot be read
         print(f"error: {error}", file=sys.stderr)
         return 1
     parser.error(f"unknown command {args.command!r}")

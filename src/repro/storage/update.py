@@ -109,7 +109,7 @@ from repro.storage.pageindex import (
 from repro.storage.paging import DEFAULT_PAGE_SIZE, IOStatistics
 from repro.storage.records import encode_node, flag_masks, max_label_index
 from repro.tree.unranked import UnrankedNode, UnrankedTree
-from repro.tree.xml_io import parse_xml
+from repro.tree.xml_io import TEXT_MODES, parse_xml
 
 __all__ = [
     "DeleteSubtree",
@@ -180,6 +180,22 @@ class InsertSubtree:
 UpdateOp = Relabel | DeleteSubtree | InsertSubtree
 
 
+def _spec_field(spec: dict, name: str, kind: type, default=None):
+    """Field ``name`` of an update spec, required unless ``default`` is given.
+
+    Typed strictly -- ``int(1.7)`` would silently address node 1 and
+    ``str(None)`` write the label ``"None"``; a bool is not a node id.
+    Decimal-digit strings are accepted where an integer is expected.
+    """
+    value = spec[name] if default is None else spec.get(name, default)
+    if kind is int and isinstance(value, str) and value.isdecimal():
+        return int(value)
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        expected = {int: "an integer", str: "a string", bool: "true or false"}[kind]
+        raise StorageError(f"update spec field {name!r} must be {expected}, got {value!r}")
+    return value
+
+
 def op_from_spec(spec: dict) -> "UpdateOp":
     """Build an update operation from a plain-dictionary description.
 
@@ -197,17 +213,21 @@ def op_from_spec(spec: dict) -> "UpdateOp":
     kind = spec.get("kind")
     try:
         if kind == "relabel":
-            return Relabel(int(spec["node"]), str(spec["label"]),
-                           is_text=bool(spec.get("text", False)))
+            return Relabel(_spec_field(spec, "node", int), _spec_field(spec, "label", str),
+                           is_text=_spec_field(spec, "text", bool, False))
         if kind == "delete":
-            return DeleteSubtree(int(spec["node"]))
+            return DeleteSubtree(_spec_field(spec, "node", int))
         if kind == "insert":
-            position = spec.get("at")
+            text_mode = spec.get("text_mode", "chars")
+            if text_mode not in TEXT_MODES:
+                raise StorageError(
+                    f"update spec field 'text_mode' must be one of {TEXT_MODES}, got {text_mode!r}"
+                )
             return InsertSubtree(
-                int(spec["parent"]),
-                str(spec["xml"]),
-                position=None if position is None else int(position),
-                text_mode=str(spec.get("text_mode", "chars")),
+                _spec_field(spec, "parent", int),
+                _spec_field(spec, "xml", str),
+                position=None if spec.get("at") is None else _spec_field(spec, "at", int),
+                text_mode=text_mode,
             )
     except KeyError as missing:
         raise StorageError(f"update spec {kind!r} is missing field {missing}") from None

@@ -17,6 +17,7 @@ from repro.collection import CollectionManifest, DocumentEntry, partition_docume
 from repro.collection.manifest import validate_doc_id
 from repro.errors import EvaluationError, StorageError
 from repro.plan import PlanCache
+from repro.storage.paging import IOStatistics
 from tests.conftest import random_unranked_tree
 
 QUERIES = [
@@ -54,14 +55,24 @@ def sequential_reference(collection, query):
 # --------------------------------------------------------------------------- #
 
 
+@pytest.mark.parametrize("n_workers", [1, 2, 4])
 @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-def test_parallel_collection_equals_sequential_per_document(corpus, executor):
+def test_parallel_collection_equals_sequential_per_document(corpus, executor, n_workers):
     assert len(corpus) >= 8
-    result = corpus.query_many(QUERIES, n_workers=4, executor=executor)
+    result = corpus.query_many(QUERIES, n_workers=n_workers, executor=executor)
     assert len(result) == len(corpus)
     for index, query in enumerate(QUERIES):
         reference = sequential_reference(corpus, query)
         assert result.selected_nodes(query_index=index) == reference
+    # Sharding changes who scans, never what is scanned: the corpus costs the
+    # sum of its documents' batches, whatever the executor and worker count.
+    sequential_io = IOStatistics()
+    for doc_id in corpus.doc_ids:
+        database = corpus.open_database(doc_id)
+        sequential_io.add(database.query_many(QUERIES, engine="disk").arb_io)
+        database.close()
+    assert sequential_io.seeks == 2 * len(corpus)
+    assert result.arb_io == sequential_io
 
 
 def test_per_document_pages_read_independent_of_batch_size(corpus):

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import random
 
-from repro import DiskQueryEngine
+import pytest
+
+from repro import Database, DiskQueryEngine
 from repro.baselines.datalog import evaluate_fixpoint
+from repro.bench.figure6 import BLOCKS, load_block_tree
 from repro.core.two_phase import TwoPhaseEvaluator
 from repro.storage import ArbDatabase, build_database
+from repro.storage.paging import IOStatistics
 from repro.tmnf import TMNFProgram
 from repro.tree import BinaryTree
 from tests.conftest import EVEN_ODD_EXAMPLE, RUNNING_EXAMPLE, random_unranked_tree
@@ -68,6 +72,27 @@ class TestDiskEngine:
         # The temporary state file holds four bytes per node (footnote 12).
         assert result.state_file_bytes == 804 == 4 * database.n_nodes
         assert (result.phase1_stack_depth, result.phase2_stack_depth) == (1, 0)
+
+    @pytest.mark.parametrize("kernel", ["python", "numpy"])
+    @pytest.mark.parametrize("block", sorted(BLOCKS))
+    def test_a_batch_costs_one_forward_plus_one_backward_scan(self, tmp_path, block, kernel):
+        """Counter for counter, on a multi-page document of each Figure 6 shape."""
+        if kernel == "numpy":
+            pytest.importorskip("numpy")
+        tree = load_block_tree(block, treebank_nodes=4_000, acgt_exponent=10)
+        base = str(tmp_path / block)
+        build_database(tree.to_unranked(), base, page_size=512)
+        arb = ArbDatabase.open(base, page_size=512)
+        forward, backward = IOStatistics(), IOStatistics()
+        assert sum(1 for _ in arb.records_forward(stats=forward)) == arb.n_nodes
+        assert sum(1 for _ in arb.records_backward(stats=backward)) == arb.n_nodes
+        assert forward.seeks == backward.seeks == 1 and forward.pages_read > 1
+        queries = [f"QUERY :- V.Label[{label}];" for label in BLOCKS[block].alphabet[:4]]
+        batch = Database.open(base, page_size=512).query_many(
+            queries, engine="disk", temp_dir=str(tmp_path), kernel=kernel, use_index=False
+        )
+        assert sum(result.count() for result in batch.results) > 0
+        assert batch.arb_io == forward.merge(backward)
 
     def test_stack_depth_bounded_by_xml_depth(self, tmp_path):
         from repro.tree import parse_xml

@@ -14,6 +14,7 @@ identity is checked through each of them.
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import tempfile
 import threading
@@ -21,6 +22,7 @@ import threading
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.cli import main as cli_main
 from repro.collection import Collection
 from repro.engine import Database
 from repro.errors import ServiceClosedError, ServiceOverloadedError, StorageError
@@ -404,6 +406,64 @@ def test_op_from_spec_round_trip(tmp_path):
         op_from_spec({"kind": "vacuum"})
     with pytest.raises(StorageError):
         op_from_spec({"kind": "relabel", "node": 1})  # missing label
+    # Decimal-digit strings are node ids too (what a shell script produces).
+    assert op_from_spec({"kind": "delete", "node": "4"}) == DeleteSubtree(4)
+
+
+#: Specs a lenient ``int()`` / ``str()`` / ``bool()`` coercion would accept
+#: (1.7 and true are node 1, null is the label "None") or turn into a bare
+#: ValueError / TypeError; each names the field it refuses.
+BAD_SPECS = [
+    ({"kind": "relabel", "node": 1.7, "label": "x"}, "node"),
+    ({"kind": "relabel", "node": True, "label": "x"}, "node"),
+    ({"kind": "relabel", "node": "abc", "label": "x"}, "node"),
+    ({"kind": "relabel", "node": 1, "label": None}, "label"),
+    ({"kind": "relabel", "node": 1, "label": "x", "text": "no"}, "text"),
+    ({"kind": "delete", "node": None}, "node"),
+    ({"kind": "insert", "parent": 0.0, "xml": "<y/>"}, "parent"),
+    ({"kind": "insert", "parent": 0, "xml": ["<y/>"]}, "xml"),
+    ({"kind": "insert", "parent": 0, "xml": "<y/>", "at": "z"}, "at"),
+    ({"kind": "insert", "parent": 0, "xml": "<y/>", "text_mode": "bogus"}, "text_mode"),
+    ({"kind": "insert", "parent": 0, "xml": "<y/>", "text_mode": None}, "text_mode"),
+]
+
+
+@pytest.mark.parametrize("spec,field", BAD_SPECS, ids=[f"{f}={s[f]!r}" for s, f in BAD_SPECS])
+def test_mistyped_spec_is_refused_by_name_before_anything_is_written(tmp_path, capsys, spec, field):
+    with pytest.raises(StorageError, match=f"field '{field}'"):
+        op_from_spec(spec)
+    # Through `arb update --group`, behind a valid first line: nothing commits.
+    base = _build(tmp_path)
+    before = _files_of(base)
+    group = tmp_path / "group.jsonl"
+    group.write_text(json.dumps({"kind": "relabel", "node": 2, "label": "ok"}) + "\n"
+                     + json.dumps(spec) + "\n", encoding="utf-8")
+    assert cli_main(["update", base, "--group", str(group)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and f"'{field}'" in captured.err
+    assert "Traceback" not in captured.err
+    assert _files_of(base) == before
+
+
+def test_wire_update_with_mistyped_spec_is_refused_without_a_commit(tmp_path):
+    base = _build(tmp_path)
+    before = _files_of(base)
+
+    async def main():
+        server = ArbServer(Database.open(base), port=0, write_window=0.05)
+        host, port = await server.start()
+        try:
+            return await request_many(host, port, [
+                {"op": "update", "ops": [{"kind": "delete", "node": 2}, spec]}
+                for spec, _ in BAD_SPECS
+            ])
+        finally:
+            await server.stop()
+
+    for reply, (_, field) in zip(asyncio.run(main()), BAD_SPECS):
+        assert not reply["ok"] and reply["error_type"] == "StorageError", reply
+        assert f"'{field}'" in reply["error"]
+    assert _files_of(base) == before
 
 
 # --------------------------------------------------------------------------- #

@@ -158,16 +158,31 @@ _SECTIONED_DOC = "<r>" + "".join(f"<s{i:02d}>" + "<x/>" * 40 + f"</s{i:02d}>" fo
 
 _SELECTIVE_QUERY = "QUERY :- V.Label[s03];"
 
+#: Batches naming 1, 10 and all 40 sections: each contains the one before.
+_BATCH_SIZES = (1, 10, 40)
 
-def test_selective_batch_reads_under_a_quarter_of_the_pages(tmp_path):
+
+def _section_batch(n_sections: int) -> list[str]:
+    """``n_sections`` one-section queries, ``_SELECTIVE_QUERY``'s section first."""
+    return [f"QUERY :- V.Label[s{(3 + i) % 40:02d}];" for i in range(n_sections)]
+
+
+@pytest.mark.parametrize("n_sections", _BATCH_SIZES)
+def test_selective_batch_reads_under_a_quarter_of_the_pages(tmp_path, n_sections):
     database = Database.build(_SECTIONED_DOC, str(tmp_path / "doc"), page_size=PAGE_SIZE)
     database.plan_cache = PlanCache()
-    indexed = database.query_many([_SELECTIVE_QUERY])
-    full = database.query_many([_SELECTIVE_QUERY], use_index=False)
+    indexed = database.query_many(_section_batch(n_sections))
+    full = database.query_many(_section_batch(n_sections), use_index=False)
     assert _answers(indexed) == _answers(full)
-    assert indexed.arb_io.pages_read * 4 < full.arb_io.pages_read
-    # Skipped pages are never read at all: the byte counter shrank too.
-    assert indexed.arb_io.bytes_read < full.arb_io.bytes_read
+    # The index only ever helps, and naming more sections never reads fewer
+    # pages than the batch it contains.
+    assert indexed.arb_io.pages_read <= full.arb_io.pages_read
+    fewer = _BATCH_SIZES[max(0, _BATCH_SIZES.index(n_sections) - 1)]
+    assert database.query_many(_section_batch(fewer)).arb_io.pages_read <= indexed.arb_io.pages_read
+    if n_sections == 1:
+        assert indexed.arb_io.pages_read * 4 < full.arb_io.pages_read
+        # Skipped pages are never read at all: the byte counter shrank too.
+        assert indexed.arb_io.bytes_read < full.arb_io.bytes_read
 
 
 # ---------------------------------------------------------------------- #

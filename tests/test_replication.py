@@ -352,9 +352,12 @@ def test_router_fans_reads_and_forwards_updates(tmp_path):
             stats = (await request_many(router.host, router.port, [
                 {"op": "router_stats"},
             ]))[0]
-            return reads, update, after, stats
+            served = [replica.service.stats().completed for replica in (r0, r1)]
+            return reads, update, after, stats, served
 
-    reads, update, after, stats = asyncio.run(scenario())
+    reads, update, after, stats, served = asyncio.run(scenario())
+    # Two unpinned bursts, two replicas: the round robin gave each one burst.
+    assert served == [4, 4]
     assert all(r["ok"] and r["count"] == 2 for r in reads)
     # A single-connection burst is pinned: exactly one backend saw it, so
     # it coalesced there into one scan pair.

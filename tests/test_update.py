@@ -103,6 +103,39 @@ def test_consecutive_relabels_hit_the_analysis_cache(tmp_path):
     assert second.statistics.io.seeks < first.statistics.io.seeks  # no rescan
 
 
+def test_relabel_reads_one_analysis_scan_plus_one_copy_per_relabel(tmp_path):
+    """The splice's read cost in closed form: ``_analyse`` scans the file
+    once (first commit only), ``_splice`` copies everything but the relabelled
+    record in page-sized chunks, one seek per contiguous range."""
+    page = 64
+    base = str(tmp_path / "doc")
+    build_database("<r>" + "<a/><b/>" * 100 + "</r>", base, text_mode="ignore", page_size=page)
+    db = Database.open(base, page_size=page)
+    size, record = db.disk.file_size(), db.disk.record_size
+    assert size > 4 * page
+
+    def chunks(length: int) -> int:
+        return -(-length // page)
+
+    def splice(node: int) -> tuple[int, int, int]:
+        head, tail = node * record, size - (node + 1) * record
+        return chunks(head) + chunks(tail), (head > 0) + (tail > 0), head + tail
+
+    def read_cost(result) -> tuple[int, int, int]:
+        io = result.statistics.io
+        return io.pages_read, io.seeks, io.bytes_read
+
+    first, cached, at_root = (db.apply(Relabel(node, "c")) for node in (70, 150, 0))
+    analysis = (chunks(size), 1, size)
+    assert read_cost(first) == tuple(a + b for a, b in zip(analysis, splice(70)))
+    assert cached.statistics.analysis_cache_hit and read_cost(cached) == splice(150)
+    assert read_cost(at_root) == splice(0) == (chunks(size - record), 1, size - record)
+    assert first.statistics.bytes_copied == size - record
+    # A group is a chain of splices behind one analysis (here: the cached one).
+    group = db.apply_many([Relabel(10, "e"), Relabel(20, "f")])
+    assert read_cost(group) == tuple(a + b for a, b in zip(splice(10), splice(20)))
+
+
 # --------------------------------------------------------------------------- #
 # Delete
 # --------------------------------------------------------------------------- #
@@ -503,6 +536,31 @@ def test_cli_update_error_reports_cleanly(tmp_path, capsys):
     # A non-numeric node id is a clean CLI error too, not a traceback.
     assert cli_main(["update", base, "--relabel", "x", "book"]) == 1
     assert "node id" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,names",
+    [
+        (["update", "{base}", "--group", "{bad}"], "--group line 2 is not JSON"),
+        (["update", "{base}", "--group", "{missing}.jsonl"], "{missing}.jsonl"),
+        (["query", "{base}", "-f", "{missing}.tmnf"], "{missing}.tmnf"),
+        (["build", "{missing}.xml", "{base}-out"], "{missing}.xml"),
+        (["collection", "build", "{base}-corpus", "{missing}.xml"], "{missing}.xml"),
+    ],
+    ids=["group-not-json", "group-missing", "program-file-missing", "build-missing",
+         "collection-build-missing"],
+)
+def test_cli_unreadable_input_file_is_an_error_not_a_traceback(tmp_path, capsys, argv, names):
+    base = _build(tmp_path)
+    before = read_pointer(base)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"kind": "relabel", "node": 4, "label": "book"}\nnot json\n', encoding="utf-8")
+    fill = {"base": base, "bad": str(bad), "missing": str(tmp_path / "nonexistent")}
+    assert cli_main([arg.format(**fill) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and names.format(**fill) in captured.err
+    assert "Traceback" not in captured.err
+    assert read_pointer(base) == before
 
 
 def test_database_named_like_a_generation_is_its_own_base(tmp_path):
