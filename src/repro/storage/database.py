@@ -18,7 +18,6 @@ from repro.errors import StorageError
 from repro.storage.generations import (
     generation_base,
     generation_of_base,
-    logical_base_of,
     read_pointer,
     resolve_logical_base,
 )
@@ -67,11 +66,6 @@ class ArbDatabase:
     change_counter: int = 0
     # Lazily opened read handle for point lookups (see read_record).
     _point_handle: object = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.logical_base_path:
-            self.logical_base_path = logical_base_of(self.base_path)
-            self.generation = generation_of_base(self.base_path)
 
     def close(self) -> None:
         """Close the point-lookup handle, if one was opened."""

@@ -57,8 +57,9 @@ class LabelTable:
                 f"label table overflow: more than {self.max_index - FIRST_TAG_INDEX + 1} "
                 "distinct tag names (increase the record size k)"
             )
-        if any(ch.isspace() for ch in label):
-            raise StorageError(f"tag names must not contain whitespace: {label!r}")
+        if not label or any(ch.isspace() for ch in label):
+            # Neither survives the whitespace-separated `.lab` file.
+            raise StorageError(f"tag names must be non-empty and free of whitespace: {label!r}")
         self._name_to_index[label] = index
         self._names.append(label)
         return index

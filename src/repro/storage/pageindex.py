@@ -65,7 +65,6 @@ __all__ = [
     "relevant_label_bits",
     "compute_skip_regions",
     "segments_of",
-    "summarize_records",
     "summarize_arb_bytes",
 ]
 
@@ -189,32 +188,6 @@ class SummaryAccumulator:
             pushes=tuple(row[1] for row in rows),
             label_bits=tuple(row[2] for row in rows),
         )
-
-
-def summarize_records(records: Sequence[tuple[int, bool, bool]]) -> tuple[int, int, int]:
-    """``(pops, pushes, label_bits)`` of records given in **forward** pre-order.
-
-    The page-local backward-stack simulation of :class:`SummaryAccumulator`,
-    usable on one page's records in isolation (the update splice recomputes
-    exactly the pages an edit touched).
-    """
-    pops = 0
-    balance = 0
-    bits = 0
-    for label_index, has_first_child, has_second_child in reversed(records):
-        if has_first_child:
-            if balance > 0:
-                balance -= 1
-            else:
-                pops += 1
-        if has_second_child:
-            if balance > 0:
-                balance -= 1
-            else:
-                pops += 1
-        balance += 1
-        bits |= 1 << label_index
-    return pops, balance, bits
 
 
 def summarize_arb_bytes(

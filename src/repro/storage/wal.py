@@ -16,9 +16,9 @@ Recovery (:func:`recover_base`, hooked into every database open and every
 apply) reads the record and compares it with the live pointer:
 
 * ``base_counter == pointer.counter`` -- the crash hit before the swap.
-  The group is **replayed**: the same deterministic splice chain rebuilds
-  the target generation from the (untouched) base generation and the swap
-  is retried.  Queued operations survive the crash.  (A replay that turns
+  The group is **replayed**: the same deterministic compile-and-splice
+  rebuilds the target generation from the (untouched) base generation and
+  the swap is retried.  Queued operations survive the crash.  (A replay that turns
   out to be invalid against the base is discarded like a torn record: the
   live writer would have rejected that group whole.)
 * ``target_counter <= pointer.counter`` -- the swap landed (or a later
@@ -60,8 +60,8 @@ from repro.storage.generations import (
     read_pointer_payload,
     resolve_logical_base,
 )
+from repro.storage.ops import DeleteSubtree, InsertSubtree, Relabel, materialize_op
 from repro.tree.unranked import UnrankedNode, UnrankedTree
-from repro.tree.xml_io import parse_xml
 
 __all__ = [
     "WAL_SUFFIX",
@@ -139,8 +139,6 @@ def serialize_op(op) -> dict:
     caller parses the source exactly once (with its own ``text_mode``), so
     replay re-encodes the same nodes the original apply would have.
     """
-    from repro.storage.update import DeleteSubtree, InsertSubtree, Relabel
-
     if isinstance(op, Relabel):
         return {
             "op": "relabel",
@@ -151,22 +149,17 @@ def serialize_op(op) -> dict:
     if isinstance(op, DeleteSubtree):
         return {"op": "delete", "node": op.node}
     if isinstance(op, InsertSubtree):
-        source = op.source
-        if not isinstance(source, UnrankedTree):
-            source = parse_xml(source, text_mode=op.text_mode)
         return {
             "op": "insert",
             "parent": op.parent,
             "position": op.position,
-            "tree": tree_to_payload(source),
+            "tree": tree_to_payload(materialize_op(op).source),
         }
     raise StorageError(f"unknown update operation: {op!r}")
 
 
 def deserialize_op(payload: dict):
     """The operation object a logged record describes."""
-    from repro.storage.update import DeleteSubtree, InsertSubtree, Relabel
-
     kind = payload.get("op")
     if kind == "relabel":
         return Relabel(
@@ -383,13 +376,13 @@ def recover_locked(base_path: str) -> bool:
 def _replay_group(base_path: str, record: dict) -> None:
     """Re-run a durable-but-unswapped group from its logged intent.
 
-    The splice chain is deterministic in (base generation bytes, ops), so
+    The commit is deterministic in (base generation bytes, ops), so
     the replay produces the generation the crashed writer was building --
     any partial files it left behind are simply overwritten.  A replay that
     *fails* (e.g. the logged ops were invalid against the base) discards
     the log: a group either commits whole or leaves no trace.
     """
-    from repro.storage import update as update_module
+    from repro.storage import update as update_module  # it imports this module
 
     ops = [deserialize_op(op) for op in record["ops"]]
     update_module._commit_locked(

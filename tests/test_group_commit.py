@@ -41,6 +41,7 @@ from repro.storage.update import (
     op_from_spec,
 )
 from repro.storage.wal import wal_path
+from repro.tree.unranked import UnrankedTree
 from repro.tree.xml_io import parse_xml, serialize_xml
 
 from tests.strategies import unranked_trees
@@ -323,8 +324,10 @@ def test_failed_group_commits_nothing(tmp_path):
     base = _build(tmp_path)
     pointer = read_pointer(base)
     arb = _generation_bytes(base, 0, ".arb")
+    before = durability.snapshot()
     with pytest.raises(StorageError):
         apply_many(base, [Relabel(1, "tome"), DeleteSubtree(999)])
+    assert durability.since(before).wal_appends == 0  # refused before the log
     assert read_pointer(base) == pointer
     assert list_generations(base) == [0]
     assert _generation_bytes(base, 0, ".arb") == arb
@@ -442,6 +445,60 @@ def test_mistyped_spec_is_refused_by_name_before_anything_is_written(tmp_path, c
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and f"'{field}'" in captured.err
     assert "Traceback" not in captured.err
+    assert _files_of(base) == before
+
+
+#: Ops carrying a tag name the whitespace-separated `.lab` file cannot hold.
+#: Registering it used to *commit* and shift every later tag index by one:
+#: the next open answered ``unknown label index`` -- a bricked database.
+EMPTY_LABEL_OPS = {
+    "spec": lambda: op_from_spec({"kind": "relabel", "node": 1, "label": ""}),
+    "Relabel": lambda: Relabel(1, ""),
+    "insert-tree": lambda: InsertSubtree(0, UnrankedTree.from_nested(("x", ["y", ""]))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EMPTY_LABEL_OPS))
+def test_empty_label_is_refused_before_anything_is_written(tmp_path, capsys, kind):
+    base = _build(tmp_path)
+    before = _files_of(base)
+    database = Database.open(base)
+    for ops in ([EMPTY_LABEL_OPS[kind]()], [Relabel(2, "ok"), EMPTY_LABEL_OPS[kind]()]):
+        with pytest.raises(StorageError, match="non-empty.*''"):
+            database.apply_many(ops)
+    assert cli_main(["update", base, "--relabel", "1", ""]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    # Pointer, WAL (none was ever written) and every generation file.
+    assert _files_of(base) == before
+    assert Database.open(base).label(1) == "book"
+
+
+def test_empty_label_is_refused_at_build(tmp_path):
+    base = str(tmp_path / "doc")
+    with pytest.raises(StorageError, match="non-empty"):
+        Database.build(UnrankedTree.from_nested(("lib", ["book", ""])), base)
+    assert not os.path.exists(base + ".gen")  # nothing to open was left behind
+
+
+def test_wire_update_with_empty_label_is_refused_without_a_commit(tmp_path):
+    base = _build(tmp_path)
+    before = _files_of(base)
+
+    async def main():
+        server = ArbServer(Database.open(base), port=0, write_window=0.05)
+        host, port = await server.start()
+        try:
+            return await request_many(host, port, [
+                {"op": "update", "ops": [{"kind": "relabel", "node": 1, "label": ""}]},
+                {"op": "query", "query": BOOKS},
+            ])
+        finally:
+            await server.stop()
+
+    refused, answer = asyncio.run(main())
+    assert not refused["ok"] and refused["error_type"] == "StorageError", refused
+    assert "non-empty" in refused["error"]
+    assert answer["ok"] and answer["counter"] == 1 and answer["count"] == 2, answer
     assert _files_of(base) == before
 
 

@@ -283,7 +283,7 @@ def _draw_group(data, mirror):
 @given(document=sectioned_documents(min_sections=6, min_leaves=16), data=st.data())
 @settings(max_examples=40, **COMMON_SETTINGS)
 def test_committed_index_equals_a_from_scratch_summary(document, data):
-    """Whatever a commit inherited through its splice chain -- from an intact
+    """Whatever a commit inherited through its splice -- from an intact
     parent sidecar, or from none at all -- the `.idx` it writes is exactly
     what :func:`summarize_arb_bytes` computes from the final `.arb` alone."""
     with tempfile.TemporaryDirectory() as directory:

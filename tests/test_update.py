@@ -93,20 +93,34 @@ def test_relabel_text_character(tmp_path):
     assert db.disk.char_nodes == 1 and db.disk.element_nodes == 1
 
 
-def test_consecutive_relabels_hit_the_analysis_cache(tmp_path):
+@pytest.mark.parametrize(
+    "preceding",
+    [
+        Relabel(4, "book"),
+        InsertSubtree(0, "<cd><track/></cd>", position=1),
+        DeleteSubtree(1),
+        [Relabel(4, "book"), InsertSubtree(1, "<c/>"), DeleteSubtree(5)],
+    ],
+    ids=["relabel", "insert", "delete", "mixed-group"],
+)
+def test_consecutive_relabels_hit_the_analysis_cache(tmp_path, preceding):
+    """Whatever kind of commit came before, it left its structure behind."""
     base = _build(tmp_path)
     db = Database.open(base)
-    first = db.apply(Relabel(4, "book"))
+    first = db.apply_many(preceding) if isinstance(preceding, list) else db.apply(preceding)
     second = db.apply(Relabel(2, "c"))
     assert not first.statistics.analysis_cache_hit
-    assert second.statistics.analysis_cache_hit  # derived from the relabel
-    assert second.statistics.io.seeks < first.statistics.io.seeks  # no rescan
+    assert second.statistics.analysis_cache_hit
+    # No rescan: the splice's copy is everything the second commit read.
+    assert second.statistics.io.bytes_read == second.statistics.bytes_copied
+    assert second.statistics.io.seeks < first.statistics.io.seeks
 
 
 def test_relabel_reads_one_analysis_scan_plus_one_copy_per_relabel(tmp_path):
-    """The splice's read cost in closed form: ``_analyse`` scans the file
-    once (first commit only), ``_splice`` copies everything but the relabelled
-    record in page-sized chunks, one seek per contiguous range."""
+    """The commit's read cost in closed form: ``_analyse`` scans the file
+    once (first commit on a base only), and ``_splice`` copies everything
+    but the re-encoded or removed records in page-sized chunks, one seek per
+    contiguous range -- once per commit, however many operations it holds."""
     page = 64
     base = str(tmp_path / "doc")
     build_database("<r>" + "<a/><b/>" * 100 + "</r>", base, text_mode="ignore", page_size=page)
@@ -117,9 +131,15 @@ def test_relabel_reads_one_analysis_scan_plus_one_copy_per_relabel(tmp_path):
     def chunks(length: int) -> int:
         return -(-length // page)
 
-    def splice(node: int) -> tuple[int, int, int]:
-        head, tail = node * record, size - (node + 1) * record
-        return chunks(head) + chunks(tail), (head > 0) + (tail > 0), head + tail
+    def splice(*holes: tuple[int, int]) -> tuple[int, int, int]:
+        """What ``_splice`` reads of a ``size``-byte file copying around
+        ``holes``: ascending ``(first record, records not copied)``."""
+        pages = seeks = copied = position = 0
+        for start, length in [*holes, (size // record, 0)]:
+            gap = start * record - position
+            pages, seeks, copied = pages + chunks(gap), seeks + (gap > 0), copied + gap
+            position = (start + length) * record
+        return pages, seeks, copied
 
     def read_cost(result) -> tuple[int, int, int]:
         io = result.statistics.io
@@ -127,13 +147,29 @@ def test_relabel_reads_one_analysis_scan_plus_one_copy_per_relabel(tmp_path):
 
     first, cached, at_root = (db.apply(Relabel(node, "c")) for node in (70, 150, 0))
     analysis = (chunks(size), 1, size)
-    assert read_cost(first) == tuple(a + b for a, b in zip(analysis, splice(70)))
-    assert cached.statistics.analysis_cache_hit and read_cost(cached) == splice(150)
-    assert read_cost(at_root) == splice(0) == (chunks(size - record), 1, size - record)
+    assert read_cost(first) == tuple(a + b for a, b in zip(analysis, splice((70, 1))))
+    assert cached.statistics.analysis_cache_hit and read_cost(cached) == splice((150, 1))
+    assert read_cost(at_root) == splice((0, 1)) == (chunks(size - record), 1, size - record)
     assert first.statistics.bytes_copied == size - record
-    # A group is a chain of splices behind one analysis (here: the cached one).
-    group = db.apply_many([Relabel(10, "e"), Relabel(20, "f")])
-    assert read_cost(group) == tuple(a + b for a, b in zip(splice(10), splice(20)))
+    # A group of N relabels behind the cached analysis is one pass reading
+    # F - N * record bytes (it was the sum of N splices: N * (F - record)).
+    nodes = (10, 20, 21, 199)
+    group = db.apply_many([Relabel(node, "e") for node in nodes])
+    assert group.statistics.analysis_cache_hit
+    assert read_cost(group) == splice((10, 1), (20, 2), (199, 1))
+    assert group.statistics.io.bytes_read == size - len(nodes) * record
+    assert group.statistics.bytes_copied == size - len(nodes) * record
+    # A mixed group is one pass too.  In the old file's coordinates: the
+    # insert lands before record 1 (copying nothing away), record 10 is
+    # re-encoded, and node 50 of the post-insert state is old record 48.
+    mixed = db.apply_many(
+        [Relabel(10, "f"), InsertSubtree(0, "<x><y/></x>", position=0), DeleteSubtree(50)]
+    )
+    assert mixed.statistics.analysis_cache_hit
+    assert read_cost(mixed) == splice((1, 0), (10, 1), (48, 1))
+    assert mixed.statistics.bytes_copied == size - 2 * record <= size
+    assert mixed.statistics.records_reencoded == 2 + 1
+    assert mixed.arb_bytes == size + 2 * record - record
 
 
 # --------------------------------------------------------------------------- #

@@ -21,12 +21,25 @@ from __future__ import annotations
 import os
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.engine import Database
+from repro.errors import StorageError
 from repro.storage.build import build_database
 from repro.storage.database import ArbDatabase
-from repro.storage.update import DeleteSubtree, InsertSubtree, Relabel, apply_to_tree
+from repro.storage.pageindex import summarize_arb_bytes
+from repro.storage.paging import IOStatistics
+from repro.storage.splice import _summarize
+from repro.storage.structure import _analyse, structure_cache
+from repro.storage.update import (
+    DeleteSubtree,
+    InsertSubtree,
+    Relabel,
+    apply_many,
+    apply_to_tree,
+    apply_update,
+)
 
 from tests.strategies import unranked_trees
 
@@ -120,6 +133,83 @@ def test_apply_equals_rebuild_from_scratch(data):
         assert snapshot.generation == 0
         assert _stream_of(snapshot.disk) == snapshot_stream
         assert _record_stream(base, generation=0) == snapshot_stream
+
+
+def _analysis_of(base: str):
+    database = ArbDatabase.open(base)
+    return database, _analyse(database, IOStatistics())
+
+
+def _named(database: ArbDatabase, structure) -> tuple[list[str], list[int], list[int]]:
+    """A structure with label *names* for indexes: a splice and a rebuild
+    may number the same tag names in different orders."""
+    names = [database.labels.name_of(index) for index in structure.label_idx]
+    return names, list(structure.usize), list(structure.has_next)
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(data=st.data())
+def test_structure_updated_in_place_equals_analysis_of_a_rebuild(data):
+    """apply == rebuild for the one data structure of the write path: the
+    structure each commit edits in place and leaves in the cache equals a
+    fresh ``_analyse`` of the generation it wrote (field for field) and of
+    a from-scratch build of the oracle's tree (label names for indexes) --
+    and a refused group leaves the cached structure untouched."""
+    mirror = data.draw(unranked_trees(max_leaves=8))
+    with tempfile.TemporaryDirectory() as tmp:
+        base = os.path.join(tmp, "live")
+        build_database(mirror, base)
+        for step in range(data.draw(st.integers(1, 5), label="ops")):
+            op = _draw_update(data.draw, mirror)
+            mirror = apply_to_tree(mirror, op)
+            apply_update(base, op)
+
+            live, fresh = _analysis_of(base)
+            cached = structure_cache.get(live.arb_path)
+            assert cached == fresh, op
+            rebuilt_base = os.path.join(tmp, f"rebuilt{step}")
+            build_database(mirror, rebuilt_base)
+            assert _named(live, cached) == _named(*_analysis_of(rebuilt_base)), op
+
+            # A bad op behind a valid insert (two nodes, one more child of
+            # the root), so the commit's structure is edited before the
+            # refusal: it is a copy, the cached instance stays as it was.
+            bad = data.draw(st.sampled_from([
+                Relabel(mirror.node_count() + 2, "a"),  # bad node
+                DeleteSubtree(0),  # would empty the database
+                InsertSubtree(0, "<a/>", position=len(mirror.root.children) + 2),  # bad position
+            ]))
+            with pytest.raises(StorageError):
+                apply_many(base, [InsertSubtree(0, "<b><a/></b>", position=0), bad])
+            assert structure_cache.get(live.arb_path) is cached and cached == fresh, bad
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tree=unranked_trees(max_leaves=12), records_per_page=st.integers(1, 7))
+def test_page_summaries_from_the_structure_equal_the_stack_simulation(tree, records_per_page):
+    """The `.idx` rows a commit computes from its structure, in closed form,
+    are the rows the builder's backward stack simulation computes from the
+    records -- on every page grid, aligned to subtrees or not."""
+    with tempfile.TemporaryDirectory() as tmp:
+        build_database(tree, os.path.join(tmp, "doc"))
+        database, structure = _analysis_of(os.path.join(tmp, "doc"))
+        with open(database.arb_path, "rb") as handle:
+            oracle = summarize_arb_bytes(
+                handle.read(),
+                n_records=structure.n,
+                record_size=database.record_size,
+                page_size=records_per_page * database.record_size,
+                n_label_indices=1 << 14,
+            )
+    rows = [
+        _summarize(structure, start, min(start + records_per_page, structure.n))
+        for start in range(0, structure.n, records_per_page)
+    ]
+    assert rows == list(zip(oracle.pops, oracle.pushes, oracle.label_bits))
 
 
 @settings(

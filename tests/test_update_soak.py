@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import tracemalloc
 
 from repro.collection import Collection
 from repro.engine import Database
 from repro.plan.cache import PlanCache
 from repro.service import QueryService
 from repro.storage.build import build_database
-from repro.storage.update import DeleteSubtree, InsertSubtree
+from repro.storage.structure import structure_cache
+from repro.storage.update import DeleteSubtree, InsertSubtree, Relabel
 
 BOOKS = "QUERY :- V.Label[book];"
 DVDS = "QUERY :- V.Label[dvd];"
@@ -191,3 +193,47 @@ def test_collection_queries_pin_generations_per_document(tmp_path):
     assert not torn, f"torn observations: {torn}"
     assert collection.manifest.get("hot").generation > 0
     assert collection.manifest.get("cold-1").generation == 0
+
+
+def test_structure_cache_stays_bounded_over_a_mixed_update_stream(tmp_path):
+    """Finding 9, the analysis cache's share: 70 mixed commits on one base.
+
+    A cached structure is three flat sequences, 2 + 4 + 1 = 7 bytes per node
+    at the default record size (it was 129: four int lists and a list of
+    tuples); with the slack a sequence keeps after growing in place
+    (1/16th of an array, 1/8th of a bytearray) under 8.  So everything the
+    analysis module keeps alive is bounded by ``capacity * n_nodes * 8``
+    whatever the operations were, and does not grow with the stream.
+    """
+    base = str(tmp_path / "doc")
+    page = 1024  # small pages: a commit re-summarises few records for the `.idx`
+    build_database("<lib>" + "<book><a/><b/></book><dvd/>" * 4000 + "</lib>", base,
+                   text_mode="ignore", page_size=page)
+    database = Database.open(base, page_size=page)
+    largest = database.n_nodes + 70 * 3  # no commit below adds more than 3 nodes
+
+    def held() -> int:
+        mine = tracemalloc.Filter(True, "*/repro/storage/structure.py")
+        return sum(s.size for s in tracemalloc.take_snapshot().filter_traces([mine]).statistics("filename"))
+
+    samples = {}
+    tracemalloc.start()
+    try:
+        for update in range(1, 71):
+            # Structural edits near the end of the file, so that few pages
+            # shift off the grid and need their `.idx` summary recomputed.
+            node = database.n_nodes - 1 - (update * 37) % 500
+            commit = [
+                [Relabel(update * 211, f"tag{update % 5}")],
+                [InsertSubtree(0, MARKER)],
+                [DeleteSubtree(database.n_nodes - 1)],
+                [InsertSubtree(node, "<cd/>"), Relabel(node, "box"), DeleteSubtree(database.n_nodes)],
+            ][update % 4]
+            result = database.apply_many(commit, retain_generations=2)
+            assert result.statistics.analysis_cache_hit == (update > 1)
+            if update % 10 == 0:
+                samples[update] = held()
+    finally:
+        tracemalloc.stop()
+    assert max(samples.values()) <= structure_cache.capacity * largest * 8, samples
+    assert samples[70] <= samples[10] * 1.01, samples

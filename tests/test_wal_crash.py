@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +35,7 @@ from repro.engine import Database
 from repro.storage.build import build_database
 from repro.storage.durability import durability
 from repro.storage.generations import (
+    GENERATION_FILE_SUFFIXES,
     generation_base,
     list_generations,
     pointer_path,
@@ -77,12 +79,25 @@ apply_many(sys.argv[1], [
 print("survived")
 """
 
-#: A group whose second operation is invalid against the base (node 99 of a
-#: six-node document): the live writer would reject it whole at compile time.
+#: A logged group whose second operation is invalid against the base (node
+#: 99 of a six-node document).  The live writer compiles the whole group
+#: before it logs anything and would refuse this one, so the record is
+#: written the way a foreign or older writer could have left it: directly.
 INVALID_GROUP_SCRIPT = """
 import sys
-from repro.storage.update import Relabel, apply_many
-apply_many(sys.argv[1], [Relabel(1, "x"), Relabel(99, "y")])
+from repro.storage import wal
+from repro.storage.generations import read_pointer
+from repro.storage.paging import DEFAULT_PAGE_SIZE
+from repro.storage.update import Relabel
+pointer = read_pointer(sys.argv[1])
+wal.append_group(
+    sys.argv[1],
+    base_generation=pointer.generation,
+    base_counter=pointer.counter,
+    target_counter=pointer.counter + 2,
+    page_size=DEFAULT_PAGE_SIZE,
+    ops=[Relabel(1, "x"), Relabel(99, "y")],
+)
 print("survived")
 """
 
@@ -94,8 +109,8 @@ print("opened")
 """
 
 #: Pre-swap stages at which the WAL record is already durable: the group
-#: must roll forward on the next open.  ``mid-arb`` fires in the *first*
-#: splice of the chain, so the replay also has intermediate files to redo.
+#: must roll forward on the next open.  ``mid-arb`` fires on the first bytes
+#: of the commit's one splice, so the replay has a torn `.arb` to overwrite.
 PROMISED_POINTS = ("wal-synced", "mid-arb", "after-files", "pointer-tmp")
 
 
@@ -185,6 +200,39 @@ def test_crash_after_the_wal_is_durable_replays_the_group(tmp_path, fault):
     # The old generation is untouched and the WAL is spent.
     assert _old_generation_bytes(base) == old
     assert os.path.getsize(wal_path(base)) == 0
+
+
+def _listing(base: str, *, but: tuple[str, ...] = ()) -> list[str]:
+    return sorted(name for name in os.listdir(os.path.dirname(base)) if not name.endswith(but))
+
+
+@pytest.mark.parametrize("fault", FAULT_POINTS[: FAULT_POINTS.index("after-swap")])
+def test_crashed_group_leaves_nothing_but_generation_files(tmp_path, fault):
+    """A commit writes its new generation's files, the log and the pointer
+    -- no scratch file a crash could strand.  After recovery the directory
+    lists exactly what committing the operations one by one (pruning as it
+    goes) leaves behind."""
+    (tmp_path / "crashed").mkdir()
+    (tmp_path / "sequential").mkdir()
+    base = _build(tmp_path / "crashed")
+    completed = _run(GROUP_SCRIPT, base, fault)
+    assert completed.returncode == FAULT_EXIT_CODE, (fault, completed.stderr)
+
+    suffixes = "|".join(re.escape(suffix) for suffix in GENERATION_FILE_SUFFIXES)
+    # ``.gen.tmp`` is the pointer's own write-then-rename temp (`pointer-tmp`).
+    allowed = re.compile(rf"doc((\.g\d+)?({suffixes})|\.gen|\.gen\.tmp|\.wal|\.lock)")
+    assert [name for name in _listing(base) if not allowed.fullmatch(name)] == []
+    assert ("doc.gen.tmp" in _listing(base)) == (fault == "pointer-tmp")
+
+    Database.open(base)  # discards or rolls forward
+    reference = _build(tmp_path / "sequential")
+    if FAULT_POINTS.index(fault) >= FAULT_POINTS.index("wal-synced"):
+        for op in GROUP:
+            apply_update(reference, op, retain_generations=1)
+        assert read_pointer(base).generation == TARGET_GENERATION
+    # (The spent log and the lock file stay wherever a writer once came by.)
+    spent = (".wal", ".lock")
+    assert _listing(base, but=spent) == _listing(reference, but=spent)
 
 
 def test_crash_after_the_swap_truncates_the_spent_wal(tmp_path):
