@@ -18,13 +18,14 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import report
-from repro import DiskQueryEngine
+from repro import Database
 from repro.baselines.datalog import evaluate_fixpoint
 from repro.bench.figure6 import load_block_tree
 from repro.bench.reporting import format_table
 from repro.core.two_phase import TwoPhaseEvaluator
 from repro.datasets.random_queries import STEP_SOME_CHILD, TREEBANK_ALPHABET, random_query_batch
-from repro.storage import ArbDatabase, build_database
+from repro.plan import PlanCache
+from repro.storage import build_database
 from repro.streaming import StreamingEngine
 from repro.tmnf import TMNFProgram
 from repro.xpath import xpath_to_program
@@ -99,10 +100,11 @@ def test_disk_vs_memory(benchmark, tmp_path, scale, path):
     if path == "disk":
         base = str(tmp_path / "treebank")
         build_database(tree.to_unranked(), base)
-        database = ArbDatabase.open(base)
+        database = Database.open(base)
+        database.plan_cache = PlanCache()  # cold automata, like the memory path
 
         def run():
-            return DiskQueryEngine(program).evaluate(database)
+            return database.query(program, engine="disk")
 
     else:
 
@@ -149,7 +151,8 @@ def test_io_behavior_two_linear_scans(benchmark, tmp_path):
     tree = load_block_tree("acgt-flat", acgt_exponent=12)
     base = str(tmp_path / "acgt")
     build_database(tree.to_unranked(), base)
-    database = ArbDatabase.open(base)
+    database = Database.open(base)
+    database.plan_cache = PlanCache()
     program = TMNFProgram.parse(
         random_query_batch(5, ("A", "C", "G", "T"), count=1, seed=3)[0].to_program_text(
             "invNextSibling"
@@ -157,10 +160,10 @@ def test_io_behavior_two_linear_scans(benchmark, tmp_path):
     )
 
     def run():
-        return DiskQueryEngine(program).evaluate(database)
+        return database.query_many([program], engine="disk")
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
-    arb_bytes = database.file_size()
+    arb_bytes = database.disk.file_size()
     state_bytes = result.state_file_bytes
     report(
         "I/O behaviour (disk engine)",

@@ -48,7 +48,7 @@ def main() -> None:
           xpath_result.selected_nodes() == result.selected_nodes())
 
     # 3. Cross-check against the naive datalog fixpoint (reference semantics).
-    reference = database.query_fixpoint(program, query_predicate="QUERY")
+    reference = database.query(program, query_predicate="QUERY", engine="fixpoint")
     assert reference.selected_nodes() == result.selected_nodes()
     print("fixpoint reference agrees:", True)
 

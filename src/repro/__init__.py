@@ -20,7 +20,6 @@ from repro.core.two_phase import EvaluationResult, EvaluationStatistics, TwoPhas
 from repro.engine import BatchQueryResult, Database, QueryResult, compile_query
 from repro.errors import ReproError
 from repro.plan import PlanCache, QueryPlan, default_plan_cache
-from repro.plan.disk_engine import DiskQueryEngine
 from repro.service import ArbServer, QueryService, ServiceResponse, ServiceStats
 from repro.storage.bufferpool import BufferPool, default_buffer_pool, resolve_pager
 from repro.storage.database import ArbDatabase
@@ -60,7 +59,6 @@ __all__ = [
     "TwoPhaseEvaluator",
     "EvaluationResult",
     "EvaluationStatistics",
-    "DiskQueryEngine",
     "ArbDatabase",
     "BufferPool",
     "PagerConfig",

@@ -80,7 +80,6 @@ import sys
 from repro.collection import EXECUTORS, Collection
 from repro.engine import Database
 from repro.errors import ReproError
-from repro.plan.kernel import KERNEL_CHOICES
 from repro.storage.build import build_database
 from repro.storage.bufferpool import resolve_pager
 from repro.storage.database import ArbDatabase
@@ -95,19 +94,24 @@ from repro.storage.update import (
 __all__ = ["main", "build_parser"]
 
 
-def _add_execution_flags(parser, no_index_help: str) -> None:
-    """Declare ``--no-index`` / ``--kernel``, the flags of
-    :class:`~repro.plan.options.ExecutionOptions`, on a subcommand."""
-    parser.add_argument("--no-index", action="store_true", help=no_index_help)
-    parser.add_argument("--kernel", choices=KERNEL_CHOICES, default=None,
-                        help="lockstep automaton kernel for disk scans: vectorised numpy or "
-                             "the pure-Python loop (default: REPRO_KERNEL or auto-detect; "
-                             "identical answers and I/O counters)")
+def _tcp_port(lowest: int):
+    """An argparse ``type=`` for a TCP port in ``lowest``-65535 (0, where
+    allowed, lets a listener pick an ephemeral port)."""
+
+    def parse(text: str) -> int:
+        if not (text.isdigit() and lowest <= int(text) <= 65535):
+            raise argparse.ArgumentTypeError(f"expected a TCP port in {lowest}-65535, got {text!r}")
+        return int(text)
+
+    return parse
 
 
-def _execution_keywords(args: argparse.Namespace) -> dict:
-    """The keywords those flags stand for, as the library entry points spell them."""
-    return {"use_index": not args.no_index, "kernel": args.kernel}
+def _endpoint(text: str) -> tuple[str, int]:
+    """The argparse ``type=`` of ``HOST:PORT`` (a server to connect to)."""
+    host, _, port = text.rpartition(":")
+    if not host:
+        raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {text!r}")
+    return host, _tcp_port(1)(port)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,8 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--batch", action="store_true",
                        help="evaluate all given queries together "
                             "(on disk: one pair of linear scans for the whole batch)")
-    _add_execution_flags(query, "ignore the .idx page-summary sidecar: force full scans "
-                                "even for selective batches (identical answers)")
     query.add_argument("--ids", action="store_true", help="print selected node ids")
     query.add_argument("--mark-up", action="store_true",
                        help="print the document with selected nodes marked up")
@@ -207,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of parallel workers (default: 1)")
     cquery.add_argument("--executor", choices=EXECUTORS, default="thread",
                         help="worker pool kind (default: thread)")
-    _add_execution_flags(cquery, "ignore .idx page-summary sidecars (identical answers)")
     cquery.add_argument("--ids", action="store_true",
                         help="print selected node ids per document")
 
@@ -219,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("target", help=".arb base path, XML file, or collection root")
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
-    serve.add_argument("--port", type=int, default=8723,
+    serve.add_argument("--port", type=_tcp_port(0), default=8723,
                        help="TCP port (0 picks an ephemeral port)")
     serve.add_argument("--window", type=float, default=0.005, metavar="SECONDS",
                        help="coalescing window: requests arriving within it share "
@@ -237,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shard workers per batch (collection targets only)")
     serve.add_argument("--executor", choices=EXECUTORS, default="thread",
                        help="worker pool kind for collection targets")
-    _add_execution_flags(serve, "ignore .idx page-summary sidecars for served batches")
     serve.add_argument("--ready-file", metavar="PATH",
                        help="write 'host port' to PATH once the listener is bound")
     serve.add_argument("--replicate", choices=("async", "sync"), default="async",
@@ -250,13 +250,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="fan a query stream across replica servers (reads scale out, "
              "writes forward to the primary)",
     )
-    router.add_argument("--primary", required=True, metavar="HOST:PORT",
+    router.add_argument("--primary", required=True, metavar="HOST:PORT", type=_endpoint,
                         help="the ArbServer that owns updates")
-    router.add_argument("--replica", action="append", required=True,
+    router.add_argument("--replica", action="append", required=True, type=_endpoint,
                         metavar="HOST:PORT", dest="replicas",
                         help="a read replica ArbServer (repeatable)")
     router.add_argument("--host", default="127.0.0.1", help="bind address")
-    router.add_argument("--port", type=int, default=8722,
+    router.add_argument("--port", type=_tcp_port(0), default=8722,
                         help="TCP port (0 picks an ephemeral port)")
     router.add_argument("--ping-interval", type=float, default=0.5,
                         metavar="SECONDS",
@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         "client", help="send queries to a running 'arb serve' in one burst"
     )
     client.add_argument("--host", default="127.0.0.1", help="server address")
-    client.add_argument("--port", type=int, default=8723, help="server port")
+    client.add_argument("--port", type=_tcp_port(1), default=8723, help="server port")
     clgroup = client.add_mutually_exclusive_group(required=True)
     clgroup.add_argument("-q", "--program", action="append",
                          help="TMNF/caterpillar program text (repeatable)")
@@ -327,7 +327,7 @@ def _command_query(args: argparse.Namespace) -> int:
         raise ReproError("multiple queries given; use --batch to evaluate them together")
     result = database.query(
         queries[0], language=language, query_predicate=args.query_predicate,
-        engine=args.engine, kernel=args.kernel,
+        engine=args.engine,
     )
     predicate = result.program.query_predicates[0]
     statistics = result.statistics
@@ -353,9 +353,10 @@ def _run_batch_query(database: Database, queries: list[str], language: str,
         raise ReproError("--mark-up is not available with --batch")
     batch = database.query_many(
         queries, language=language, query_predicate=args.query_predicate,
-        engine=args.engine, use_index=not args.no_index, kernel=args.kernel,
+        engine=args.engine,
     )
-    print(f"batch           : {len(batch)} queries ({batch.backend})")
+    loop = f", {batch.loop} loop" if batch.loop else ""
+    print(f"batch           : {len(batch)} queries ({batch.backend}{loop})")
     for index, result in enumerate(batch):
         predicate = result.program.query_predicates[0]
         statistics = result.statistics
@@ -415,7 +416,6 @@ def _command_collection_query(args: argparse.Namespace) -> int:
     result = collection.query_many(
         queries, language=language, query_predicate=args.query_predicate,
         engine=args.engine, n_workers=args.workers, executor=args.executor,
-        **_execution_keywords(args),
     )
     statistics = result.statistics
     print(f"collection      : {len(result)} documents, {statistics.nodes} nodes")
@@ -472,7 +472,6 @@ def _command_serve(args: argparse.Namespace) -> int:
                 max_write_batch=args.max_write_batch,
                 n_workers=args.workers,
                 executor=args.executor,
-                **_execution_keywords(args),
                 replication_mode=args.replicate,
             )
         )
@@ -481,21 +480,14 @@ def _command_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_endpoint(text: str) -> tuple[str, int]:
-    host, separator, port = text.rpartition(":")
-    if not separator or not host or not port.isdigit():
-        raise SystemExit(f"arb router: expected HOST:PORT, got {text!r}")
-    return host, int(port)
-
-
 def _command_router(args: argparse.Namespace) -> int:
     from repro.replication import route
 
     try:
         asyncio.run(
             route(
-                _parse_endpoint(args.primary),
-                [_parse_endpoint(replica) for replica in args.replicas],
+                args.primary,
+                args.replicas,
                 host=args.host,
                 port=args.port,
                 ready_file=args.ready_file,

@@ -314,8 +314,6 @@ class Collection:
         executor: str = "thread",
         collect_selected_nodes: bool = True,
         temp_dir: str | None = None,
-        use_index: bool = True,
-        kernel: str | None = None,
     ) -> CollectionQueryResult:
         """Evaluate one query over every document of the collection."""
         return self.query_many(
@@ -327,8 +325,6 @@ class Collection:
             executor=executor,
             collect_selected_nodes=collect_selected_nodes,
             temp_dir=temp_dir,
-            use_index=use_index,
-            kernel=kernel,
         )
 
     def query_many(
@@ -342,8 +338,6 @@ class Collection:
         executor: str = "thread",
         collect_selected_nodes: bool = True,
         temp_dir: str | None = None,
-        use_index: bool = True,
-        kernel: str | None = None,
     ) -> CollectionQueryResult:
         """Evaluate ``k`` queries over every document, sharded across workers.
 
@@ -354,8 +348,7 @@ class Collection:
         See :mod:`repro.collection.executor` for the ``executor`` semantics.
         """
         options = ExecutionOptions(
-            engine=engine, temp_dir=temp_dir, collect_selected_nodes=collect_selected_nodes,
-            use_index=use_index, kernel=kernel,
+            engine=engine, temp_dir=temp_dir, collect_selected_nodes=collect_selected_nodes
         )
         return run_collection_query(
             self.documents, self.root, list(queries), cache=self.plan_cache, options=options,

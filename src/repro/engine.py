@@ -337,15 +337,6 @@ class Database:
             query, language=language, query_predicate=query_predicate
         )
 
-    @staticmethod
-    def _resolve_engine(engine: str | None, force_disk: bool | None) -> str | None:
-        """Fold the legacy ``force_disk`` flag into the engine name."""
-        if force_disk is None:
-            return engine
-        if engine not in (None, AUTO_ENGINE):
-            raise EvaluationError("pass either engine=... or force_disk=..., not both")
-        return "disk" if force_disk else "memory"
-
     # ------------------------------------------------------------------ #
     # Querying
     # ------------------------------------------------------------------ #
@@ -357,27 +348,20 @@ class Database:
         language: str = "tmnf",
         query_predicate: str | tuple[str, ...] | None = None,
         keep_true_predicates: bool = False,
-        force_disk: bool | None = None,
         memoize: bool = True,
         engine: str | None = None,
         temp_dir: str | None = None,
-        kernel: str | None = None,
     ) -> QueryResult:
         """Evaluate a node-selecting query and return the selected nodes.
 
         ``engine`` selects the execution backend (``"memory"``, ``"disk"``,
         ``"streaming"``, ``"fixpoint"``, or ``"auto"``/``None`` for the
         planner's choice); it is an error to name a backend that cannot run
-        this query on this database.  ``force_disk`` is the legacy spelling of
-        ``engine="disk"`` / ``engine="memory"``.
-
-        ``kernel`` picks the disk backend's automaton loop (``"numpy"``,
-        ``"python"`` or ``"auto"``; default defers to ``REPRO_KERNEL``).
-        Answers, statistics and I/O counters are identical either way.
+        this query on this database.  ``engine="disk"`` is a lockstep batch
+        of one: the same scan pair, page skipping and loop as
+        ``query_many([query])``.
         """
-        options = ExecutionOptions(
-            engine=self._resolve_engine(engine, force_disk), temp_dir=temp_dir, kernel=kernel
-        )
+        options = ExecutionOptions(engine=engine, temp_dir=temp_dir)
         plan, hit = self.plan(
             query, language=language, query_predicate=query_predicate, memoize=memoize
         )
@@ -395,23 +379,17 @@ class Database:
         engine: str | None = None,
         temp_dir: str | None = None,
         collect_selected_nodes: bool = True,
-        use_index: bool = True,
-        kernel: str | None = None,
     ) -> BatchQueryResult:
         """Evaluate ``k`` queries together; on disk, in one pair of linear scans.
-
-        ``use_index`` (default on) lets the scans skip pages through the
-        generation's ``.idx`` sidecar when the batch is selective enough;
-        ``use_index=False`` forces the plain full scans.  Answers are
-        identical either way.
 
         Over an on-disk database (and ``engine`` of ``None``/``"auto"``/
         ``"disk"``) the k bottom-up automata run in lockstep per node during
         **one** backward scan, writing one composite entry per node to the
         temporary state file, followed by **one** forward scan for the k
         top-down automata: the `.arb` file is read exactly twice however
-        large the batch is (see :attr:`BatchQueryResult.arb_io`).  Otherwise
-        the queries are executed one by one on the selected backend.
+        large the batch is (see :attr:`BatchQueryResult.arb_io`), less the
+        pages the generation's ``.idx`` sidecar lets a selective batch skip.
+        Otherwise the queries are executed one by one on the selected backend.
         """
         if not queries:
             raise EvaluationError("query_many needs at least one query")
@@ -420,8 +398,7 @@ class Database:
             for q in queries
         ))
         options = ExecutionOptions(
-            engine=engine, temp_dir=temp_dir, collect_selected_nodes=collect_selected_nodes,
-            use_index=use_index, kernel=kernel,
+            engine=engine, temp_dir=temp_dir, collect_selected_nodes=collect_selected_nodes
         )
         return self.execute_plans(plans, options, hits=hits)
 
@@ -490,13 +467,6 @@ class Database:
                 result.statistics.plan_cache_hits = int(hit)
                 result.statistics.plan_cache_misses = int(not hit)
         return batch
-
-    def query_fixpoint(self, query: str | TMNFProgram, *, language: str = "tmnf",
-                       query_predicate: str | tuple[str, ...] | None = None) -> QueryResult:
-        """Evaluate with the naive datalog fixpoint baseline (reference semantics)."""
-        return self.query(
-            query, language=language, query_predicate=query_predicate, engine="fixpoint"
-        )
 
     # ------------------------------------------------------------------ #
     # Output

@@ -28,7 +28,6 @@ executes with zero recompiled automaton transitions on any backend.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from repro.baselines.datalog import evaluate_fixpoint
@@ -114,9 +113,8 @@ class DiskBackend(ExecutionBackend):
                 "the disk backend cannot report per-node true-predicate sets; "
                 "use engine='memory' (or 'auto') with keep_true_predicates"
             )
-        # A single query is a batch of one.  The planner's disk backend does
-        # not consult the `.idx` sidecar.
-        result = evaluate_batch_on_disk([plan], database.disk, replace(options, use_index=False))[0]
+        # A single query is a batch of one.
+        result = evaluate_batch_on_disk([plan], database.disk, options)[0]
         result.backend = self.name
         return result
 

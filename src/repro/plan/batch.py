@@ -9,17 +9,18 @@ automata in lockstep while reading the composite state file backwards.  The
 `.arb` file is therefore read exactly twice -- once per phase -- no matter
 how many queries the batch holds, which the separate ``arb_io`` counter
 proves.  A single query is a batch of one: the ``disk`` backend
-(:class:`~repro.plan.backends.DiskBackend`) and the
-:class:`~repro.plan.disk_engine.DiskQueryEngine` facade both call
+(:class:`~repro.plan.backends.DiskBackend`) calls
 :func:`evaluate_batch_on_disk` with one plan, whose four-byte entries are
 the "four bytes per node" state file of the paper.
 
-Two implementations of the scan pair exist, selected per call by
-``options.kernel``:
+Two implementations of the scan pair exist.  No caller chooses between
+them: :func:`repro.plan.kernel.batch_kernel` hands out the accelerator
+whenever it can run, and the result says which loop did
+(:attr:`BatchQueryResult.loop <repro.plan.result.BatchQueryResult.loop>`):
 
 * the pure-Python loops below (:func:`_run_phase1`, :func:`_run_phase2`)
   are the *reference* and the only path without numpy, for unmemoised
-  plans and for exotic record sizes;
+  plans, for exotic record sizes and beyond the kernel's node bound;
 * :mod:`repro.plan.kernel` is the numpy *accelerator*: the same scans with
   the per-node work done arraywise, differential-tested against the loops
   here for identical answers, statistics and I/O counters
@@ -86,12 +87,12 @@ def evaluate_batch_on_disk(
 ) -> BatchQueryResult:
     """Evaluate ``plans`` over ``database`` with one backward + one forward scan.
 
-    Of ``options`` this reads ``temp_dir``, ``collect_selected_nodes``,
-    ``use_index`` (skip pages through the generation's ``.idx`` sidecar when
-    one exists; answers are identical either way, only ``pages_read``
-    shrinks) and ``kernel`` (the numpy kernel produces identical answers,
-    statistics and I/O counters -- ``tests/test_kernel_differential.py``
-    enforces it the way pooled==unpooled is enforced).
+    Of ``options`` this reads ``temp_dir`` and ``collect_selected_nodes``.
+    The scans skip pages through the generation's ``.idx`` sidecar when a
+    valid one exists (answers are identical either way, only ``pages_read``
+    shrinks) and run on the numpy kernel when it can take the batch
+    (identical answers, statistics and I/O counters; ``loop`` on the result
+    says which ran).
     """
     if not plans:
         raise EvaluationError("batch evaluation needs at least one query")
@@ -107,8 +108,8 @@ def evaluate_batch_on_disk(
     for plan in unique_plans:
         plan.begin_run()
 
-    skip = _compute_skip(plans, database) if options.use_index else None
-    runner = kernel_mod.batch_kernel(plans, database, skip, choice=options.kernel)
+    skip = _compute_skip(plans, database)
+    runner = kernel_mod.batch_kernel(plans, database, skip)
 
     arb_io = IOStatistics()
     state_io = IOStatistics()
@@ -127,9 +128,7 @@ def evaluate_batch_on_disk(
         if runner is not None:
             phase1_depth = runner.run_phase1(state_path, entry_struct, arb_io, state_io)
         else:
-            phase1_depth = _run_phase1(
-                plans, database, state_path, entry_struct, arb_io, state_io, skip
-            )
+            phase1_depth = _run_phase1(plans, database, state_path, entry_struct, arb_io, state_io, skip)
         phase1_seconds = time.perf_counter() - started
         state_file_bytes = os.path.getsize(state_path)
         started = time.perf_counter()
@@ -139,8 +138,14 @@ def evaluate_batch_on_disk(
             )
         else:
             selected, counts, phase2_depth = _run_phase2(
-                plans, database, state_path, entry_struct, arb_io, state_io,
-                options.collect_selected_nodes, skip,
+                plans,
+                database,
+                state_path,
+                entry_struct,
+                arb_io,
+                state_io,
+                options.collect_selected_nodes,
+                skip,
             )
         phase2_seconds = time.perf_counter() - started
     finally:
@@ -198,6 +203,7 @@ def evaluate_batch_on_disk(
         phase1_stack_depth=phase1_depth,
         phase2_stack_depth=phase2_depth,
         backend="disk-batch",
+        loop="python" if runner is None else "numpy",
     )
 
 
@@ -254,7 +260,9 @@ def _compute_skip(plans: Sequence["QueryPlan"], database: ArbDatabase) -> _SkipP
         last = ((start + count) * record_size - 1) // page_size
         allowed.update(range(first, last + 1))
     return _SkipPlan(
-        plans=tuple(plans), segments=segments, star=tuple(star),
+        plans=tuple(plans),
+        segments=segments,
+        star=tuple(star),
         allowed_pages=frozenset(allowed),
     )
 
@@ -350,8 +358,7 @@ def _run_phase1(
     # (each plan has its own schema, so the sets differ per plan), and for
     # the scan one memo from shape to the k sets, so a node costs one lookup.
     for_records = [
-        RecordShapeLabelSets(plan.program.prop_local().schema, database.labels).for_record
-        for plan in plans
+        RecordShapeLabelSets(plan.program.prop_local().schema, database.labels).for_record for plan in plans
     ]
     shape_labels: dict[tuple, list[frozenset[str]]] = {}
     # What an absent child contributes: BOTTOM for every plan.
@@ -371,9 +378,7 @@ def _run_phase1(
         page_filter = skip.allowed_pages.__contains__
     with PagedWriter(state_path, database.page_size, stats=state_io) as state_writer:
         write = state_writer.write
-        scanner = database.ranged_records(
-            backward=True, stats=arb_io, page_filter=page_filter
-        )
+        scanner = database.ranged_records(backward=True, stats=arb_io, page_filter=page_filter)
         try:
             for seg_start, seg_count, region in reversed(segments):
                 if region is not None:
@@ -394,9 +399,7 @@ def _run_phase1(
                     shape = (record.label_index, has_first, has_second, node_id == 0)
                     labels = shape_labels.get(shape)
                     if labels is None:
-                        labels = shape_labels[shape] = [
-                            for_record(*shape) for for_record in for_records
-                        ]
+                        labels = shape_labels[shape] = [for_record(*shape) for for_record in for_records]
                     entry = []
                     for i in indices:
                         entry.append(computes[i](firsts[i], seconds[i], labels[i]))
@@ -434,9 +437,7 @@ def _run_phase2(
     selected: list[dict[str, list[int]]] = [
         {pred: [] for pred in plan.program.query_predicates} for plan in plans
     ]
-    counts: list[dict[str, int]] = [
-        {pred: 0 for pred in plan.program.query_predicates} for plan in plans
-    ]
+    counts: list[dict[str, int]] = [{pred: 0 for pred in plan.program.query_predicates} for plan in plans]
     # Every (plan, query predicate) pair the select step tests per node.
     watched = [
         (i, pred, counts[i], selected[i][pred] if collect_selected_nodes else None)
@@ -449,8 +450,9 @@ def _run_phase2(
     # through a shared pool.  With skipping, phase 1 wrote entries only for
     # non-skipped nodes, and this phase consumes them only for non-skipped
     # nodes -- the alignment is exact because the skip decision is static.
-    state_reader = PagedReader(state_path, database.page_size, stats=state_io,
-                               config=database.pager.without_pool())
+    state_reader = PagedReader(
+        state_path, database.page_size, stats=state_io, config=database.pager.without_pool()
+    )
     states_iter = state_reader.unpack_backward(entry_struct)
 
     segments = ((0, database.n_nodes, None),) if skip is None else skip.segments

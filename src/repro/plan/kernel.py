@@ -32,26 +32,27 @@ disk query is:
   reading, and phase 2 replays the same answer-free decisions and fallback
   reads.
 
-The kernel is selected with ``REPRO_KERNEL`` (``numpy`` | ``python`` |
-``auto``, default auto-detect) or an explicit ``kernel=`` argument threaded
-through the engine, CLI, collection and service layers.  It silently falls
-back to the reference loop when numpy is unavailable, when a plan disables
-memoisation (the laziness-ablation mode recomputes transitions per *node*,
-which arrays cannot reproduce), for exotic record sizes, or for documents
-too large for the packed-key bases.  Nothing is accepted on faith: the
-differential suite ``tests/test_kernel_differential.py`` holds the kernel to
-the reference loop's answers, statistics and I/O counters, cold and warm.
+Nothing selects the kernel: :func:`batch_kernel` hands it out whenever it
+can run -- numpy imports, every plan memoises (the laziness-ablation mode
+recomputes transitions per *node*, which arrays cannot reproduce), the
+record size has a single-code struct and the document fits the packed-key
+bases -- and otherwise returns ``None``, which sends the batch through the
+reference loop.  The batch result names the loop that ran
+(:attr:`BatchQueryResult.loop <repro.plan.result.BatchQueryResult.loop>`).
+Nothing is accepted on faith: the differential suite
+``tests/test_kernel_differential.py`` holds the kernel to the reference
+loop's answers, statistics and I/O counters, cold and warm, by running the
+same batch once with numpy and once with numpy made unavailable to this
+module (the situation of the no-numpy CI leg).
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.automata import StateInterner
 from repro.core.two_phase import BOTTOM
 from repro.errors import EvaluationError
-from repro.plan.memo import memo_for
 from repro.storage.labels import RecordShapeLabelSets
 from repro.storage.paging import IOStatistics, PagedReader, PagedWriter
 from repro.storage.records import flag_masks, record_struct
@@ -60,19 +61,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.plan.plan import QueryPlan
     from repro.storage.database import ArbDatabase
 
-__all__ = [
-    "KERNEL_ENV",
-    "KERNEL_CHOICES",
-    "numpy_available",
-    "resolve_kernel",
-    "batch_kernel",
-]
-
-#: Environment variable selecting the kernel.
-KERNEL_ENV = "REPRO_KERNEL"
-
-#: Accepted kernel names (``auto`` resolves by numpy availability).
-KERNEL_CHOICES = ("auto", "numpy", "python")
+__all__ = ["numpy_available", "batch_kernel"]
 
 #: Packing base for composite/symbol ids in transition keys.  Documents up
 #: to ``_MAX_KERNEL_NODES`` nodes keep every id below the base and every
@@ -109,48 +98,17 @@ def numpy_available() -> bool:
     return _numpy_module() is not None
 
 
-def resolve_kernel(choice: str | None = None) -> str:
-    """Resolve a kernel request to ``"numpy"`` or ``"python"``.
-
-    ``choice`` of ``None``/``"auto"`` defers to the ``REPRO_KERNEL``
-    environment variable, itself defaulting to auto-detection.  An explicit
-    ``"numpy"`` request without numpy installed is an error (auto-detection
-    never is).
-    """
-    if choice is None or choice == "" or choice == "auto":
-        choice = os.environ.get(KERNEL_ENV, "auto").strip().lower() or "auto"
-    if choice == "auto":
-        return "numpy" if numpy_available() else "python"
-    if choice not in KERNEL_CHOICES:
-        names = ", ".join(KERNEL_CHOICES)
-        raise EvaluationError(f"unknown kernel {choice!r} (use one of: {names})")
-    if choice == "numpy" and not numpy_available():
-        raise EvaluationError(
-            "kernel 'numpy' was requested but numpy is not importable; "
-            "install numpy or use kernel 'auto'/'python'"
-        )
-    return choice
-
-
-def batch_kernel(
-    plans: Sequence["QueryPlan"],
-    database: "ArbDatabase",
-    skip,
-    *,
-    choice: str | None = None,
-):
+def batch_kernel(plans: Sequence["QueryPlan"], database: "ArbDatabase", skip):
     """A :class:`_LockstepKernel` for ``plans`` over ``database``, or ``None``.
 
-    ``None`` means "use the pure-Python loop": the kernel was not selected,
-    numpy is unavailable, a plan runs unmemoised, the record size has no
-    single-code struct, or the document exceeds the packed-key bound.
-    ``skip`` is the batch's skip plan (``None`` to scan everything) exactly
-    as computed by :func:`repro.plan.batch._compute_skip`.
+    ``None`` means "use the pure-Python loop": numpy is unavailable, a plan
+    runs unmemoised, the record size has no single-code struct, or the
+    document exceeds the packed-key bound.  ``skip`` is the batch's skip
+    plan (``None`` to scan everything) exactly as computed by
+    :func:`repro.plan.batch._compute_skip`.
     """
-    if resolve_kernel(choice) != "numpy":
-        return None
     np = _numpy_module()
-    if np is None:  # pragma: no cover - resolve_kernel already answered
+    if np is None:
         return None
     if record_struct(database.record_size) is None:
         return None
@@ -165,30 +123,6 @@ def batch_kernel(
 def _require_consistent(ok: bool) -> None:
     if not ok:
         raise EvaluationError(PHASE1_INCONSISTENT)
-
-
-class _KernelPlanTables:
-    """Per-plan compiled tables with plan lifetime (see :mod:`repro.plan.memo`).
-
-    Holds the top-down start-state memo: ``root_true_preds`` is deterministic
-    and counter-free, so caching it per (plan, root state) across runs is
-    observationally identical to the pure path's per-run recomputation.
-    """
-
-    __slots__ = ("root_preds",)
-
-    _ROOT_CAP = 64
-
-    def __init__(self) -> None:
-        self.root_preds: dict[int, frozenset] = {}
-
-    def root_preds_of(self, evaluator, state_id: int) -> frozenset:
-        cached = self.root_preds.get(state_id)
-        if cached is None:
-            if len(self.root_preds) >= self._ROOT_CAP:
-                self.root_preds.clear()
-            cached = self.root_preds[state_id] = evaluator.root_true_preds(state_id)
-        return cached
 
 
 class _LockstepKernel:
@@ -476,10 +410,7 @@ class _LockstepKernel:
         root_states = comp_states[comp[0]]
         pp: list = [0] * (m + 1)
         pp[0] = intern_preds(
-            tuple(
-                memo_for(plan).kernel_tables(_KernelPlanTables).root_preds_of(plan.evaluator, state)
-                for plan, state in zip(plans, root_states)
-            )
+            tuple(plan.evaluator.root_true_preds(state) for plan, state in zip(plans, root_states))
         )
 
         # ---- top-down composite sweep over gap items (parents first)

@@ -1,11 +1,10 @@
 """Per-plan derived-result memos, owned outside the plan objects.
 
 Plans cached in :class:`~repro.plan.cache.PlanCache` are shared across
-threads, so derived results (the neutral state, the answer-free closure,
-the kernel's packed transition tables) must not be stashed as mutable
-attributes on the plans themselves: concurrent executors would race on
-the attribute writes and the unbounded dicts would grow for the lifetime
-of the cache entry.
+threads, so derived results (the neutral state, the answer-free closure)
+must not be stashed as mutable attributes on the plans themselves:
+concurrent executors would race on the attribute writes and the unbounded
+dicts would grow for the lifetime of the cache entry.
 
 This module owns those memos instead: one :class:`PlanMemo` per live
 plan, held in a lock-guarded :class:`weakref.WeakKeyDictionary` so a
@@ -38,20 +37,12 @@ _UNSET = object()
 class PlanMemo:
     """Mutable derived state for one plan, lock-guarded and bounded."""
 
-    __slots__ = (
-        "lock",
-        "_neutral_state",
-        "_answer_free",
-        "_kernel_tables",
-    )
+    __slots__ = ("lock", "_neutral_state", "_answer_free")
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
         self._neutral_state: Any = _UNSET
         self._answer_free: dict[frozenset, bool] = {}
-        #: The kernel's compiled/packed transition tables (opaque to this
-        #: module); same lifetime as the plan, rebuilt on demand if dropped.
-        self._kernel_tables: Any = None
 
     # -------------------------------------------------------------- #
     # neutral state
@@ -87,22 +78,6 @@ class PlanMemo:
                 for key in list(self._answer_free)[: _ANSWER_FREE_MEMO_CAP // 2]:
                     del self._answer_free[key]
             return self._answer_free.setdefault(root_preds, result)
-
-    # -------------------------------------------------------------- #
-    # kernel compiled tables
-    # -------------------------------------------------------------- #
-
-    def kernel_tables(self, build):
-        """``build()`` once per plan; thereafter the cached tables."""
-        with self.lock:
-            cached = self._kernel_tables
-        if cached is not None:
-            return cached
-        built = build()
-        with self.lock:
-            if self._kernel_tables is None:
-                self._kernel_tables = built
-            return self._kernel_tables
 
 
 _MEMOS: "weakref.WeakKeyDictionary[QueryPlan, PlanMemo]" = weakref.WeakKeyDictionary()

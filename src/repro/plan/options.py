@@ -1,11 +1,16 @@
 """The one value that carries execution options through the layers.
 
 A public entry point (:meth:`Database.query` / ``query_many``,
-:meth:`Collection.query` / ``query_many``, :class:`QueryService`,
-:class:`DiskQueryEngine`) builds one :class:`ExecutionOptions` from its
-keywords and passes it down whole; everything below takes the value and
-nothing else, so a new knob is one field here, not a keyword on every
-signature in between.
+:meth:`Collection.query` / ``query_many``, :class:`QueryService`) builds one
+:class:`ExecutionOptions` from its keywords and passes it down whole;
+everything below takes the value and nothing else.
+
+Only choices that change what a caller gets back are options.  Which scan
+loop runs (numpy or pure Python) and whether the ``.idx`` sidecar lets the
+scans skip pages never change an answer, so the code decides both from what
+it observes (:func:`repro.plan.kernel.batch_kernel`,
+:func:`repro.plan.batch._compute_skip`) and reports the loop it ran in
+:attr:`BatchQueryResult.loop <repro.plan.result.BatchQueryResult.loop>`.
 """
 
 from __future__ import annotations
@@ -17,13 +22,7 @@ __all__ = ["ExecutionOptions"]
 
 @dataclass(frozen=True)
 class ExecutionOptions:
-    """How to run compiled plans over one database (immutable, picklable).
-
-    ``None`` in ``kernel`` means "not given": the consumer
-    (:func:`repro.plan.kernel.resolve_kernel`) then takes the
-    ``REPRO_KERNEL`` environment variable and after that the built-in
-    default -- keyword > environment > default.
-    """
+    """How to run compiled plans over one database (immutable, picklable)."""
 
     #: Backend name; ``None`` / ``"auto"`` leaves the choice to the planner.
     engine: str | None = None
@@ -31,7 +30,3 @@ class ExecutionOptions:
     temp_dir: str | None = None
     #: ``False`` keeps the per-predicate counts but returns empty id lists.
     collect_selected_nodes: bool = True
-    #: Whether a lockstep batch may skip pages through the ``.idx`` sidecar.
-    use_index: bool = True
-    #: Lockstep loop: ``"numpy"`` / ``"python"`` / ``"auto"`` (``REPRO_KERNEL``).
-    kernel: str | None = None

@@ -62,9 +62,14 @@ class BatchQueryResult:
 
     ``phase1_stack_depth`` / ``phase2_stack_depth`` are the deepest scan
     stacks of the two disk phases -- the quantity Proposition 5.1 bounds by
-    the depth of the XML tree.  They are exact when nothing is skipped
-    (``use_index=False``, or no usable ``.idx``); a scan that skips page runs
+    the depth of the XML tree.  They are exact when nothing is skipped (no
+    usable ``.idx``, or a batch it cannot help); a scan that skips page runs
     sees only part of the tree, and they stay 0 off the disk path.
+
+    ``loop`` names the implementation of the scan pair that ran: ``"numpy"``
+    (:mod:`repro.plan.kernel`) or ``"python"`` (the reference loop in
+    :mod:`repro.plan.batch` -- no numpy, an unmemoised plan, an exotic record
+    size, or more than 2^20 nodes); ``None`` off the lockstep disk path.
 
     ``snapshot`` is the ``(generation, change_counter)`` of the on-disk
     snapshot the answers were read from (``None`` for an in-memory
@@ -80,6 +85,7 @@ class BatchQueryResult:
     phase1_stack_depth: int = 0
     phase2_stack_depth: int = 0
     backend: str = "memory"
+    loop: str | None = None
     snapshot: tuple[int, int] | None = None
 
     @property

@@ -52,19 +52,25 @@ async def ship_snapshot(
     port: int,
     snapshot: dict,
     *,
+    retain: int | None = None,
     timeout: float = DEFAULT_SHIP_TIMEOUT,
 ) -> dict:
     """Send one generation snapshot to one replica server; its ack payload.
+
+    ``retain`` is the shipped update's own ``retain``: the replica prunes its
+    history to that many generations after installing, as the primary did
+    after committing (``None``, and every catch-up ship, prunes nothing).
 
     Raises :class:`~repro.errors.ServiceError` when the replica is
     unreachable, closes mid-install, answers something that is not a reply,
     or refuses the snapshot.
     """
+    message = {"op": "install_generation", "snapshot": snapshot}
+    if retain is not None:
+        message["retain"] = retain
     client = LineClient(host, port)
     try:
-        reply = await client.request(
-            {"op": "install_generation", "snapshot": snapshot}, timeout=timeout
-        )
+        reply = await client.request(message, timeout=timeout)
     finally:
         await client.close()
     if not reply.get("ok"):
@@ -131,10 +137,12 @@ class ReplicaSet:
         base_path: str,
         *,
         only: tuple[str, int] | None = None,
+        retain: int | None = None,
     ) -> dict:
         """Export the current generation of ``base_path`` and fan it out.
 
-        Ships to every registered replica (or just ``only``).  Per-replica
+        Ships to every registered replica (or just ``only``), each with
+        ``retain`` (see :func:`ship_snapshot`).  Per-replica
         failures are recorded on the replica's entry and reported -- never
         raised: a dead replica must not take the write path down with it.
         Returns ``{"counter": C, "shipped": n, "failed": n, "replicas":
@@ -152,7 +160,7 @@ class ReplicaSet:
                 if only is None or key == (only[0], int(only[1]))
             ]
             results = await asyncio.gather(
-                *(self._ship_one(info, snapshot) for info in targets)
+                *(self._ship_one(info, snapshot, retain) for info in targets)
             )
         return {
             "counter": snapshot["counter"],
@@ -162,10 +170,10 @@ class ReplicaSet:
             "replicas": [info.as_row() for info in targets],
         }
 
-    async def _ship_one(self, info: ReplicaInfo, snapshot: dict) -> bool:
+    async def _ship_one(self, info: ReplicaInfo, snapshot: dict, retain: int | None) -> bool:
         try:
             await ship_snapshot(
-                info.host, info.port, snapshot, timeout=self.timeout
+                info.host, info.port, snapshot, retain=retain, timeout=self.timeout
             )
         except ServiceError as error:
             info.failures += 1

@@ -53,7 +53,9 @@ files with the temp+fsync+replace discipline, swaps its pointer
 atomically, refreshes its served snapshot, and answers ``{"ok": true,
 "installed": true, "generation": N, "counter": C}`` (``"installed":
 false`` for a stale or already-installed snapshot -- the op is
-idempotent).
+idempotent).  The ship of an update that named a ``"retain"`` carries it as
+one optional field, and the replica then prunes its history to that many
+generations, as the primary did (a catch-up ship carries none).
 
 ``replica_stats`` reports the serving snapshot's ``generation``/
 ``counter`` plus, on a primary, the per-replica shipping ledger
@@ -74,8 +76,8 @@ from repro.replication.shipping import ReplicaSet
 from repro.service.request import ServiceResponse
 from repro.service.service import QueryService
 from repro.storage.bufferpool import resolve_pager
-from repro.storage.generations import install_generation
-from repro.storage.update import op_from_spec
+from repro.storage.generations import exclusive_writer, install_generation, prune_generations
+from repro.storage.update import check_retain, op_from_spec
 from repro.wire import DEFAULT_STREAM_LIMIT, LineServer, request_many
 
 __all__ = ["ArbServer", "open_target", "request_many", "serve"]
@@ -218,9 +220,9 @@ class ArbServer(LineServer):
     async def _answer_register_replica(self, message: dict) -> dict:
         host = message.get("host")
         port = message.get("port")
-        if not isinstance(host, str) or not isinstance(port, int):
+        if not isinstance(host, str) or type(port) is not int or not 1 <= port <= 65535:
             raise ServiceError(
-                "register_replica needs 'host' (a string) and 'port' (an integer)"
+                "register_replica needs 'host' (a string) and 'port' (an integer in 1-65535)"
             )
         base_path = self._replicated_base_path()
         self.replicas.register(host, port)
@@ -234,21 +236,30 @@ class ArbServer(LineServer):
         snapshot = message.get("snapshot")
         if not isinstance(snapshot, dict):
             raise ServiceError("install_generation needs a 'snapshot' object")
+        retain = message.get("retain")
+        check_retain(retain)
         base_path = self._replicated_base_path()
-        # Install and refresh both run on the service's single evaluation
-        # worker, so the pointer swap and the snapshot advance serialise
-        # against in-flight batches: a batch is evaluated entirely before or
-        # entirely after the installed generation, never across it.
-        result = await self.service.run_on_worker(
-            install_generation, base_path, snapshot
-        )
-        generation, counter = await self.service.refresh_target()
+        # Install and refresh each run as a job on the service's single
+        # evaluation worker, so the pointer swap and the snapshot advance
+        # serialise against in-flight batches: a batch is evaluated entirely
+        # before or entirely after the installed generation, never across it.
+        # The prune rides the refresh job, after the handle has moved: no
+        # batch can be pinned to a generation it deletes.
+        result = await self.service.run_on_worker(install_generation, base_path, snapshot)
+        generation, counter = await self.service.run_on_worker(self._refresh_and_prune, base_path, retain)
         return {
             "ok": True,
             "installed": bool(result.get("installed")),
             "generation": generation,
             "counter": counter,
         }
+
+    def _refresh_and_prune(self, base_path: str, retain: int | None) -> tuple[int, int]:
+        version = self.service.refresh_target_on_worker()
+        if retain is not None:
+            with exclusive_writer(base_path):
+                prune_generations(base_path, retain)
+        return version
 
     def _answer_replica_stats(self) -> dict:
         if not self.service.is_running:
@@ -267,15 +278,15 @@ class ArbServer(LineServer):
             "pending_ships": len(self._ship_tasks),
         }
 
-    def _spawn_ship(self, base_path: str) -> None:
+    def _spawn_ship(self, base_path: str, retain: int | None) -> None:
         """Ship the current generation in the background (async mode)."""
-        task = asyncio.ensure_future(self._ship_quietly(base_path))
+        task = asyncio.ensure_future(self._ship_quietly(base_path, retain))
         self._ship_tasks.add(task)
         task.add_done_callback(self._ship_tasks.discard)
 
-    async def _ship_quietly(self, base_path: str) -> None:
+    async def _ship_quietly(self, base_path: str, retain: int | None) -> None:
         try:
-            await self.replicas.ship_current(base_path)
+            await self.replicas.ship_current(base_path, retain=retain)
         except ReproError:  # per-replica errors are already recorded;
             pass  # an export error must not leak into asyncio's handler
 
@@ -303,10 +314,11 @@ class ArbServer(LineServer):
             # Sync mode ships before the ack (the ack carries the fan-out
             # report); async mode acks first and ships in the background.
             base_path = self._replicated_base_path()
+            retain = message.get("retain")
             if self.replication_mode == "sync":
-                payload["replication"] = await self.replicas.ship_current(base_path)
+                payload["replication"] = await self.replicas.ship_current(base_path, retain=retain)
             else:
-                self._spawn_ship(base_path)
+                self._spawn_ship(base_path, retain)
         return payload
 
 

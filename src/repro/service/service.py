@@ -171,8 +171,6 @@ class QueryService:
         temp_dir: str | None = None,
         n_workers: int = 1,
         executor: str = "thread",
-        use_index: bool = True,
-        kernel: str | None = None,
     ):
         if not isinstance(target, (Database, Collection)):
             raise ServiceError(
@@ -200,8 +198,7 @@ class QueryService:
         #: How every coalesced batch runs; the engine is always the
         #: dispatcher's default.
         self.options = ExecutionOptions(
-            temp_dir=temp_dir, collect_selected_nodes=collect_selected_nodes,
-            use_index=use_index, kernel=kernel,
+            temp_dir=temp_dir, collect_selected_nodes=collect_selected_nodes
         )
         self.plan_cache = target.plan_cache
 
@@ -432,18 +429,16 @@ class QueryService:
             raise ServiceClosedError("the query service is not running")
         return await self._loop.run_in_executor(self._pool, fn, *args)
 
-    async def refresh_target(self) -> tuple[int, int]:
+    def refresh_target_on_worker(self) -> tuple[int, int]:
         """Re-resolve the served database's generation pointer.
 
-        Runs on the evaluation worker (so a batch is never split across
-        generations) and returns the ``(generation, change_counter)`` the
-        target is pinned to afterwards.  The replica side of generation
-        shipping calls this after installing a snapshot; in-memory and
-        collection targets are a no-op at ``(0, 0)``.
+        For a job already on the evaluation worker (:meth:`run_on_worker`),
+        so a batch is never split across generations; returns the
+        ``(generation, change_counter)`` the target is pinned to afterwards.
+        The replica side of generation shipping calls this after installing
+        a snapshot; in-memory and collection targets are a no-op at
+        ``(0, 0)``.
         """
-        return await self.run_on_worker(self._refresh_target_on_worker)
-
-    def _refresh_target_on_worker(self) -> tuple[int, int]:
         target = self.target
         if isinstance(target, Database) and target.is_on_disk:
             target.refresh()

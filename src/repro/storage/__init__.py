@@ -13,7 +13,6 @@ from repro.storage.generations import (
 from repro.storage.labels import LabelTable
 from repro.storage.paging import IOStatistics, PagedReader, PagedWriter, PagerConfig
 from repro.storage.records import DEFAULT_RECORD_SIZE, NodeRecord, decode_node, encode_node
-from repro.storage.traversal import ScanResult, scan_bottom_up, scan_top_down
 from repro.storage.update import (
     DeleteSubtree,
     GroupCommitResult,
@@ -43,9 +42,6 @@ __all__ = [
     "encode_node",
     "decode_node",
     "DEFAULT_RECORD_SIZE",
-    "ScanResult",
-    "scan_top_down",
-    "scan_bottom_up",
     "GenerationPointer",
     "read_pointer",
     "resolve_generation",

@@ -246,7 +246,11 @@ class LineClient:
             reader, self._writer = await asyncio.open_connection(
                 self.host, self.port, limit=self.stream_limit
             )
-        except OSError as error:
+        except (OSError, OverflowError, ValueError) as error:
+            # Not only a refused or unroutable connection: a port outside
+            # 0-65535 is an OverflowError and a host the IDNA codec rejects a
+            # ValueError.  Nothing was sent either way, and the caller's
+            # failure handling (ship ledger, router failover) keys on this type.
             raise BackendUnavailableError(f"{self.name} is unreachable: {error}", sent=False) from error
         self._read_task = asyncio.ensure_future(self._read_loop(reader))
 

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import glob
+import os
 import random
 import signal
 
 import pytest
 
+import repro.plan.kernel as kernel_mod
 from repro.tmnf.program import TMNFProgram
 from repro.tree import BinaryTree, UnrankedNode, UnrankedTree, parse_xml
 
@@ -26,9 +30,7 @@ def _has_timeout_plugin(config) -> bool:
 def pytest_configure(config):
     # pytest-timeout registers this marker itself when installed; register it
     # here too so `@pytest.mark.timeout(...)` never warns without the plugin.
-    config.addinivalue_line(
-        "markers", "timeout(seconds): fail the test if it runs longer than this"
-    )
+    config.addinivalue_line("markers", "timeout(seconds): fail the test if it runs longer than this")
 
 
 def pytest_collection_modifyitems(config, items):
@@ -56,9 +58,7 @@ def pytest_runtest_call(item):
     seconds = float(marker.args[0]) if marker and marker.args else DEFAULT_TEST_TIMEOUT
 
     def _on_alarm(signum, frame):
-        raise TimeoutError(
-            f"test exceeded the {seconds:.0f}s fallback timeout (possible deadlock)"
-        )
+        raise TimeoutError(f"test exceeded the {seconds:.0f}s fallback timeout (possible deadlock)")
 
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     signal.setitimer(signal.ITIMER_REAL, seconds)
@@ -67,6 +67,55 @@ def pytest_runtest_call(item):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+# --------------------------------------------------------------------------- #
+# The two situations a differential leg puts the code in
+# --------------------------------------------------------------------------- #
+#
+# Nothing in ``src/`` takes a "which loop" or "use the index" argument: the
+# code picks from what it observes.  A test that wants the other side of a
+# differential (numpy == python, indexed == full scan) produces the situation
+# that selects it, for the duration of a ``with`` block.
+
+
+@contextlib.contextmanager
+def numpy_unavailable():
+    """The no-numpy platform: :mod:`repro.plan.kernel` finds no numpy, so
+    every disk batch -- on any thread of this process -- runs the reference
+    loop (``loop == "python"``).  numpy itself stays imported for everyone
+    else (hypothesis uses it), and the kernel finds it again on exit."""
+    found = kernel_mod._NUMPY
+    kernel_mod._NUMPY = None
+    try:
+        yield
+    finally:
+        kernel_mod._NUMPY = found
+
+
+def on_loop(loop: str):
+    """The context in which disk batches run ``loop``: :func:`numpy_unavailable`
+    for ``"python"``, nothing to arrange for ``"numpy"`` (a skip without numpy)."""
+    if loop == "python":
+        return numpy_unavailable()
+    pytest.importorskip("numpy")
+    return contextlib.nullcontext()
+
+
+@contextlib.contextmanager
+def sidecars_hidden(directory):
+    """The missing-``.idx`` degrade: every page-summary sidecar under
+    ``directory`` (recursively) is renamed away, so scans of those databases
+    skip nothing, and renamed back -- same bytes, same mtime -- on exit."""
+    hidden = []
+    try:
+        for path in glob.glob(os.path.join(str(directory), "**", "*.idx"), recursive=True):
+            os.rename(path, path + ".hidden")
+            hidden.append(path)
+        yield
+    finally:
+        for path in hidden:
+            os.rename(path + ".hidden", path)
 
 
 # --------------------------------------------------------------------------- #

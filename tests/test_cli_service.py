@@ -183,3 +183,41 @@ def test_open_target_dispatch(tmp_path):
     collection = Collection.create(root, plan_cache=PlanCache())
     collection.add_document(DOCUMENT, doc_id="one")
     assert isinstance(open_target(root), Collection)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve", "target", "--port", "99999"],
+        ["serve", "target", "--port", "-5"],
+        ["router", "--primary", "127.0.0.1:8723", "--replica", "127.0.0.1:8724", "--port", "70000"],
+        ["router", "--primary", "127.0.0.1:99999", "--replica", "127.0.0.1:8724"],
+        ["client", "--port", "99999", "-q", "QUERY :- V.Root;"],
+    ],
+    ids=" ".join,
+)
+def test_a_port_no_socket_accepts_is_one_argparse_line(argv, capsys):
+    """``bind()`` and ``connect()`` raise OverflowError for these; the parser
+    refuses them first, before anything is opened (``target`` does not even
+    exist)."""
+    with pytest.raises(SystemExit) as refused:
+        main(argv)
+    assert refused.value.code == 2
+    error = capsys.readouterr().err.strip().splitlines()[-1]
+    assert error.startswith(f"arb {argv[0]}: error: argument --")
+    assert "expected a TCP port in" in error and "65535" in error
+
+
+def test_listeners_still_take_port_zero_and_clients_do_not(capsys):
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    assert parser.parse_args(["serve", "target", "--port", "0"]).port == 0
+    assert parser.parse_args(["router", "--primary", "h:1", "--replica", "h:65535", "--port", "0"]).replicas == [
+        ("h", 65535)
+    ]
+    with pytest.raises(SystemExit):
+        parser.parse_args(["client", "--port", "0", "-q", "QUERY :- V.Root;"])
+    with pytest.raises(SystemExit):
+        parser.parse_args(["router", "--primary", "8723", "--replica", "h:1"])
+    assert "expected HOST:PORT" in capsys.readouterr().err

@@ -6,21 +6,29 @@ import random
 
 import pytest
 
-from repro import Database, DiskQueryEngine
+from repro import Database
 from repro.baselines.datalog import evaluate_fixpoint
 from repro.bench.figure6 import BLOCKS, load_block_tree
 from repro.core.two_phase import TwoPhaseEvaluator
+from repro.plan import PlanCache
 from repro.storage import ArbDatabase, build_database
 from repro.storage.paging import IOStatistics
 from repro.tmnf import TMNFProgram
 from repro.tree import BinaryTree
-from tests.conftest import EVEN_ODD_EXAMPLE, RUNNING_EXAMPLE, random_unranked_tree
+from tests.conftest import (
+    EVEN_ODD_EXAMPLE,
+    RUNNING_EXAMPLE,
+    on_loop,
+    random_unranked_tree,
+    sidecars_hidden,
+)
 
 
-def make_database(tmp_path, tree, name="db") -> ArbDatabase:
-    base = str(tmp_path / name)
-    build_database(tree, base)
-    return ArbDatabase.open(base)
+def make_database(tmp_path, tree, name="db") -> Database:
+    """An on-disk database with a plan cache of its own (cold automata)."""
+    database = Database.build(tree, str(tmp_path / name))
+    database.plan_cache = PlanCache()
+    return database
 
 
 class TestDiskEngine:
@@ -29,7 +37,8 @@ class TestDiskEngine:
 
         program = TMNFProgram.parse(RUNNING_EXAMPLE, query_predicates="Q")
         database = make_database(tmp_path, parse_xml("<a><a><a/></a></a>"))
-        result = DiskQueryEngine(program).evaluate(database)
+        result = database.query(program, engine="disk")
+        assert result.backend == "disk"
         assert result.selected["Q"] == [0]
         assert result.selected_nodes("Q") == [0]
         assert result.statistics.nodes == 3
@@ -42,7 +51,7 @@ class TestDiskEngine:
             database = make_database(tmp_path, tree, name=f"db{index}")
             binary = BinaryTree.from_unranked(tree)
 
-            disk = DiskQueryEngine(program).evaluate(database)
+            disk = database.query(program, engine="disk")
             memory = TwoPhaseEvaluator(program).evaluate(binary)
             fixpoint = evaluate_fixpoint(program, binary)
 
@@ -56,13 +65,12 @@ class TestDiskEngine:
         program = TMNFProgram.parse(EVEN_ODD_EXAMPLE, query_predicates="Even")
         document = "<r>" + "<a/><b/>" * 100 + "</r>"
         database = make_database(tmp_path, parse_xml(document))
-        engine = DiskQueryEngine(program)
-        result = engine.evaluate(database)
+        result = database.query_many([program], engine="disk")
         # The .arb file is read exactly twice (once per phase) and the
         # temporary state file once: three read scans = three seeks, every
         # file on one page.  Exact values, so a changed access pattern for
         # single queries fails here.
-        assert (database.file_size(), database.n_nodes) == (402, 201)
+        assert (database.disk.file_size(), database.n_nodes) == (402, 201)
         assert result.io.seeks == 3
         assert result.io.pages_read == 3
         assert result.io.pages_written == 1
@@ -72,13 +80,14 @@ class TestDiskEngine:
         # The temporary state file holds four bytes per node (footnote 12).
         assert result.state_file_bytes == 804 == 4 * database.n_nodes
         assert (result.phase1_stack_depth, result.phase2_stack_depth) == (1, 0)
+        # ... and a single query is that batch of one.
+        assert database.query(program, engine="disk").io == result.io
 
-    @pytest.mark.parametrize("kernel", ["python", "numpy"])
+    @pytest.mark.parametrize("loop", ["python", "numpy"])
     @pytest.mark.parametrize("block", sorted(BLOCKS))
-    def test_a_batch_costs_one_forward_plus_one_backward_scan(self, tmp_path, block, kernel):
-        """Counter for counter, on a multi-page document of each Figure 6 shape."""
-        if kernel == "numpy":
-            pytest.importorskip("numpy")
+    def test_a_batch_costs_one_forward_plus_one_backward_scan(self, tmp_path, block, loop):
+        """Counter for counter, on a multi-page document of each Figure 6
+        shape -- with the sidecar hidden, so that nothing may be skipped."""
         tree = load_block_tree(block, treebank_nodes=4_000, acgt_exponent=10)
         base = str(tmp_path / block)
         build_database(tree.to_unranked(), base, page_size=512)
@@ -88,9 +97,11 @@ class TestDiskEngine:
         assert sum(1 for _ in arb.records_backward(stats=backward)) == arb.n_nodes
         assert forward.seeks == backward.seeks == 1 and forward.pages_read > 1
         queries = [f"QUERY :- V.Label[{label}];" for label in BLOCKS[block].alphabet[:4]]
-        batch = Database.open(base, page_size=512).query_many(
-            queries, engine="disk", temp_dir=str(tmp_path), kernel=kernel, use_index=False
-        )
+        with sidecars_hidden(tmp_path), on_loop(loop):
+            batch = Database.open(base, page_size=512).query_many(
+                queries, engine="disk", temp_dir=str(tmp_path)
+            )
+        assert batch.loop == loop
         assert sum(result.count() for result in batch.results) > 0
         assert batch.arb_io == forward.merge(backward)
 
@@ -100,7 +111,7 @@ class TestDiskEngine:
         program = TMNFProgram.parse(EVEN_ODD_EXAMPLE, query_predicates="Even")
         document = "<r>" + "<x><a/><a/></x>" * 50 + "</r>"
         database = make_database(tmp_path, parse_xml(document))
-        result = DiskQueryEngine(program).evaluate(database)
+        result = database.query_many([program], engine="disk")
         # XML depth is 2 (r > x > a).
         assert (result.phase1_stack_depth, result.phase2_stack_depth) == (2, 1)
 
@@ -109,27 +120,29 @@ class TestDiskEngine:
 
         program = TMNFProgram.parse(EVEN_ODD_EXAMPLE, query_predicates="Even")
         database = make_database(tmp_path, parse_xml("<r><a/><b/></r>"))
-        result = DiskQueryEngine(program, collect_selected_nodes=False).evaluate(database)
+        result = database.query_many([program], engine="disk", collect_selected_nodes=False)[0]
         assert result.selected["Even"] == []
-        assert result.selected_counts["Even"] > 0
-        assert result.statistics.selected == result.selected_counts["Even"]
+        assert result.counts["Even"] > 0
+        assert result.statistics.selected == result.counts["Even"]
 
     def test_transition_tables_shared_across_databases(self, tmp_path):
         """Lazy automata persist across queries on different databases."""
         from repro.tree import parse_xml
 
         program = TMNFProgram.parse(EVEN_ODD_EXAMPLE, query_predicates="Even")
-        engine = DiskQueryEngine(program)
         one = make_database(tmp_path, parse_xml("<r><a/><a/></r>"), name="one")
         two = make_database(tmp_path, parse_xml("<r><a/><a/><b/></r>"), name="two")
-        first = engine.evaluate(one)
-        transitions_after_first = engine.core.n_bottom_up_transitions
+        two.plan_cache = one.plan_cache
+        core = one.plan(program)[0].evaluator
+        first = one.query(program, engine="disk")
+        transitions_after_first = core.n_bottom_up_transitions
         assert first.statistics.bu_transitions == transitions_after_first > 0
-        second = engine.evaluate(two)
+        second = two.query(program, engine="disk")
+        assert two.plan(program)[0].evaluator is core
         # The second run reuses the first run's transitions: the table grows
         # only by the genuinely new (state, state, labels) combinations this
         # run computed, fewer than one per node.
-        grown = engine.core.n_bottom_up_transitions - transitions_after_first
+        grown = core.n_bottom_up_transitions - transitions_after_first
         assert second.statistics.bu_transitions == grown < two.n_nodes
         # Every run reports its own statistics; the first result is not
         # rewritten by the second.
@@ -137,4 +150,4 @@ class TestDiskEngine:
         assert first.statistics.nodes == one.n_nodes
         assert second.statistics.nodes == two.n_nodes
         # A repeat over a database already seen recomputes nothing.
-        assert engine.evaluate(one).statistics.bu_transitions == 0
+        assert one.query(program, engine="disk").statistics.bu_transitions == 0

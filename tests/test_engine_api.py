@@ -35,7 +35,7 @@ class TestDatabaseAPI:
     def test_fixpoint_reference_evaluation(self):
         database = Database.from_xml(DOCUMENT)
         fast = database.query("QUERY :- V.Label[book];")
-        slow = database.query_fixpoint("QUERY :- V.Label[book];")
+        slow = database.query("QUERY :- V.Label[book];", engine="fixpoint")
         assert fast.selected_nodes() == slow.selected_nodes()
 
     def test_on_disk_database(self, tmp_path):
@@ -46,13 +46,13 @@ class TestDatabaseAPI:
         assert result.count() == 2
         assert result.io is not None and result.io.bytes_read > 0
         # Forcing the in-memory path gives the same answer.
-        in_memory = database.query("QUERY :- V.Label[book];", force_disk=False)
+        in_memory = database.query("QUERY :- V.Label[book];", engine="memory")
         assert in_memory.selected_nodes() == result.selected_nodes()
 
-    def test_force_disk_on_memory_database_fails(self):
+    def test_disk_engine_on_memory_database_fails(self):
         database = Database.from_xml(DOCUMENT)
         with pytest.raises(EvaluationError):
-            database.query("QUERY :- V.Label[book];", force_disk=True)
+            database.query("QUERY :- V.Label[book];", engine="disk")
 
     def test_markup_output(self):
         database = Database.from_xml(DOCUMENT, text_mode="ignore")

@@ -13,31 +13,40 @@ pooled==unpooled and indexed==full-scan are enforced elsewhere:
   delete round evaluates identically on both kernels;
 * **odd geometries** -- single-record files, pages that do not divide the
   record size (records straddling page boundaries), wide and deep trees;
-* **fallback honesty** -- unmemoised plans and ``kernel="python"`` skip the
-  kernel outright, and kernel selection follows ``REPRO_KERNEL``.
+* **fallback honesty** -- unmemoised plans, documents over the node bound
+  and an interpreter without numpy run the reference loop, and the result's
+  ``loop`` field says so.
+
+No argument selects a side.  The numpy leg runs as is; the python leg runs
+inside :func:`tests.conftest.numpy_unavailable` (numpy hidden from
+``repro.plan.kernel``, the no-numpy CI leg's situation); a full-scan leg runs
+inside :func:`tests.conftest.sidecars_hidden` (the missing-``.idx`` degrade).
+Every leg asserts the ``loop`` it ran, so a silent fallback cannot compare
+the reference with itself.
 """
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
 import dataclasses
+import os
 import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.engine
+import repro.plan.backends
+import repro.plan.kernel as kernel_mod
+from repro import Collection, QueryService
 from repro.core.automata import StateInterner
 from repro.engine import Database
-from repro.errors import EvaluationError
 from repro.plan.cache import PlanCache
-from repro.plan.kernel import (
-    KERNEL_CHOICES,
-    KERNEL_ENV,
-    batch_kernel,
-    numpy_available,
-    resolve_kernel,
-)
+from repro.plan.kernel import batch_kernel, numpy_available
 from repro.storage.update import DeleteSubtree, InsertSubtree, Relabel
+from tests.conftest import numpy_unavailable, on_loop, sidecars_hidden
 from tests.strategies import tmnf_programs as programs
 
 COMMON_SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -107,11 +116,23 @@ def _batch_key(batch) -> dict:
     }
 
 
-def _run_batch(database: Database, batch, kernel: str, use_index: bool):
+@contextlib.contextmanager
+def _situation(database: Database, loop: str, use_index: bool = True):
+    """Put the code where it picks ``loop`` and, or not, the page index."""
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(on_loop(loop))
+        if not use_index:
+            stack.enter_context(sidecars_hidden(os.path.dirname(database.disk.base_path)))
+        yield
+
+
+def _run_batch(database: Database, batch, loop: str, use_index: bool):
     """Cold then warm evaluation on a private plan cache."""
     database.plan_cache = PlanCache()
-    cold = database.query_many(batch, kernel=kernel, use_index=use_index)
-    warm = database.query_many(batch, kernel=kernel, use_index=use_index)
+    with _situation(database, loop, use_index):
+        cold = database.query_many(batch)
+        warm = database.query_many(batch)
+    assert cold.loop == warm.loop == loop
     return _batch_key(cold), _batch_key(warm)
 
 
@@ -202,8 +223,9 @@ def test_kernel_matches_python_on_odd_geometries(tmp_path, document, page_size):
 @requires_numpy
 def test_kernel_counts_survive_dropping_selected_nodes(tmp_path):
     database = _build(_WIDE_DOC, str(tmp_path))
-    full = database.query_many(_FIXED_BATCH, kernel="numpy")
-    bare = database.query_many(_FIXED_BATCH, kernel="numpy", collect_selected_nodes=False)
+    full = database.query_many(_FIXED_BATCH)
+    bare = database.query_many(_FIXED_BATCH, collect_selected_nodes=False)
+    assert full.loop == bare.loop == "numpy"
     assert [r.counts for r in bare.results] == [r.counts for r in full.results]
     assert all(nodes == [] for r in bare.results for nodes in r.selected.values())
 
@@ -223,21 +245,49 @@ def _single_key(result) -> dict:
     }
 
 
+@pytest.fixture
+def loops_run(monkeypatch):
+    """The ``loop`` of every lockstep evaluation in the test, in order.
+
+    ``Database.query`` and the query service hand back per-query results,
+    which do not carry the batch's ``loop``; both reach the one evaluator
+    through a module attribute, recorded here.
+    """
+    seen = []
+
+    def recording(*args, **kwargs):
+        batch = evaluate(*args, **kwargs)
+        seen.append(batch.loop)
+        return batch
+
+    evaluate = repro.engine.evaluate_batch_on_disk
+    monkeypatch.setattr(repro.engine, "evaluate_batch_on_disk", recording)
+    monkeypatch.setattr(repro.plan.backends, "evaluate_batch_on_disk", recording)
+    return seen
+
+
 @requires_numpy
 @given(document=sectioned_documents(), program=programs())
-@settings(max_examples=10, **COMMON_SETTINGS)
-def test_single_disk_query_matches_python(document, program):
+@settings(
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+def test_single_disk_query_matches_python(loops_run, document, program):
     with tempfile.TemporaryDirectory() as directory:
         database = _build(document, directory)
+        del loops_run[:]
         database.plan_cache = PlanCache()
-        by_numpy = _single_key(database.query(program, engine="disk", kernel="numpy"))
+        by_numpy = _single_key(database.query(program, engine="disk"))
         database.plan_cache = PlanCache()
-        by_python = _single_key(database.query(program, engine="disk", kernel="python"))
+        with numpy_unavailable():
+            by_python = _single_key(database.query(program, engine="disk"))
+        assert loops_run == ["numpy", "python"]
         assert by_numpy == by_python
 
 
 # ---------------------------------------------------------------------- #
-# Fallback honesty and kernel selection
+# Fallback honesty: which loop runs, and that the result says so
 # ---------------------------------------------------------------------- #
 
 
@@ -246,63 +296,77 @@ def _plans(database: Database, queries, **kwargs):
 
 
 @requires_numpy
-def test_forced_numpy_kernel_is_actually_used(tmp_path):
+def test_the_kernel_takes_the_batch_unless_numpy_is_unavailable(tmp_path):
     database = _build(_WIDE_DOC, str(tmp_path))
     plans = _plans(database, _FIXED_BATCH)
-    assert batch_kernel(plans, database.disk, None, choice="numpy") is not None
-    assert batch_kernel(plans, database.disk, None, choice="python") is None
+    assert batch_kernel(plans, database.disk, None) is not None
+    with numpy_unavailable():
+        assert not numpy_available()
+        assert batch_kernel(plans, database.disk, None) is None
+        assert database.query_many(_FIXED_BATCH).loop == "python"
+    assert numpy_available()
+    assert database.query_many(_FIXED_BATCH).loop == "numpy"
+
+
+@requires_numpy
+def test_numpy_unavailable_reaches_executor_threads_and_the_service_worker(tmp_path, loops_run):
+    """The situation is the process's, not the calling thread's: shard
+    workers and the service's evaluation thread see it, and see it end."""
+    collection = Collection.create(str(tmp_path / "corpus"), plan_cache=PlanCache())
+    for _ in range(2):
+        collection.add_document(_WIDE_DOC)
+    database = _build(_WIDE_DOC, str(tmp_path))
+
+    def sharded():
+        result = collection.query_many(_FIXED_BATCH, n_workers=2, executor="thread")
+        assert {doc.shard_index for doc in result} == {0, 1}
+        return [doc.loop for doc in result]
+
+    async def served():
+        async with QueryService(database, window=0.0) as service:
+            return (await service.submit(_FIXED_BATCH[0])).result.counts
+
+    with numpy_unavailable():
+        assert sharded() == ["python", "python"]
+        del loops_run[:]
+        by_python = asyncio.run(served())
+        assert loops_run == ["python"]
+    assert sharded() == ["numpy", "numpy"]
+    del loops_run[:]
+    assert asyncio.run(served()) == by_python
+    assert loops_run == ["numpy"]
 
 
 @requires_numpy
 def test_unmemoised_plans_fall_back_to_python(tmp_path):
     database = _build(_WIDE_DOC, str(tmp_path))
     plans = _plans(database, _FIXED_BATCH, memoize=False)
-    assert batch_kernel(plans, database.disk, None, choice="numpy") is None
-    # The fallback still answers identically (both runs take the pure path).
-    for kernel in ("numpy", "python"):
-        database.plan_cache = PlanCache()
-        result = database.query_many(_FIXED_BATCH, memoize=False, kernel=kernel)
-        baseline = database.query_many(_FIXED_BATCH, memoize=True, kernel="python")
-        assert _batch_key(result)["answers"] == _batch_key(baseline)["answers"]
-
-
-def test_resolve_kernel_choices(monkeypatch):
-    monkeypatch.delenv(KERNEL_ENV, raising=False)
-    assert resolve_kernel("python") == "python"
-    expected_auto = "numpy" if numpy_available() else "python"
-    for choice in (None, "", "auto"):
-        assert resolve_kernel(choice) == expected_auto
-    with pytest.raises(EvaluationError):
-        resolve_kernel("fortran")
-
-    monkeypatch.setenv(KERNEL_ENV, "python")
-    assert resolve_kernel(None) == "python"
-    assert resolve_kernel("auto") == "python"
-    # An explicit per-call choice wins over the environment.
-    assert resolve_kernel("python") == "python"
-
-    monkeypatch.setenv(KERNEL_ENV, "AUTO")
-    assert resolve_kernel(None) == expected_auto
+    assert batch_kernel(plans, database.disk, None) is None
+    # The fallback names itself and still answers identically.
+    result = database.query_many(_FIXED_BATCH, memoize=False)
+    baseline = database.query_many(_FIXED_BATCH, memoize=True)
+    assert (result.loop, baseline.loop) == ("python", "numpy")
+    assert _batch_key(result)["answers"] == _batch_key(baseline)["answers"]
 
 
 @requires_numpy
-def test_environment_selects_kernel_end_to_end(tmp_path, monkeypatch):
+def test_documents_over_the_node_bound_fall_back_visibly(tmp_path, monkeypatch):
+    """Beyond ``_MAX_KERNEL_NODES`` the batch runs the reference loop (ten
+    times slower at 2^20 nodes); ``loop`` is where that shows."""
     database = _build(_WIDE_DOC, str(tmp_path))
-    plans = _plans(database, _FIXED_BATCH)
-    monkeypatch.setenv(KERNEL_ENV, "python")
-    assert batch_kernel(plans, database.disk, None) is None
-    monkeypatch.setenv(KERNEL_ENV, "numpy")
-    assert batch_kernel(plans, database.disk, None) is not None
+    at_the_bound = database.query_many(_FIXED_BATCH)
+    monkeypatch.setattr(kernel_mod, "_MAX_KERNEL_NODES", database.n_nodes - 1)
+    over_the_bound = database.query_many(_FIXED_BATCH)
+    assert (at_the_bound.loop, over_the_bound.loop) == ("numpy", "python")
+    assert _batch_key(over_the_bound)["answers"] == _batch_key(at_the_bound)["answers"]
 
 
-def test_kernel_choices_are_the_documented_set():
-    assert KERNEL_CHOICES == ("auto", "numpy", "python")
-
-
-def test_invalid_kernel_raises_from_the_query_api(tmp_path):
-    database = _build("<a/>", str(tmp_path))
-    with pytest.raises(EvaluationError):
-        database.query_many(["QUERY :- V.Root;"], kernel="fortran")
+def test_loop_is_reported_only_by_the_lockstep_disk_path(tmp_path):
+    database = _build(_WIDE_DOC, str(tmp_path))
+    expected = "numpy" if numpy_available() else "python"
+    assert database.query_many(_FIXED_BATCH).loop == expected
+    assert database.query_many(_FIXED_BATCH, engine="memory").loop is None
+    assert Database.from_xml(_WIDE_DOC).query_many(_FIXED_BATCH).loop is None
 
 
 # ---------------------------------------------------------------------- #

@@ -1,8 +1,10 @@
 """Differential and crash properties of the `.idx` page-skipping sidecar.
 
 The sidecar is a pure accelerator: with it, a selective batch skips pages
-outright; without it (``use_index=False``, a missing sidecar, or a torn
-one), the same batch runs the plain full scans.  The invariants:
+outright; without it (a missing sidecar, or a torn one), the same batch
+runs the plain full scans -- which is how the full-scan side of every
+differential here is produced: :func:`tests.conftest.sidecars_hidden`
+renames the sidecars away for the duration of the run.  The invariants:
 
 * **answers are identical** -- indexed and full-scan evaluation select the
   same nodes for every query of every batch, on freshly built databases
@@ -51,6 +53,7 @@ from repro.storage.update import (
     apply_to_tree,
 )
 from repro.tree.xml_io import parse_xml
+from tests.conftest import sidecars_hidden
 from tests.strategies import tmnf_programs as programs
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -98,9 +101,15 @@ def _answers(batch) -> list[dict[str, list[int]]]:
     return [{pred: sorted(nodes) for pred, nodes in result.selected.items()} for result in batch.results]
 
 
+def _full_scan(database: Database, batch):
+    """``batch`` with the sidecars of the database's directory hidden."""
+    with sidecars_hidden(os.path.dirname(database.disk.base_path)):
+        return database.query_many(batch)
+
+
 def _differential(database: Database, batch) -> None:
     indexed = database.query_many(batch)
-    full = database.query_many(batch, use_index=False)
+    full = _full_scan(database, batch)
     assert _answers(indexed) == _answers(full)
     assert indexed.arb_io.pages_read <= full.arb_io.pages_read
     assert full.arb_io.seeks == 2  # the plain scan pair, pinned elsewhere too
@@ -172,7 +181,7 @@ def test_selective_batch_reads_under_a_quarter_of_the_pages(tmp_path, n_sections
     database = Database.build(_SECTIONED_DOC, str(tmp_path / "doc"), page_size=PAGE_SIZE)
     database.plan_cache = PlanCache()
     indexed = database.query_many(_section_batch(n_sections))
-    full = database.query_many(_section_batch(n_sections), use_index=False)
+    full = _full_scan(database, _section_batch(n_sections))
     assert _answers(indexed) == _answers(full)
     # The index only ever helps, and naming more sections never reads fewer
     # pages than the batch it contains.
@@ -210,7 +219,7 @@ def test_torn_index_falls_back_to_full_scans(tmp_path, corrupt):
     base = str(tmp_path / "doc")
     database = Database.build(_SECTIONED_DOC, base, page_size=PAGE_SIZE)
     database.plan_cache = PlanCache()
-    full = database.query_many([_SELECTIVE_QUERY], use_index=False)
+    full = _full_scan(database, [_SELECTIVE_QUERY])
 
     _, gen_base = resolve_generation(base)
     corrupt(index_path_of(gen_base))

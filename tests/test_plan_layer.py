@@ -174,28 +174,24 @@ class TestBackendsAndPlanner:
             database.query("//book", language="xpath", engine="streaming",
                            keep_true_predicates=True)
 
-    def test_unknown_engine_and_conflicting_flags(self):
+    def test_unknown_engine(self):
         database = _memory_database()
         with pytest.raises(EvaluationError):
             database.query(BOOK_QUERY, engine="quantum")
-        with pytest.raises(EvaluationError):
-            database.query(BOOK_QUERY, engine="memory", force_disk=True)
 
-    def test_force_disk_still_works(self, tmp_path):
+    def test_engine_names_the_backend_whatever_the_database(self, tmp_path):
         disk = _disk_database(tmp_path)
-        assert disk.query(BOOK_QUERY, force_disk=False).backend == "memory"
+        assert disk.query(BOOK_QUERY, engine="memory").backend == "memory"
         memory = _memory_database()
         with pytest.raises(EvaluationError):
-            memory.query(BOOK_QUERY, force_disk=True)
+            memory.query(BOOK_QUERY, engine="disk")
 
-    def test_fixpoint_backend_and_query_fixpoint(self):
+    def test_fixpoint_backend(self):
         database = _memory_database()
         via_engine = database.query(BOOK_QUERY, engine="fixpoint")
-        via_method = database.query_fixpoint(BOOK_QUERY)
         fast = database.query(BOOK_QUERY)
-        assert via_engine.backend == via_method.backend == "fixpoint"
+        assert via_engine.backend == "fixpoint"
         assert via_engine.selected_nodes() == fast.selected_nodes()
-        assert via_method.selected_nodes() == fast.selected_nodes()
 
     def test_memory_path_reports_zeroed_io(self):
         database = _memory_database()
@@ -317,7 +313,6 @@ class TestSharedPlansAcrossThreads:
     QUERIES = [f"//{a}[{b}]//{c}" for a, b, c in itertools.product(TAGS, repeat=3)][:150]
 
     def test_concurrent_queries_on_shared_cold_plans_are_correct(self, tmp_path):
-        kernel = "numpy" if numpy_available() else "python"
         bases = []
         for seed, size in enumerate(self.SIZES):
             bases.append(str(tmp_path / f"treebank{seed}"))
@@ -333,7 +328,7 @@ class TestSharedPlansAcrossThreads:
             try:
                 for query in self.QUERIES:
                     barrier.wait()
-                    result = database.query(query, language="xpath", kernel=kernel)
+                    result = database.query(query, language="xpath")
                     answers[index].append(result.selected_nodes())
             except threading.BrokenBarrierError:
                 pass  # another thread failed first and reported it
@@ -429,7 +424,8 @@ class TestCLIPlanFlags:
             "-q", "QUERY :- V.Label[dvd];",
         ]) == 0
         out = capsys.readouterr().out
-        assert "batch           : 2 queries (disk-batch)" in out
+        loop = "numpy" if numpy_available() else "python"
+        assert f"batch           : 2 queries (disk-batch, {loop} loop)" in out
         assert "independent of batch size" in out
 
     def test_multiple_queries_without_batch_fail(self, tmp_path, capsys):

@@ -22,19 +22,28 @@ the two routing rules that *do* differ by caller are pinned at the end.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import tempfile
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import Collection, Database, DiskQueryEngine, QueryService
+from repro import Collection, Database, QueryService
 from repro.baselines.datalog import evaluate_fixpoint
 from repro.plan import PlanCache
 from repro.plan.kernel import numpy_available
 from repro.tree import BinaryTree
+from tests.conftest import on_loop, sidecars_hidden
 from tests.strategies import tmnf_programs as programs, unranked_trees
 
 #: The lockstep implementations available here (numpy is optional).
 KERNELS = ("python", "numpy") if numpy_available() else ("python",)
+
+
+@contextlib.contextmanager
+def _situation(directory, loop, use_index=True):
+    """Put the code where it runs ``loop`` and finds, or not, the sidecars."""
+    with on_loop(loop), contextlib.nullcontext() if use_index else sidecars_hidden(directory):
+        yield
 
 COMMON_SETTINGS = dict(
     deadline=None,
@@ -78,28 +87,30 @@ def test_batch_of_one_equals_single_disk_evaluation(program, tree):
         assert batch[0].selected == single.selected
         assert batch.state_file_bytes == 4 * database.n_nodes
 
-        # A single disk query IS a batch of one without the index: every
-        # counter is equal, not just the answers -- per kernel, cold (a fresh
-        # plan per run, so the transition counters are this run's), on a
-        # geometry where records straddle pages and every file spans several.
+        # A single disk query IS a batch of one: every counter is equal, not
+        # just the answers -- per loop, cold (a fresh plan per run, so the
+        # transition counters are this run's), on a geometry where records
+        # straddle pages and every file spans several; with the sidecar, so
+        # both skip the same pages, and with it hidden, when neither skips.
         paged = Database.build(tree, f"{directory}/paged", page_size=7)
-        observed = []
-        for kernel in KERNELS:
-            paged.plan_cache = PlanCache()
-            batch = paged.query_many([program], use_index=False, kernel=kernel)
-            paged.plan_cache = PlanCache()
-            single = paged.query(program, engine="disk", kernel=kernel)
-            facade = DiskQueryEngine(program, kernel=kernel).evaluate(paged.disk)
-            assert single.backend == "disk"
-            for result, io in ((single, single.io), (facade, facade.io)):
-                assert result.selected == batch[0].selected
-                assert _counters(result.statistics, io) == _counters(batch[0].statistics, batch.io)
-            depths = (facade.phase1_stack_depth, facade.phase2_stack_depth)
-            assert depths == (batch.phase1_stack_depth, batch.phase2_stack_depth)
-            assert facade.state_file_bytes == batch.state_file_bytes == 4 * paged.n_nodes
-            observed.append((batch[0].selected, _counters(batch[0].statistics, batch.io), depths))
-        # ... and the two kernels agree with each other on all of it.
-        assert all(entry == observed[0] for entry in observed)
+        for use_index in (True, False):
+            observed = []
+            for loop in KERNELS:
+                with _situation(directory, loop, use_index):
+                    paged.plan_cache = PlanCache()
+                    batch = paged.query_many([program])
+                    paged.plan_cache = PlanCache()
+                    single = paged.query(program, engine="disk")
+                assert (batch.loop, single.backend) == (loop, "disk")
+                assert single.selected == batch[0].selected
+                assert _counters(single.statistics, single.io) == _counters(batch[0].statistics, batch.io)
+                assert batch.state_file_bytes <= 4 * paged.n_nodes
+                if not use_index:
+                    assert batch.state_file_bytes == 4 * paged.n_nodes
+                depths = (batch.phase1_stack_depth, batch.phase2_stack_depth)
+                observed.append((batch[0].selected, _counters(batch[0].statistics, batch.io), depths))
+            # ... and the two loops agree with each other on all of it.
+            assert all(entry == observed[0] for entry in observed)
 
 
 def _counters(statistics, io):
@@ -138,14 +149,17 @@ def _served(database, queries, *, language="tmnf", **options):
 )
 @settings(max_examples=25, **COMMON_SETTINGS)
 def test_database_collection_and_service_agree(batch, tree, engine, use_index, collect, kernel):
-    options = dict(collect_selected_nodes=collect, use_index=use_index, kernel=kernel)
-    with tempfile.TemporaryDirectory() as directory:
+    options = dict(collect_selected_nodes=collect)
+    with contextlib.ExitStack() as stack:
+        directory = stack.enter_context(tempfile.TemporaryDirectory())
         collection = Collection.create(f"{directory}/corpus", plan_cache=PlanCache())
         doc_id = collection.add_document(tree).doc_id
         database = collection.open_database(doc_id)
         database.plan_cache = PlanCache()
+        stack.enter_context(_situation(directory, kernel, use_index))
         direct = database.query_many(batch, engine=engine, **options)
         sharded = collection.query_many(batch, engine=engine, **options).document(doc_id)
+        assert sharded.loop == direct.loop == (None if engine == "memory" else kernel)
         assert [r.selected for r in sharded.results] == [r.selected for r in direct]
         assert [r.counts for r in sharded.results] == [r.counts for r in direct]
         assert sharded.arb_io == direct.arb_io
@@ -167,6 +181,43 @@ def test_database_collection_and_service_agree(batch, tree, engine, use_index, c
         assert all(r.result.backend == direct.backend for r in responses)
         assert direct.snapshot is not None
         assert all(r.snapshot == direct.snapshot for r in responses)
+
+
+@st.composite
+def _multi_page_documents(draw) -> str:
+    """A few relevant nodes, then 65 000 to 80 000 more in sections of 5 000,
+    most of them labels the ``a``/``b`` programs never mention: a collection
+    builds on 64 KiB pages, and skipping needs more than two of them."""
+    head = "<b>" + "<a/>" * draw(st.integers(200, 3000)) + "</b>"
+    relevant = draw(st.lists(st.sampled_from((False, False, False, True)), min_size=14, max_size=16))
+    return "<r>" + head + "".join(
+        ("<b>" + "<a/>" * 5000 + "</b>") if section else ("<n0>" + "<n1/>" * 5000 + "</n0>")
+        for section in relevant
+    ) + "</r>"
+
+
+@given(document=_multi_page_documents(), program=programs())
+@settings(max_examples=8, **COMMON_SETTINGS)
+def test_every_entry_point_skips_what_a_batch_of_one_skips(document, program):
+    """One dispatcher, one scan pair, one skip plan: a single
+    ``engine="disk"`` query is not a special case that reads every page."""
+    with tempfile.TemporaryDirectory() as directory:
+        collection = Collection.create(f"{directory}/corpus", plan_cache=PlanCache())
+        doc_id = collection.add_document(document).doc_id
+        database = collection.open_database(doc_id)
+        n_pages = -(-database.disk.file_size() // database.disk.page_size)
+        assert n_pages >= 3
+        # A random program, then one naming a label the document lacks --
+        # a batch the sidecar lets skip nearly everything.
+        for query in (program, "QUERY :- V.Label[absent];"):
+            batch = database.query_many([query])
+            single = database.query(query, engine="disk")
+            sharded = collection.query(query).document(doc_id)
+            served = _served(database, [query])[0]
+            assert (single.backend, single.io) == ("disk", batch.io)
+            assert sharded.arb_io == served.batch_arb_io == batch.arb_io
+            assert single.selected == sharded.results[0].selected == served.result.selected == batch[0].selected
+        assert batch.arb_io.pages_read < 2 * n_pages
 
 
 def test_routing_rules_that_differ_by_caller_are_pinned():

@@ -24,8 +24,11 @@ from repro.service import ArbServer, request_many
 from repro.service.server import open_target
 from repro.storage.build import build_database
 from repro.storage.generations import (
+    GENERATION_FILE_SUFFIXES,
     export_generation,
+    generation_base,
     install_generation,
+    list_generations,
     read_pointer,
 )
 from repro.storage.update import Relabel
@@ -310,6 +313,110 @@ def test_replica_set_records_unreachable_replicas(tmp_path):
     assert report["shipped"] == 0 and report["failed"] == 1
     (row,) = report["replicas"]
     assert row["failures"] == 1 and "unreachable" in row["last_error"]
+
+
+@pytest.mark.parametrize("port", [99999, 0, -5, True, "8723"], ids=repr)
+def test_register_replica_refuses_a_bad_port_before_registering(tmp_path, port):
+    """An endpoint no socket connects to must not enter the ledger: the
+    refusal comes before the registration, and the next sync update is an
+    ordinary ``ok: true`` with nobody to ship to."""
+    base, _ = _build_pair(tmp_path)
+
+    async def scenario():
+        async with ArbServer(_open_served(base), replication_mode="sync") as primary:
+            return await request_many(primary.host, primary.port, [
+                {"op": "register_replica", "host": "127.0.0.1", "port": port},
+            ]) + await request_many(primary.host, primary.port, [
+                {"op": "replica_stats"},
+                {"op": "update", "ops": [{"kind": "relabel", "node": 2, "label": "tome"}]},
+            ])
+
+    refusal, stats, update = asyncio.run(scenario())
+    assert (refusal["ok"], refusal["error_type"]) == (False, "ServiceError")
+    assert "1-65535" in refusal["error"]
+    assert stats["replicas_registered"] == 0 and stats["replicas"] == []
+    assert update["ok"] and "replication" not in update
+    assert read_pointer(base).counter == update["counter"] == 2  # a fresh build is counter 1
+
+
+@pytest.mark.parametrize("endpoint", [("127.0.0.1", 99999), ("a..b", 8723)], ids=repr)
+def test_an_unconnectable_replica_fails_in_the_ledger_not_in_the_ack(tmp_path, endpoint):
+    """Whatever stops the connect -- a port ``connect()`` rejects with
+    OverflowError, a host the IDNA codec rejects with UnicodeError -- a ship
+    failure is a ledger entry and the committed update is acked ``ok``."""
+    base, _ = _build_pair(tmp_path)
+
+    async def scenario():
+        async with ArbServer(_open_served(base), replication_mode="sync") as primary:
+            primary.replicas.register(*endpoint)  # past the wire op's check
+            return (await request_many(primary.host, primary.port, [
+                {"op": "update", "ops": [{"kind": "relabel", "node": 2, "label": "tome"}]},
+            ]))[0]
+
+    update = asyncio.run(scenario())
+    assert update["ok"] and update["counter"] == read_pointer(base).counter == 2
+    assert (update["replication"]["shipped"], update["replication"]["failed"]) == (0, 1)
+    assert "unreachable" in update["replication"]["replicas"][0]["last_error"]
+
+
+def test_replicas_prune_with_the_retain_their_primary_used(tmp_path):
+    """The ship of an update carries the update's ``retain``: after any
+    number of updates a replica holds the generations its primary holds."""
+    primary_base, _ = _build_pair(tmp_path)
+    replica_base = _clone_base(primary_base, tmp_path / "r0")
+
+    async def scenario():
+        async with (
+            ArbServer(_open_served(primary_base), replication_mode="sync") as primary,
+            ArbServer(_open_served(replica_base)) as replica,
+        ):
+            acks = await request_many(primary.host, primary.port, [
+                {"op": "register_replica", "host": replica.host, "port": replica.port},
+            ])
+            for round_ in range(12):
+                acks += await request_many(primary.host, primary.port, [
+                    {"op": "update", "retain": 4,
+                     "ops": [{"kind": "relabel", "node": 2, "label": f"t{round_}"}]},
+                ])
+                # The replica keeps answering from the generation it was just
+                # moved to, whatever the prune deleted behind it.
+                acks += await request_many(replica.host, replica.port, [
+                    {"query": f"//t{round_}", "language": "xpath"},
+                ])
+            return acks
+
+    acks = asyncio.run(scenario())
+    assert all(ack["ok"] for ack in acks)
+    assert [ack["replication"]["shipped"] for ack in acks[1::2]] == [1] * 12
+    assert [(ack["count"], ack["counter"]) for ack in acks[2::2]] == [(1, n) for n in range(2, 14)]
+    current = read_pointer(primary_base).generation
+    assert read_pointer(replica_base).generation == current
+    # retain=4: the current generation, its three predecessors, and generation 0.
+    kept = [0, *range(current - 3, current + 1)]
+    assert list_generations(replica_base) == list_generations(primary_base) == kept
+    for suffix in GENERATION_FILE_SUFFIXES:
+        with open(generation_base(primary_base, current) + suffix, "rb") as ours, \
+                open(generation_base(replica_base, current) + suffix, "rb") as theirs:
+            assert ours.read() == theirs.read(), suffix
+
+
+@pytest.mark.parametrize("retain", [0, -1, True, "4", 2.0], ids=repr)
+def test_install_generation_refuses_a_bad_retain_before_installing(tmp_path, retain):
+    primary_base, _ = _build_pair(tmp_path)
+    replica_base = _clone_base(primary_base, tmp_path / "r0")
+    with Database.open(primary_base) as database:
+        database.apply(Relabel(2, "tome"))
+    snapshot = export_generation(primary_base)
+
+    async def scenario():
+        async with ArbServer(_open_served(replica_base)) as replica:
+            return (await request_many(replica.host, replica.port, [
+                {"op": "install_generation", "snapshot": snapshot, "retain": retain},
+            ]))[0]
+
+    refusal = asyncio.run(scenario())
+    assert (refusal["ok"], refusal["error_type"]) == (False, "StorageError")
+    assert read_pointer(replica_base).counter == 1 and list_generations(replica_base) == [0]
 
 
 # --------------------------------------------------------------------- #

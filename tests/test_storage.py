@@ -8,7 +8,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import Database
 from repro.errors import StorageError, StorageFormatError
+from repro.plan import PlanCache
 from repro.storage import (
     ArbDatabase,
     DatabaseBuilder,
@@ -18,13 +20,11 @@ from repro.storage import (
     build_database,
     decode_node,
     encode_node,
-    scan_bottom_up,
-    scan_top_down,
 )
 from repro.storage.paging import BackwardPagedWriter, IOStatistics
 from repro.storage.records import decode_event, encode_event
 from repro.tree import BinaryTree, parse_xml
-from tests.conftest import random_unranked_tree
+from tests.conftest import on_loop, random_unranked_tree
 
 
 class TestRecords:
@@ -229,75 +229,45 @@ class TestBuildAndOpen:
         assert reloaded.second_child == expected.second_child
 
 
+LOOPS = ("python", "numpy")
+
+
+@pytest.mark.parametrize("loop", LOOPS)
 class TestScans:
-    def build(self, tmp_path, document: str) -> ArbDatabase:
-        base = str(tmp_path / "db")
-        build_database(document, base)
-        return ArbDatabase.open(base)
+    """Proposition 5.1 on the real scan pair, for both loops: each phase is
+    one linear scan whose stack is bounded by the depth of the XML tree."""
 
-    def test_top_down_scan_counts_nodes(self, tmp_path):
-        database = self.build(tmp_path, "<a><b>xy</b><c/></a>")
-        visits: list[int] = []
-        result = scan_top_down(database, lambda node, record, parent, which: visits.append(node))
-        assert result.nodes_visited == database.n_nodes
-        assert visits == list(range(database.n_nodes))
+    def scan_pair(self, base: str, loop: str):
+        database = Database.open(base)
+        database.plan_cache = PlanCache()
+        with on_loop(loop):
+            batch = database.query_many(["QUERY :- V.Root;"])
+        # Single-page files: nothing is skipped, so the depths are exact.
+        assert (batch.loop, batch[0].selected_nodes()) == (loop, [0])
+        return batch
 
-    def test_top_down_parent_values_propagate(self, tmp_path):
-        database = self.build(tmp_path, "<a><b><c/></b><d/></a>")
-        depths: dict[int, int] = {}
-
-        def visit(node, record, parent_depth, which):
-            # Unranked depth: +1 when arriving as a first (binary) child.
-            depth = 0 if parent_depth is None else parent_depth + (1 if which == 1 else 0)
-            depths[node] = depth
-            return depth
-
-        scan_top_down(database, visit)
-        tree = database.to_binary_tree()
-        unranked = tree.to_unranked()
-        expected = {i: d for i, (_n, d) in enumerate(unranked.iter_with_depth())}
-        assert depths == expected
-
-    def test_bottom_up_scan_computes_subtree_sizes(self, tmp_path):
-        database = self.build(tmp_path, "<a><b>xy</b><c/></a>")
-        sizes: dict[int, int] = {}
-
-        def visit(node, record, first_value, second_value):
-            size = 1 + (first_value or 0) + (second_value or 0)
-            sizes[node] = size
-            return size
-
-        result = scan_bottom_up(database, visit)
-        assert result.root_value == database.n_nodes
-        tree = database.to_binary_tree()
-        for node in range(len(tree)):
-            assert sizes[node] == len(tree.subtree_nodes(node))
-
-    def test_scan_stack_depth_bound_flat_document(self, tmp_path):
+    def test_scan_stack_depth_bound_flat_document(self, tmp_path, loop):
         # 200 children under one root: binary depth 200, XML depth 1.
-        document = "<r>" + "<c/>" * 200 + "</r>"
-        database = self.build(tmp_path, document)
-        down = scan_top_down(database, lambda *a: None)
-        up = scan_bottom_up(database, lambda *a: 0)
-        assert down.max_stack_depth <= 2
-        assert up.max_stack_depth <= 2
+        base = str(tmp_path / "db")
+        build_database("<r>" + "<c/>" * 200 + "</r>", base)
+        batch = self.scan_pair(base, loop)
+        assert 1 <= batch.phase1_stack_depth <= 2
+        assert batch.phase2_stack_depth <= 2
 
-    def test_scan_stack_depth_bound_matches_proposition_5_1(self, tmp_path):
+    def test_scan_stack_depth_bound_matches_proposition_5_1(self, tmp_path, loop):
         rng = random.Random(5)
         for index in range(5):
             tree = random_unranked_tree(rng, max_nodes=120)
             base = str(tmp_path / f"p51-{index}")
             build_database(tree, base)
-            database = ArbDatabase.open(base)
-            depth = tree.depth()
-            down = scan_top_down(database, lambda *a: None)
-            up = scan_bottom_up(database, lambda *a: 0)
-            assert down.max_stack_depth <= depth + 1
-            assert up.max_stack_depth <= depth + 1
+            batch = self.scan_pair(base, loop)
+            assert 1 <= batch.phase1_stack_depth <= tree.depth() + 1
+            assert batch.phase2_stack_depth <= tree.depth() + 1
 
-    def test_single_linear_scan(self, tmp_path):
-        database = self.build(tmp_path, "<a><b/><c/></a>")
-        result = scan_top_down(database, lambda *a: None)
-        assert result.io.seeks == 1
-        result = scan_bottom_up(database, lambda *a: 0)
-        assert result.io.seeks == 1
+    def test_single_linear_scan(self, tmp_path, loop):
+        base = str(tmp_path / "db")
+        build_database("<a><b/><c/></a>", base)
+        batch = self.scan_pair(base, loop)
+        # One seek per scan: the backward one of phase 1, the forward one of
+        # phase 2 (and one more for the state file read in between).
+        assert (batch.arb_io.seeks, batch.state_io.seeks) == (2, 1)
