@@ -20,7 +20,6 @@ Example
 from __future__ import annotations
 
 import os
-import threading
 from typing import Iterator, Sequence
 
 from repro.collection.executor import run_collection_query
@@ -62,11 +61,6 @@ class Collection:
         self.root = os.path.abspath(root)
         self.manifest = manifest
         self.plan_cache = plan_cache if plan_cache is not None else default_plan_cache()
-        # Serialises apply_many() calls on this collection object: the per-base
-        # writer flock only covers same-document writers, but two applies to
-        # *different* documents still race on the shared manifest save
-        # (last save would persist a pre-replace snapshot: a lost update).
-        self._apply_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Opening / creating
@@ -207,7 +201,9 @@ class Collection:
         coordination time and only open each document when its shard worker
         reaches it (a pruned-away pinned generation fails that open).
         """
-        with self._apply_lock, exclusive_writer(os.path.join(self.root, "collection")):
+        # One writer per collection at a time, threads and processes alike:
+        # two applies to different documents share the manifest save.
+        with exclusive_writer(os.path.join(self.root, "collection")):
             # Another *process* may have advanced other documents since this
             # manifest was loaded; adopt its generation bumps so our save
             # cannot roll them back (a collection-level lost update).  Local

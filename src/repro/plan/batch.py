@@ -2,16 +2,17 @@
 
 This module is the one place where the automata of Algorithm 4.6 are run
 over `.arb` records.  :func:`evaluate_batch_on_disk` evaluates ``k`` plans
-**in lockstep**: one backward scan computes, per node, a *composite* state
-entry (the k interned bottom-up state ids, ``4k`` bytes) streamed to a
-single temporary state file; one forward scan then runs the k top-down
-automata in lockstep while reading the composite state file backwards.  The
-`.arb` file is therefore read exactly twice -- once per phase -- no matter
-how many queries the batch holds, which the separate ``arb_io`` counter
-proves.  A single query is a batch of one: the ``disk`` backend
-(:class:`~repro.plan.backends.DiskBackend`) calls
-:func:`evaluate_batch_on_disk` with one plan, whose four-byte entries are
-the "four bytes per node" state file of the paper.
+**in lockstep**: one backward scan computes, per node, the k per-plan
+bottom-up states, interns that k-tuple into one *composite* state id and
+streams it (4 bytes, whatever k is) to a single temporary state file; one
+forward scan then runs the k top-down automata in lockstep while reading the
+state file backwards.  The `.arb` file is therefore read exactly twice --
+once per phase -- no matter how many queries the batch holds, which the
+separate ``arb_io`` counter proves, and the state file is the paper's "four
+bytes per node" for a batch as for one query.  A single query is a batch of
+one: the ``disk`` backend (:class:`~repro.plan.backends.DiskBackend`) calls
+:func:`evaluate_batch_on_disk` with one plan.  The composite table -- the
+lazily built automaton -- passes from phase 1 to phase 2 as a value.
 
 Two implementations of the scan pair exist.  No caller chooses between
 them: :func:`repro.plan.kernel.batch_kernel` hands out the accelerator
@@ -20,10 +21,10 @@ whenever it can run, and the result says which loop did
 
 * the pure-Python loops below (:func:`_run_phase1`, :func:`_run_phase2`)
   are the *reference* and the only path without numpy, for unmemoised
-  plans, for exotic record sizes and beyond the kernel's node bound;
-* :mod:`repro.plan.kernel` is the numpy *accelerator*: the same scans with
-  the per-node work done arraywise, differential-tested against the loops
-  here for identical answers, statistics and I/O counters
+  plans and for exotic record sizes;
+* :mod:`repro.plan.kernel` is the numpy *accelerator*: the same scans one
+  page span at a time, differential-tested against the loops here for
+  identical answers, statistics, stack depths and I/O counters
   (``tests/test_kernel_differential.py``).
 
 With a generation's ``.idx`` sidecar present (see
@@ -49,7 +50,7 @@ with and without the index -- the differential property suite
 The per-plan automata stay fully independent (each plan keeps its own
 memoised tables and per-run statistics); only the *scan* is shared, along
 with the stack discipline of Proposition 5.1, whose depth bound is
-unchanged (each stack entry simply holds k states instead of one).
+unchanged (each stack entry is one composite id, whatever k is).
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
 
+from repro.core.automata import StateInterner
 from repro.core.two_phase import BOTTOM, EvaluationStatistics
 from repro.errors import EvaluationError
 import repro.plan.kernel as kernel_mod
@@ -78,6 +80,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.plan.plan import QueryPlan
 
 __all__ = ["evaluate_batch_on_disk"]
+
+_ENTRY = struct.Struct(kernel_mod.STATE_ENTRY)
 
 
 def evaluate_batch_on_disk(
@@ -109,11 +113,10 @@ def evaluate_batch_on_disk(
         plan.begin_run()
 
     skip = _compute_skip(plans, database)
-    runner = kernel_mod.batch_kernel(plans, database, skip)
+    kernel = kernel_mod.batch_kernel(plans, database, skip)
 
     arb_io = IOStatistics()
     state_io = IOStatistics()
-    entry_struct = struct.Struct(f">{len(plans)}I")
 
     directory = options.temp_dir or os.path.dirname(os.path.abspath(database.arb_path)) or "."
     handle = tempfile.NamedTemporaryFile(
@@ -125,23 +128,23 @@ def evaluate_batch_on_disk(
     handle.close()
     try:
         started = time.perf_counter()
-        if runner is not None:
-            phase1_depth = runner.run_phase1(state_path, entry_struct, arb_io, state_io)
+        if kernel is not None:
+            phase1_depth, composites = kernel.run_phase1(state_path, arb_io, state_io)
         else:
-            phase1_depth = _run_phase1(plans, database, state_path, entry_struct, arb_io, state_io, skip)
+            phase1_depth, composites = _run_phase1(plans, database, state_path, arb_io, state_io, skip)
         phase1_seconds = time.perf_counter() - started
         state_file_bytes = os.path.getsize(state_path)
         started = time.perf_counter()
-        if runner is not None:
-            selected, counts, phase2_depth = runner.run_phase2(
-                state_path, entry_struct, arb_io, state_io, options.collect_selected_nodes
+        if kernel is not None:
+            selected, counts, phase2_depth = kernel.run_phase2(
+                composites, state_path, arb_io, state_io, options.collect_selected_nodes
             )
         else:
             selected, counts, phase2_depth = _run_phase2(
                 plans,
                 database,
+                composites,
                 state_path,
-                entry_struct,
                 arb_io,
                 state_io,
                 options.collect_selected_nodes,
@@ -203,7 +206,7 @@ def evaluate_batch_on_disk(
         phase1_stack_depth=phase1_depth,
         phase2_stack_depth=phase2_depth,
         backend="disk-batch",
-        loop="python" if runner is None else "numpy",
+        loop="python" if kernel is None else "numpy",
     )
 
 
@@ -347,11 +350,10 @@ def _run_phase1(
     plans: Sequence["QueryPlan"],
     database: ArbDatabase,
     state_path: str,
-    entry_struct: struct.Struct,
     arb_io: IOStatistics,
     state_io: IOStatistics,
     skip: _SkipPlan | None,
-) -> int:
+) -> tuple[int, StateInterner]:
     indices = range(len(plans))
     computes = [plan.evaluator.compute_reachable_states for plan in plans]
     # The alphabet symbol of a record: per plan, the label set of its shape
@@ -361,11 +363,15 @@ def _run_phase1(
         RecordShapeLabelSets(plan.program.prop_local().schema, database.labels).for_record for plan in plans
     ]
     shape_labels: dict[tuple, list[frozenset[str]]] = {}
-    # What an absent child contributes: BOTTOM for every plan.
-    bottoms = (BOTTOM,) * len(plans)
-    pack = entry_struct.pack
+    # Composite states: each node's k-tuple of per-plan states, interned; id
+    # 0 is what an absent child contributes (BOTTOM for every plan).
+    composites = StateInterner([(BOTTOM,) * len(plans)])
+    intern = composites.intern
+    states = composites.values
+    bottoms = states[0]
+    pack = _ENTRY.pack
     n = database.n_nodes
-    stack: list[Sequence[int]] = []
+    stack: list[int] = []
     pop = stack.pop
     push = stack.append
     max_depth = 0
@@ -376,6 +382,7 @@ def _run_phase1(
     else:
         segments = skip.segments
         page_filter = skip.allowed_pages.__contains__
+        star = intern(skip.star)
     with PagedWriter(state_path, database.page_size, stats=state_io) as state_writer:
         write = state_writer.write
         scanner = database.ranged_records(backward=True, stats=arb_io, page_filter=page_filter)
@@ -384,7 +391,7 @@ def _run_phase1(
                 if region is not None:
                     # A self-contained all-neutral run: every node has state
                     # s*, only its subtree roots are visible to lower records.
-                    stack.extend([skip.star] * region.n_roots)
+                    stack.extend([star] * region.n_roots)
                     if len(stack) > max_depth:
                         max_depth = len(stack)
                     processed += seg_count
@@ -394,17 +401,19 @@ def _run_phase1(
                     node_id -= 1
                     has_first = record.has_first_child
                     has_second = record.has_second_child
-                    firsts = pop() if has_first else bottoms
-                    seconds = pop() if has_second else bottoms
+                    try:
+                        firsts = states[pop()] if has_first else bottoms
+                        seconds = states[pop()] if has_second else bottoms
+                    except IndexError:  # the records do not form one tree
+                        raise EvaluationError(kernel_mod.PHASE1_INCONSISTENT) from None
                     shape = (record.label_index, has_first, has_second, node_id == 0)
                     labels = shape_labels.get(shape)
                     if labels is None:
                         labels = shape_labels[shape] = [for_record(*shape) for for_record in for_records]
-                    entry = []
-                    for i in indices:
-                        entry.append(computes[i](firsts[i], seconds[i], labels[i]))
-                    write(pack(*entry))
-                    push(entry)
+                    entry = tuple([computes[i](firsts[i], seconds[i], labels[i]) for i in indices])
+                    cid = intern(entry)
+                    write(pack(cid))
+                    push(cid)
                     if len(stack) > max_depth:
                         max_depth = len(stack)
                 # node_id is now the lowest node the scanner handed out.
@@ -413,7 +422,7 @@ def _run_phase1(
             scanner.close()
     if processed != n or len(stack) != 1:
         raise EvaluationError(kernel_mod.PHASE1_INCONSISTENT)
-    return max_depth
+    return max_depth, composites
 
 
 # ---------------------------------------------------------------------- #
@@ -424,8 +433,8 @@ def _run_phase1(
 def _run_phase2(
     plans: Sequence["QueryPlan"],
     database: ArbDatabase,
+    composites: StateInterner,
     state_path: str,
-    entry_struct: struct.Struct,
     arb_io: IOStatistics,
     state_io: IOStatistics,
     collect_selected_nodes: bool,
@@ -445,15 +454,17 @@ def _run_phase2(
         for pred in plan.program.query_predicates
     ]
 
-    # Composite entries decode in batch (one iter_unpack per page); the
-    # one-shot state file (written once, read once, deleted) is never read
-    # through a shared pool.  With skipping, phase 1 wrote entries only for
-    # non-skipped nodes, and this phase consumes them only for non-skipped
-    # nodes -- the alignment is exact because the skip decision is static.
+    # Composite ids decode in batch (one iter_unpack per page) and expand to
+    # their k-tuples through phase 1's table; the one-shot state file
+    # (written once, read once, deleted) is never read through a shared
+    # pool.  With skipping, phase 1 wrote entries only for non-skipped nodes,
+    # and this phase consumes them only for non-skipped nodes -- the
+    # alignment is exact because the skip decision is static.
     state_reader = PagedReader(
         state_path, database.page_size, stats=state_io, config=database.pager.without_pool()
     )
-    states_iter = state_reader.unpack_backward(entry_struct)
+    tuples = composites.values
+    states_iter = (tuples[cid] for (cid,) in state_reader.unpack_backward(_ENTRY))
 
     segments = ((0, database.n_nodes, None),) if skip is None else skip.segments
     # The attachment discipline: the next node is the ``which``-child of the
@@ -500,7 +511,10 @@ def _run_phase2(
                     preds = [root_preds[i](own_states[i]) for i in indices]
                 else:
                     if parent_preds is None:
-                        parent_preds = awaiting_second.pop()
+                        try:
+                            parent_preds = awaiting_second.pop()
+                        except IndexError:  # the records do not form one tree
+                            raise EvaluationError(kernel_mod.PHASE1_INCONSISTENT) from None
                         which = 2
                     preds = []
                     for i in indices:

@@ -68,8 +68,11 @@ class BatchQueryResult:
 
     ``loop`` names the implementation of the scan pair that ran: ``"numpy"``
     (:mod:`repro.plan.kernel`) or ``"python"`` (the reference loop in
-    :mod:`repro.plan.batch` -- no numpy, an unmemoised plan, an exotic record
-    size, or more than 2^20 nodes); ``None`` off the lockstep disk path.
+    :mod:`repro.plan.batch` -- no numpy, an unmemoised plan or an exotic
+    record size; the document's size never decides); ``None`` off the
+    lockstep disk path.  Both write the same state file, one 4-byte
+    composite state id per node whatever the batch size
+    (``state_file_bytes``).
 
     ``snapshot`` is the ``(generation, change_counter)`` of the on-disk
     snapshot the answers were read from (``None`` for an in-memory

@@ -13,9 +13,10 @@ pooled==unpooled and indexed==full-scan are enforced elsewhere:
   delete round evaluates identically on both kernels;
 * **odd geometries** -- single-record files, pages that do not divide the
   record size (records straddling page boundaries), wide and deep trees;
-* **fallback honesty** -- unmemoised plans, documents over the node bound
-  and an interpreter without numpy run the reference loop, and the result's
-  ``loop`` field says so.
+* **fallback honesty** -- unmemoised plans and an interpreter without numpy
+  run the reference loop, and the result's ``loop`` field says so; the
+  kernel's one bound (distinct composite states, never nodes) and a corrupt
+  `.arb` raise a named :class:`EvaluationError` on either loop.
 
 No argument selects a side.  The numpy leg runs as is; the python leg runs
 inside :func:`tests.conftest.numpy_unavailable` (numpy hidden from
@@ -43,8 +44,10 @@ import repro.plan.kernel as kernel_mod
 from repro import Collection, QueryService
 from repro.core.automata import StateInterner
 from repro.engine import Database
+from repro.errors import EvaluationError
 from repro.plan.cache import PlanCache
 from repro.plan.kernel import batch_kernel, numpy_available
+from repro.storage.records import flag_masks
 from repro.storage.update import DeleteSubtree, InsertSubtree, Relabel
 from tests.conftest import numpy_unavailable, on_loop, sidecars_hidden
 from tests.strategies import tmnf_programs as programs
@@ -112,6 +115,8 @@ def _batch_key(batch) -> dict:
         "arb_io": dataclasses.asdict(batch.arb_io),
         "state_io": dataclasses.asdict(batch.state_io),
         "state_file_bytes": batch.state_file_bytes,
+        "phase1_stack_depth": batch.phase1_stack_depth,
+        "phase2_stack_depth": batch.phase2_stack_depth,
         "backend": batch.backend,
     }
 
@@ -350,15 +355,62 @@ def test_unmemoised_plans_fall_back_to_python(tmp_path):
 
 
 @requires_numpy
-def test_documents_over_the_node_bound_fall_back_visibly(tmp_path, monkeypatch):
-    """Beyond ``_MAX_KERNEL_NODES`` the batch runs the reference loop (ten
-    times slower at 2^20 nodes); ``loop`` is where that shows."""
-    database = _build(_WIDE_DOC, str(tmp_path))
-    at_the_bound = database.query_many(_FIXED_BATCH)
-    monkeypatch.setattr(kernel_mod, "_MAX_KERNEL_NODES", database.n_nodes - 1)
-    over_the_bound = database.query_many(_FIXED_BATCH)
-    assert (at_the_bound.loop, over_the_bound.loop) == ("numpy", "python")
-    assert _batch_key(over_the_bound)["answers"] == _batch_key(at_the_bound)["answers"]
+def test_a_composite_key_overflow_raises_rather_than_collides(tmp_path, monkeypatch):
+    """The kernel's one bound is on distinct record symbols and composite
+    states, never on nodes: below the packing base the answers are exact,
+    at it the batch raises the named error instead of packing two states
+    into one key."""
+    database = _build("<r>" + _DEEP_DOC + _WIDE_DOC + "</r>", str(tmp_path))
+    with numpy_unavailable():
+        reference = _batch_key(database.query_many(_FIXED_BATCH))
+    outcomes = set()
+    for base in (2, 3, 4, 6, 8, 16, 1 << 21):
+        monkeypatch.setattr(kernel_mod, "_PACK_BASE", base)
+        database.plan_cache = PlanCache()
+        try:
+            batch = database.query_many(_FIXED_BATCH)
+        except EvaluationError as error:
+            assert str(error) == kernel_mod.COMPOSITE_OVERFLOW
+            outcomes.add("overflow")
+        else:
+            assert batch.loop == "numpy"
+            assert _batch_key(batch) == reference
+            outcomes.add("exact")
+    assert outcomes == {"exact", "overflow"}
+
+
+#: Three ways a flipped child-flag bit breaks the tree of ``<a><b><c/></b><d/></a>``:
+#: ``(node, bit to set, bit to clear)`` with 0 = first-child, 1 = second-child.
+_CORRUPTIONS = {
+    "last-record-claims-a-first-child": (3, 0, None),
+    "root-claims-a-second-child": (0, 1, None),
+    "node-1-loses-its-first-child": (1, None, 0),
+}
+
+
+@pytest.mark.parametrize("loop", ["numpy", "python"])
+@pytest.mark.parametrize("corruption", sorted(_CORRUPTIONS))
+def test_a_corrupt_arb_raises_the_named_error_on_either_loop(tmp_path, loop, corruption):
+    base = str(tmp_path / "doc")
+    built = Database.build("<a><b><c/></b><d/></a>", base)
+    path, size = built.disk.arb_path, built.disk.record_size
+    built.close()
+    node, set_bit, clear_bit = _CORRUPTIONS[corruption]
+    masks = flag_masks(size)
+    with open(path, "r+b") as handle:
+        handle.seek(node * size)
+        value = int.from_bytes(handle.read(size), "big")
+        if set_bit is not None:
+            value |= masks[set_bit]
+        if clear_bit is not None:
+            value &= ~masks[clear_bit]
+        handle.seek(node * size)
+        handle.write(value.to_bytes(size, "big"))
+    database = Database.open(base)
+    database.plan_cache = PlanCache()
+    with on_loop(loop), pytest.raises(EvaluationError) as raised:
+        database.query_many(_FIXED_BATCH)
+    assert str(raised.value) == kernel_mod.PHASE1_INCONSISTENT
 
 
 def test_loop_is_reported_only_by_the_lockstep_disk_path(tmp_path):

@@ -238,8 +238,8 @@ class TestBatchEvaluation:
             batch = database.query_many(queries)
             pages.add(batch.arb_io.pages_read)
             scans.add(batch.arb_io.seeks)
-            # The composite state file holds 4k bytes per node.
-            assert batch.state_file_bytes == 4 * k * database.n_nodes
+            # The state file holds one 4-byte composite id per node, whatever k is.
+            assert batch.state_file_bytes == 4 * database.n_nodes
         # Exactly one backward + one forward scan, whatever k is.
         assert len(pages) == 1
         assert scans == {2}
@@ -248,7 +248,7 @@ class TestBatchEvaluation:
         database = _disk_database(tmp_path)
         batch = database.query_many([BOOK_QUERY, BOOK_QUERY])
         assert batch[0].selected_nodes() == batch[1].selected_nodes()
-        assert batch.state_file_bytes == 4 * 2 * database.n_nodes
+        assert batch.state_file_bytes == 4 * database.n_nodes
         # Each occurrence owns its statistics: the first records the compile
         # miss, the second the source-cache hit.
         assert batch[0].statistics is not batch[1].statistics

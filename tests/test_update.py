@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+import threading
 
 import pytest
 
@@ -521,6 +523,48 @@ def test_collection_apply_advances_manifest_and_answers(tmp_path):
     reopened = Collection.open(root)
     assert reopened.query(BOOKS).count() == before + 1  # reads the saved manifest
     assert reopened.manifest.get("one").generation == result.new_generation
+
+
+def test_concurrent_applies_to_two_documents_lose_no_manifest_update(tmp_path):
+    """Two threads commit to different documents through one collection:
+    every commit and its manifest save run under the collection's writer
+    lock, so neither thread's save rolls back the other's generations."""
+    root = str(tmp_path / "corpus")
+    collection = Collection.create(root)
+    n_ops = 8
+    for doc_id in ("one", "two"):
+        collection.add_document("<lib>" + "<book/>" * n_ops + "</lib>", doc_id=doc_id, text_mode="ignore")
+    errors = []
+
+    def relabel_every_book(doc_id):
+        try:
+            for node in range(1, n_ops + 1):
+                collection.apply(doc_id, Relabel(node, "tome"))
+        except Exception as error:  # surfaced below, not lost in the thread
+            errors.append(error)
+
+    threads = [threading.Thread(target=relabel_every_book, args=(doc_id,)) for doc_id in ("one", "two")]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the two writers as finely as possible
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    reopened = Collection.open(root)
+    for doc_id in ("one", "two"):
+        entry = reopened.manifest.get(doc_id)
+        base = entry.base_path(root)
+        database = Database.open(base)  # the document's newest generation
+        assert (entry.generation, entry.counter) == (database.generation, read_pointer(base).counter)
+        assert database.query("QUERY :- V.Label[tome];", engine="disk").count() == n_ops
+        assert database.query(BOOKS, engine="disk").count() == 0
+        database.close()
+    assert reopened.query("QUERY :- V.Label[tome];").count() == 2 * n_ops
 
 
 def test_collection_snapshot_isolation_across_open_handles(tmp_path):
