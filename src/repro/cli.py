@@ -355,8 +355,7 @@ def _run_batch_query(database: Database, queries: list[str], language: str,
         queries, language=language, query_predicate=args.query_predicate,
         engine=args.engine,
     )
-    loop = f", {batch.loop} loop" if batch.loop else ""
-    print(f"batch           : {len(batch)} queries ({batch.backend}{loop})")
+    print(f"batch           : {len(batch)} queries ({batch.backend})")
     for index, result in enumerate(batch):
         predicate = result.program.query_predicates[0]
         statistics = result.statistics

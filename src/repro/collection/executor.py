@@ -165,7 +165,6 @@ def _evaluate_document(doc_id: str, database, task: _ShardTask) -> DocumentQuery
         state_io=batch.state_io,
         state_file_bytes=batch.state_file_bytes,
         backend=batch.backend,
-        loop=batch.loop,
         n_nodes=database.n_nodes,
     )
 

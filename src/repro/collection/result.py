@@ -39,8 +39,6 @@ class DocumentQueryResult:
     state_io: IOStatistics = field(default_factory=IOStatistics)
     state_file_bytes: int = 0
     backend: str = ""
-    #: The scan-pair loop that ran (see :attr:`BatchQueryResult.loop`).
-    loop: str | None = None
     n_nodes: int = 0
 
     def result(self, query_index: int = 0) -> QueryResult:
@@ -106,7 +104,6 @@ class CollectionQueryResult:
                 state_io=doc.state_io,
                 state_file_bytes=doc.state_file_bytes,
                 backend=doc.backend,
-                loop=doc.loop,
                 n_nodes=doc.n_nodes,
             )
             for doc in self.documents

@@ -36,7 +36,7 @@ class StateInterner:
     The bridge from the hashable-state automaton model to table form: id 0
     is the first value ever interned and ids grow densely, so interned ids
     index directly into arrays (``values`` is the inverse mapping).  Used by
-    the vectorised lockstep kernel (:mod:`repro.plan.kernel`) to number its
+    the two-phase disk loop (:mod:`repro.plan.kernel`) to number its
     composite states, and available wherever an explicit automaton needs its
     states enumerated.
     """

@@ -1,31 +1,18 @@
 """The two-phase disk evaluation: k queries, one pair of linear scans (Sections 4-5).
 
-This module is the one place where the automata of Algorithm 4.6 are run
-over `.arb` records.  :func:`evaluate_batch_on_disk` evaluates ``k`` plans
-**in lockstep**: one backward scan computes, per node, the k per-plan
-bottom-up states, interns that k-tuple into one *composite* state id and
-streams it (4 bytes, whatever k is) to a single temporary state file; one
-forward scan then runs the k top-down automata in lockstep while reading the
-state file backwards.  The `.arb` file is therefore read exactly twice --
-once per phase -- no matter how many queries the batch holds, which the
-separate ``arb_io`` counter proves, and the state file is the paper's "four
-bytes per node" for a batch as for one query.  A single query is a batch of
-one: the ``disk`` backend (:class:`~repro.plan.backends.DiskBackend`) calls
-:func:`evaluate_batch_on_disk` with one plan.  The composite table -- the
-lazily built automaton -- passes from phase 1 to phase 2 as a value.
-
-Two implementations of the scan pair exist.  No caller chooses between
-them: :func:`repro.plan.kernel.batch_kernel` hands out the accelerator
-whenever it can run, and the result says which loop did
-(:attr:`BatchQueryResult.loop <repro.plan.result.BatchQueryResult.loop>`):
-
-* the pure-Python loops below (:func:`_run_phase1`, :func:`_run_phase2`)
-  are the *reference* and the only path without numpy, for unmemoised
-  plans and for exotic record sizes;
-* :mod:`repro.plan.kernel` is the numpy *accelerator*: the same scans one
-  page span at a time, differential-tested against the loops here for
-  identical answers, statistics, stack depths and I/O counters
-  (``tests/test_kernel_differential.py``).
+:func:`evaluate_batch_on_disk` evaluates ``k`` plans **in lockstep**: one
+backward scan computes, per node, the k per-plan bottom-up states, interns
+that k-tuple into one *composite* state id and streams it (4 bytes, whatever
+k is) to a single temporary state file; one forward scan then runs the k
+top-down automata in lockstep while reading the state file backwards.  The
+`.arb` file is therefore read exactly twice -- once per phase -- no matter
+how many queries the batch holds, which the separate ``arb_io`` counter
+proves, and the state file is the paper's "four bytes per node" for a batch
+as for one query.  A single query is a batch of one: the ``disk`` backend
+(:class:`~repro.plan.backends.DiskBackend`) calls
+:func:`evaluate_batch_on_disk` with one plan.  The scan pair itself is
+:mod:`repro.plan.kernel`; this module sets it up, plans the skips and
+assembles the results.
 
 With a generation's ``.idx`` sidecar present (see
 :mod:`repro.storage.pageindex`), both scans additionally *skip* maximal
@@ -56,32 +43,25 @@ unchanged (each stack entry is one composite id, whatever k is).
 from __future__ import annotations
 
 import os
-import struct
 import tempfile
 import time
 from dataclasses import dataclass, replace
-from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
 
-from repro.core.automata import StateInterner
 from repro.core.two_phase import BOTTOM, EvaluationStatistics
 from repro.errors import EvaluationError
-import repro.plan.kernel as kernel_mod
+from repro.plan import kernel
 from repro.plan.memo import memo_for
 from repro.plan.options import ExecutionOptions
 from repro.plan.result import BatchQueryResult, QueryResult
 from repro.storage import pageindex
 from repro.storage.database import ArbDatabase
-from repro.storage.labels import RecordShapeLabelSets
-from repro.storage.paging import IOStatistics, PagedReader, PagedWriter
-from repro.storage.records import record_struct
+from repro.storage.paging import IOStatistics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.plan.plan import QueryPlan
 
 __all__ = ["evaluate_batch_on_disk"]
-
-_ENTRY = struct.Struct(kernel_mod.STATE_ENTRY)
 
 
 def evaluate_batch_on_disk(
@@ -94,26 +74,24 @@ def evaluate_batch_on_disk(
     Of ``options`` this reads ``temp_dir`` and ``collect_selected_nodes``.
     The scans skip pages through the generation's ``.idx`` sidecar when a
     valid one exists (answers are identical either way, only ``pages_read``
-    shrinks) and run on the numpy kernel when it can take the batch
-    (identical answers, statistics and I/O counters; ``loop`` on the result
-    says which ran).
+    shrinks).
     """
     if not plans:
         raise EvaluationError("batch evaluation needs at least one query")
     plans = list(plans)
     # The same plan object may appear several times (duplicate queries in the
-    # batch); reset its per-run statistics exactly once.
+    # batch, as a coalesced service window has them): the scans run each
+    # distinct plan once, which also resets its per-run statistics once.
+    position: dict[int, int] = {}
     unique_plans: list["QueryPlan"] = []
-    seen: set[int] = set()
     for plan in plans:
-        if id(plan) not in seen:
-            seen.add(id(plan))
+        if id(plan) not in position:
+            position[id(plan)] = len(unique_plans)
             unique_plans.append(plan)
     for plan in unique_plans:
         plan.begin_run()
 
-    skip = _compute_skip(plans, database)
-    kernel = kernel_mod.batch_kernel(plans, database, skip)
+    skip = _compute_skip(unique_plans, database)
 
     arb_io = IOStatistics()
     state_io = IOStatistics()
@@ -128,28 +106,16 @@ def evaluate_batch_on_disk(
     handle.close()
     try:
         started = time.perf_counter()
-        if kernel is not None:
-            phase1_depth, composites = kernel.run_phase1(state_path, arb_io, state_io)
-        else:
-            phase1_depth, composites = _run_phase1(plans, database, state_path, arb_io, state_io, skip)
+        phase1_depth, composites = kernel.run_phase1(
+            unique_plans, database, skip, state_path, arb_io, state_io
+        )
         phase1_seconds = time.perf_counter() - started
         state_file_bytes = os.path.getsize(state_path)
         started = time.perf_counter()
-        if kernel is not None:
-            selected, counts, phase2_depth = kernel.run_phase2(
-                composites, state_path, arb_io, state_io, options.collect_selected_nodes
-            )
-        else:
-            selected, counts, phase2_depth = _run_phase2(
-                plans,
-                database,
-                composites,
-                state_path,
-                arb_io,
-                state_io,
-                options.collect_selected_nodes,
-                skip,
-            )
+        selected, counts, phase2_depth = kernel.run_phase2(
+            unique_plans, database, skip, composites, state_path, arb_io, state_io,
+            options.collect_selected_nodes,
+        )
         phase2_seconds = time.perf_counter() - started
     finally:
         if os.path.exists(state_path):
@@ -170,22 +136,26 @@ def evaluate_batch_on_disk(
         nodes=database.n_nodes,
     )
     plans_reported: set[int] = set()
-    for index, plan in enumerate(plans):
+    for plan in plans:
         stats = plan.evaluator.stats
+        own = position[id(plan)]
+        plan_selected, plan_counts = selected[own], counts[own]
         if id(plan) in plans_reported:
             # A duplicate occurrence must not share (and overwrite) the first
-            # occurrence's statistics object; give it an independent copy.
+            # occurrence's statistics or answers; give it independent copies.
             stats = replace(stats)
+            plan_selected = {pred: list(nodes) for pred, nodes in plan_selected.items()}
+            plan_counts = dict(plan_counts)
         plans_reported.add(id(plan))
         stats.nodes = database.n_nodes
-        stats.selected = counts[index].get(plan.program.query_predicates[0], 0)
+        stats.selected = plan_counts.get(plan.program.query_predicates[0], 0)
         stats.bu_states = plan.evaluator.n_bottom_up_states
         stats.memory_estimate_kb = plan.evaluator._memory_estimate_kb()
         results.append(
             QueryResult(
                 program=plan.program,
-                selected=selected[index],
-                counts=counts[index],
+                selected=plan_selected,
+                counts=plan_counts,
                 statistics=stats,
                 io=total_io,
                 backend="disk-batch",
@@ -206,7 +176,6 @@ def evaluate_batch_on_disk(
         phase1_stack_depth=phase1_depth,
         phase2_stack_depth=phase2_depth,
         backend="disk-batch",
-        loop="python" if kernel is None else "numpy",
     )
 
 
@@ -236,8 +205,6 @@ class _SkipPlan:
 
 
 def _compute_skip(plans: Sequence["QueryPlan"], database: ArbDatabase) -> _SkipPlan | None:
-    if record_struct(database.record_size) is None:
-        return None  # exotic record sizes use the per-record fallback path
     index = pageindex.index_for(database)
     if index is None or index.n_pages <= 1:
         return None
@@ -339,205 +306,3 @@ def _region_answer_free_uncached(plan: "QueryPlan", root_preds: frozenset, s_sta
                 seen.add(child)
                 frontier.append(child)
     return True
-
-
-# ---------------------------------------------------------------------- #
-# Phase 1: one backward scan, composite state entries
-# ---------------------------------------------------------------------- #
-
-
-def _run_phase1(
-    plans: Sequence["QueryPlan"],
-    database: ArbDatabase,
-    state_path: str,
-    arb_io: IOStatistics,
-    state_io: IOStatistics,
-    skip: _SkipPlan | None,
-) -> tuple[int, StateInterner]:
-    indices = range(len(plans))
-    computes = [plan.evaluator.compute_reachable_states for plan in plans]
-    # The alphabet symbol of a record: per plan, the label set of its shape
-    # (each plan has its own schema, so the sets differ per plan), and for
-    # the scan one memo from shape to the k sets, so a node costs one lookup.
-    for_records = [
-        RecordShapeLabelSets(plan.program.prop_local().schema, database.labels).for_record for plan in plans
-    ]
-    shape_labels: dict[tuple, list[frozenset[str]]] = {}
-    # Composite states: each node's k-tuple of per-plan states, interned; id
-    # 0 is what an absent child contributes (BOTTOM for every plan).
-    composites = StateInterner([(BOTTOM,) * len(plans)])
-    intern = composites.intern
-    states = composites.values
-    bottoms = states[0]
-    pack = _ENTRY.pack
-    n = database.n_nodes
-    stack: list[int] = []
-    pop = stack.pop
-    push = stack.append
-    max_depth = 0
-    processed = 0
-    if skip is None:
-        segments = ((0, n, None),)
-        page_filter = None
-    else:
-        segments = skip.segments
-        page_filter = skip.allowed_pages.__contains__
-        star = intern(skip.star)
-    with PagedWriter(state_path, database.page_size, stats=state_io) as state_writer:
-        write = state_writer.write
-        scanner = database.ranged_records(backward=True, stats=arb_io, page_filter=page_filter)
-        try:
-            for seg_start, seg_count, region in reversed(segments):
-                if region is not None:
-                    # A self-contained all-neutral run: every node has state
-                    # s*, only its subtree roots are visible to lower records.
-                    stack.extend([star] * region.n_roots)
-                    if len(stack) > max_depth:
-                        max_depth = len(stack)
-                    processed += seg_count
-                    continue
-                node_id = seg_start + seg_count
-                for record in scanner.range(seg_start, seg_count):
-                    node_id -= 1
-                    has_first = record.has_first_child
-                    has_second = record.has_second_child
-                    try:
-                        firsts = states[pop()] if has_first else bottoms
-                        seconds = states[pop()] if has_second else bottoms
-                    except IndexError:  # the records do not form one tree
-                        raise EvaluationError(kernel_mod.PHASE1_INCONSISTENT) from None
-                    shape = (record.label_index, has_first, has_second, node_id == 0)
-                    labels = shape_labels.get(shape)
-                    if labels is None:
-                        labels = shape_labels[shape] = [for_record(*shape) for for_record in for_records]
-                    entry = tuple([computes[i](firsts[i], seconds[i], labels[i]) for i in indices])
-                    cid = intern(entry)
-                    write(pack(cid))
-                    push(cid)
-                    if len(stack) > max_depth:
-                        max_depth = len(stack)
-                # node_id is now the lowest node the scanner handed out.
-                processed += seg_start + seg_count - node_id
-        finally:
-            scanner.close()
-    if processed != n or len(stack) != 1:
-        raise EvaluationError(kernel_mod.PHASE1_INCONSISTENT)
-    return max_depth, composites
-
-
-# ---------------------------------------------------------------------- #
-# Phase 2: one forward scan + backward read of the composite state file
-# ---------------------------------------------------------------------- #
-
-
-def _run_phase2(
-    plans: Sequence["QueryPlan"],
-    database: ArbDatabase,
-    composites: StateInterner,
-    state_path: str,
-    arb_io: IOStatistics,
-    state_io: IOStatistics,
-    collect_selected_nodes: bool,
-    skip: _SkipPlan | None,
-) -> tuple[list[dict[str, list[int]]], list[dict[str, int]], int]:
-    indices = range(len(plans))
-    computes = [plan.evaluator.compute_true_preds for plan in plans]
-    root_preds = [plan.evaluator.root_true_preds for plan in plans]
-    selected: list[dict[str, list[int]]] = [
-        {pred: [] for pred in plan.program.query_predicates} for plan in plans
-    ]
-    counts: list[dict[str, int]] = [{pred: 0 for pred in plan.program.query_predicates} for plan in plans]
-    # Every (plan, query predicate) pair the select step tests per node.
-    watched = [
-        (i, pred, counts[i], selected[i][pred] if collect_selected_nodes else None)
-        for i, plan in enumerate(plans)
-        for pred in plan.program.query_predicates
-    ]
-
-    # Composite ids decode in batch (one iter_unpack per page) and expand to
-    # their k-tuples through phase 1's table; the one-shot state file
-    # (written once, read once, deleted) is never read through a shared
-    # pool.  With skipping, phase 1 wrote entries only for non-skipped nodes,
-    # and this phase consumes them only for non-skipped nodes -- the
-    # alignment is exact because the skip decision is static.
-    state_reader = PagedReader(
-        state_path, database.page_size, stats=state_io, config=database.pager.without_pool()
-    )
-    tuples = composites.values
-    states_iter = (tuples[cid] for (cid,) in state_reader.unpack_backward(_ENTRY))
-
-    segments = ((0, database.n_nodes, None),) if skip is None else skip.segments
-    # The attachment discipline: the next node is the ``which``-child of the
-    # node holding ``parent_preds``, or -- when that is ``None`` -- the second
-    # child of the innermost node still awaiting one.
-    awaiting_second: list[list[frozenset[str]]] = []
-    parent_preds: list[frozenset[str]] | None = None
-    which = 0
-    max_depth = 0
-    scanner = database.ranged_records(backward=False, stats=arb_io)
-    try:
-        for seg_start, seg_count, region in segments:
-            states = states_iter
-            if region is not None:
-                # Resolve where each of the run's subtree roots attaches
-                # (peeking, not popping -- a fallback read must see the
-                # untouched discipline) and the predicates it would hold.
-                attachments = [] if parent_preds is None else [(parent_preds, which)]
-                needed = region.n_roots - len(attachments)
-                if needed > len(awaiting_second):  # pragma: no cover - defensive
-                    raise EvaluationError("skip region inconsistent with the scan stack")
-                attachments += [(awaiting_second[-1 - back], 2) for back in range(needed)]
-                if all(
-                    skip.answer_free([computes[i](parents[i], skip.star[i], child) for i in indices])
-                    for parents, child in attachments
-                ):
-                    # The run selects nothing for any plan: cross it without
-                    # reading.  Each complete subtree ends in a leaf, so the
-                    # net effect on the discipline is exactly the pops.
-                    if needed:
-                        del awaiting_second[-needed:]
-                    parent_preds = None
-                    continue
-                # Fallback: read the run after all (counted I/O), substituting
-                # the known s* states; the state file holds no entries for it.
-                states = repeat(skip.star)
-            seg_end = seg_start + seg_count
-            index = seg_start - 1
-            for index, record, own_states in zip(
-                range(seg_start, seg_end), scanner.range(seg_start, seg_count), states
-            ):
-                # attach -> transition -> select -> advance
-                if index == 0:
-                    preds = [root_preds[i](own_states[i]) for i in indices]
-                else:
-                    if parent_preds is None:
-                        try:
-                            parent_preds = awaiting_second.pop()
-                        except IndexError:  # the records do not form one tree
-                            raise EvaluationError(kernel_mod.PHASE1_INCONSISTENT) from None
-                        which = 2
-                    preds = []
-                    for i in indices:
-                        preds.append(computes[i](parent_preds[i], own_states[i], which))
-                for i, pred, count, hits in watched:
-                    if pred in preds[i]:
-                        count[pred] += 1
-                        if hits is not None:
-                            hits.append(index)
-                if record.has_first_child:
-                    if record.has_second_child:
-                        awaiting_second.append(preds)
-                        if len(awaiting_second) > max_depth:
-                            max_depth = len(awaiting_second)
-                    parent_preds = preds
-                    which = 1
-                elif record.has_second_child:
-                    parent_preds = preds
-                    which = 2
-                else:
-                    parent_preds = None
-            if index + 1 != seg_end:  # pragma: no cover - defensive
-                raise EvaluationError("state file shorter than the database")
-    finally:
-        scanner.close()
-    return selected, counts, max_depth

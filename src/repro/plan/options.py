@@ -5,12 +5,10 @@ A public entry point (:meth:`Database.query` / ``query_many``,
 :class:`ExecutionOptions` from its keywords and passes it down whole;
 everything below takes the value and nothing else.
 
-Only choices that change what a caller gets back are options.  Which scan
-loop runs (numpy or pure Python) and whether the ``.idx`` sidecar lets the
-scans skip pages never change an answer, so the code decides both from what
-it observes (:func:`repro.plan.kernel.batch_kernel`,
-:func:`repro.plan.batch._compute_skip`) and reports the loop it ran in
-:attr:`BatchQueryResult.loop <repro.plan.result.BatchQueryResult.loop>`.
+Only choices that change what a caller gets back are options.  Whether the
+``.idx`` sidecar lets the scans skip pages never changes an answer, so the
+code decides it from what it observes
+(:func:`repro.plan.batch._compute_skip`).
 """
 
 from __future__ import annotations

@@ -65,14 +65,8 @@ class BatchQueryResult:
     the depth of the XML tree.  They are exact when nothing is skipped (no
     usable ``.idx``, or a batch it cannot help); a scan that skips page runs
     sees only part of the tree, and they stay 0 off the disk path.
-
-    ``loop`` names the implementation of the scan pair that ran: ``"numpy"``
-    (:mod:`repro.plan.kernel`) or ``"python"`` (the reference loop in
-    :mod:`repro.plan.batch` -- no numpy, an unmemoised plan or an exotic
-    record size; the document's size never decides); ``None`` off the
-    lockstep disk path.  Both write the same state file, one 4-byte
-    composite state id per node whatever the batch size
-    (``state_file_bytes``).
+    ``state_file_bytes`` is one 4-byte composite state id per scanned node,
+    whatever the batch size.
 
     ``snapshot`` is the ``(generation, change_counter)`` of the on-disk
     snapshot the answers were read from (``None`` for an in-memory
@@ -88,7 +82,6 @@ class BatchQueryResult:
     phase1_stack_depth: int = 0
     phase2_stack_depth: int = 0
     backend: str = "memory"
-    loop: str | None = None
     snapshot: tuple[int, int] | None = None
 
     @property

@@ -124,6 +124,9 @@ class DatabaseBuilder:
         keep_event_file: bool = False,
     ):
         check_page_size(page_size)  # before any source is parsed or file created
+        # Tag indexes start at 256, so a 1-byte record (63 labels) holds none.
+        if type(record_size) is not int or record_size < 2:
+            raise StorageError(f"record_size must be an integer >= 2, got {record_size!r}")
         self.record_size = record_size
         self.page_size = page_size
         self.keep_event_file = keep_event_file

@@ -196,12 +196,12 @@ class ArbDatabase:
 
     def ranged_spans(self, *, backward: bool, stats: IOStatistics | None = None,
                      page_filter=None):
-        """A multi-range *page-span* scanner (the vectorised kernel's read path).
+        """A multi-range *page-span* scanner (the two-phase disk loop's read path).
 
         Returns a :class:`~repro.storage.paging.RangedScan` whose
         :meth:`~repro.storage.paging.RangedScan.spans_range` yields raw
         ``(view, start, n_records)`` record spans for whole-page decoding
-        (e.g. ``numpy.frombuffer``) instead of per-record tuples.  It is the
+        (e.g. ``array.frombytes``) instead of per-record tuples.  It is the
         scan :meth:`ranged_records` decodes from: scans that fetch the same
         page sequence report the same counters, whichever record view they
         use.

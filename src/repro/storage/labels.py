@@ -137,17 +137,16 @@ class LabelTable:
 class RecordShapeLabelSets:
     """Per-plan memo of node label sets keyed by the raw record *shape*.
 
-    Both implementations of the disk evaluation (the reference loop in
-    ``plan/batch.py`` and its numpy accelerator ``plan/kernel.py``) turn
-    each record into the alphabet symbol of a plan's bottom-up automaton:
+    The two-phase disk loop (``plan/kernel.py``) turns each record into
+    the alphabet symbol of a plan's bottom-up automaton:
     the schema's label set for the record's label name and child flags.
     Distinct records overwhelmingly share a handful of shapes
     ``(label_index, has_first_child, has_second_child, is_root)``, so the
     set is computed once per shape and the per-record work is one dict hit.
     The label name itself is resolved through the table only on a miss.
 
-    It lives here so both scan paths -- and the page-skipping index, which
-    must derive *exactly* the same label sets -- share one source of truth.
+    It lives here so the scan and the page-skipping index, which must
+    derive *exactly* the same label sets, share one source of truth.
     """
 
     __slots__ = ("_schema", "_table", "_memo")

@@ -427,7 +427,7 @@ class RangedScan:
 
         Each span is a run of ``n_records`` contiguous records beginning at
         byte ``start`` of ``view``, ready for one C-level decode
-        (``struct.iter_unpack`` or ``numpy.frombuffer``); a record that
+        (``struct.iter_unpack`` or ``array.frombytes``); a record that
         straddles a page boundary arrives assembled as ``(None, bytes, 1)``.
         A backward scan yields spans in descending page order, and each
         span's records (stored ascending) are consumed from its high end.

@@ -10,7 +10,6 @@ import signal
 
 import pytest
 
-import repro.plan.kernel as kernel_mod
 from repro.tmnf.program import TMNFProgram
 from repro.tree import BinaryTree, UnrankedNode, UnrankedTree, parse_xml
 
@@ -70,36 +69,13 @@ def pytest_runtest_call(item):
 
 
 # --------------------------------------------------------------------------- #
-# The two situations a differential leg puts the code in
+# The situation the full-scan leg of a differential puts the code in
 # --------------------------------------------------------------------------- #
 #
-# Nothing in ``src/`` takes a "which loop" or "use the index" argument: the
-# code picks from what it observes.  A test that wants the other side of a
-# differential (numpy == python, indexed == full scan) produces the situation
-# that selects it, for the duration of a ``with`` block.
-
-
-@contextlib.contextmanager
-def numpy_unavailable():
-    """The no-numpy platform: :mod:`repro.plan.kernel` finds no numpy, so
-    every disk batch -- on any thread of this process -- runs the reference
-    loop (``loop == "python"``).  numpy itself stays imported for everyone
-    else (hypothesis uses it), and the kernel finds it again on exit."""
-    found = kernel_mod._NUMPY
-    kernel_mod._NUMPY = None
-    try:
-        yield
-    finally:
-        kernel_mod._NUMPY = found
-
-
-def on_loop(loop: str):
-    """The context in which disk batches run ``loop``: :func:`numpy_unavailable`
-    for ``"python"``, nothing to arrange for ``"numpy"`` (a skip without numpy)."""
-    if loop == "python":
-        return numpy_unavailable()
-    pytest.importorskip("numpy")
-    return contextlib.nullcontext()
+# Nothing in ``src/`` takes a "use the index" argument: the code picks from
+# what it observes.  A test that wants the full-scan side of the indexed ==
+# full scan differential produces the situation that selects it, for the
+# duration of a ``with`` block.
 
 
 @contextlib.contextmanager

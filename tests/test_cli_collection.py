@@ -99,7 +99,7 @@ def test_collection_query_missing_collection(tmp_path, capsys):
     assert "not a collection" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", [["--kernel", "numpy"], ["--no-index"], ["--pager", "buffered"]], ids=" ".join)
+@pytest.mark.parametrize("flag", [["--kernel", "auto"], ["--no-index"], ["--pager", "buffered"]], ids=" ".join)
 @pytest.mark.parametrize(
     "subcommand", [["query"], ["collection", "query"], ["serve"]], ids=["query", "collection-query", "serve"]
 )

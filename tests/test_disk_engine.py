@@ -18,7 +18,6 @@ from repro.tree import BinaryTree
 from tests.conftest import (
     EVEN_ODD_EXAMPLE,
     RUNNING_EXAMPLE,
-    on_loop,
     random_unranked_tree,
     sidecars_hidden,
 )
@@ -83,9 +82,8 @@ class TestDiskEngine:
         # ... and a single query is that batch of one.
         assert database.query(program, engine="disk").io == result.io
 
-    @pytest.mark.parametrize("loop", ["python", "numpy"])
     @pytest.mark.parametrize("block", sorted(BLOCKS))
-    def test_a_batch_costs_one_forward_plus_one_backward_scan(self, tmp_path, block, loop):
+    def test_a_batch_costs_one_forward_plus_one_backward_scan(self, tmp_path, block):
         """Counter for counter, on a multi-page document of each Figure 6
         shape -- with the sidecar hidden, so that nothing may be skipped."""
         tree = load_block_tree(block, treebank_nodes=4_000, acgt_exponent=10)
@@ -97,13 +95,33 @@ class TestDiskEngine:
         assert sum(1 for _ in arb.records_backward(stats=backward)) == arb.n_nodes
         assert forward.seeks == backward.seeks == 1 and forward.pages_read > 1
         queries = [f"QUERY :- V.Label[{label}];" for label in BLOCKS[block].alphabet[:4]]
-        with sidecars_hidden(tmp_path), on_loop(loop):
+        with sidecars_hidden(tmp_path):
             batch = Database.open(base, page_size=512).query_many(
                 queries, engine="disk", temp_dir=str(tmp_path)
             )
-        assert batch.loop == loop
         assert sum(result.count() for result in batch.results) > 0
         assert batch.arb_io == forward.merge(backward)
+
+    @pytest.mark.parametrize("page_size", [4096, 7])
+    @pytest.mark.parametrize("record_size", [3, 4, 5, 8])
+    def test_every_record_size_answers_like_memory(self, tmp_path, record_size, page_size):
+        """k = 4 and 8 decode through array typecodes, k = 3 and 5 through
+        ``int.from_bytes``; 7-byte pages make records straddle every page
+        boundary.  The noise suffix gives the sidecar pages to skip."""
+        document = "<r>" + "<s><item/><b/></s>" * 300 + "<n0>" + "<n1/>" * 3000 + "</n0></r>"
+        base = str(tmp_path / "doc")
+        build_database(document, base, record_size=record_size, page_size=page_size)
+        database = Database.open(base, page_size=page_size)
+        assert database.disk.record_size == record_size
+        queries = ["QUERY :- V.Label[item];", "QUERY :- V.Label[b];"]
+        memory = database.query_many(queries, engine="memory")
+        indexed = database.query_many(queries)
+        with sidecars_hidden(tmp_path):
+            full = database.query_many(queries)
+        for batch in (indexed, full):
+            assert [r.selected for r in batch] == [r.selected for r in memory]
+            assert [r.counts for r in batch] == [r.counts for r in memory] == [{"QUERY": 300}] * 2
+        assert indexed.arb_io.pages_read < full.arb_io.pages_read
 
     def test_stack_depth_bounded_by_xml_depth(self, tmp_path):
         from repro.tree import parse_xml

@@ -1,35 +1,29 @@
-"""Differential properties of the vectorised lockstep kernel.
+"""Differential properties of the two-phase disk loop.
 
-The numpy kernel (:mod:`repro.plan.kernel`) is a pure accelerator: for any
-database and any query batch it must produce exactly what the pure-Python
-lockstep loop produces -- the same selected nodes, the same evaluation
-statistics (transition and state counts; wall-clock excepted) and the same
-I/O counters, byte for byte.  These properties are enforced the way
-pooled==unpooled and indexed==full-scan are enforced elsewhere:
+The disk loop (:mod:`repro.plan.kernel`) is held to the implementations
+that really exist beside it, the way pooled==unpooled is held elsewhere:
 
-* **random documents and batches** -- cold and warm plan caches, with and
-  without the page-skipping sidecar;
-* **post-update generations** -- the spliced `.arb` of a relabel/insert/
-  delete round evaluates identically on both kernels;
-* **odd geometries** -- single-record files, pages that do not divide the
-  record size (records straddling page boundaries), wide and deep trees;
-* **fallback honesty** -- unmemoised plans and an interpreter without numpy
-  run the reference loop, and the result's ``loop`` field says so; the
-  kernel's one bound (distinct composite states, never nodes) and a corrupt
-  `.arb` raise a named :class:`EvaluationError` on either loop.
+* **disk == memory** -- with the page-skipping sidecar hidden, a batch over
+  the `.arb` file selects exactly what the in-memory two-phase evaluator
+  selects over the same tree, and its per-query automaton statistics
+  (bottom-up and top-down transitions, bottom-up states) are the same, cold
+  and warm;
+* **indexed == full scan** -- with the sidecar the answers are the same and
+  no more `.arb` pages are read;
+* **closed form** -- the state file holds 4 bytes per scanned node, and a
+  full scan costs exactly two `.arb` seeks.
 
-No argument selects a side.  The numpy leg runs as is; the python leg runs
-inside :func:`tests.conftest.numpy_unavailable` (numpy hidden from
-``repro.plan.kernel``, the no-numpy CI leg's situation); a full-scan leg runs
-inside :func:`tests.conftest.sidecars_hidden` (the missing-``.idx`` degrade).
-Every leg asserts the ``loop`` it ran, so a silent fallback cannot compare
-the reference with itself.
+Each is checked on random documents and batches, on spliced post-update
+generations and on odd geometries (single-record files, pages that do not
+divide the record size, wide and deep trees).  The loop's one bound
+(distinct composite states, never nodes), a corrupt `.arb` and the
+unmemoised laziness ablation are pinned at the end.  The full-scan leg runs
+inside :func:`tests.conftest.sidecars_hidden` (the missing-``.idx``
+degrade); nothing in ``src/`` takes an argument that selects it.
 """
 
 from __future__ import annotations
 
-import asyncio
-import contextlib
 import dataclasses
 import os
 import tempfile
@@ -38,18 +32,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.engine
-import repro.plan.backends
 import repro.plan.kernel as kernel_mod
-from repro import Collection, QueryService
 from repro.core.automata import StateInterner
 from repro.engine import Database
 from repro.errors import EvaluationError
+from repro.plan.batch import _compute_skip
 from repro.plan.cache import PlanCache
-from repro.plan.kernel import batch_kernel, numpy_available
 from repro.storage.records import flag_masks
 from repro.storage.update import DeleteSubtree, InsertSubtree, Relabel
-from tests.conftest import numpy_unavailable, on_loop, sidecars_hidden
+from tests.conftest import sidecars_hidden
 from tests.strategies import tmnf_programs as programs
 
 COMMON_SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -57,14 +48,12 @@ COMMON_SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.too_slo
 #: Small pages so even hypothesis-sized documents span several of them.
 PAGE_SIZE = 512
 
-requires_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy is not installed")
-
 #: Tags outside the program strategy's ``a``/``b`` alphabet: sections made
-#: of these give the sidecar index skippable page runs, so the kernel's
+#: of these give the sidecar index skippable page runs, so the loop's
 #: per-segment path (including star regions) is exercised, not just full scans.
 _NOISE_TAGS = ("n0", "n1", "n2", "n3")
 
-#: Statistics fields that legitimately differ between implementations.
+#: Statistics fields that legitimately differ between runs (wall clock).
 _TIMING_FIELDS = ("bu_seconds", "td_seconds", "memory_estimate_kb")
 
 
@@ -104,12 +93,9 @@ def _stats_key(statistics) -> dict:
 
 
 def _batch_key(batch) -> dict:
-    """Everything of a :class:`BatchQueryResult` that must not depend on the kernel."""
+    """Everything of a :class:`BatchQueryResult` but the wall clock."""
     return {
-        "answers": [
-            {pred: sorted(nodes) for pred, nodes in result.selected.items()}
-            for result in batch.results
-        ],
+        "answers": _answers(batch),
         "counts": [dict(result.counts) for result in batch.results],
         "per_query_stats": [_stats_key(result.statistics) for result in batch.results],
         "arb_io": dataclasses.asdict(batch.arb_io),
@@ -121,31 +107,55 @@ def _batch_key(batch) -> dict:
     }
 
 
-@contextlib.contextmanager
-def _situation(database: Database, loop: str, use_index: bool = True):
-    """Put the code where it picks ``loop`` and, or not, the page index."""
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(on_loop(loop))
-        if not use_index:
-            stack.enter_context(sidecars_hidden(os.path.dirname(database.disk.base_path)))
-        yield
+def _answers(batch) -> list[dict]:
+    return [{pred: sorted(nodes) for pred, nodes in result.selected.items()} for result in batch.results]
 
 
-def _run_batch(database: Database, batch, loop: str, use_index: bool):
+def _automaton_stats(result) -> tuple:
+    statistics = result.statistics
+    return statistics.bu_transitions, statistics.td_transitions, statistics.bu_states
+
+
+def _per_plan_stats(batch) -> list[tuple]:
+    """:func:`_automaton_stats` of each plan's first result: a repeated query
+    shares its plan, which the memory engine then runs warm, the disk loop
+    once for both."""
+    seen: set[int] = set()
+    stats = []
+    for result in batch.results:
+        if id(result.program) not in seen:
+            seen.add(id(result.program))
+            stats.append(_automaton_stats(result))
+    return stats
+
+
+def _cold_and_warm(database: Database, batch, **options):
     """Cold then warm evaluation on a private plan cache."""
     database.plan_cache = PlanCache()
-    with _situation(database, loop, use_index):
-        cold = database.query_many(batch)
-        warm = database.query_many(batch)
-    assert cold.loop == warm.loop == loop
-    return _batch_key(cold), _batch_key(warm)
+    return database.query_many(batch, **options), database.query_many(batch, **options)
 
 
-def _differential(database: Database, batch, use_index: bool = True) -> None:
-    numpy_cold, numpy_warm = _run_batch(database, batch, "numpy", use_index)
-    python_cold, python_warm = _run_batch(database, batch, "python", use_index)
-    assert numpy_cold == python_cold
-    assert numpy_warm == python_warm
+def _scanned_nodes(database: Database, batch) -> int:
+    """The nodes outside every skip region of ``batch``'s skip plan."""
+    skip = _compute_skip([database.plan(query)[0] for query in batch], database.disk)
+    if skip is None:
+        return database.n_nodes
+    return sum(count for _, count, region in skip.segments if region is None)
+
+
+def _differential(database: Database, batch) -> None:
+    memory = _cold_and_warm(database, batch, engine="memory")
+    with sidecars_hidden(os.path.dirname(database.disk.base_path)):
+        full = _cold_and_warm(database, batch)
+    indexed = _cold_and_warm(database, batch)
+    scanned = _scanned_nodes(database, batch)
+    for by_memory, by_full, by_index in zip(memory, full, indexed):
+        assert _answers(by_full) == _answers(by_memory)
+        assert _per_plan_stats(by_full) == _per_plan_stats(by_memory)
+        assert _answers(by_index) == _answers(by_full)
+        assert by_index.arb_io.pages_read <= by_full.arb_io.pages_read
+        assert (by_full.state_file_bytes, by_full.arb_io.seeks) == (4 * database.n_nodes, 2)
+        assert by_index.state_file_bytes == 4 * scanned
 
 
 # ---------------------------------------------------------------------- #
@@ -153,27 +163,23 @@ def _differential(database: Database, batch, use_index: bool = True) -> None:
 # ---------------------------------------------------------------------- #
 
 
-@requires_numpy
 @given(
     document=sectioned_documents(),
     batch=st.lists(programs(), min_size=1, max_size=3),
 )
 @settings(max_examples=15, **COMMON_SETTINGS)
-def test_kernel_matches_python_on_random_batches(document, batch):
+def test_disk_matches_memory_and_full_scan_on_random_batches(document, batch):
     with tempfile.TemporaryDirectory() as directory:
-        database = _build(document, directory)
-        _differential(database, batch, use_index=True)
-        _differential(database, batch, use_index=False)
+        _differential(_build(document, directory), batch)
 
 
-@requires_numpy
 @given(
     document=sectioned_documents(),
     batch=st.lists(programs(), min_size=1, max_size=2),
     data=st.data(),
 )
 @settings(max_examples=10, **COMMON_SETTINGS)
-def test_kernel_matches_python_after_updates(document, batch, data):
+def test_disk_matches_memory_and_full_scan_after_updates(document, batch, data):
     """Spliced generations (new `.arb`, new sidecar) evaluate identically."""
     with tempfile.TemporaryDirectory() as directory:
         database = _build(document, directory)
@@ -217,20 +223,15 @@ _FIXED_BATCH = [
 ]
 
 
-@requires_numpy
 @pytest.mark.parametrize("document,page_size", _GEOMETRY_CASES)
-def test_kernel_matches_python_on_odd_geometries(tmp_path, document, page_size):
-    database = _build(document, str(tmp_path), page_size=page_size)
-    _differential(database, _FIXED_BATCH, use_index=True)
-    _differential(database, _FIXED_BATCH, use_index=False)
+def test_disk_matches_memory_and_full_scan_on_odd_geometries(tmp_path, document, page_size):
+    _differential(_build(document, str(tmp_path), page_size=page_size), _FIXED_BATCH)
 
 
-@requires_numpy
-def test_kernel_counts_survive_dropping_selected_nodes(tmp_path):
+def test_counts_survive_dropping_selected_nodes(tmp_path):
     database = _build(_WIDE_DOC, str(tmp_path))
     full = database.query_many(_FIXED_BATCH)
     bare = database.query_many(_FIXED_BATCH, collect_selected_nodes=False)
-    assert full.loop == bare.loop == "numpy"
     assert [r.counts for r in bare.results] == [r.counts for r in full.results]
     assert all(nodes == [] for r in bare.results for nodes in r.selected.values())
 
@@ -240,129 +241,48 @@ def test_kernel_counts_survive_dropping_selected_nodes(tmp_path):
 # ---------------------------------------------------------------------- #
 
 
-def _single_key(result) -> dict:
-    return {
-        "answers": {pred: sorted(nodes) for pred, nodes in result.selected.items()},
-        "counts": dict(result.counts),
-        "stats": _stats_key(result.statistics),
-        "io": dataclasses.asdict(result.io),
-        "backend": result.backend,
-    }
-
-
-@pytest.fixture
-def loops_run(monkeypatch):
-    """The ``loop`` of every lockstep evaluation in the test, in order.
-
-    ``Database.query`` and the query service hand back per-query results,
-    which do not carry the batch's ``loop``; both reach the one evaluator
-    through a module attribute, recorded here.
-    """
-    seen = []
-
-    def recording(*args, **kwargs):
-        batch = evaluate(*args, **kwargs)
-        seen.append(batch.loop)
-        return batch
-
-    evaluate = repro.engine.evaluate_batch_on_disk
-    monkeypatch.setattr(repro.engine, "evaluate_batch_on_disk", recording)
-    monkeypatch.setattr(repro.plan.backends, "evaluate_batch_on_disk", recording)
-    return seen
-
-
-@requires_numpy
 @given(document=sectioned_documents(), program=programs())
-@settings(
-    max_examples=10,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
-)
-def test_single_disk_query_matches_python(loops_run, document, program):
+@settings(max_examples=10, **COMMON_SETTINGS)
+def test_single_disk_query_matches_memory(document, program):
     with tempfile.TemporaryDirectory() as directory:
         database = _build(document, directory)
-        del loops_run[:]
         database.plan_cache = PlanCache()
-        by_numpy = _single_key(database.query(program, engine="disk"))
+        in_memory = database.query(program, engine="memory")
         database.plan_cache = PlanCache()
-        with numpy_unavailable():
-            by_python = _single_key(database.query(program, engine="disk"))
-        assert loops_run == ["numpy", "python"]
-        assert by_numpy == by_python
+        with sidecars_hidden(directory):
+            on_disk = database.query(program, engine="disk")
+        assert on_disk.backend == "disk"
+        assert on_disk.selected == in_memory.selected
+        assert on_disk.counts == in_memory.counts
+        assert _automaton_stats(on_disk) == _automaton_stats(in_memory)
+        assert on_disk.io.bytes_written == 4 * database.n_nodes
 
 
 # ---------------------------------------------------------------------- #
-# Fallback honesty: which loop runs, and that the result says so
+# The laziness ablation, the one bound, corrupt input
 # ---------------------------------------------------------------------- #
 
 
-def _plans(database: Database, queries, **kwargs):
-    return [database.plan(query, **kwargs)[0] for query in queries]
-
-
-@requires_numpy
-def test_the_kernel_takes_the_batch_unless_numpy_is_unavailable(tmp_path):
+def test_unmemoised_plans_match_memoised(tmp_path):
+    """The ablation recomputes every transition: per plan, one bottom-up
+    transition per node and one top-down per non-root node."""
     database = _build(_WIDE_DOC, str(tmp_path))
-    plans = _plans(database, _FIXED_BATCH)
-    assert batch_kernel(plans, database.disk, None) is not None
-    with numpy_unavailable():
-        assert not numpy_available()
-        assert batch_kernel(plans, database.disk, None) is None
-        assert database.query_many(_FIXED_BATCH).loop == "python"
-    assert numpy_available()
-    assert database.query_many(_FIXED_BATCH).loop == "numpy"
+    with sidecars_hidden(tmp_path):
+        unmemoised = database.query_many(_FIXED_BATCH, memoize=False)
+        memoised = database.query_many(_FIXED_BATCH, memoize=True)
+    assert _answers(unmemoised) == _answers(memoised)
+    n = database.n_nodes
+    assert n == 241
+    assert [_automaton_stats(r)[:2] for r in unmemoised] == [(n, n - 1)] * len(_FIXED_BATCH)
 
 
-@requires_numpy
-def test_numpy_unavailable_reaches_executor_threads_and_the_service_worker(tmp_path, loops_run):
-    """The situation is the process's, not the calling thread's: shard
-    workers and the service's evaluation thread see it, and see it end."""
-    collection = Collection.create(str(tmp_path / "corpus"), plan_cache=PlanCache())
-    for _ in range(2):
-        collection.add_document(_WIDE_DOC)
-    database = _build(_WIDE_DOC, str(tmp_path))
-
-    def sharded():
-        result = collection.query_many(_FIXED_BATCH, n_workers=2, executor="thread")
-        assert {doc.shard_index for doc in result} == {0, 1}
-        return [doc.loop for doc in result]
-
-    async def served():
-        async with QueryService(database, window=0.0) as service:
-            return (await service.submit(_FIXED_BATCH[0])).result.counts
-
-    with numpy_unavailable():
-        assert sharded() == ["python", "python"]
-        del loops_run[:]
-        by_python = asyncio.run(served())
-        assert loops_run == ["python"]
-    assert sharded() == ["numpy", "numpy"]
-    del loops_run[:]
-    assert asyncio.run(served()) == by_python
-    assert loops_run == ["numpy"]
-
-
-@requires_numpy
-def test_unmemoised_plans_fall_back_to_python(tmp_path):
-    database = _build(_WIDE_DOC, str(tmp_path))
-    plans = _plans(database, _FIXED_BATCH, memoize=False)
-    assert batch_kernel(plans, database.disk, None) is None
-    # The fallback names itself and still answers identically.
-    result = database.query_many(_FIXED_BATCH, memoize=False)
-    baseline = database.query_many(_FIXED_BATCH, memoize=True)
-    assert (result.loop, baseline.loop) == ("python", "numpy")
-    assert _batch_key(result)["answers"] == _batch_key(baseline)["answers"]
-
-
-@requires_numpy
 def test_a_composite_key_overflow_raises_rather_than_collides(tmp_path, monkeypatch):
-    """The kernel's one bound is on distinct record symbols and composite
+    """The loop's one bound is on distinct record symbols and composite
     states, never on nodes: below the packing base the answers are exact,
     at it the batch raises the named error instead of packing two states
     into one key."""
     database = _build("<r>" + _DEEP_DOC + _WIDE_DOC + "</r>", str(tmp_path))
-    with numpy_unavailable():
-        reference = _batch_key(database.query_many(_FIXED_BATCH))
+    reference = _batch_key(database.query_many(_FIXED_BATCH))
     outcomes = set()
     for base in (2, 3, 4, 6, 8, 16, 1 << 21):
         monkeypatch.setattr(kernel_mod, "_PACK_BASE", base)
@@ -373,7 +293,6 @@ def test_a_composite_key_overflow_raises_rather_than_collides(tmp_path, monkeypa
             assert str(error) == kernel_mod.COMPOSITE_OVERFLOW
             outcomes.add("overflow")
         else:
-            assert batch.loop == "numpy"
             assert _batch_key(batch) == reference
             outcomes.add("exact")
     assert outcomes == {"exact", "overflow"}
@@ -388,9 +307,8 @@ _CORRUPTIONS = {
 }
 
 
-@pytest.mark.parametrize("loop", ["numpy", "python"])
 @pytest.mark.parametrize("corruption", sorted(_CORRUPTIONS))
-def test_a_corrupt_arb_raises_the_named_error_on_either_loop(tmp_path, loop, corruption):
+def test_a_corrupt_arb_raises_the_named_error(tmp_path, corruption):
     base = str(tmp_path / "doc")
     built = Database.build("<a><b><c/></b><d/></a>", base)
     path, size = built.disk.arb_path, built.disk.record_size
@@ -408,17 +326,9 @@ def test_a_corrupt_arb_raises_the_named_error_on_either_loop(tmp_path, loop, cor
         handle.write(value.to_bytes(size, "big"))
     database = Database.open(base)
     database.plan_cache = PlanCache()
-    with on_loop(loop), pytest.raises(EvaluationError) as raised:
+    with pytest.raises(EvaluationError) as raised:
         database.query_many(_FIXED_BATCH)
     assert str(raised.value) == kernel_mod.PHASE1_INCONSISTENT
-
-
-def test_loop_is_reported_only_by_the_lockstep_disk_path(tmp_path):
-    database = _build(_WIDE_DOC, str(tmp_path))
-    expected = "numpy" if numpy_available() else "python"
-    assert database.query_many(_FIXED_BATCH).loop == expected
-    assert database.query_many(_FIXED_BATCH, engine="memory").loop is None
-    assert Database.from_xml(_WIDE_DOC).query_many(_FIXED_BATCH).loop is None
 
 
 # ---------------------------------------------------------------------- #

@@ -2,7 +2,7 @@
 
 Koch03 evaluates a query with two linear scans that keep, besides the
 lazily built automaton, only a stack bounded by the depth of the tree and
-the page being decoded.  Both loops are held to it with ``tracemalloc``:
+the page being decoded.  The disk loop is held to it with ``tracemalloc``:
 the peak of a warm batch (automata already built, no selected nodes
 collected) is the same for an 8 k- and a 64 k-node document of depth 3,
 and it grows with depth on a document of about 2 k levels.  The pages are
@@ -13,11 +13,8 @@ from __future__ import annotations
 
 import tracemalloc
 
-import pytest
-
 from repro.engine import Database
 from repro.plan.cache import PlanCache
-from tests.conftest import on_loop
 
 PAGE_SIZE = 4096
 
@@ -45,33 +42,29 @@ def _deep(levels: int, n_nodes: int) -> str:
     return "<r>" + padding + "<a>" * levels + "</a><b/>" * levels + "</r>"
 
 
-def _warm_peak(tmp_path, name: str, document: str, loop: str):
+def _warm_peak(tmp_path, name: str, document: str):
     database = Database.build(document, str(tmp_path / name), page_size=PAGE_SIZE)
     database.plan_cache = PlanCache()
-    with on_loop(loop):
-        database.query_many(BATCH, collect_selected_nodes=False)
-        tracemalloc.start()
-        try:
-            batch = database.query_many(BATCH, collect_selected_nodes=False)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert batch.loop == loop
+    database.query_many(BATCH, collect_selected_nodes=False)
+    tracemalloc.start()
+    try:
+        batch = database.query_many(BATCH, collect_selected_nodes=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     return peak, batch
 
 
-@pytest.mark.parametrize("loop", ["numpy", "python"])
-def test_peak_memory_does_not_grow_with_the_document(tmp_path, loop):
-    small, small_batch = _warm_peak(tmp_path, "small", _flat(8_000), loop)
-    large, large_batch = _warm_peak(tmp_path, "large", _flat(64_000), loop)
+def test_peak_memory_does_not_grow_with_the_document(tmp_path):
+    small, small_batch = _warm_peak(tmp_path, "small", _flat(8_000))
+    large, large_batch = _warm_peak(tmp_path, "large", _flat(64_000))
     assert small_batch.phase1_stack_depth == large_batch.phase1_stack_depth
     assert abs(large - small) < SIZE_SLACK, (small, large)
 
 
-@pytest.mark.parametrize("loop", ["numpy", "python"])
-def test_peak_memory_grows_with_depth(tmp_path, loop):
-    flat, flat_batch = _warm_peak(tmp_path, "flat", _flat(8_000), loop)
-    deep, deep_batch = _warm_peak(tmp_path, "deep", _deep(LEVELS, 8_000), loop)
+def test_peak_memory_grows_with_depth(tmp_path):
+    flat, flat_batch = _warm_peak(tmp_path, "flat", _flat(8_000))
+    deep, deep_batch = _warm_peak(tmp_path, "deep", _deep(LEVELS, 8_000))
     assert flat_batch.phase1_stack_depth <= 3
     assert deep_batch.phase1_stack_depth >= LEVELS
     # The scan stack holds at least one pointer per level; half of one is

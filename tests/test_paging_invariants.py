@@ -34,7 +34,7 @@ from repro.storage.paging import (
     PagedWriter,
     PagerConfig,
 )
-from tests.conftest import on_loop, sidecars_hidden
+from tests.conftest import sidecars_hidden
 
 #: Geometries where records straddle page boundaries: (record_size, page_size,
 #: n_records).  3/8 puts a boundary inside every other record; 5/16 and 7/32
@@ -436,8 +436,7 @@ def test_ranged_records_and_spans_of_an_arb_database(tmp_path, layout, backward,
         assert (io.pages_read, io.seeks, io.bytes_read) == (len(fetched), seeks, bytes_read)
 
 
-@pytest.mark.parametrize("loop", ["python", "numpy"])
-def test_query_many_reads_the_same_ranges_pooled_and_unpooled(tmp_path, loop):
+def test_query_many_reads_the_same_ranges_pooled_and_unpooled(tmp_path):
     """Through the whole engine: a selective batch really jumps pages, and
     its answers and counters do not depend on the pool or on the index."""
     base = str(tmp_path / "doc")
@@ -447,9 +446,8 @@ def test_query_many_reads_the_same_ranges_pooled_and_unpooled(tmp_path, loop):
     for pool in (False, True):
         database = Database.open(base, pager=_pager(pool), page_size=64)
         for sidecar in (contextlib.nullcontext(), sidecars_hidden(tmp_path)):
-            with on_loop(loop), sidecar:
+            with sidecar:
                 batch = database.query_many(queries, engine="disk", temp_dir=str(tmp_path))
-            assert batch.loop == loop
             outcomes.append(([r.selected for r in batch.results], batch.arb_io, batch.state_io))
     (indexed, indexed_io, indexed_state), (full, full_io, _) = outcomes[:2]
     assert indexed == full and sum(len(s) for r in indexed for s in r.values()) == 2

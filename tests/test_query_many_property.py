@@ -30,20 +30,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import Collection, Database, QueryService
 from repro.baselines.datalog import evaluate_fixpoint
 from repro.plan import PlanCache
-from repro.plan.kernel import numpy_available
 from repro.tree import BinaryTree
-from tests.conftest import on_loop, sidecars_hidden
+from tests.conftest import sidecars_hidden
 from tests.strategies import tmnf_programs as programs, unranked_trees
 
-#: The lockstep implementations available here (numpy is optional).
-KERNELS = ("python", "numpy") if numpy_available() else ("python",)
 
-
-@contextlib.contextmanager
-def _situation(directory, loop, use_index=True):
-    """Put the code where it runs ``loop`` and finds, or not, the sidecars."""
-    with on_loop(loop), contextlib.nullcontext() if use_index else sidecars_hidden(directory):
-        yield
+def _situation(directory, use_index=True):
+    """Put the code where it finds, or not, the sidecars."""
+    return contextlib.nullcontext() if use_index else sidecars_hidden(directory)
 
 COMMON_SETTINGS = dict(
     deadline=None,
@@ -88,29 +82,23 @@ def test_batch_of_one_equals_single_disk_evaluation(program, tree):
         assert batch.state_file_bytes == 4 * database.n_nodes
 
         # A single disk query IS a batch of one: every counter is equal, not
-        # just the answers -- per loop, cold (a fresh plan per run, so the
-        # transition counters are this run's), on a geometry where records
-        # straddle pages and every file spans several; with the sidecar, so
-        # both skip the same pages, and with it hidden, when neither skips.
+        # just the answers -- cold (a fresh plan per run, so the transition
+        # counters are this run's), on a geometry where records straddle
+        # pages and every file spans several; with the sidecar, so both skip
+        # the same pages, and with it hidden, when neither skips.
         paged = Database.build(tree, f"{directory}/paged", page_size=7)
         for use_index in (True, False):
-            observed = []
-            for loop in KERNELS:
-                with _situation(directory, loop, use_index):
-                    paged.plan_cache = PlanCache()
-                    batch = paged.query_many([program])
-                    paged.plan_cache = PlanCache()
-                    single = paged.query(program, engine="disk")
-                assert (batch.loop, single.backend) == (loop, "disk")
-                assert single.selected == batch[0].selected
-                assert _counters(single.statistics, single.io) == _counters(batch[0].statistics, batch.io)
-                assert batch.state_file_bytes <= 4 * paged.n_nodes
-                if not use_index:
-                    assert batch.state_file_bytes == 4 * paged.n_nodes
-                depths = (batch.phase1_stack_depth, batch.phase2_stack_depth)
-                observed.append((batch[0].selected, _counters(batch[0].statistics, batch.io), depths))
-            # ... and the two loops agree with each other on all of it.
-            assert all(entry == observed[0] for entry in observed)
+            with _situation(directory, use_index):
+                paged.plan_cache = PlanCache()
+                batch = paged.query_many([program])
+                paged.plan_cache = PlanCache()
+                single = paged.query(program, engine="disk")
+            assert single.backend == "disk"
+            assert single.selected == batch[0].selected
+            assert _counters(single.statistics, single.io) == _counters(batch[0].statistics, batch.io)
+            assert batch.state_file_bytes <= 4 * paged.n_nodes
+            if not use_index:
+                assert batch.state_file_bytes == 4 * paged.n_nodes
 
 
 def _counters(statistics, io):
@@ -145,10 +133,9 @@ def _served(database, queries, *, language="tmnf", **options):
     engine=st.sampled_from((None, "disk", "memory")),
     use_index=st.booleans(),
     collect=st.booleans(),
-    kernel=st.sampled_from(KERNELS),
 )
 @settings(max_examples=25, **COMMON_SETTINGS)
-def test_database_collection_and_service_agree(batch, tree, engine, use_index, collect, kernel):
+def test_database_collection_and_service_agree(batch, tree, engine, use_index, collect):
     options = dict(collect_selected_nodes=collect)
     with contextlib.ExitStack() as stack:
         directory = stack.enter_context(tempfile.TemporaryDirectory())
@@ -156,10 +143,9 @@ def test_database_collection_and_service_agree(batch, tree, engine, use_index, c
         doc_id = collection.add_document(tree).doc_id
         database = collection.open_database(doc_id)
         database.plan_cache = PlanCache()
-        stack.enter_context(_situation(directory, kernel, use_index))
+        stack.enter_context(_situation(directory, use_index))
         direct = database.query_many(batch, engine=engine, **options)
         sharded = collection.query_many(batch, engine=engine, **options).document(doc_id)
-        assert sharded.loop == direct.loop == (None if engine == "memory" else kernel)
         assert [r.selected for r in sharded.results] == [r.selected for r in direct]
         assert [r.counts for r in sharded.results] == [r.counts for r in direct]
         assert sharded.arb_io == direct.arb_io

@@ -24,7 +24,7 @@ from repro.storage import (
 from repro.storage.paging import BackwardPagedWriter, IOStatistics
 from repro.storage.records import decode_event, encode_event
 from repro.tree import BinaryTree, parse_xml
-from tests.conftest import on_loop, random_unranked_tree
+from tests.conftest import random_unranked_tree
 
 
 class TestRecords:
@@ -150,6 +150,12 @@ class TestPaging:
 
 
 class TestBuildAndOpen:
+    @pytest.mark.parametrize("record_size", [1, 0, -2, 2.0, True], ids=repr)
+    def test_record_size_that_cannot_hold_a_tag_is_refused_before_any_file(self, tmp_path, record_size):
+        with pytest.raises(StorageError, match=r"record_size must be an integer >= 2"):
+            build_database("<a><b/></a>", str(tmp_path / "doc"), record_size=record_size)
+        assert os.listdir(tmp_path) == []
+
     def test_build_from_xml_and_reload(self, tmp_path):
         document = "<gene><seq>ACG</seq><seq>T</seq></gene>"
         base = str(tmp_path / "genes")
@@ -229,45 +235,40 @@ class TestBuildAndOpen:
         assert reloaded.second_child == expected.second_child
 
 
-LOOPS = ("python", "numpy")
-
-
-@pytest.mark.parametrize("loop", LOOPS)
 class TestScans:
-    """Proposition 5.1 on the real scan pair, for both loops: each phase is
-    one linear scan whose stack is bounded by the depth of the XML tree."""
+    """Proposition 5.1 on the real scan pair: each phase is one linear scan
+    whose stack is bounded by the depth of the XML tree."""
 
-    def scan_pair(self, base: str, loop: str):
+    def scan_pair(self, base: str):
         database = Database.open(base)
         database.plan_cache = PlanCache()
-        with on_loop(loop):
-            batch = database.query_many(["QUERY :- V.Root;"])
+        batch = database.query_many(["QUERY :- V.Root;"])
         # Single-page files: nothing is skipped, so the depths are exact.
-        assert (batch.loop, batch[0].selected_nodes()) == (loop, [0])
+        assert batch[0].selected_nodes() == [0]
         return batch
 
-    def test_scan_stack_depth_bound_flat_document(self, tmp_path, loop):
+    def test_scan_stack_depth_bound_flat_document(self, tmp_path):
         # 200 children under one root: binary depth 200, XML depth 1.
         base = str(tmp_path / "db")
         build_database("<r>" + "<c/>" * 200 + "</r>", base)
-        batch = self.scan_pair(base, loop)
+        batch = self.scan_pair(base)
         assert 1 <= batch.phase1_stack_depth <= 2
         assert batch.phase2_stack_depth <= 2
 
-    def test_scan_stack_depth_bound_matches_proposition_5_1(self, tmp_path, loop):
+    def test_scan_stack_depth_bound_matches_proposition_5_1(self, tmp_path):
         rng = random.Random(5)
         for index in range(5):
             tree = random_unranked_tree(rng, max_nodes=120)
             base = str(tmp_path / f"p51-{index}")
             build_database(tree, base)
-            batch = self.scan_pair(base, loop)
+            batch = self.scan_pair(base)
             assert 1 <= batch.phase1_stack_depth <= tree.depth() + 1
             assert batch.phase2_stack_depth <= tree.depth() + 1
 
-    def test_single_linear_scan(self, tmp_path, loop):
+    def test_single_linear_scan(self, tmp_path):
         base = str(tmp_path / "db")
         build_database("<a><b/><c/></a>", base)
-        batch = self.scan_pair(base, loop)
+        batch = self.scan_pair(base)
         # One seek per scan: the backward one of phase 1, the forward one of
         # phase 2 (and one more for the state file read in between).
         assert (batch.arb_io.seeks, batch.state_io.seeks) == (2, 1)
