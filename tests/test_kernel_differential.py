@@ -276,6 +276,29 @@ def test_unmemoised_plans_match_memoised(tmp_path):
     assert [_automaton_stats(r)[:2] for r in unmemoised] == [(n, n - 1)] * len(_FIXED_BATCH)
 
 
+def test_unmemoised_plans_skip_the_pages_memoised_plans_skip(tmp_path):
+    """The ablation is a branch inside the same per-segment loop: with the
+    sidecar, unmemoised plans skip the same noise pages as memoised ones and
+    recompute one bottom-up transition per scanned node, none per skipped one."""
+    document = "<r>" + "<b><a/></b>" * 40 + "<n0>" + "<n1/>" * 2000 + "</n0></r>"
+    database = _build(document, str(tmp_path))
+    batch = ["QUERY :- V.Label[a];", "QUERY :- V.Label[b];"]
+    memoised = database.query_many(batch, memoize=True)
+    unmemoised = database.query_many(batch, memoize=False)
+    with sidecars_hidden(tmp_path):
+        full = database.query_many(batch, memoize=False)
+    assert _answers(unmemoised) == _answers(memoised) == _answers(full)
+    assert [r.counts for r in unmemoised] == [{"QUERY": 40}] * 2
+    assert unmemoised.arb_io == memoised.arb_io
+    assert unmemoised.arb_io.pages_read < full.arb_io.pages_read
+    scanned = _scanned_nodes(database, batch)
+    assert scanned < database.n_nodes
+    assert unmemoised.state_file_bytes == memoised.state_file_bytes == 4 * scanned
+    # Plus the four that find a plan's neutral state s* on its first run:
+    # the leaf state, then its three child-shape fixed-point checks.
+    assert [r.statistics.bu_transitions for r in unmemoised] == [scanned + 4] * 2
+
+
 def test_a_composite_key_overflow_raises_rather_than_collides(tmp_path, monkeypatch):
     """The loop's one bound is on distinct record symbols and composite
     states, never on nodes: below the packing base the answers are exact,

@@ -6,7 +6,9 @@ the page being decoded.  The disk loop is held to it with ``tracemalloc``:
 the peak of a warm batch (automata already built, no selected nodes
 collected) is the same for an 8 k- and a 64 k-node document of depth 3,
 and it grows with depth on a document of about 2 k levels.  The pages are
-4 KiB so both document sizes decode in spans of the same length.
+4 KiB so both document sizes decode in spans of the same length; the size
+bound is checked at the default record size and at one without an array
+typecode.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import tracemalloc
 
 from repro.engine import Database
 from repro.plan.cache import PlanCache
+from repro.storage.build import build_database
+from repro.storage.records import DEFAULT_RECORD_SIZE
 
 PAGE_SIZE = 4096
 
@@ -42,8 +46,10 @@ def _deep(levels: int, n_nodes: int) -> str:
     return "<r>" + padding + "<a>" * levels + "</a><b/>" * levels + "</r>"
 
 
-def _warm_peak(tmp_path, name: str, document: str):
-    database = Database.build(document, str(tmp_path / name), page_size=PAGE_SIZE)
+def _warm_peak(tmp_path, name: str, document: str, record_size: int = DEFAULT_RECORD_SIZE):
+    base = str(tmp_path / name)
+    build_database(document, base, record_size=record_size, page_size=PAGE_SIZE)
+    database = Database.open(base, page_size=PAGE_SIZE)
     database.plan_cache = PlanCache()
     database.query_many(BATCH, collect_selected_nodes=False)
     tracemalloc.start()
@@ -58,6 +64,15 @@ def _warm_peak(tmp_path, name: str, document: str):
 def test_peak_memory_does_not_grow_with_the_document(tmp_path):
     small, small_batch = _warm_peak(tmp_path, "small", _flat(8_000))
     large, large_batch = _warm_peak(tmp_path, "large", _flat(64_000))
+    assert small_batch.phase1_stack_depth == large_batch.phase1_stack_depth
+    assert abs(large - small) < SIZE_SLACK, (small, large)
+
+
+def test_peak_memory_does_not_grow_with_the_document_without_a_typecode(tmp_path):
+    """3-byte records have no array typecode and decode one span at a time
+    through ``int.from_bytes``: that span, not the document, bounds the peak."""
+    small, small_batch = _warm_peak(tmp_path, "small", _flat(8_000), record_size=3)
+    large, large_batch = _warm_peak(tmp_path, "large", _flat(64_000), record_size=3)
     assert small_batch.phase1_stack_depth == large_batch.phase1_stack_depth
     assert abs(large - small) < SIZE_SLACK, (small, large)
 
