@@ -14,8 +14,9 @@ Subcommands
     selected nodes marked, ``--ids`` prints the selected node ids.
 
     ``--engine {auto,memory,disk,streaming,fixpoint}`` forces an execution
-    backend (default: the planner's automatic choice, which e.g. routes
-    predicate-free downward XPath paths to the one-scan streaming engine).
+    backend (default ``auto``: the two-scan disk evaluation for an `.arb`
+    database, the memory backend for an XML file; ``streaming`` is the
+    one-pass baseline for predicate-free downward XPath paths).
     ``-q`` / ``-f`` / ``-x`` may be repeated together with ``--batch``: the
     batch is evaluated over an on-disk database with a **single** pair of
     linear scans of the `.arb` file, however many queries it holds.
@@ -138,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="XPath expression, supported fragment (repeatable with --batch)")
     query.add_argument("--query-predicate", help="IDB predicate to report (default: QUERY/first head)")
     query.add_argument("--engine", choices=("auto", "memory", "disk", "streaming", "fixpoint"),
-                       default="auto", help="execution backend (default: planner's choice)")
+                       default="auto", help="execution backend (default: disk scans on disk, else memory)")
     query.add_argument("--batch", action="store_true",
                        help="evaluate all given queries together "
                             "(on disk: one pair of linear scans for the whole batch)")
@@ -201,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     cquery.add_argument("--query-predicate",
                         help="IDB predicate to report (default: QUERY/first head)")
     cquery.add_argument("--engine", choices=("auto", "memory", "disk", "streaming", "fixpoint"),
-                        default="auto", help="execution backend (default: planner's choice)")
+                        default="auto", help="execution backend (default: the disk scan pair)")
     cquery.add_argument("--batch", action="store_true",
                         help="evaluate all given queries together "
                              "(one lockstep scan pair per document)")
@@ -366,9 +367,9 @@ def _run_batch_query(database: Database, queries: list[str], language: str,
         if args.ids:
             print("      " + " ".join(str(node) for node in result.selected_nodes(predicate)))
     arb = batch.arb_io
-    if batch.backend == "disk-batch":
-        # Only the lockstep batch executor guarantees one scan pair; the
-        # per-query fallback paths do one (or two) scans per query.
+    if batch.backend == "disk":
+        # Only the lockstep scan pair reads the file twice for the whole
+        # batch; the per-plan backends scan once (streaming) or never per query.
         print(f".arb file I/O   : {arb.pages_read} pages / {arb.bytes_read} bytes read "
               f"in {arb.seeks} linear scans (independent of batch size)")
         print(f"state file      : {batch.state_file_bytes} bytes "

@@ -339,8 +339,9 @@ class Collection:
 
         Per document, the batch rides the lockstep disk evaluator (one
         backward plus one forward scan of that document's `.arb` file,
-        independent of ``k``); a single query under ``engine=None``/"auto"
-        goes through the planner and may use the one-scan streaming backend.
+        independent of ``k``), as :meth:`Database.query_many
+        <repro.engine.Database.query_many>` does; :meth:`query` is a batch of
+        one.
         See :mod:`repro.collection.executor` for the ``executor`` semantics.
         """
         options = ExecutionOptions(

@@ -27,11 +27,10 @@ and evaluates every shard on a pool:
     serves repeated collection-level calls.
 
 Whatever the pool, each document is evaluated by the one plan dispatcher,
-:meth:`Database.execute_plans <repro.engine.Database.execute_plans>`: a
-batch (or a forced ``disk`` engine) runs on one backward plus one forward
-scan of the document's `.arb` file for the *whole* batch, while a single
-streamable XPath path under ``auto`` is handed to the planner, which routes
-it to the one-scan streaming backend.
+:meth:`Database.execute_plans <repro.engine.Database.execute_plans>`, exactly
+as :meth:`Database.query_many <repro.engine.Database.query_many>` would: under
+``auto`` or ``disk`` one backward plus one forward scan of the document's
+`.arb` file for the *whole* batch, a single query being a batch of one.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from repro.errors import EvaluationError
 from repro.plan.batch import evaluate_batch_on_disk  # noqa: F401
 from repro.plan.cache import PlanCache
 from repro.plan.options import ExecutionOptions
-from repro.plan.planner import AUTO_ENGINE
 from repro.storage.bufferpool import resolve_pager
 from repro.storage.paging import IOStatistics
 from repro.tmnf.program import TMNFProgram
@@ -148,15 +146,7 @@ def _evaluate_document(doc_id: str, database, task: _ShardTask) -> DocumentQuery
         database.plan(query, language=task.language, query_predicate=task.query_predicate)
         for query in task.queries
     ))
-    # A single streamable query is the planner's territory (it can halve the
-    # I/O with the one-scan streaming backend); everything else batches: one
-    # backward + one forward scan however many queries.
-    planner = (
-        len(plans) == 1
-        and plans[0].streaming_query is not None
-        and task.options.engine in (None, AUTO_ENGINE)
-    )
-    batch = database.execute_plans(plans, task.options, hits=hits, planner=planner)
+    batch = database.execute_plans(plans, task.options, hits=hits)
     return DocumentQueryResult(
         doc_id=doc_id,
         shard_index=task.shard_index,

@@ -7,21 +7,20 @@ library.  Query evaluation is organised in a **plan layer**
 lazily-memoised bottom-up/top-down automaton tables), cached in a keyed
 :class:`~repro.plan.cache.PlanCache` -- so repeated and structurally-equal
 queries reuse every transition computed so far, across calls *and across
-documents* -- and executed by a pluggable backend:
+documents* -- and executed:
 
-* ``memory`` -- :class:`~repro.core.two_phase.TwoPhaseEvaluator` over the
-  in-memory binary tree;
-* ``disk`` -- :func:`~repro.plan.batch.evaluate_batch_on_disk` with a batch
-  of one, i.e. two linear scans of the `.arb` file and a temporary state
-  file, never materialising the tree;
-* ``streaming`` -- one-pass lazy-DFA evaluation for predicate-free downward
-  XPath paths (a single linear scan, on disk or in memory);
-* ``fixpoint`` -- the naive datalog fixpoint (reference semantics).
-
-A small planner picks the cheapest capable backend automatically; ``engine=``
-forces one.  :meth:`Database.query_many` evaluates *k* queries over an
-on-disk database in a **single pair of linear scans** by running the k
-bottom-up automata in lockstep per node.
+* on disk, by default or with ``engine="disk"``, through
+  :func:`~repro.plan.batch.evaluate_batch_on_disk`: two linear scans of the
+  `.arb` file and a temporary state file, never materialising the tree.
+  :meth:`Database.query` is a batch of one; :meth:`Database.query_many`
+  runs *k* queries in the **same single pair of linear scans** by running
+  the k bottom-up automata in lockstep per node;
+* otherwise plan by plan, on a backend of :mod:`repro.plan.backends`:
+  ``memory`` (:class:`~repro.core.two_phase.TwoPhaseEvaluator` over the
+  in-memory binary tree; the default in memory), ``streaming`` (the
+  one-pass lazy-DFA baseline for predicate-free downward XPath paths, only
+  when named) or ``fixpoint`` (the naive datalog fixpoint, reference
+  semantics).
 
 Queries can be written in TMNF / caterpillar syntax (the native language) or
 in the supported XPath fragment (translated to TMNF first).
@@ -40,12 +39,12 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.errors import EvaluationError, StorageError
+from repro.plan.backends import AUTO_ENGINE, BACKENDS
 from repro.plan.batch import evaluate_batch_on_disk
 from repro.plan.cache import PlanCache, default_plan_cache
 from repro.plan.locks import plans_locked
 from repro.plan.options import ExecutionOptions
 from repro.plan.plan import QueryPlan, compile_query
-from repro.plan.planner import AUTO_ENGINE, choose_backend
 from repro.plan.result import BatchQueryResult, QueryResult
 from repro.storage.build import build_database
 from repro.storage.database import ArbDatabase
@@ -355,18 +354,18 @@ class Database:
         """Evaluate a node-selecting query and return the selected nodes.
 
         ``engine`` selects the execution backend (``"memory"``, ``"disk"``,
-        ``"streaming"``, ``"fixpoint"``, or ``"auto"``/``None`` for the
-        planner's choice); it is an error to name a backend that cannot run
-        this query on this database.  ``engine="disk"`` is a lockstep batch
-        of one: the same scan pair, page skipping and loop as
-        ``query_many([query])``.
+        ``"streaming"``, ``"fixpoint"``, or ``"auto"``/``None`` for the disk
+        scan pair on disk and ``memory`` otherwise); it is an error to name a
+        backend that cannot run this query on this database.  On disk the
+        default is a lockstep batch of one: the same scan pair, page skipping
+        and loop as ``query_many([query])``.
         """
         options = ExecutionOptions(engine=engine, temp_dir=temp_dir)
         plan, hit = self.plan(
             query, language=language, query_predicate=query_predicate, memoize=memoize
         )
         return self.execute_plans(
-            [plan], options, hits=[hit], planner=True, keep_true_predicates=keep_true_predicates
+            [plan], options, hits=[hit], keep_true_predicates=keep_true_predicates
         )[0]
 
     def query_many(
@@ -408,20 +407,19 @@ class Database:
         options: ExecutionOptions,
         *,
         hits: Sequence[bool | None] = (),
-        planner: bool = False,
         keep_true_predicates: bool = False,
     ) -> BatchQueryResult:
         """Run compiled ``plans`` over this database: the one plan dispatcher.
 
         :meth:`query`, :meth:`query_many`, the collection shard worker and
-        the query service all end here.  An on-disk database under
-        ``options.engine`` of ``None``/``"auto"``/``"disk"`` runs the whole
-        list as **one** lockstep scan pair
-        (:func:`~repro.plan.batch.evaluate_batch_on_disk`); anything else --
-        and everything when ``planner`` is set, which is how :meth:`query`
-        and a collection's single streamable query ask for the planner's
-        per-query choice -- runs plan by plan on
-        :func:`~repro.plan.planner.choose_backend`'s pick.
+        the query service all end here, and the engine is picked once per
+        call.  An on-disk database under ``options.engine`` of
+        ``None``/``"auto"``/``"disk"`` runs the whole list as **one** lockstep
+        scan pair (:func:`~repro.plan.batch.evaluate_batch_on_disk`) -- a
+        single query is a batch of one.  Anything else runs plan by plan on
+        the named backend of :data:`~repro.plan.backends.BACKENDS`, ``auto``
+        meaning ``memory`` (in memory, or when ``keep_true_predicates`` asks
+        for per-node predicate sets, which neither scan can produce).
 
         The plans' execution locks (:mod:`repro.plan.locks`) are held
         throughout, so callers on any number of threads may share cached
@@ -430,17 +428,27 @@ class Database:
         them untouched).
         """
         disk = self._disk
-        engine = options.engine
+        engine = options.engine or AUTO_ENGINE
+        backend = None  # the lockstep scan pair
+        if disk is None or keep_true_predicates or engine not in (AUTO_ENGINE, "disk"):
+            if engine == "disk" and disk is None:
+                raise EvaluationError("engine 'disk' cannot execute this query on this database")
+            if engine == "disk":
+                raise EvaluationError(
+                    "the disk backend cannot report per-node true-predicate sets; "
+                    "use engine='memory' (or 'auto') with keep_true_predicates"
+                )
+            backend = BACKENDS.get("memory" if engine == AUTO_ENGINE else engine)
+            if backend is None:
+                names = ", ".join(sorted([*BACKENDS, "disk"]))
+                raise EvaluationError(f"unknown engine {engine!r} (use one of: {names}, auto)")
         with plans_locked(plans):
-            if not planner and disk is not None and engine in (None, AUTO_ENGINE, "disk"):
+            if backend is None:
                 batch = evaluate_batch_on_disk(plans, disk, options)
             else:
-                batch = BatchQueryResult(results=[])
+                batch = BatchQueryResult(results=[], backend=backend.name)
                 totals = batch.statistics
                 for plan in plans:
-                    backend = choose_backend(
-                        plan, self, engine=engine, keep_true_predicates=keep_true_predicates
-                    )
                     result = backend.execute(
                         plan, self, options, keep_true_predicates=keep_true_predicates
                     )
@@ -453,13 +461,10 @@ class Database:
                     totals.bu_transitions += stats.bu_transitions
                     totals.td_transitions += stats.td_transitions
                     totals.selected += stats.selected
-                    if result.io is not None:
-                        # memory/fixpoint report zero I/O; streaming reads
-                        # only the `.arb` file (one forward scan).
-                        batch.arb_io.add(result.io)
+                    # memory/fixpoint report zero I/O; streaming reads only
+                    # the `.arb` file (one forward scan).
+                    batch.arb_io.add(result.io)
                 totals.nodes = self.n_nodes
-                names = {result.backend for result in batch.results}
-                batch.backend = names.pop() if len(names) == 1 else "mixed"
         if disk is not None:
             batch.snapshot = (disk.generation, disk.change_counter)
         for hit, result in zip(hits, batch.results):

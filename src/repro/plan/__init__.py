@@ -9,17 +9,17 @@ This package separates *query compilation* from *query execution*:
 * :class:`~repro.plan.cache.PlanCache` keys plans by query source text and
   by the structural form of the compiled program, so structurally-equal
   queries share one plan;
-* the execution backends in :mod:`repro.plan.backends`
-  (``memory`` / ``disk`` / ``streaming`` / ``fixpoint``) run a plan against
-  a database, and :func:`~repro.plan.planner.choose_backend` picks the
-  cheapest capable one;
 * :mod:`repro.plan.batch` evaluates *k* plans over an on-disk database in a
   **single pair of linear scans** by running the k bottom-up automata in
-  lockstep per node.
+  lockstep per node -- the ``disk`` engine and the default route on disk,
+  for a batch of one as for a batch of many;
+* the per-plan backends in :mod:`repro.plan.backends`
+  (``memory`` / ``streaming`` / ``fixpoint``) run one plan at a time: the
+  default route in memory, and whatever ``engine=`` names explicitly.
 """
 
 from repro.plan.backends import (
-    DiskBackend,
+    BACKENDS,
     ExecutionBackend,
     FixpointBackend,
     MemoryBackend,
@@ -29,7 +29,6 @@ from repro.plan.batch import evaluate_batch_on_disk
 from repro.plan.cache import PlanCache, default_plan_cache
 from repro.plan.options import ExecutionOptions
 from repro.plan.plan import QueryPlan, compile_query
-from repro.plan.planner import BACKENDS, choose_backend
 from repro.plan.result import BatchQueryResult, QueryResult
 
 __all__ = [
@@ -41,11 +40,9 @@ __all__ = [
     "BatchQueryResult",
     "ExecutionBackend",
     "MemoryBackend",
-    "DiskBackend",
     "StreamingBackend",
     "FixpointBackend",
     "BACKENDS",
-    "choose_backend",
     "evaluate_batch_on_disk",
     "ExecutionOptions",
 ]

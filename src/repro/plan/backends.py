@@ -1,4 +1,4 @@
-"""Pluggable execution backends for query plans.
+"""The per-plan execution backends, and the one table that names them.
 
 Every backend turns ``(plan, database)`` into a
 :class:`~repro.plan.result.QueryResult` with the same answer semantics (the
@@ -7,19 +7,23 @@ least model of the TMNF program); they differ in access pattern and cost:
 ``memory``
     The two-phase evaluator (Algorithm 4.6) over the in-memory binary tree;
     materialises the tree from disk first if necessary.
-``disk``
-    The two linear scans of Section 5 over the `.arb` file -- a batch of one
-    through :func:`~repro.plan.batch.evaluate_batch_on_disk`; never
-    materialises the tree, and so cannot report per-node predicate sets.
 ``streaming``
-    The one-pass lazy-DFA engine, available only for plans whose source was
-    a predicate-free downward XPath path.  Over an on-disk database this
-    reads the `.arb` file **once** (SAX events are reconstructed from the
-    child flags during a single forward scan) -- half the I/O of the disk
-    backend -- and over an in-memory tree it streams the tree's SAX events.
+    The one-pass lazy-DFA engine (the baseline the paper argues against),
+    available only for plans with a predicate-free downward XPath spelling.
+    Over an on-disk database it reads the `.arb` file **once** (SAX events
+    are reconstructed from the child flags during a single forward scan) --
+    half the pages of the disk scan pair, but slower: on dblp-1m, warm,
+    ``//book`` takes 1250 ms against the disk pair's 49 ms and
+    ``//inproceedings/title`` 951 ms against 521 ms.  Over an in-memory tree
+    it streams the tree's SAX events.
 ``fixpoint``
     The semi-naive datalog fixpoint (reference semantics); needs the tree
     in memory and touches nodes an unbounded number of times.
+
+The ``disk`` engine is not a backend here: it is the lockstep scan pair
+:func:`~repro.plan.batch.evaluate_batch_on_disk`, which
+:meth:`Database.execute_plans <repro.engine.Database.execute_plans>` runs on
+the whole plan list at once (a single query is a batch of one).
 
 Backends hold no state: all memoisation lives in the plan, so a warm plan
 executes with zero recompiled automaton transitions on any backend.
@@ -31,8 +35,7 @@ import time
 from typing import TYPE_CHECKING
 
 from repro.baselines.datalog import evaluate_fixpoint
-from repro.errors import EvaluationError
-from repro.plan.batch import evaluate_batch_on_disk
+from repro.errors import EvaluationError, XPathSyntaxError, XPathUnsupportedError
 from repro.plan.result import QueryResult
 from repro.storage.paging import IOStatistics
 
@@ -42,21 +45,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.plan.plan import QueryPlan
 
 __all__ = [
+    "AUTO_ENGINE",
+    "BACKENDS",
     "ExecutionBackend",
     "MemoryBackend",
-    "DiskBackend",
     "StreamingBackend",
     "FixpointBackend",
 ]
+
+#: Engine name of the default route: the disk scan pair on disk, else memory.
+AUTO_ENGINE = "auto"
 
 
 class ExecutionBackend:
     """Interface of an execution backend (stateless; safe to share)."""
 
     name = "abstract"
-
-    def can_execute(self, plan: "QueryPlan", database: "Database") -> bool:
-        raise NotImplementedError
 
     def execute(
         self,
@@ -77,9 +81,6 @@ class MemoryBackend(ExecutionBackend):
 
     name = "memory"
 
-    def can_execute(self, plan: "QueryPlan", database: "Database") -> bool:
-        return True  # a disk database can always be materialised
-
     def execute(self, plan, database, options, *, keep_true_predicates=False):
         plan.begin_run()
         evaluation = plan.evaluator.evaluate(
@@ -97,50 +98,20 @@ class MemoryBackend(ExecutionBackend):
         )
 
 
-class DiskBackend(ExecutionBackend):
-    """Two linear scans of the `.arb` file (Section 5); tree never in memory."""
-
-    name = "disk"
-
-    def can_execute(self, plan: "QueryPlan", database: "Database") -> bool:
-        return database.is_on_disk
-
-    def execute(self, plan, database, options, *, keep_true_predicates=False):
-        if database.disk is None:
-            raise EvaluationError("cannot force disk evaluation: database is in memory")
-        if keep_true_predicates:
-            raise EvaluationError(
-                "the disk backend cannot report per-node true-predicate sets; "
-                "use engine='memory' (or 'auto') with keep_true_predicates"
-            )
-        # A single query is a batch of one.
-        result = evaluate_batch_on_disk([plan], database.disk, options)[0]
-        result.backend = self.name
-        return result
-
-
 class StreamingBackend(ExecutionBackend):
     """One-pass lazy-DFA evaluation of predicate-free downward path queries."""
 
     name = "streaming"
 
-    def can_execute(self, plan: "QueryPlan", database: "Database") -> bool:
-        return plan.streaming_query is not None
-
     def execute(self, plan, database, options, *, keep_true_predicates=False):
         from repro.tree.xml_io import tree_to_sax_events
 
-        engine = plan.streaming_engine
-        if engine is None:
-            raise EvaluationError(
-                "query cannot run on the streaming backend "
-                "(it is not a predicate-free downward XPath path)"
-            )
         if keep_true_predicates:
             raise EvaluationError(
                 "the streaming backend cannot report per-node true-predicate "
                 "sets; use engine='memory' (or 'auto') with keep_true_predicates"
             )
+        engine = _streaming_engine(plan)
         stats = plan.begin_run()
         io = IOStatistics()
         transitions_before = engine.dfa_transitions_computed
@@ -175,9 +146,6 @@ class FixpointBackend(ExecutionBackend):
 
     name = "fixpoint"
 
-    def can_execute(self, plan: "QueryPlan", database: "Database") -> bool:
-        return True
-
     def execute(self, plan, database, options, *, keep_true_predicates=False):
         stats = plan.begin_run()
         started = time.perf_counter()
@@ -199,3 +167,35 @@ class FixpointBackend(ExecutionBackend):
             true_predicates=true_predicates,
             backend=self.name,
         )
+
+
+def _streaming_engine(plan: "QueryPlan"):
+    """The plan's one-pass engine, compiled from its XPath spelling on first use.
+
+    Like the automaton tables, the engine's lazily determinised DFA is kept
+    on the plan, so it survives across executions and documents.  A refusal
+    is not kept: the plan may gain an XPath spelling later (see
+    :meth:`PlanCache.lookup <repro.plan.cache.PlanCache.lookup>`).
+    """
+    if plan.streaming_engine is None:
+        from repro.streaming.engine import StreamingEngine, StreamPathQuery
+
+        try:
+            query = StreamPathQuery(plan.source) if plan.language == "xpath" else None
+        except (XPathSyntaxError, XPathUnsupportedError):
+            query = None
+        if query is None:
+            raise EvaluationError(
+                "engine 'streaming' cannot execute this query "
+                "(it is not a predicate-free downward XPath path)"
+            )
+        plan.streaming_engine = StreamingEngine(query)
+    return plan.streaming_engine
+
+
+#: The per-plan backends by engine name (``disk`` and ``auto`` are routed by
+#: :meth:`Database.execute_plans <repro.engine.Database.execute_plans>`).
+BACKENDS: dict[str, ExecutionBackend] = {
+    backend.name: backend
+    for backend in (MemoryBackend(), StreamingBackend(), FixpointBackend())
+}

@@ -8,9 +8,10 @@ top-down automata in lockstep while reading the state file backwards.  The
 `.arb` file is therefore read exactly twice -- once per phase -- no matter
 how many queries the batch holds, which the separate ``arb_io`` counter
 proves, and the state file is the paper's "four bytes per node" for a batch
-as for one query.  A single query is a batch of one: the ``disk`` backend
-(:class:`~repro.plan.backends.DiskBackend`) calls
-:func:`evaluate_batch_on_disk` with one plan.  The scan pair itself is
+as for one query.  This is the ``disk`` engine and the default route on
+disk for every caller: a single query is a batch of one
+(:meth:`Database.execute_plans <repro.engine.Database.execute_plans>`).
+The scan pair itself is
 :mod:`repro.plan.kernel`; this module sets it up, plans the skips and
 assembles the results.
 
@@ -158,7 +159,7 @@ def evaluate_batch_on_disk(
                 counts=plan_counts,
                 statistics=stats,
                 io=total_io,
-                backend="disk-batch",
+                backend="disk",
             )
         )
     for plan in unique_plans:
@@ -175,7 +176,7 @@ def evaluate_batch_on_disk(
         state_file_bytes=state_file_bytes,
         phase1_stack_depth=phase1_depth,
         phase2_stack_depth=phase2_depth,
-        backend="disk-batch",
+        backend="disk",
     )
 
 

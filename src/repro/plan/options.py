@@ -22,7 +22,7 @@ __all__ = ["ExecutionOptions"]
 class ExecutionOptions:
     """How to run compiled plans over one database (immutable, picklable)."""
 
-    #: Backend name; ``None`` / ``"auto"`` leaves the choice to the planner.
+    #: Backend name; ``None`` / ``"auto"``: the disk scan pair on disk, else memory.
     engine: str | None = None
     #: Directory of the temporary state file (default: beside the database).
     temp_dir: str | None = None

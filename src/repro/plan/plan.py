@@ -9,10 +9,10 @@ lives as long as the :class:`~repro.plan.cache.PlanCache` keeps it.  It owns
   lazily-materialised automata -- shared by **all** executions of the plan,
   over any document, so a transition is computed at most once per plan
   lifetime, and
-* for XPath queries, the compiled one-pass
-  :class:`~repro.streaming.engine.StreamPathQuery` when the expression is a
-  predicate-free downward path (``None`` otherwise), which lets the planner
-  route such queries to the single-scan streaming backend.
+* once ``engine="streaming"`` has run it, the one-pass
+  :class:`~repro.streaming.engine.StreamingEngine` compiled from the plan's
+  XPath spelling, whose lazy DFA persists the same way
+  (:mod:`repro.plan.backends` builds it; no other route needs it).
 
 Per-execution statistics are separated from the persistent tables with
 :meth:`QueryPlan.begin_run`: it installs a fresh
@@ -24,7 +24,7 @@ transitions.
 from __future__ import annotations
 
 from repro.core.two_phase import EvaluationStatistics, TwoPhaseEvaluator
-from repro.errors import EvaluationError, XPathSyntaxError, XPathUnsupportedError
+from repro.errors import EvaluationError
 from repro.tmnf.program import TMNFProgram
 
 __all__ = ["QueryPlan", "compile_query", "structural_key_of"]
@@ -63,18 +63,6 @@ def compile_query(
     raise EvaluationError(f"unknown query language: {language!r} (use 'tmnf' or 'xpath')")
 
 
-def _try_stream_compile(source: str | None, language: str):
-    """Compile ``source`` for the one-pass streaming engine, if it qualifies."""
-    if language != "xpath" or not isinstance(source, str):
-        return None
-    from repro.streaming.engine import StreamPathQuery
-
-    try:
-        return StreamPathQuery(source)
-    except (XPathSyntaxError, XPathUnsupportedError):
-        return None
-
-
 class QueryPlan:
     """A compiled query and the memoised automata that execute it."""
 
@@ -91,8 +79,8 @@ class QueryPlan:
         self.language = language
         self.memoize = memoize
         self.evaluator = TwoPhaseEvaluator(program, memoize=memoize)
-        self.streaming_query = _try_stream_compile(self.source, language)
-        self._streaming_engine = None
+        #: The one-pass engine, built on the first ``engine="streaming"`` run.
+        self.streaming_engine = None
         #: Number of times the plan has been executed (any backend).
         self.executions = 0
 
@@ -126,21 +114,6 @@ class QueryPlan:
         return self.evaluator.reset_stats()
 
     @property
-    def streaming_engine(self):
-        """A persistent one-pass engine for streamable plans (``None`` otherwise).
-
-        Like the automaton tables, the engine's lazily-determinised DFA is
-        part of the plan: it survives across executions and documents.
-        """
-        if self.streaming_query is None:
-            return None
-        if self._streaming_engine is None:
-            from repro.streaming.engine import StreamingEngine
-
-            self._streaming_engine = StreamingEngine(self.streaming_query)
-        return self._streaming_engine
-
-    @property
     def n_cached_bu_transitions(self) -> int:
         """Bottom-up transitions accumulated over the plan's lifetime."""
         return self.evaluator.n_bottom_up_transitions
@@ -151,8 +124,7 @@ class QueryPlan:
         return self.evaluator.n_top_down_transitions
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        streaming = ", streamable" if self.streaming_query is not None else ""
         return (
             f"QueryPlan({self.program!r}, language={self.language}, "
-            f"executions={self.executions}{streaming})"
+            f"executions={self.executions})"
         )

@@ -33,7 +33,7 @@ class QueryResult:
     io: IOStatistics | None = None
     true_predicates: list[frozenset[str]] | None = None
     #: Name of the execution backend that produced this result
-    #: (``memory`` / ``disk`` / ``streaming`` / ``fixpoint`` / ``disk-batch``).
+    #: (``memory`` / ``disk`` / ``streaming`` / ``fixpoint``).
     backend: str | None = None
 
     def selected_nodes(self, predicate: str | None = None) -> list[int]:

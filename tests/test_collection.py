@@ -138,19 +138,23 @@ def test_process_workers_share_plans_within_each_shard(corpus):
 # --------------------------------------------------------------------------- #
 
 
-def test_single_streamable_xpath_uses_the_streaming_backend(corpus):
+def test_single_streamable_xpath_is_a_batch_of_one(corpus):
     result = corpus.query("//a", language="xpath", n_workers=2)
-    for doc in result:
-        assert doc.backend == "streaming"
-        assert doc.arb_io.seeks == 1  # one forward scan, no state file
-        assert doc.state_file_bytes == 0
+    streamed = corpus.query("//a", language="xpath", engine="streaming", n_workers=2)
+    for doc, baseline in zip(result, streamed):
+        assert doc.backend == "disk"
+        assert doc.arb_io.seeks == 2  # the scan pair, like any batch
+        assert doc.state_file_bytes > 0
+        assert baseline.backend == "streaming"
+        assert baseline.arb_io.seeks == 1  # one forward scan, no state file
+        assert baseline.state_file_bytes == 0
     reference = {
         doc_id: corpus.open_database(doc_id).query(
             "//a", language="xpath", engine="memory"
         ).selected_nodes()
         for doc_id in corpus.doc_ids
     }
-    assert result.selected_nodes() == reference
+    assert result.selected_nodes() == streamed.selected_nodes() == reference
 
 
 def test_forced_memory_engine(corpus):

@@ -1,4 +1,4 @@
-"""Tests for the query-plan layer: caching, backends, planner and batches."""
+"""Tests for the query-plan layer: caching, backends, routing and batches."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from repro import Database, TMNFProgram
 from repro.cli import main as cli_main
 from repro.datasets.treebank import TAGS, generate_treebank
 from repro.errors import EvaluationError
-from repro.plan import PlanCache, QueryPlan, choose_backend, default_plan_cache
+from repro.plan import PlanCache, QueryPlan, default_plan_cache
 from repro.storage.paging import IOStatistics
 from repro.tree.xml_io import parse_xml, tree_to_sax_events
 
@@ -119,8 +119,8 @@ class TestBackendsAndPlanner:
         assert memory.query(BOOK_QUERY).backend == "memory"
         disk = _disk_database(tmp_path)
         assert disk.query(BOOK_QUERY).backend == "disk"
-        # Predicate-free downward XPath over disk goes to the one-scan engine.
-        assert disk.query("//book", language="xpath").backend == "streaming"
+        # Predicate-free downward XPath is a batch of one like any query.
+        assert disk.query("//book", language="xpath").backend == "disk"
         # ... but per-node predicate sets need the tree in memory.
         kept = disk.query("//book", language="xpath", keep_true_predicates=True)
         assert kept.backend == "memory"
@@ -198,13 +198,43 @@ class TestBackendsAndPlanner:
         assert isinstance(result.io, IOStatistics)
         assert result.io.bytes_read == 0 and result.io.pages_read == 0
 
-    def test_planner_object_api(self, tmp_path):
+    def test_plan_object_api(self, tmp_path):
         disk = _disk_database(tmp_path)
         plan, hit = disk.plan("//book", language="xpath")
         assert hit is False and isinstance(plan, QueryPlan)
-        assert plan.streaming_query is not None
-        assert choose_backend(plan, disk).name == "streaming"
-        assert choose_backend(plan, disk, engine="disk").name == "disk"
+        assert (plan.source, plan.language, plan.streaming_engine) == ("//book", "xpath", None)
+        disk.query("//book", language="xpath", engine="streaming")
+        assert plan.streaming_engine is not None  # compiled on first use, kept
+
+    def test_plan_cache_miss_never_compiles_the_streaming_query(self, tmp_path, monkeypatch):
+        import repro.streaming.engine
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("StreamPathQuery constructed")
+
+        monkeypatch.setattr(repro.streaming.engine, "StreamPathQuery", refuse)
+        disk = _disk_database(tmp_path)
+        for engine in ("auto", "disk", "memory"):
+            disk.plan_cache = PlanCache()
+            result = disk.query("//book", language="xpath", engine=engine)
+            assert result.statistics.plan_cache_misses == 1
+            assert result.selected_nodes() == [1, 6]
+        with pytest.raises(AssertionError, match="StreamPathQuery constructed"):
+            disk.query("//book", language="xpath", engine="streaming")
+
+    def test_streaming_does_not_depend_on_plan_cache_order(self):
+        from repro.xpath import xpath_to_program
+
+        database = _memory_database()
+        program = xpath_to_program("//book")
+        database.query(program)  # the plan's first spelling is TMNF
+        with pytest.raises(EvaluationError, match="cannot execute"):
+            database.query(program, engine="streaming")
+        # The XPath spelling lands on the same plan and gives it the spelling
+        # the streaming engine needs; the earlier refusal does not stick.
+        result = database.query("//book", language="xpath", engine="streaming")
+        assert result.statistics.plan_cache_hits == 1
+        assert result.count() == 2
 
 
 class TestBatchEvaluation:
@@ -223,7 +253,7 @@ class TestBatchEvaluation:
             single = database.query(query, engine="disk")
             assert result.selected_nodes() == single.selected_nodes()
             assert result.counts == single.counts
-            assert result.backend == "disk-batch"
+            assert result.backend == "disk"
 
     def test_arb_pages_read_is_independent_of_batch_size(self, tmp_path):
         # A document large enough to span several pages of the state file.
@@ -425,7 +455,7 @@ class TestCLIPlanFlags:
             "-q", "QUERY :- V.Label[dvd];",
         ]) == 0
         out = capsys.readouterr().out
-        assert "batch           : 2 queries (disk-batch)" in out
+        assert "batch           : 2 queries (disk)" in out
         assert "independent of batch size" in out
 
     def test_multiple_queries_without_batch_fail(self, tmp_path, capsys):

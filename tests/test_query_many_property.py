@@ -15,8 +15,8 @@ exercised inside the lockstep scan, not just label filters.
 The three entry points that execute a batch -- :meth:`Database.query_many`,
 :meth:`Collection.query_many` and :class:`QueryService` -- are one plan
 dispatcher behind three front doors, so over the same on-disk document they
-must agree on everything they report, whatever execution options are drawn;
-the two routing rules that *do* differ by caller are pinned at the end.
+must agree on everything they report, whatever execution options are drawn,
+and a single query is a batch of one through every one of them.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ def test_database_collection_and_service_agree(batch, tree, engine, use_index, c
         assert [r.counts for r in sharded.results] == [r.counts for r in direct]
         assert sharded.arb_io == direct.arb_io
         assert sharded.state_file_bytes == direct.state_file_bytes
-        assert sharded.backend == direct.backend == ("memory" if engine == "memory" else "disk-batch")
+        assert sharded.backend == direct.backend == ("memory" if engine == "memory" else "disk")
         if not collect:
             assert all(nodes == [] for r in direct for nodes in r.selected.values())
         if engine == "memory":
@@ -206,10 +206,11 @@ def test_every_entry_point_skips_what_a_batch_of_one_skips(document, program):
         assert batch.arb_io.pages_read < 2 * n_pages
 
 
-def test_routing_rules_that_differ_by_caller_are_pinned():
-    """A lone streamable query: planner from ``Collection.query`` and
-    ``Database.query``, lockstep pair from ``Database.query_many`` and the
-    service; an explicit ``engine="disk"`` batches everywhere."""
+def test_a_single_streamable_query_is_a_batch_of_one_everywhere():
+    """No entry point routes a lone predicate-free XPath path anywhere else:
+    ``Database.query``, ``query_many([q])``, ``Collection.query`` and the
+    service all take the one scan pair; only ``engine="streaming"`` takes the
+    one-scan baseline."""
     streamable = "//book/title"
     with tempfile.TemporaryDirectory() as directory:
         collection = Collection.create(f"{directory}/corpus", plan_cache=PlanCache())
@@ -218,22 +219,22 @@ def test_routing_rules_that_differ_by_caller_are_pinned():
         database = collection.open_database(doc_id)
 
         pair = database.query_many([streamable], language="xpath")
-        assert (pair.backend, pair.arb_io.seeks) == ("disk-batch", 2)
-        served = _served(database, [streamable], language="xpath")[0]
-        assert (served.result.backend, served.batch_arb_io) == ("disk-batch", pair.arb_io)
-
-        streamed = collection.query(streamable, language="xpath").document(doc_id)
-        assert (streamed.backend, streamed.arb_io.seeks) == ("streaming", 1)
-        # One forward scan instead of a scan pair: half the pages.
-        assert 2 * streamed.arb_io.pages_read == pair.arb_io.pages_read
-        assert streamed.state_file_bytes == 0
-        assert streamed.selected_nodes() == pair[0].selected_nodes()
+        assert (pair.backend, pair.arb_io.seeks) == ("disk", 2)
         single = database.query(streamable, language="xpath")
-        assert (single.backend, single.io) == ("streaming", streamed.arb_io)
+        sharded = collection.query(streamable, language="xpath").document(doc_id)
+        served = _served(database, [streamable], language="xpath")[0]
+        assert single.backend == sharded.backend == served.result.backend == "disk"
+        assert single.io == pair.io
+        assert sharded.arb_io == served.batch_arb_io == pair.arb_io
+        assert sharded.state_file_bytes == pair.state_file_bytes
+        expected = pair[0].selected_nodes()
+        assert len(expected) == 400
+        assert single.selected_nodes() == sharded.selected_nodes() == expected
+        assert served.result.selected_nodes() == expected
 
-        forced = collection.query(streamable, language="xpath", engine="disk").document(doc_id)
-        assert (forced.backend, forced.arb_io) == ("disk-batch", pair.arb_io)
-        assert database.query_many([streamable], language="xpath", engine="disk").backend == "disk-batch"
-        # Two queries always batch, streamable or not.
-        both = collection.query_many([streamable, "//dvd"], language="xpath").document(doc_id)
-        assert (both.backend, both.arb_io) == ("disk-batch", pair.arb_io)
+        streamed = database.query(streamable, language="xpath", engine="streaming")
+        assert (streamed.backend, streamed.io.seeks) == ("streaming", 1)
+        assert streamed.selected_nodes() == expected
+        forced = collection.query(streamable, language="xpath", engine="streaming").document(doc_id)
+        assert (forced.backend, forced.arb_io.seeks, forced.state_file_bytes) == ("streaming", 1, 0)
+        assert forced.selected_nodes() == expected
