@@ -16,24 +16,35 @@ The scan pair itself is
 assembles the results.
 
 With a generation's ``.idx`` sidecar present (see
-:mod:`repro.storage.pageindex`), both scans additionally *skip* maximal
-self-contained page runs whose labels are disjoint from the batch's
-reachable-label set, whenever every plan maps all-neutral subtrees to a
-single bottom-up state ``s*``:
+:mod:`repro.storage.pageindex`), both scans additionally *skip* page runs
+whose labels are disjoint from the batch's reachable-label set.  Every
+node there is neutral, and when every plan maps all-neutral subtrees to a
+single bottom-up state ``s*`` in which no query predicate can hold, the
+runs are crossed unread:
 
-* phase 1 never reads a skipped run -- it pushes the run's ``n_roots``
-  composite ``s*`` entries onto the scan stack and writes **no** state
-  entries for the run's nodes;
-* phase 2 computes the predicates each of the run's subtree roots would
-  hold and, when every one is provably answer-free (a bounded memoised
-  closure under the top-down transitions), carries the attachment
-  discipline across the run without reading it either; otherwise the run
-  is read after all (counted I/O) with the known ``s*`` states substituted.
+* a **self-contained** run is ``n_roots`` complete subtrees in ``s*``:
+  phase 1 pushes ``n_roots`` composite ``s*`` entries onto its stack,
+  phase 2 consumes the ``n_roots`` attachments they would have taken;
+* a **chain** is ``m`` complete neutral sibling subtrees ``c_a ..
+  c_(b-1)`` followed by a sibling ``c_b`` that is read.  Phase 1 replaces
+  ``q``, the state of ``c_b``, on its stack by ``g^m(q)`` with ``g(x) =
+  δ(s*, x, neutral(T,T))`` (computed from the orbit of ``q``, never with
+  per-sibling memory), and phase 2 steps the top-down sets along the ``m``
+  siblings, so ``c_b`` gets its exact attachment.  Phase 1 carries a chain
+  only if, per plan and for every state ``x`` it passes, a neutral leaf and
+  a neutral non-leaf in front of ``x`` are in the same state and that state
+  is silent as well; otherwise it reads the chain, and so does phase 2.
+
+A state is *silent* when no query predicate is derived for it as a first
+or second child of a parent holding every IDB predicate (:func:`_silent`);
+the top-down step is monotone, so that bounds every context.  Phase 1 makes
+every decision, and phase 2 never reads what phase 1 skipped.
 
 Skipped pages cause no physical I/O and are not counted in ``pages_read``;
 seeks grow by exactly one per page-sequence jump.  Answers are identical
-with and without the index -- the differential property suite
-(``tests/test_pageindex_property.py``) enforces it like pooled==unpooled.
+with and without the index -- the differential property suites
+(``tests/test_pageindex_property.py``, ``tests/test_kernel_differential.py``)
+enforce it like pooled==unpooled.
 
 The per-plan automata stay fully independent (each plan keeps its own
 memoised tables and per-run statistics); only the *scan* is shared, along
@@ -107,7 +118,7 @@ def evaluate_batch_on_disk(
     handle.close()
     try:
         started = time.perf_counter()
-        phase1_depth, composites = kernel.run_phase1(
+        phase1_depth, composites, orbits = kernel.run_phase1(
             unique_plans, database, skip, state_path, arb_io, state_io
         )
         phase1_seconds = time.perf_counter() - started
@@ -115,7 +126,7 @@ def evaluate_batch_on_disk(
         started = time.perf_counter()
         selected, counts, phase2_depth = kernel.run_phase2(
             unique_plans, database, skip, composites, state_path, arb_io, state_io,
-            options.collect_selected_nodes,
+            options.collect_selected_nodes, orbits,
         )
         phase2_seconds = time.perf_counter() - started
     finally:
@@ -195,14 +206,27 @@ class _SkipPlan:
     segments: tuple
     #: The composite all-neutral state entry (one ``s*`` per plan).
     star: tuple[int, ...]
-    #: Pages a phase-1 scan may touch (gap pages); the page filter proves
-    #: that skipped pages are never materialised.
+    #: Pages a phase-1 scan may touch (gap pages; a chain region phase 1
+    #: reads adds its own); the page filter proves that skipped pages are
+    #: never materialised.
     allowed_pages: frozenset[int]
 
-    def answer_free(self, root_preds: Sequence[frozenset]) -> bool:
-        """Whether no plan can select inside a neutral subtree whose root
-        holds ``root_preds[i]`` for plan ``i``."""
-        return all(map(_region_answer_free, self.plans, root_preds, self.star))
+    def carry(self, state: Sequence[int]) -> tuple[int, ...] | None:
+        """``g(state)``: per plan, the state of a neutral node whose next
+        sibling is in ``state`` and whose children, if any, are neutral --
+        or ``None`` unless a leaf and a non-leaf are in the same state there
+        and that state is silent (:func:`_silent`)."""
+        carried = []
+        for plan, star, sibling in zip(self.plans, self.star, state):
+            compute = plan.evaluator.compute_reachable_states
+            schema = plan.evaluator.prop.schema
+            inner = compute(star, sibling, _neutral_labels(schema, True, True))
+            if inner != compute(BOTTOM, sibling, _neutral_labels(schema, False, True)):
+                return None
+            if not _silent(plan, inner):
+                return None
+            carried.append(inner)
+        return tuple(carried)
 
 
 def _compute_skip(plans: Sequence["QueryPlan"], database: ArbDatabase) -> _SkipPlan | None:
@@ -218,24 +242,24 @@ def _compute_skip(plans: Sequence["QueryPlan"], database: ArbDatabase) -> _SkipP
     schemas = [plan.evaluator.prop.schema for plan in plans]
     bits = pageindex.relevant_label_bits(schemas, database.labels)
     regions = pageindex.compute_skip_regions(index, bits)
-    if not regions:
+    # Every region is made of s* subtrees: each plan must be silent in s*.
+    if not regions or not all(map(_silent, plans, star)):
         return None
     segments = tuple(pageindex.segments_of(regions, database.n_nodes))
-    record_size = database.record_size
-    page_size = database.page_size
     allowed: set[int] = set()
     for start, count, region in segments:
-        if region is not None:
-            continue
-        first = (start * record_size) // page_size
-        last = ((start + count) * record_size - 1) // page_size
-        allowed.update(range(first, last + 1))
+        if region is None:
+            allowed.update(pageindex.record_pages(start, count, database.record_size, database.page_size))
     return _SkipPlan(
         plans=tuple(plans),
         segments=segments,
         star=tuple(star),
         allowed_pages=frozenset(allowed),
     )
+
+
+def _neutral_labels(schema, has_first: bool, has_second: bool):
+    return schema.neutral_label_set(is_root=False, has_first_child=has_first, has_second_child=has_second)
 
 
 def _neutral_state(plan: "QueryPlan") -> int | None:
@@ -245,10 +269,11 @@ def _neutral_state(plan: "QueryPlan") -> int | None:
     produces the same label set for a given child-flag shape
     (:meth:`~repro.tree.model.NodeSchema.neutral_label_set`).  If the leaf
     state is a fixed point of all three child shapes, *every* node of a
-    self-contained neutral region lands in it; otherwise the plan cannot
-    skip and ``None`` is returned.  The result is memoised per plan in the
-    lock-guarded :mod:`repro.plan.memo` side table (plans are shared across
-    threads by the plan cache, so nothing is stashed on the plan itself).
+    complete all-neutral binary subtree lands in it; otherwise the plan
+    cannot skip and ``None`` is returned.  The result is memoised per plan
+    in the lock-guarded :mod:`repro.plan.memo` side table (plans are shared
+    across threads by the plan cache, so nothing is stashed on the plan
+    itself).
     """
     return memo_for(plan).neutral_state(lambda: _neutral_state_uncached(plan))
 
@@ -257,53 +282,33 @@ def _neutral_state_uncached(plan: "QueryPlan") -> int | None:
     evaluator = plan.evaluator
     schema = evaluator.prop.schema
     compute = evaluator.compute_reachable_states
-
-    def labels_for(has_first: bool, has_second: bool):
-        return schema.neutral_label_set(is_root=False, has_first_child=has_first, has_second_child=has_second)
-
-    leaf = compute(BOTTOM, BOTTOM, labels_for(False, False))
+    leaf = compute(BOTTOM, BOTTOM, _neutral_labels(schema, False, False))
     if (
-        compute(leaf, BOTTOM, labels_for(True, False)) != leaf
-        or compute(BOTTOM, leaf, labels_for(False, True)) != leaf
-        or compute(leaf, leaf, labels_for(True, True)) != leaf
+        compute(leaf, BOTTOM, _neutral_labels(schema, True, False)) != leaf
+        or compute(BOTTOM, leaf, _neutral_labels(schema, False, True)) != leaf
+        or compute(leaf, leaf, _neutral_labels(schema, True, True)) != leaf
     ):
         return None
     return leaf
 
 
-#: Bound on the per-plan top-down closure explored before giving up on a
-#: region (give-up means reading it, never wrong answers).
-_ANSWER_FREE_CAP = 512
+def _silent(plan: "QueryPlan", state: int) -> bool:
+    """Whether no non-root node in bottom-up ``state`` can hold a query
+    predicate of ``plan``, whatever its context.
 
-
-def _region_answer_free(plan: "QueryPlan", root_preds: frozenset, s_star: int) -> bool:
-    """Whether a neutral subtree whose root holds ``root_preds`` can select.
-
-    Closes ``root_preds`` under both top-down child transitions with the
-    neutral state ``s*``; the subtree is answer-free iff no reachable
-    predicate set contains a query predicate.  Memoised per plan in the
-    lock-guarded, bounded :mod:`repro.plan.memo` side table; an oversized
-    closure conservatively reports ``False``.
+    The top-down step is Horn derivation, which is monotone: a child's
+    predicates under any parent are among those under a parent holding
+    every IDB predicate.  So it suffices that no query predicate is derived
+    for ``state`` as a first or a second child of such a parent.  Memoised
+    per ``(plan, state)`` in the :mod:`repro.plan.memo` side table.
     """
-    return memo_for(plan).answer_free(
-        root_preds, lambda: _region_answer_free_uncached(plan, root_preds, s_star)
+    return memo_for(plan).silent(state, lambda: _silent_uncached(plan, state))
+
+
+def _silent_uncached(plan: "QueryPlan", state: int) -> bool:
+    evaluator = plan.evaluator
+    everything = evaluator.prop.idb
+    return all(
+        evaluator.compute_true_preds(everything, state, which).isdisjoint(plan.program.query_predicates)
+        for which in (1, 2)
     )
-
-
-def _region_answer_free_uncached(plan: "QueryPlan", root_preds: frozenset, s_star: int) -> bool:
-    compute = plan.evaluator.compute_true_preds
-    query_predicates = plan.program.query_predicates
-    seen = {root_preds}
-    frontier = [root_preds]
-    while frontier:
-        preds = frontier.pop()
-        if any(pred in preds for pred in query_predicates):
-            return False
-        if len(seen) > _ANSWER_FREE_CAP:
-            return False
-        for which in (1, 2):
-            child = compute(preds, s_star, which)
-            if child not in seen:
-                seen.add(child)
-                frontier.append(child)
-    return True

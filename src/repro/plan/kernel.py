@@ -26,7 +26,9 @@ query is -- through the two functions of this module:
 
 Unmemoised plans (the laziness ablation) skip the transition dicts, so
 every node consults the evaluators.  Both phases cross the skip regions of
-the ``.idx`` sidecar as :mod:`repro.plan.batch` describes.
+the ``.idx`` sidecar as :mod:`repro.plan.batch` describes: phase 1 decides
+which ones (and returns the orbits of the chains it carried a state
+across), phase 2 crosses exactly those and reads the rest.
 
 What stays in memory is the two stacks, one page span and the composite
 tables -- the lazily built automaton the paper shows stays small.  The one
@@ -39,13 +41,14 @@ from __future__ import annotations
 
 import sys
 from array import array
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.automata import StateInterner
 from repro.core.two_phase import BOTTOM
 from repro.errors import EvaluationError
 from repro.storage.labels import RecordShapeLabelSets
+from repro.storage.pageindex import record_pages
 from repro.storage.paging import IOStatistics, PagedReader, PagedWriter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -142,8 +145,10 @@ def run_phase1(
     state_path: str,
     arb_io: IOStatistics,
     state_io: IOStatistics,
-) -> tuple[int, StateInterner]:
-    """Write the state file; return ``(deepest stack, composite table)``."""
+) -> tuple[int, StateInterner, dict[int, tuple[list[int], int]]]:
+    """Write the state file; return ``(deepest stack, composite table,
+    orbits)``, where ``orbits`` maps the start of every chain region the
+    scan crossed to the orbit it carried (see :func:`_orbit`)."""
     base = _PACK_BASE
     base2 = base * base
     memoize = all(plan.evaluator.memoize for plan in plans)
@@ -170,6 +175,18 @@ def run_phase1(
             transitions[key] = cid
         return cid
 
+    carries: dict[int, int | None] = {}  # composite id -> g(id), None where a chain is read
+
+    def carry(cid: int) -> int | None:
+        if cid not in carries:
+            carried = skip.carry(states[cid])
+            if carried is not None:
+                carried = intern(carried)
+                if carried >= base:
+                    raise EvaluationError(COMPOSITE_OVERFLOW)
+            carries[cid] = carried
+        return carries[cid]
+
     record_size = database.record_size
     entry_code = _TYPECODES[STATE_ENTRY]
     lookup = symbols.__getitem__
@@ -178,18 +195,31 @@ def run_phase1(
     pop = stack.pop
     push = stack.append
     depth = 0
+    orbits: dict[int, tuple[list[int], int]] = {}
     # The page filter proves that skipped pages are never fetched.
-    page_filter = None if skip is None else skip.allowed_pages.__contains__
+    allowed = set() if skip is None else set(skip.allowed_pages)
+    page_filter = None if skip is None else allowed.__contains__
     scan = database.ranged_spans(backward=True, stats=arb_io, page_filter=page_filter)
     try:
         with PagedWriter(state_path, database.page_size, stats=state_io) as writer:
             for start, count, region in reversed(_segments(skip, database.n_nodes)):
-                if region is not None:
+                if region is not None and not region.chain:
                     # A self-contained all-neutral run: only its subtree
                     # roots are visible to lower records, each in s*.
                     stack.extend([star] * region.n_roots)
                     depth = max(depth, len(stack))
                     continue
+                if region is not None:
+                    # The chain's last sibling c_b was just scanned: its
+                    # state gives way to that of the chain's first.
+                    if not stack:
+                        raise EvaluationError(PHASE1_INCONSISTENT)
+                    orbit = _orbit(stack[-1], region.n_roots, carry)
+                    if orbit is not None:
+                        stack[-1] = _nth(orbit, region.n_roots)
+                        orbits[start] = orbit
+                        continue
+                    allowed.update(record_pages(start, count, record_size, database.page_size))
                 low = start + count
                 for view, offset, n in scan.spans_range(record_size, start, count):
                     low -= n  # the span holds nodes low .. low+n-1, consumed from the top
@@ -224,7 +254,32 @@ def run_phase1(
             raise EvaluationError(PHASE1_INCONSISTENT)
     finally:
         scan.close()
-    return depth, composites
+    return depth, composites, orbits
+
+
+def _orbit(state: int, n_siblings: int, carry) -> tuple[list[int], int] | None:
+    """The states ``g^0(state) .. g^n(state)`` of the carry ``g``, as the
+    distinct ones in order plus where their cycle starts -- or ``None`` if
+    ``g`` refuses one of ``g^0 .. g^(n-1)``.  It never holds more states
+    than the automaton has, however many siblings there are."""
+    orbit, seen = [state], {state: 0}
+    while len(orbit) <= n_siblings:
+        following = carry(orbit[-1])
+        if following is None:
+            return None
+        if following in seen:
+            return orbit, seen[following]
+        seen[following] = len(orbit)
+        orbit.append(following)
+    return orbit, len(orbit)
+
+
+def _nth(orbit: tuple[list[int], int], n: int) -> int:
+    """``g^n`` of the orbit's first state."""
+    states, loop = orbit
+    if n < len(states):
+        return states[n]
+    return states[loop + (n - loop) % (len(states) - loop)]
 
 
 # ---------------------------------------------------------------------- #
@@ -241,13 +296,16 @@ def run_phase2(
     arb_io: IOStatistics,
     state_io: IOStatistics,
     collect_selected_nodes: bool,
+    orbits: dict[int, tuple[list[int], int]],
 ) -> tuple[list[dict[str, list[int]]], list[dict[str, int]], int]:
-    """Select; return ``(selected, counts, deepest awaiting stack)``."""
+    """Select; return ``(selected, counts, deepest awaiting stack)``.
+
+    Crosses the regions phase 1 crossed -- every self-contained one, and
+    the chains that ``orbits`` holds -- and reads the rest."""
     base = _PACK_BASE
     memoize = all(plan.evaluator.memoize for plan in plans)
     indices = range(len(plans))
     states = composites.values
-    star = composites.get(skip.star) if skip is not None else None
     computes = [plan.evaluator.compute_true_preds for plan in plans]
     roots = [plan.evaluator.root_true_preds for plan in plans]
     watched = [(i, pred) for i, plan in enumerate(plans) for pred in plan.program.query_predicates]
@@ -305,26 +363,31 @@ def run_phase2(
     scan = database.ranged_spans(backward=False, stats=arb_io)
     try:
         for start, count, region in _segments(skip, database.n_nodes):
-            cids = stored
-            if region is not None:
-                # Where each of the run's subtree roots attaches (peeking:
-                # a fallback read must see the untouched discipline).
-                attachments = [] if attach is None else [attach]
-                needed = region.n_roots - len(attachments)
-                if needed > len(awaiting):  # pragma: no cover - defensive
-                    raise EvaluationError("skip region inconsistent with the scan stack")
-                attachments += [awaiting[-1 - back] for back in range(needed)]
-                if all(skip.answer_free(preds.values[step(prefix + star)]) for prefix in attachments):
-                    # The run selects nothing: cross it without reading.
-                    if needed:
-                        del awaiting[-needed:]
-                    attach = None
-                    continue
-                cids = repeat(star)  # a fallback read: every node is in s*
+            if region is not None and not region.chain:
+                # Selects nothing (phase 1 checked s*): only the
+                # attachments of the run's subtree roots are consumed.
+                needed = region.n_roots - (attach is not None)
+                del awaiting[len(awaiting) - needed :]
+                attach = None
+                continue
+            if start in orbits:  # a chain phase 1 crossed
+                # Selects nothing either: step the top-down sets along the
+                # chain, each sibling the second child of the one before.
+                orbit = orbits[start]
+                if attach is None:
+                    attach = pop()
+                for left in range(region.n_roots, 0, -1):  # siblings up to c_b
+                    key = attach + _nth(orbit, left)
+                    pid = get(key)
+                    if pid is None:
+                        pid = step(key)
+                    attach = pid * quad + second
+                continue
             node = start
             for view, offset, n in scan.spans_range(record_size, start, count):
                 flags = offset[:1] if view is None else view[offset:offset + n * record_size:record_size]
-                for node, code, cid in zip(range(node, node + n), bytes(flags).translate(_FLAG_CODES), cids):
+                codes = bytes(flags).translate(_FLAG_CODES)
+                for node, code, cid in zip(range(node, node + n), codes, stored):
                     if attach is None:
                         attach = pop()
                     key = attach + cid

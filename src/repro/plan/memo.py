@@ -1,17 +1,16 @@
 """Per-plan derived-result memos, owned outside the plan objects.
 
 Plans cached in :class:`~repro.plan.cache.PlanCache` are shared across
-threads, so derived results (the neutral state, the answer-free closure)
-must not be stashed as mutable attributes on the plans themselves:
-concurrent executors would race on the attribute writes and the unbounded
-dicts would grow for the lifetime of the cache entry.
+threads, so derived results (the neutral state, which bottom-up states are
+silent) must not be stashed as mutable attributes on the plans themselves:
+concurrent executors would race on the attribute writes.
 
 This module owns those memos instead: one :class:`PlanMemo` per live
 plan, held in a lock-guarded :class:`weakref.WeakKeyDictionary` so a
 memo's lifetime exactly matches its plan's (evicting a plan from the
 cache drops its memo with it).  Each memo guards its own mutable state
-with a per-memo lock and bounds every dict it holds, so a long-lived
-plan over many documents cannot leak.
+with a per-memo lock.  Its one dict is keyed by the plan's bottom-up state
+ids, so it never outgrows the automaton the plan's evaluator already holds.
 """
 
 from __future__ import annotations
@@ -25,24 +24,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["PlanMemo", "memo_for"]
 
-#: Bound on each per-plan answer-free dict (keys are ``root_preds``
-#: frozensets).  Overflow drops the oldest half rather than growing
-#: forever; recomputation is always safe, just slower.
-_ANSWER_FREE_MEMO_CAP = 512
-
 #: Sentinel distinguishing "not computed" from a computed ``None``.
 _UNSET = object()
 
 
 class PlanMemo:
-    """Mutable derived state for one plan, lock-guarded and bounded."""
+    """Mutable derived state for one plan, lock-guarded."""
 
-    __slots__ = ("lock", "_neutral_state", "_answer_free")
+    __slots__ = ("lock", "_neutral_state", "_silent")
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
         self._neutral_state: Any = _UNSET
-        self._answer_free: dict[frozenset, bool] = {}
+        self._silent: dict[int, bool] = {}
 
     # -------------------------------------------------------------- #
     # neutral state
@@ -61,23 +55,18 @@ class PlanMemo:
             return self._neutral_state
 
     # -------------------------------------------------------------- #
-    # answer-free closure
+    # silent states
     # -------------------------------------------------------------- #
 
-    def answer_free(self, root_preds: frozenset, compute) -> bool:
-        """Memoised ``compute()`` keyed by ``root_preds``, bounded."""
+    def silent(self, state: int, compute) -> bool:
+        """Memoised ``compute()`` keyed by the bottom-up ``state``."""
         with self.lock:
-            cached = self._answer_free.get(root_preds)
+            cached = self._silent.get(state)
         if cached is not None:
             return cached
         result = compute()
         with self.lock:
-            if len(self._answer_free) >= _ANSWER_FREE_MEMO_CAP:
-                # Drop the oldest half (insertion order); recomputation is
-                # cheap relative to reading a region.
-                for key in list(self._answer_free)[: _ANSWER_FREE_MEMO_CAP // 2]:
-                    del self._answer_free[key]
-            return self._answer_free.setdefault(root_preds, result)
+            return self._silent.setdefault(state, result)
 
 
 _MEMOS: "weakref.WeakKeyDictionary[QueryPlan, PlanMemo]" = weakref.WeakKeyDictionary()

@@ -135,13 +135,15 @@ class DatabaseBuilder:
     # Entry points
     # ------------------------------------------------------------------ #
 
-    def build_from_xml(self, document: str, base_path: str, *, text_mode: str = "chars",
-                       name: str = "") -> BuildStatistics:
+    def build_from_xml(
+        self, document: str, base_path: str, *, text_mode: str = "chars", name: str = ""
+    ) -> BuildStatistics:
         tree = parse_xml(document, text_mode=text_mode)
         return self.build_from_tree(tree, base_path, name=name)
 
-    def build_from_xml_file(self, xml_path: str, base_path: str, *, text_mode: str = "chars",
-                            name: str = "") -> BuildStatistics:
+    def build_from_xml_file(
+        self, xml_path: str, base_path: str, *, text_mode: str = "chars", name: str = ""
+    ) -> BuildStatistics:
         tree = parse_xml_file(xml_path, text_mode=text_mode)
         return self.build_from_tree(tree, base_path, name=name or os.path.basename(xml_path))
 
@@ -214,7 +216,8 @@ class DatabaseBuilder:
                             self.record_size,
                         )
                     )
-                    summary.add(frame.label_index, frame.has_children, frame.has_next_sibling)
+                    # The frames still open are the record's ancestors.
+                    summary.add(frame.label_index, frame.has_children, frame.has_next_sibling, len(stack))
                     previous_was_begin = True
         if stack:
             raise StorageError("event file is not well nested: unmatched end events remain")
@@ -293,8 +296,9 @@ class _Frame:
     has_children: bool = False
 
 
-def _write_metadata(base_path: str, n_nodes: int, record_size: int, stats: BuildStatistics,
-                    counter: int = 0) -> None:
+def _write_metadata(
+    base_path: str, n_nodes: int, record_size: int, stats: BuildStatistics, counter: int = 0
+) -> None:
     """Write the small `.meta` sidecar (node count, record size, Figure-5 counts).
 
     The paper's prototype derives the node count from the file size and fixes
@@ -318,9 +322,15 @@ def _write_metadata(base_path: str, n_nodes: int, record_size: int, stats: Build
     )
 
 
-def build_database(source, base_path: str, *, record_size: int = DEFAULT_RECORD_SIZE,
-                   text_mode: str = "chars", name: str = "",
-                   page_size: int = 64 * 1024) -> BuildStatistics:
+def build_database(
+    source,
+    base_path: str,
+    *,
+    record_size: int = DEFAULT_RECORD_SIZE,
+    text_mode: str = "chars",
+    name: str = "",
+    page_size: int = 64 * 1024,
+) -> BuildStatistics:
     """Convenience wrapper around :class:`DatabaseBuilder`.
 
     ``source`` may be an XML string, an :class:`~repro.tree.unranked.UnrankedTree`,

@@ -170,9 +170,9 @@ def _copy_range(src, dst, start: int, end: int, page_size: int, stats, wrote) ->
 # The `.idx` sidecar of the spliced generation
 # ---------------------------------------------------------------------- #
 
-#: ``(pops, pushes, label_bits)`` of one page, or ``None`` for a *stale* page
-#: whose summary must be recomputed for the new generation.
-_PageSummary = tuple[int, int, int] | None
+#: One page's row of :class:`~repro.storage.pageindex.PageIndex`, or ``None``
+#: for a *stale* page whose summary must be recomputed for the new generation.
+_PageSummary = tuple[int, ...] | None
 
 
 def _page_count(file_size: int, page_size: int) -> int:
@@ -191,7 +191,7 @@ def _load_summaries(gen_base: str, file_size: int, record_size: int, page_size: 
         or index.n_records * record_size != file_size
     ):
         return [None] * _page_count(file_size, page_size)
-    return list(zip(index.pops, index.pushes, index.label_bits))
+    return index.rows()
 
 
 def _carry_summaries(
@@ -241,14 +241,18 @@ def _carry_summaries(
     return new
 
 
-def _summarize(structure, start: int, end: int) -> tuple[int, int, int]:
-    """``(pops, pushes, label_bits)`` of the records ``[start, end)``: what
-    :class:`~repro.storage.pageindex.SummaryAccumulator`'s backward stack
-    simulation leaves of them, in closed form (the per-record work is
-    sequence primitives).  A record pushes one entry and pops one per child
-    flag; the flags pointing *out of* the window (its ``pops``) are the last
-    record's first child and the next sibling of every record whose subtree
-    runs to the window's end -- found hopping over the subtrees before them.
+def _summarize(structure, start: int, end: int) -> tuple[int, ...]:
+    """The :class:`~repro.storage.pageindex.PageIndex` row of the records
+    ``[start, end)``: what :class:`~repro.storage.pageindex.SummaryAccumulator`'s
+    backward stack simulation leaves of them, in closed form (the per-record
+    work is sequence primitives).  A record pushes one entry and pops one per
+    child flag; the flags pointing *out of* the window (its ``pops``) are the
+    last record's first child and the next sibling of every record whose
+    subtree runs to the window's end -- found hopping over the subtrees
+    before them.  The records at the window's minimum depth are on the hop
+    path that never descends: each hop lands after a subtree, no deeper than
+    where it left, at the depth of the ancestors of ``start`` that still
+    hold it (one descent from the root finds them).
     """
     usize, has_next = structure.usize, structure.has_next
     pops = int(start < end and usize[end - 1] > 1)
@@ -263,7 +267,18 @@ def _summarize(structure, start: int, end: int) -> tuple[int, int, int]:
     bits = 0
     for label_index in set(structure.label_idx[start:end]):
         bits |= 1 << label_index
-    return pops, (end - start) - (flags - pops), bits
+    ends = [ancestor + usize[ancestor] for ancestor in structure.path_to(start)[0]] if start < end else []
+    depth = first = last = count = 0
+    node = start
+    while node < end:
+        while ends and ends[-1] <= node:
+            ends.pop()
+        if not count or len(ends) < depth:
+            depth, first, count = len(ends), node - start, 0
+        last = node - start
+        count += 1
+        node += usize[node]
+    return pops, (end - start) - (flags - pops), bits, depth, first, last, count
 
 
 def _write_index(
@@ -288,14 +303,11 @@ def _write_index(
             start = (page * page_size + record_size - 1) // record_size
             end = min(((page + 1) * page_size + record_size - 1) // record_size, structure.n)
             summaries[page] = _summarize(structure, start, end)
-    pops, pushes, bits = zip(*summaries)
-    index = PageIndex(
+    index = PageIndex.from_rows(
+        summaries,
         page_size=page_size,
         record_size=record_size,
         n_records=structure.n,
         n_label_indices=n_label_indices,
-        pops=pops,
-        pushes=pushes,
-        label_bits=bits,
     )
     write_page_index(index_path_of(gen_base), index, mid_write_hook=lambda: fault_point("mid-idx"))

@@ -10,12 +10,13 @@ that really exist beside it, the way pooled==unpooled is held elsewhere:
   and warm;
 * **indexed == full scan** -- with the sidecar the answers are the same and
   no more `.arb` pages are read;
-* **closed form** -- the state file holds 4 bytes per scanned node, and a
-  full scan costs exactly two `.arb` seeks.
+* **closed form** -- the state file holds 4 bytes per node outside the
+  regions phase 1 crossed, and a full scan costs exactly two `.arb` seeks.
 
 Each is checked on random documents and batches, on spliced post-update
 generations and on odd geometries (single-record files, pages that do not
-divide the record size, wide and deep trees).  The loop's one bound
+divide the record size, wide and deep trees), and on chains of neutral
+siblings whose carried state must be exact or the chain read.  The loop's one bound
 (distinct composite states, never nodes), a corrupt `.arb` and the
 unmemoised laziness ablation are pinned at the end.  The full-scan leg runs
 inside :func:`tests.conftest.sidecars_hidden` (the missing-``.idx``
@@ -27,6 +28,8 @@ from __future__ import annotations
 import dataclasses
 import os
 import tempfile
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -47,6 +50,10 @@ COMMON_SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.too_slo
 
 #: Small pages so even hypothesis-sized documents span several of them.
 PAGE_SIZE = 512
+
+#: 32 records per page: a few dozen sibling subtrees span several pages, so
+#: random documents have chain regions too.
+CHAIN_PAGE_SIZE = 64
 
 #: Tags outside the program strategy's ``a``/``b`` alphabet: sections made
 #: of these give the sidecar index skippable page runs, so the loop's
@@ -135,27 +142,46 @@ def _cold_and_warm(database: Database, batch, **options):
     return database.query_many(batch, **options), database.query_many(batch, **options)
 
 
-def _scanned_nodes(database: Database, batch) -> int:
-    """The nodes outside every skip region of ``batch``'s skip plan."""
-    skip = _compute_skip([database.plan(query)[0] for query in batch], database.disk)
-    if skip is None:
-        return database.n_nodes
-    return sum(count for _, count, region in skip.segments if region is None)
+@contextmanager
+def _crossings():
+    """Record, per disk run, the skip regions its phase 1 crossed: every
+    self-contained one, and each chain it carried a state across."""
+    runs: list[list] = []
+    real = kernel_mod.run_phase1
+
+    def spy(plans, database, skip, *rest):
+        depth, composites, orbits = real(plans, database, skip, *rest)
+        segments = () if skip is None else skip.segments
+        crossed = [
+            region for start, _, region in segments if region and (not region.chain or start in orbits)
+        ]
+        runs.append(crossed)
+        return depth, composites, orbits
+
+    with mock.patch.object(kernel_mod, "run_phase1", spy):
+        yield runs
 
 
-def _differential(database: Database, batch) -> None:
+def _scanned_nodes(database: Database, crossed) -> int:
+    """The nodes outside every region phase 1 crossed."""
+    return database.n_nodes - sum(region.count for region in crossed)
+
+
+def _differential(database: Database, batch) -> list[list]:
+    """The differential legs; returns the regions each indexed run crossed."""
     memory = _cold_and_warm(database, batch, engine="memory")
     with sidecars_hidden(os.path.dirname(database.disk.base_path)):
         full = _cold_and_warm(database, batch)
-    indexed = _cold_and_warm(database, batch)
-    scanned = _scanned_nodes(database, batch)
-    for by_memory, by_full, by_index in zip(memory, full, indexed):
+    with _crossings() as crossed:
+        indexed = _cold_and_warm(database, batch)
+    for by_memory, by_full, by_index, regions in zip(memory, full, indexed, crossed):
         assert _answers(by_full) == _answers(by_memory)
         assert _per_plan_stats(by_full) == _per_plan_stats(by_memory)
         assert _answers(by_index) == _answers(by_full)
         assert by_index.arb_io.pages_read <= by_full.arb_io.pages_read
         assert (by_full.state_file_bytes, by_full.arb_io.seeks) == (4 * database.n_nodes, 2)
-        assert by_index.state_file_bytes == 4 * scanned
+        assert by_index.state_file_bytes == 4 * _scanned_nodes(database, regions)
+    return crossed
 
 
 # ---------------------------------------------------------------------- #
@@ -166,11 +192,12 @@ def _differential(database: Database, batch) -> None:
 @given(
     document=sectioned_documents(),
     batch=st.lists(programs(), min_size=1, max_size=3),
+    page_size=st.sampled_from((CHAIN_PAGE_SIZE, PAGE_SIZE)),
 )
 @settings(max_examples=15, **COMMON_SETTINGS)
-def test_disk_matches_memory_and_full_scan_on_random_batches(document, batch):
+def test_disk_matches_memory_and_full_scan_on_random_batches(document, batch, page_size):
     with tempfile.TemporaryDirectory() as directory:
-        _differential(_build(document, directory), batch)
+        _differential(_build(document, directory, page_size=page_size), batch)
 
 
 @given(
@@ -226,6 +253,120 @@ _FIXED_BATCH = [
 @pytest.mark.parametrize("document,page_size", _GEOMETRY_CASES)
 def test_disk_matches_memory_and_full_scan_on_odd_geometries(tmp_path, document, page_size):
     _differential(_build(document, str(tmp_path), page_size=page_size), _FIXED_BATCH)
+
+
+# ---------------------------------------------------------------------- #
+# Chains: the state carried across neutral siblings is exact
+# ---------------------------------------------------------------------- #
+
+#: Even / Odd: the distance to the next ``b`` among the following siblings.
+#: Along a chain of neutral siblings the carried state alternates and is
+#: never ``s*``.  The top-down ``P1`` / ``P2`` walk from a ``b`` at an even
+#: distance only reaches the next ``b`` if every sibling on the way has
+#: the state it should.  The queries are on a relevant label.
+_PARITY = """
+A :- Label[b];
+Odd :- A.invNextSibling;
+Even :- Odd.invNextSibling;
+Odd :- Even.invNextSibling;
+P2 :- A, Even;
+Q2 :- P2.NextSibling;
+P1 :- Q2, Odd;
+Q1 :- P1.NextSibling;
+P2 :- Q1, Even;
+QUERY :- Even, Label[b];
+QUERY :- Q1, Label[b];
+"""
+
+#: A ``b`` whose following siblings up to the next ``b`` all have children.
+#: Where no ``b`` follows, ``F`` holds anyway (``M``: only neutral nodes up
+#: to the end of the child list), so all-neutral subtrees keep one state
+#: ``s*``; in front of a ``b`` a neutral leaf and a neutral non-leaf differ.
+_NON_LEAVES = """
+B :- -Label[b];
+A :- Label[b];
+M :- LastSibling;
+M :- N.invNextSibling;
+N :- B, M;
+K :- A.invNextSibling;
+K :- K.invNextSibling;
+Q :- K.FirstChild;
+F :- Q.invFirstChild;
+F :- M;
+WA :- A.invNextSibling;
+WA :- W.invNextSibling;
+W :- F, WA;
+R :- W.invNextSibling;
+QUERY :- R, Label[b];
+"""
+
+#: Every node with a ``b`` among its following siblings: a neutral chain
+#: sibling can be selected, though no all-neutral subtree can.
+_IN_FRONT_OF_A_B = """
+A :- Label[b];
+K :- A.invNextSibling;
+K :- K.invNextSibling;
+QUERY :- K;
+"""
+
+_UNITS = "<n0><n1/><n1/></n0>"
+#: A commit between the differential legs: one more neutral leaf sibling.
+_ONE_MORE_SIBLING = InsertSubtree(0, "<n0/>", position=1)
+
+
+def _chain_document(units: str) -> str:
+    return "<r><b/>" + units + "<b/></r>"
+
+
+def _chains(database: Database, query: str) -> list:
+    skip = _compute_skip([database.plan(query)[0]], database.disk)
+    return [] if skip is None else [region for _, _, region in skip.segments if region and region.chain]
+
+
+def _before_and_after_a_commit(document: str, query: str, directory: str) -> list[tuple[list, list]]:
+    """:func:`_differential` on ``document``, then again after a commit:
+    per leg, the chains the skip plan holds and the regions phase 1 crossed."""
+    database = _build(document, directory, page_size=CHAIN_PAGE_SIZE)
+    legs = [(_chains(database, query), _differential(database, [query]))]
+    database.apply(_ONE_MORE_SIBLING)
+    legs.append((_chains(database, query), _differential(database, [query])))
+    return legs
+
+
+def test_a_carried_state_that_alternates_with_the_chain_length(tmp_path):
+    parities = set()
+    for n_units in (25, 40, 41):
+        directory = tmp_path / str(n_units)
+        directory.mkdir()
+        legs = _before_and_after_a_commit(_chain_document(_UNITS * n_units), _PARITY, str(directory))
+        for chains, crossed in legs:
+            assert chains and all(chain in run for run in crossed for chain in chains)
+            parities.update(chain.n_roots % 2 for chain in chains)
+        # Both ``b`` are selected iff they are an even distance apart:
+        # ``n_units`` siblings between them, plus the one the commit inserted.
+        database = Database.open(str(directory / "doc"))
+        assert len(_answers(database.query_many([_PARITY]))[0]["QUERY"]) == (0 if n_units % 2 else 2)
+    assert parities == {0, 1}
+
+
+@pytest.mark.parametrize("has_leaf", [True, False])
+def test_a_chain_whose_leaves_differ_from_non_leaves_is_read(tmp_path, has_leaf):
+    units = "<n0><n1/></n0>" * 60
+    document = _chain_document(units + "<n0/>" * has_leaf + units)
+    for chains, crossed in _before_and_after_a_commit(document, _NON_LEAVES, str(tmp_path)):
+        assert chains and not any(region.chain for run in crossed for region in run)
+
+
+@pytest.mark.parametrize("query", [_IN_FRONT_OF_A_B, "QUERY :- -Label[b];"])
+def test_a_region_whose_neutral_nodes_can_be_selected_is_read(tmp_path, query):
+    # A chain in front of the second ``b``, a self-contained run after it.
+    document = "<r><b/>" + _UNITS * 40 + "<b/>" + _UNITS * 40 + "</r>"
+    can_select_everywhere = query.startswith("QUERY :- -")
+    for chains, crossed in _before_and_after_a_commit(document, query, str(tmp_path)):
+        assert bool(chains) != can_select_everywhere  # s* itself selects: no skip plan
+        for run in crossed:
+            assert not any(region.chain for region in run)
+            assert bool(run) != can_select_everywhere  # the run after the last ``b``
 
 
 def test_counts_survive_dropping_selected_nodes(tmp_path):
@@ -291,7 +432,8 @@ def test_unmemoised_plans_skip_the_pages_memoised_plans_skip(tmp_path):
     assert [r.counts for r in unmemoised] == [{"QUERY": 40}] * 2
     assert unmemoised.arb_io == memoised.arb_io
     assert unmemoised.arb_io.pages_read < full.arb_io.pages_read
-    scanned = _scanned_nodes(database, batch)
+    skip = _compute_skip([database.plan(query)[0] for query in batch], database.disk)
+    scanned = _scanned_nodes(database, [region for _, _, region in skip.segments if region])
     assert scanned < database.n_nodes
     assert unmemoised.state_file_bytes == memoised.state_file_bytes == 4 * scanned
     # Plus the four that find a plan's neutral state s* on its first run:

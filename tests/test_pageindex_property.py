@@ -24,9 +24,11 @@ renames the sidecars away for the duration of the run.  The invariants:
 from __future__ import annotations
 
 import os
+import struct
 import subprocess
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 
 import pytest
@@ -62,6 +64,12 @@ COMMON_SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.too_slo
 
 #: Small pages so even hypothesis-sized documents span several of them.
 PAGE_SIZE = 512
+
+#: A grid fine enough (32 records per page) that hypothesis-sized documents
+#: span many pages and a 32- or 64-node insert shifts the suffix by whole
+#: pages -- the case in which a commit *inherits* summaries instead of
+#: recomputing them.
+ORACLE_PAGE_SIZE = 64
 
 #: Tag names outside the program strategy's ``a``/``b`` alphabet: sections
 #: made of these are exactly what the index can prove irrelevant.
@@ -176,6 +184,12 @@ def _section_batch(n_sections: int) -> list[str]:
     return [f"QUERY :- V.Label[s{(3 + i) % 40:02d}];" for i in range(n_sections)]
 
 
+def _section_record(section: int) -> int:
+    """The record of ``<sNN>`` in ``_SECTIONED_DOC``: the root, then 41
+    records per section."""
+    return 1 + 41 * section
+
+
 @pytest.mark.parametrize("n_sections", _BATCH_SIZES)
 def test_selective_batch_reads_under_a_quarter_of_the_pages(tmp_path, n_sections):
     database = Database.build(_SECTIONED_DOC, str(tmp_path / "doc"), page_size=PAGE_SIZE)
@@ -188,10 +202,34 @@ def test_selective_batch_reads_under_a_quarter_of_the_pages(tmp_path, n_sections
     assert indexed.arb_io.pages_read <= full.arb_io.pages_read
     fewer = _BATCH_SIZES[max(0, _BATCH_SIZES.index(n_sections) - 1)]
     assert database.query_many(_section_batch(fewer)).arb_io.pages_read <= indexed.arb_io.pages_read
+    if n_sections < 40:
+        # Each scan reads up to the page of the last section named and
+        # skips the rest of the root's child list as one self-contained run.
+        last = _section_record(3 + n_sections - 1)
+        assert indexed.arb_io.pages_read == 2 * ((last * 2) // PAGE_SIZE + 1) == {1: 2, 10: 4}[n_sections]
     if n_sections == 1:
         assert indexed.arb_io.pages_read * 4 < full.arb_io.pages_read
         # Skipped pages are never read at all: the byte counter shrank too.
         assert indexed.arb_io.bytes_read < full.arb_io.bytes_read
+
+
+def test_a_batch_naming_both_ends_skips_the_middle(tmp_path):
+    """``s00`` and ``s39``: sections ``s01 .. s38`` between them are a chain
+    of neutral siblings that the scans carry the automaton state across.
+    On a grid of 32 records per page each scan reads four pages: the two
+    holding the ends of the chain (``s01``'s head, ``s38``'s head) and the
+    two holding ``s00`` and ``s39``; the tails of ``s38`` and ``s39`` are
+    self-contained runs."""
+    database = Database.build(_SECTIONED_DOC, str(tmp_path / "doc"), page_size=ORACLE_PAGE_SIZE)
+    database.plan_cache = PlanCache()
+    batch = ["QUERY :- V.Label[s00];", "QUERY :- V.Label[s39];"]
+    indexed = database.query_many(batch)
+    full = _full_scan(database, batch)
+    assert _answers(indexed) == _answers(full)
+    assert _answers(indexed) == [{"QUERY": [_section_record(0)]}, {"QUERY": [_section_record(39)]}]
+    assert indexed.arb_io.pages_read * 4 < full.arb_io.pages_read
+    pages = {_section_record(section) * 2 // ORACLE_PAGE_SIZE for section in (0, 1, 38, 39)}
+    assert indexed.arb_io.pages_read == 2 * len(pages) == 8
 
 
 # ---------------------------------------------------------------------- #
@@ -234,12 +272,6 @@ def test_torn_index_falls_back_to_full_scans(tmp_path, corrupt):
 # ---------------------------------------------------------------------- #
 # The one index writer against an independent oracle
 # ---------------------------------------------------------------------- #
-
-#: A grid fine enough (32 records per page) that hypothesis-sized documents
-#: span many pages and a 32- or 64-node insert shifts the suffix by whole
-#: pages -- the case in which a commit *inherits* summaries instead of
-#: recomputing them.
-ORACLE_PAGE_SIZE = 64
 
 _PARENT_INDEX_STATES = {
     "intact": lambda path: None,
@@ -320,6 +352,37 @@ def test_a_shortened_last_page_is_not_inherited(tmp_path):
     result = apply_many(base, [DeleteSubtree(n_nodes - 21)], page_size=ORACLE_PAGE_SIZE)  # <s5>
     assert result.arb_bytes % ORACLE_PAGE_SIZE  # the new last page is short
     _assert_index_matches_oracle(base)
+
+
+def _version_1(index) -> bytes:
+    """``index`` as the format-1 sidecar: ``pops`` and ``pushes`` only."""
+    body = struct.pack(
+        ">4sHHIQI", b"ARBX", 1, index.record_size, index.page_size, index.n_records, index.n_label_indices
+    )
+    for pops, pushes, bits in zip(index.pops, index.pushes, index.label_bits):
+        body += struct.pack(">II", pops, pushes) + bits.to_bytes((index.n_label_indices + 7) // 8, "little")
+    return body + struct.pack(">I", zlib.crc32(body))
+
+
+def test_a_version_1_index_degrades_to_full_scans_until_the_next_commit(tmp_path):
+    base = str(tmp_path / "doc")
+    database = Database.build(_SECTIONED_DOC, base, page_size=ORACLE_PAGE_SIZE)
+    database.plan_cache = PlanCache()
+    full = _full_scan(database, [_SELECTIVE_QUERY])
+    path = index_path_of(resolve_generation(base)[1])
+    Path(path).write_bytes(_version_1(load_page_index(path)))
+    invalidate_index_cache()
+    assert load_page_index(path) is None
+
+    degraded = database.query_many([_SELECTIVE_QUERY])
+    assert _answers(degraded) == _answers(full)
+    assert degraded.arb_io.pages_read == full.arb_io.pages_read
+
+    apply_many(base, [Relabel(1, "s00")], page_size=ORACLE_PAGE_SIZE)
+    _assert_index_matches_oracle(base)
+    healed = Database.open(base, page_size=ORACLE_PAGE_SIZE)
+    healed.plan_cache = PlanCache()
+    assert healed.query_many([_SELECTIVE_QUERY]).arb_io.pages_read < full.arb_io.pages_read
 
 
 # ---------------------------------------------------------------------- #

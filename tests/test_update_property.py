@@ -178,24 +178,30 @@ def test_structure_updated_in_place_equals_analysis_of_a_rebuild(data):
             # A bad op behind a valid insert (two nodes, one more child of
             # the root), so the commit's structure is edited before the
             # refusal: it is a copy, the cached instance stays as it was.
-            bad = data.draw(st.sampled_from([
-                Relabel(mirror.node_count() + 2, "a"),  # bad node
-                DeleteSubtree(0),  # would empty the database
-                InsertSubtree(0, "<a/>", position=len(mirror.root.children) + 2),  # bad position
-            ]))
+            bad = data.draw(
+                st.sampled_from(
+                    [
+                        Relabel(mirror.node_count() + 2, "a"),  # bad node
+                        DeleteSubtree(0),  # would empty the database
+                        InsertSubtree(0, "<a/>", position=len(mirror.root.children) + 2),  # bad position
+                    ]
+                )
+            )
             with pytest.raises(StorageError):
                 apply_many(base, [InsertSubtree(0, "<b><a/></b>", position=0), bad])
             assert structure_cache.get(live.arb_path) is cached and cached == fresh, bad
 
 
+@pytest.mark.parametrize("record_size", [2, 3])
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(tree=unranked_trees(max_leaves=12), records_per_page=st.integers(1, 7))
-def test_page_summaries_from_the_structure_equal_the_stack_simulation(tree, records_per_page):
+def test_page_summaries_from_the_structure_equal_the_stack_simulation(tree, records_per_page, record_size):
     """The `.idx` rows a commit computes from its structure, in closed form,
     are the rows the builder's backward stack simulation computes from the
-    records -- on every page grid, aligned to subtrees or not."""
+    records -- on every page grid, aligned to subtrees or not, and for a
+    record size without an ``array`` typecode too."""
     with tempfile.TemporaryDirectory() as tmp:
-        build_database(tree, os.path.join(tmp, "doc"))
+        build_database(tree, os.path.join(tmp, "doc"), record_size=record_size)
         database, structure = _analysis_of(os.path.join(tmp, "doc"))
         with open(database.arb_path, "rb") as handle:
             oracle = summarize_arb_bytes(
@@ -209,7 +215,7 @@ def test_page_summaries_from_the_structure_equal_the_stack_simulation(tree, reco
         _summarize(structure, start, min(start + records_per_page, structure.n))
         for start in range(0, structure.n, records_per_page)
     ]
-    assert rows == list(zip(oracle.pops, oracle.pushes, oracle.label_bits))
+    assert rows == oracle.rows()
 
 
 @settings(
