@@ -40,8 +40,8 @@ Subcommands
 
 ``arb collection query ROOT (-q PROGRAM | -f FILE | -x XPATH)``
     Evaluate queries over **every** document of the collection, sharded
-    across ``--workers`` workers (``--executor`` chooses thread, process or
-    serial evaluation).  With ``--batch``, all given queries ride one
+    across ``--workers`` worker processes (one worker evaluates in the
+    calling process).  With ``--batch``, all given queries ride one
     lockstep scan pair per document.
 
 ``arb collection stats ROOT``
@@ -58,12 +58,11 @@ Subcommands
 
 ``arb router --primary HOST:PORT --replica HOST:PORT [--replica ...]``
     Run the replication front door: reads fan out across the replica
-    servers (consistent-hash by ``doc_id``, burst-pinned round-robin
-    otherwise, transparent failover), updates forward to the primary, which
-    ships each committed generation back to the replicas (``arb serve
-    --replicate {async,sync}`` picks whether shipping happens after or
-    before the update ack).  Clients speak the ordinary ``arb serve``
-    protocol to the router, unchanged.
+    servers (burst-pinned round-robin, transparent failover), updates
+    forward to the primary, which ships each committed generation back to
+    the replicas (``arb serve --replicate {async,sync}`` picks whether
+    shipping happens after or before the update ack).  Clients speak the
+    ordinary ``arb serve`` protocol to the router, unchanged.
 
 ``arb client (-q PROGRAM | -x XPATH) [--repeat N]``
     Send queries to a running ``arb serve`` in one concurrent burst (so they
@@ -78,7 +77,7 @@ import json
 import os
 import sys
 
-from repro.collection import EXECUTORS, Collection
+from repro.collection import Collection
 from repro.engine import Database
 from repro.errors import ReproError
 from repro.storage.build import build_database
@@ -207,9 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="evaluate all given queries together "
                              "(one lockstep scan pair per document)")
     cquery.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="number of parallel workers (default: 1)")
-    cquery.add_argument("--executor", choices=EXECUTORS, default="thread",
-                        help="worker pool kind (default: thread)")
+                        help="number of worker processes (default: 1, in-process)")
     cquery.add_argument("--ids", action="store_true",
                         help="print selected node ids per document")
 
@@ -236,9 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-pending", type=int, default=1024, metavar="N",
                        help="queue depth limit; further requests are rejected")
     serve.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="shard workers per batch (collection targets only)")
-    serve.add_argument("--executor", choices=EXECUTORS, default="thread",
-                       help="worker pool kind for collection targets")
+                       help="worker processes per batch (collection targets only; "
+                            "default: 1, in-process)")
     serve.add_argument("--ready-file", metavar="PATH",
                        help="write 'host port' to PATH once the listener is bound")
     serve.add_argument("--replicate", choices=("async", "sync"), default="async",
@@ -415,12 +411,11 @@ def _command_collection_query(args: argparse.Namespace) -> int:
         raise ReproError("multiple queries given; use --batch to evaluate them together")
     result = collection.query_many(
         queries, language=language, query_predicate=args.query_predicate,
-        engine=args.engine, n_workers=args.workers, executor=args.executor,
+        engine=args.engine, n_workers=args.workers,
     )
     statistics = result.statistics
     print(f"collection      : {len(result)} documents, {statistics.nodes} nodes")
-    print(f"workers         : {result.n_workers} ({result.executor}, "
-          f"{result.n_shards} shards)")
+    print(f"workers         : {result.n_workers} ({result.n_shards} shards)")
     for index, program in enumerate(result.programs):
         predicate = program.query_predicates[0]
         total = result.count(query_index=index)
@@ -471,7 +466,6 @@ def _command_serve(args: argparse.Namespace) -> int:
                 write_window=args.write_window,
                 max_write_batch=args.max_write_batch,
                 n_workers=args.workers,
-                executor=args.executor,
                 replication_mode=args.replicate,
             )
         )

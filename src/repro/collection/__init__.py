@@ -2,9 +2,9 @@
 
 A :class:`~repro.collection.collection.Collection` manages a corpus of
 on-disk Arb databases under one root directory (a JSON manifest records
-document ids, sizes and label counts), shards the documents across a
-configurable worker pool (serial / thread / process executors) and evaluates
-single queries or lockstep batches over every document in parallel, merging
+document ids, sizes and label counts), shards the documents across worker processes (one shard runs in the
+calling thread) and evaluates single queries or lockstep batches over every
+document, merging
 the per-document answers and aggregating evaluation and I/O statistics.
 
 The paper's secondary-storage guarantee survives sharding unchanged: every
@@ -16,7 +16,7 @@ verify shard by shard.
 """
 
 from repro.collection.collection import Collection
-from repro.collection.executor import EXECUTORS, partition_documents
+from repro.collection.executor import partition_documents
 from repro.collection.manifest import CollectionManifest, DocumentEntry
 from repro.collection.result import CollectionQueryResult, DocumentQueryResult
 
@@ -26,6 +26,5 @@ __all__ = [
     "DocumentEntry",
     "CollectionQueryResult",
     "DocumentQueryResult",
-    "EXECUTORS",
     "partition_documents",
 ]

@@ -46,9 +46,9 @@ class Collection:
     """Many on-disk Arb databases under one root, one query surface.
 
     ``plan_cache`` defaults to the process-wide shared cache, exactly like
-    :class:`~repro.engine.Database`; it is the keyed cache through which the
-    serial and thread executors share compiled plans (and their memoised
-    automata) across every shard of the corpus.
+    :class:`~repro.engine.Database`; it is the keyed cache through which a
+    single-shard query shares compiled plans (and their memoised automata)
+    across every document of the corpus.
     """
 
     def __init__(
@@ -307,7 +307,6 @@ class Collection:
         query_predicate: str | tuple[str, ...] | None = None,
         engine: str | None = None,
         n_workers: int = 1,
-        executor: str = "thread",
         collect_selected_nodes: bool = True,
         temp_dir: str | None = None,
     ) -> CollectionQueryResult:
@@ -318,7 +317,6 @@ class Collection:
             query_predicate=query_predicate,
             engine=engine,
             n_workers=n_workers,
-            executor=executor,
             collect_selected_nodes=collect_selected_nodes,
             temp_dir=temp_dir,
         )
@@ -331,7 +329,6 @@ class Collection:
         query_predicate: str | tuple[str, ...] | None = None,
         engine: str | None = None,
         n_workers: int = 1,
-        executor: str = "thread",
         collect_selected_nodes: bool = True,
         temp_dir: str | None = None,
     ) -> CollectionQueryResult:
@@ -342,7 +339,7 @@ class Collection:
         independent of ``k``), as :meth:`Database.query_many
         <repro.engine.Database.query_many>` does; :meth:`query` is a batch of
         one.
-        See :mod:`repro.collection.executor` for the ``executor`` semantics.
+        ``n_workers`` picks the pool: see :mod:`repro.collection.executor`.
         """
         options = ExecutionOptions(
             engine=engine, temp_dir=temp_dir, collect_selected_nodes=collect_selected_nodes
@@ -350,7 +347,7 @@ class Collection:
         return run_collection_query(
             self.documents, self.root, list(queries), cache=self.plan_cache, options=options,
             language=language, query_predicate=query_predicate,
-            n_workers=n_workers, executor=executor,
+            n_workers=n_workers,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

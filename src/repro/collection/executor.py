@@ -2,29 +2,24 @@
 
 The coordinator (:func:`run_collection_query`) partitions the documents of a
 collection into one shard per worker (greedy longest-processing-time on the
-manifest's node counts, so shards are balanced by document size, not count)
-and evaluates every shard on a pool:
+manifest's node counts, so shards are balanced by document size, not count).
+The number of shards picks the pool:
 
-``serial``
-    in the calling thread, one document after another (the reference path);
-``thread``
-    a :class:`~concurrent.futures.ThreadPoolExecutor`.  All workers share
-    the collection's keyed :class:`~repro.plan.cache.PlanCache`, so a plan
-    compiled for the first document is a cache *hit* for every other shard
-    and its memoised automaton tables are reused corpus-wide.  Because a
-    plan's evaluator is single-threaded by design, the plan dispatcher
-    serialises executions per plan (:mod:`repro.plan.locks`).  Since every
-    shard of one call runs the *same* plan set, this serialises the
-    evaluations of a collection query almost completely -- which CPython's
-    GIL would do to the pure-Python evaluation anyway.  Choose threads for
-    corpus-wide plan sharing with a thread-safe API, not for throughput.
-``process``
-    a :class:`~concurrent.futures.ProcessPoolExecutor` for real CPU
-    parallelism -- the executor that actually scales throughput with
-    workers.  Worker processes cannot share in-memory plans, so each shard
-    compiles into a process-local cache: plans are shared across the
-    documents *within* a shard, and the coordinator's shared cache still
-    serves repeated collection-level calls.
+* one shard (``n_workers == 1``, or a one-document collection) runs in the
+  calling thread against the collection's keyed
+  :class:`~repro.plan.cache.PlanCache`, so a plan compiled for the first
+  document is a cache *hit* for every other one and its memoised automaton
+  tables are reused corpus-wide;
+* more shards run on a :class:`~concurrent.futures.ProcessPoolExecutor`.  The
+  two scans are pure Python, so only processes evaluate in parallel.  Worker
+  processes cannot share in-memory plans: each shard compiles into a
+  process-local cache, shared by the documents *within* the shard, and the
+  coordinator's cache still serves repeated collection-level calls.  Workers
+  start from a fork server, never as a fork of the caller: a caller with
+  other threads (a writer committing, a service's workers) may hold a lock
+  at the instant of a fork, and the child would wait on that lock forever.
+  So, as with any ``spawn`` pool, a script that queries with several workers
+  needs the ``if __name__ == "__main__":`` guard.
 
 Whatever the pool, each document is evaluated by the one plan dispatcher,
 :meth:`Database.execute_plans <repro.engine.Database.execute_plans>`, exactly
@@ -35,10 +30,10 @@ as :meth:`Database.query_many <repro.engine.Database.query_many>` would: under
 
 from __future__ import annotations
 
+import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Sequence
 
 from repro.collection.manifest import DocumentEntry
@@ -55,10 +50,7 @@ from repro.storage.bufferpool import resolve_pager
 from repro.storage.paging import IOStatistics
 from repro.tmnf.program import TMNFProgram
 
-__all__ = ["EXECUTORS", "partition_documents", "run_collection_query"]
-
-#: Supported worker-pool kinds.
-EXECUTORS = ("serial", "thread", "process")
+__all__ = ["partition_documents", "run_collection_query"]
 
 
 # ---------------------------------------------------------------------- #
@@ -118,9 +110,10 @@ class _ShardOutcome:
 def evaluate_shard(task: _ShardTask, cache: PlanCache | None = None) -> _ShardOutcome:
     """Evaluate every document of one shard, sequentially.
 
-    ``cache`` is the shared collection cache for the serial/thread executors;
-    the process executor passes ``None`` and gets a fresh process-local cache
-    whose plans are still reused across the shard's documents.
+    ``cache`` is the shared collection cache when the shard runs in the
+    calling thread; a worker process passes ``None`` and gets a fresh
+    process-local cache whose plans are still reused across the shard's
+    documents.
     """
     from repro.engine import Database  # local import: keep module import light
 
@@ -159,6 +152,13 @@ def _evaluate_document(doc_id: str, database, task: _ShardTask) -> DocumentQuery
     )
 
 
+def _worker_context():
+    """The fork server's context, its server preloading the evaluator once."""
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload(["repro.engine", __name__])
+    return context
+
+
 # ---------------------------------------------------------------------- #
 # Coordinator
 # ---------------------------------------------------------------------- #
@@ -174,7 +174,6 @@ def run_collection_query(
     language: str = "tmnf",
     query_predicate: str | tuple[str, ...] | None = None,
     n_workers: int = 1,
-    executor: str = "thread",
 ) -> CollectionQueryResult:
     """Evaluate ``queries`` over every document, sharded across ``n_workers``.
 
@@ -185,16 +184,13 @@ def run_collection_query(
         raise EvaluationError("a collection query needs at least one query")
     if not entries:
         raise EvaluationError("the collection has no documents")
-    if executor not in EXECUTORS:
-        names = ", ".join(EXECUTORS)
-        raise EvaluationError(f"unknown executor {executor!r} (use one of: {names})")
-    if n_workers < 1:
-        raise EvaluationError("a collection query needs at least one worker")
+    if isinstance(n_workers, bool) or not isinstance(n_workers, int) or n_workers < 1:
+        raise EvaluationError(f"n_workers must be an int of at least 1, not {n_workers!r}")
 
     # Compile (or look up) every query once through the collection's shared
-    # keyed cache.  For the serial/thread executors the workers then hit
-    # these very plans; for the process executor this records the
-    # collection-level hit/miss and provides the programs of the result.
+    # keyed cache.  A shard in the calling thread then hits these very
+    # plans; for worker processes this records the collection-level
+    # hit/miss and provides the programs of the result.
     planned = [
         cache.lookup(query, language=language, query_predicate=query_predicate)
         for query in queries
@@ -218,13 +214,10 @@ def run_collection_query(
     ]
 
     started = time.perf_counter()
-    if executor == "serial" or len(tasks) == 1 and executor == "thread":
-        outcomes = [evaluate_shard(task, cache) for task in tasks]
-    elif executor == "thread":
-        with ThreadPoolExecutor(max_workers=len(tasks)) as pool:
-            outcomes = list(pool.map(partial(evaluate_shard, cache=cache), tasks))
-    else:  # process
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+    if len(tasks) == 1:
+        outcomes = [evaluate_shard(tasks[0], cache)]
+    else:
+        with ProcessPoolExecutor(max_workers=len(tasks), mp_context=_worker_context()) as pool:
             outcomes = list(pool.map(evaluate_shard, tasks))
     wall_seconds = time.perf_counter() - started
 
@@ -258,5 +251,4 @@ def run_collection_query(
         wall_seconds=wall_seconds,
         n_workers=min(n_workers, len(tasks)),
         n_shards=len(tasks),
-        executor=executor,
     )

@@ -74,7 +74,6 @@ class CollectionQueryResult:
     wall_seconds: float = 0.0
     n_workers: int = 1
     n_shards: int = 1
-    executor: str = "serial"
 
     @property
     def io(self) -> IOStatistics:
@@ -121,7 +120,6 @@ class CollectionQueryResult:
             wall_seconds=self.wall_seconds,
             n_workers=self.n_workers,
             n_shards=self.n_shards,
-            executor=self.executor,
         )
 
     @classmethod
@@ -178,8 +176,6 @@ class CollectionQueryResult:
             result.statistics for doc in documents for result in doc.results
         )
         statistics.nodes = nodes
-
-        executors = {result.executor for result in distinct} or {"serial"}
         return cls(
             programs=programs,
             documents=documents,
@@ -189,7 +185,6 @@ class CollectionQueryResult:
             wall_seconds=max((result.wall_seconds for result in distinct), default=0.0),
             n_workers=max((result.n_workers for result in distinct), default=1),
             n_shards=max((result.n_shards for result in distinct), default=1),
-            executor=executors.pop() if len(executors) == 1 else "mixed",
         )
 
     def __iter__(self) -> Iterator[DocumentQueryResult]:
@@ -227,6 +222,6 @@ class CollectionQueryResult:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"CollectionQueryResult({len(self.programs)} queries x "
-            f"{len(self.documents)} documents, {self.executor} x{self.n_workers}, "
+            f"{len(self.documents)} documents, {self.n_shards} shards, "
             f"{self.wall_seconds:.4f}s)"
         )

@@ -22,13 +22,12 @@ is what makes plans survive across documents.
 
 Cache *lookups* are thread-safe (an internal lock serialises the bookkeeping
 of the two key tables and the LRU order), so one keyed cache can be shared
-by the worker pool of a :class:`~repro.collection.Collection` and plan-cache
-hits accumulate across shards.  The **plans** a lookup hands out are not:
-a plan's evaluator memoises into shared hash tables and carries per-run
-statistics, so two threads must never *execute* the same plan concurrently.
-Multi-threaded callers must serialise executions per plan (the collection
-executor does this with one lock per plan, see
-:mod:`repro.collection.executor`) or give each thread its own cache.
+by every thread of a process -- the query service's compile and evaluation
+workers among them.  The **plans** a lookup hands out are not: a plan's
+evaluator memoises into shared hash tables and carries per-run statistics,
+so two threads must never *execute* the same plan concurrently.  The plan
+dispatcher serialises executions per plan with one lock per plan (see
+:mod:`repro.plan.locks`).
 """
 
 from __future__ import annotations

@@ -3,17 +3,20 @@
 A :class:`~repro.plan.plan.QueryPlan` is *looked up* thread-safely through
 the :class:`~repro.plan.cache.PlanCache`, but it must never be *executed* by
 two threads at once: its evaluator memoises into shared hash tables and
-carries per-run statistics.  The one execution site of cached plans --
+carries per-run statistics.  Threads do share plans: the query service
+evaluates on its own worker thread with plans from the target's cache, the
+same plans any other thread of the process gets from that cache (the
+process-wide default cache is shared by every database that is not given
+its own).  The one execution site of cached plans --
 :meth:`Database.execute_plans <repro.engine.Database.execute_plans>`, which
-``Database.query`` / ``query_many``, the collection shard workers and the
-query service all go through -- therefore serialises executions per plan
-through the registry below, whoever the caller and whatever its threads.
+``Database.query`` / ``query_many``, the collection shards and the query
+service all go through -- therefore serialises executions per plan through
+the registry below, whoever the caller and whatever its threads.
 
 The registry hands out one :class:`threading.Lock` per live plan without
-touching ``QueryPlan`` itself, which keeps plans picklable for the process
-executor.  :func:`plans_locked` acquires the locks of a whole batch in a
-global order (by object id), so two threads locking overlapping plan sets
-cannot deadlock.
+touching ``QueryPlan`` itself.  :func:`plans_locked` acquires the locks of a
+whole batch in a global order (by object id), so two threads locking
+overlapping plan sets cannot deadlock.
 """
 
 from __future__ import annotations

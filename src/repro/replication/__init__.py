@@ -4,14 +4,12 @@ The topology is one writer, many readers: a single *primary*
 ``ArbServer`` owns every update to a base and ships each committed
 generation (immutable files + pointer payload, wrapped in checksummed WAL
 frames) to registered *replica* servers; an :class:`ArbRouter` in front
-fans the client query stream across the replicas -- consistent-hash by
-``doc_id``, burst-pinned round-robin otherwise -- and forwards writes to
-the primary.  See :mod:`repro.replication.shipping` for the channel,
-:mod:`repro.replication.hashring` for the routing function, and
+fans the client query stream across the replicas -- round-robin, pinned
+per burst -- and forwards writes to the primary.  See
+:mod:`repro.replication.shipping` for the channel and
 :mod:`repro.replication.router` for the front door.
 """
 
-from repro.replication.hashring import ConsistentHashRing
 from repro.replication.router import ArbRouter, route
 from repro.replication.shipping import (
     DEFAULT_SHIP_TIMEOUT,
@@ -23,7 +21,6 @@ from repro.replication.shipping import (
 
 __all__ = [
     "ArbRouter",
-    "ConsistentHashRing",
     "DEFAULT_SHIP_TIMEOUT",
     "DEFAULT_STREAM_LIMIT",
     "ReplicaInfo",

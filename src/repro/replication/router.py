@@ -5,28 +5,27 @@ router``).  It speaks exactly the :mod:`repro.wire` protocol on its
 listening port (the ops are :mod:`repro.service.server`'s) and forwards
 every line to one of the backend ``ArbServer`` processes:
 
-* **reads** (``query`` ops) go to a replica.  A request carrying a
-  ``doc_id`` is routed by consistent hash
-  (:class:`~repro.replication.hashring.ConsistentHashRing`), so one
-  document's reads keep hitting the same replica's warm caches; requests
-  without one are round-robined, *pinned per burst* -- all queries a
-  connection has in flight together ride the same replica, so a client
-  burst coalesces into one scan pair there instead of splintering across
-  the fleet.  Snapshot reads never coordinate (the Bailis et al.
-  coordination-avoidance argument): every replica answers from its own
-  pinned generation, and read throughput scales with the replica count.
+* **reads** (``query`` ops) go to a replica, round-robined and *pinned per
+  burst*: all queries a connection has in flight together ride the same
+  replica, so a client burst coalesces into one scan pair there instead of
+  splintering across the fleet.  Every replica serves the same database
+  and snapshot reads never coordinate (the Bailis et al.
+  coordination-avoidance argument), so any serving replica is as good as
+  any other: a ``doc_id`` on a read is forwarded but does not steer it.
 * **writes** (``update`` ops) and every other explicit op are forwarded to
   the owning *primary*, which commits the generation locally and ships the
   resulting files to the replicas (see
   :mod:`repro.replication.shipping`).
 
 Failover: a replica that drops its connection mid-request is marked down
-and the read is retried transparently on the next candidate (ring
-preference order, then the remaining replicas, then the primary itself) --
-reads are idempotent, so the client never sees the failure.  Updates are
-retried only when the router is certain the request was never sent; an
-update whose connection died *after* the send surfaces an explicit
-"outcome unknown" error instead of risking a double apply.
+and the read is retried transparently on the next candidate (the remaining
+replicas, then the primary itself) -- reads are idempotent, so the client
+never sees the failure.  If every candidate that answered shed the read
+with ``ServiceOverloadedError``, that reply goes back to the client: it is
+backpressure, not an outage.  Updates are retried only when the router is
+certain the request was never sent; an update whose connection died *after*
+the send surfaces an explicit "outcome unknown" error instead of risking a
+double apply.
 
 Health and fencing: a background loop pings every backend with
 ``replica_stats`` each ``ping_interval``.  A replica whose change counter
@@ -42,7 +41,6 @@ from __future__ import annotations
 import asyncio
 
 from repro.errors import ServiceError
-from repro.replication.hashring import ConsistentHashRing
 from repro.wire import (
     DEFAULT_STREAM_LIMIT,
     BackendUnavailableError,
@@ -88,7 +86,7 @@ class _Backend(LineClient):
 
 
 class ArbRouter(LineServer):
-    """A consistent-hash / round-robin front door over replica servers."""
+    """A burst-pinned round-robin front door over replica servers."""
 
     def __init__(
         self,
@@ -112,8 +110,6 @@ class ArbRouter(LineServer):
         ]
         if not self._replicas:
             raise ServiceError("a router needs at least one replica endpoint")
-        self._ring = ConsistentHashRing(backend.name for backend in self._replicas)
-        self._by_name = {backend.name: backend for backend in self._replicas}
         self._round_robin = 0
         self._primary_counter = 0
         self._health_task: asyncio.Task | None = None
@@ -180,7 +176,6 @@ class ArbRouter(LineServer):
         except BackendUnavailableError:
             self.primary.healthy = False
         for backend in self._replicas:
-            was_healthy = backend.healthy
             try:
                 reply = await backend.request(
                     {"op": "replica_stats"}, timeout=self.ping_interval * 4
@@ -196,8 +191,7 @@ class ArbRouter(LineServer):
                 continue
             backend.counter = int(reply.get("counter", 0))
             backend.generation = int(reply.get("generation", 0))
-            if not was_healthy:
-                self._mark_up(backend)
+            backend.healthy = True
             if backend.counter < self._primary_counter:
                 # Behind the primary: fence it from serving reads and ask
                 # the primary for a catch-up ship; the next tick (or the
@@ -214,43 +208,29 @@ class ArbRouter(LineServer):
         if backend.healthy:
             backend.healthy = False
             backend.failures += 1
-        if backend.name in self._ring:
-            self._ring.remove(backend.name)
-
-    def _mark_up(self, backend: _Backend) -> None:
-        backend.healthy = True
-        if backend.name not in self._ring:
-            self._ring.add(backend.name)
 
     # -- routing --------------------------------------------------------- #
 
     def _serving(self, backend: _Backend) -> bool:
         return backend.healthy and not backend.fenced
 
-    def _read_candidates(self, message: dict, state: dict) -> list[_Backend]:
+    def _read_candidates(self, state: dict) -> list[_Backend]:
         """Replica preference order for one read, primary as last resort."""
         serving = [b for b in self._replicas if self._serving(b)]
         ordered: list[_Backend] = []
-        doc_id = message.get("doc_id")
-        if isinstance(doc_id, str) and serving:
-            for name in self._ring.preference(doc_id):
-                backend = self._by_name.get(name)
-                if backend is not None and self._serving(backend):
-                    ordered.append(backend)
-        else:
-            pinned = state.get("pinned")
-            if pinned is None or not self._serving(pinned):
-                # Claim the next round-robin slot for this burst *now*,
-                # synchronously: every other request the burst already has
-                # in flight sees the pin before the first reply returns, so
-                # the whole burst coalesces on one replica.
-                pinned = None
-                if serving:
-                    pinned = serving[self._round_robin % len(serving)]
-                    self._round_robin += 1
-                state["pinned"] = pinned
-            if pinned is not None:
-                ordered.append(pinned)
+        pinned = state.get("pinned")
+        if pinned is None or not self._serving(pinned):
+            # Claim the next round-robin slot for this burst *now*,
+            # synchronously: every other request the burst already has in
+            # flight sees the pin before the first reply returns, so the
+            # whole burst coalesces on one replica.
+            pinned = None
+            if serving:
+                pinned = serving[self._round_robin % len(serving)]
+                self._round_robin += 1
+            state["pinned"] = pinned
+        if pinned is not None:
+            ordered.append(pinned)
         for backend in serving:  # failover order: every other live replica
             if backend not in ordered:
                 ordered.append(backend)
@@ -259,7 +239,8 @@ class ArbRouter(LineServer):
 
     async def _route_read(self, message: dict, state: dict) -> dict:
         first_error: BackendUnavailableError | None = None
-        for backend in self._read_candidates(message, state):
+        shed: dict | None = None
+        for backend in self._read_candidates(state):
             try:
                 reply = await backend.request(message, timeout=self.request_timeout)
             except BackendUnavailableError as error:
@@ -281,16 +262,18 @@ class ArbRouter(LineServer):
                 # answer this read -- only the closing one is marked down.
                 if error_type == "ServiceClosedError":
                     self._mark_down(backend)
+                shed = reply if error_type == "ServiceOverloadedError" else None
                 self._retries += 1
                 continue
-            if backend is not self.primary and not isinstance(
-                message.get("doc_id"), str
-            ):
+            if backend is not self.primary:
                 # Re-pin the burst onto whoever actually answered, so its
                 # remaining requests follow the failover instead of
                 # re-walking the dead candidate.
                 state["pinned"] = backend
             return reply
+        if shed is not None:
+            # The last reply was backpressure: say so, not "unreachable".
+            return shed
         detail = f" (first failure: {first_error})" if first_error else ""
         raise ServiceError(f"no replica or primary is reachable for this query{detail}")
 

@@ -16,8 +16,8 @@ each paying their own.  :class:`QueryService` implements that window:
   first) and evaluates the whole batch with **one** call into the plan
   dispatcher -- :meth:`Database.execute_plans` for a database (one scan
   pair on disk), the collection executor for a collection (one scan pair
-  *per document* for the whole batch, dispatched across the collection's
-  shard executors);
+  *per document* for the whole batch, sharded across ``n_workers``
+  worker processes);
 * the batch result is demultiplexed back to the callers: each gets its own
   :class:`~repro.service.request.ServiceResponse` with per-request answer,
   queueing/evaluation latency, and the shared batch's `.arb` I/O counters.
@@ -153,8 +153,8 @@ class QueryService:
     """Coalesce concurrent queries against one target into shared scan pairs.
 
     ``target`` is a :class:`~repro.engine.Database` (in memory or on disk)
-    or a :class:`~repro.collection.Collection`; ``n_workers`` / ``executor``
-    only apply to collections, where each coalesced batch is dispatched
+    or a :class:`~repro.collection.Collection`; ``n_workers`` only applies
+    to collections, where each coalesced batch is dispatched
     across document shards exactly like :meth:`Collection.query_many`.
     """
 
@@ -170,7 +170,6 @@ class QueryService:
         collect_selected_nodes: bool = True,
         temp_dir: str | None = None,
         n_workers: int = 1,
-        executor: str = "thread",
     ):
         if not isinstance(target, (Database, Collection)):
             raise ServiceError(
@@ -187,6 +186,8 @@ class QueryService:
             raise ServiceError("the write coalescing window cannot be negative")
         if max_write_batch < 1:
             raise ServiceError("max_write_batch must be at least 1")
+        if isinstance(n_workers, bool) or not isinstance(n_workers, int) or n_workers < 1:
+            raise ServiceError(f"n_workers must be an int of at least 1, not {n_workers!r}")
         self.target = target
         self.window = window
         self.max_batch = max_batch
@@ -194,7 +195,6 @@ class QueryService:
         self.write_window = write_window
         self.max_write_batch = max_write_batch
         self.n_workers = n_workers
-        self.executor = executor
         #: How every coalesced batch runs; the engine is always the
         #: dispatcher's default.
         self.options = ExecutionOptions(
@@ -679,7 +679,7 @@ class QueryService:
         full = run_collection_query(
             target.documents, target.root, [plan.program for plan in plans],
             cache=target.plan_cache, options=self.options,
-            n_workers=self.n_workers, executor=self.executor,
+            n_workers=self.n_workers,
         )
         # Demultiplex the corpus-wide batch into per-request single-query
         # views; they share the batch's I/O counter objects, so idempotent

@@ -41,6 +41,25 @@ from repro.tree.binary import NO_NODE, BinaryTree
 __all__ = ["ArbDatabase"]
 
 
+def _read_meta(meta_path: str) -> tuple[int, int, int, int]:
+    """``(record_size, n_nodes, element_nodes, char_nodes)`` of a `.meta` file.
+
+    Anything but a JSON object with integer sizes is a :class:`StorageError`
+    naming the file, as for a malformed generation pointer.
+    """
+    try:
+        with open(meta_path, "r", encoding="utf-8") as handle:
+            meta = json.load(handle)
+        return (
+            int(meta["record_size"]),
+            int(meta["n_nodes"]),
+            int(meta.get("element_nodes", 0)),
+            int(meta.get("char_nodes", 0)),
+        )
+    except (OSError, ValueError, KeyError, TypeError) as error:
+        raise StorageError(f"malformed database metadata {meta_path}: {error!r}") from error
+
+
 @dataclass
 class ArbDatabase:
     """A read handle on an on-disk Arb tree database."""
@@ -118,12 +137,7 @@ class ArbDatabase:
         if not os.path.exists(arb_path):
             raise StorageError(f"no such database: {arb_path}")
         if os.path.exists(meta_path):
-            with open(meta_path, "r", encoding="utf-8") as handle:
-                meta = json.load(handle)
-            record_size = int(meta["record_size"])
-            n_nodes = int(meta["n_nodes"])
-            element_nodes = int(meta.get("element_nodes", 0))
-            char_nodes = int(meta.get("char_nodes", 0))
+            record_size, n_nodes, element_nodes, char_nodes = _read_meta(meta_path)
         else:
             # Fall back to the paper's convention: k = 2 and the node count is
             # implied by the file size.

@@ -453,7 +453,7 @@ def creation_counter_of(arb_path: str) -> int:
     try:
         with open(meta_path, "r", encoding="utf-8") as handle:
             counter = int(json.load(handle).get("counter", 0))
-    except (OSError, ValueError, TypeError):
+    except (OSError, ValueError, TypeError, AttributeError):
         return 0
     if len(_COUNTER_MEMO) >= _COUNTER_MEMO_LIMIT:
         _COUNTER_MEMO.clear()

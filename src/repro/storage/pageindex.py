@@ -349,10 +349,11 @@ def load_page_index(path: str) -> PageIndex | None:
 
 #: Decoded-sidecar cache: ``abspath(idx) -> (logical_base, fingerprint,
 #: index | None)``, LRU-bounded and guarded by :data:`_INDEX_CACHE_LOCK`.
-#: Thread executors load indexes concurrently and a long-lived collection
-#: sees a fresh generation path per update, so the cache must be both
-#: race-free and bounded: inserts evict superseded generations of the same
-#: logical document first, then fall back to plain LRU eviction.
+#: Threads (a service's workers, a caller's own) load indexes concurrently
+#: and a long-lived collection sees a fresh generation path per update, so
+#: the cache must be both race-free and bounded: inserts evict superseded
+#: generations of the same logical document first, then fall back to plain
+#: LRU eviction.
 _INDEX_CACHE: "OrderedDict[str, tuple[str, tuple, PageIndex | None]]" = OrderedDict()
 _INDEX_CACHE_LOCK = threading.Lock()
 _INDEX_CACHE_CAP = 128

@@ -47,7 +47,7 @@ def test_collection_query_single(corpus_root, capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "collection      : 3 documents" in out
-    assert "workers         : 2 (thread, 2 shards)" in out
+    assert "workers         : 2 (2 shards)" in out
     assert "[0] QUERY: 6 selected across the corpus" in out
     assert "doc0[0]:" in out
     assert "linear scans" in out
@@ -58,7 +58,7 @@ def test_collection_query_batch(corpus_root, capsys):
     assert cli_main([
         "collection", "query", corpus_root, "--batch",
         "-q", BOOK_QUERY, "-q", DVD_QUERY,
-        "--workers", "3", "--executor", "serial",
+        "--workers", "3",
     ]) == 0
     out = capsys.readouterr().out
     assert "[0] QUERY: 6 selected" in out

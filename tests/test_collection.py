@@ -1,4 +1,4 @@
-"""The sharded document-collection layer: manifest, executors, invariants.
+"""The sharded document-collection layer: manifest, worker pools, invariants.
 
 The acceptance test of the layer is here: a collection of >= 8 documents
 evaluated with 4 workers must return exactly what sequential per-document
@@ -56,16 +56,15 @@ def sequential_reference(collection, query):
 
 
 @pytest.mark.parametrize("n_workers", [1, 2, 4])
-@pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-def test_parallel_collection_equals_sequential_per_document(corpus, executor, n_workers):
+def test_parallel_collection_equals_sequential_per_document(corpus, n_workers):
     assert len(corpus) >= 8
-    result = corpus.query_many(QUERIES, n_workers=n_workers, executor=executor)
+    result = corpus.query_many(QUERIES, n_workers=n_workers)
     assert len(result) == len(corpus)
     for index, query in enumerate(QUERIES):
         reference = sequential_reference(corpus, query)
         assert result.selected_nodes(query_index=index) == reference
     # Sharding changes who scans, never what is scanned: the corpus costs the
-    # sum of its documents' batches, whatever the executor and worker count.
+    # sum of its documents' batches, whatever the worker count.
     sequential_io = IOStatistics()
     for doc_id in corpus.doc_ids:
         database = corpus.open_database(doc_id)
@@ -93,13 +92,11 @@ def test_per_document_pages_read_independent_of_batch_size(corpus):
     assert full.statistics.nodes == corpus.n_nodes
 
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
-def test_wall_clock_statistics_recorded(corpus, executor):
-    result = corpus.query(QUERIES[0], n_workers=4, executor=executor)
+def test_wall_clock_statistics_recorded(corpus):
+    result = corpus.query(QUERIES[0], n_workers=4)
     assert result.wall_seconds > 0
     assert result.n_workers == 4
     assert result.n_shards == 4
-    assert result.executor == executor
 
 
 # --------------------------------------------------------------------------- #
@@ -107,23 +104,24 @@ def test_wall_clock_statistics_recorded(corpus, executor):
 # --------------------------------------------------------------------------- #
 
 
-def test_thread_workers_share_plans_through_the_keyed_cache(corpus):
+def test_one_worker_shares_plans_through_the_keyed_cache(corpus):
     corpus.plan_cache = PlanCache()
-    result = corpus.query_many(QUERIES, n_workers=4, executor="thread")
+    result = corpus.query_many(QUERIES, n_workers=1)
+    assert result.n_shards == 1
     # The coordinator compiles each query once; every per-document evaluation
-    # in every shard is then served by the shared keyed cache.
+    # of the one in-thread shard is then served by the shared keyed cache.
     assert corpus.plan_cache.misses == len(QUERIES)
     assert result.statistics.plan_cache_hits == len(QUERIES) * len(corpus)
     assert result.statistics.plan_cache_misses == 0
     # A second collection-level call stays all-hit.
-    again = corpus.query_many(QUERIES, n_workers=4, executor="thread")
+    again = corpus.query_many(QUERIES, n_workers=1)
     assert corpus.plan_cache.misses == len(QUERIES)
     assert again.statistics.plan_cache_misses == 0
 
 
 def test_process_workers_share_plans_within_each_shard(corpus):
     corpus.plan_cache = PlanCache()
-    result = corpus.query_many(QUERIES, n_workers=4, executor="process")
+    result = corpus.query_many(QUERIES, n_workers=4)
     # Process-local caches: the first document of each shard compiles, the
     # shard's remaining documents hit.
     expected_misses = len(QUERIES) * result.n_shards
@@ -239,10 +237,9 @@ def test_open_requires_manifest(tmp_path):
 def test_query_validation(corpus, tmp_path):
     with pytest.raises(EvaluationError):
         corpus.query_many([], n_workers=2)
-    with pytest.raises(EvaluationError):
-        corpus.query(QUERIES[0], executor="rocket")
-    with pytest.raises(EvaluationError):
-        corpus.query(QUERIES[0], n_workers=0)
+    for n_workers in (0, 2.0, "2", None):
+        with pytest.raises(EvaluationError, match="n_workers"):
+            corpus.query(QUERIES[0], n_workers=n_workers)
     empty = Collection.create(str(tmp_path / "empty"), plan_cache=PlanCache())
     with pytest.raises(EvaluationError):
         empty.query(QUERIES[0])

@@ -41,13 +41,13 @@ def build_collection(directory, trees):
 @given(
     trees=corpora(),
     batch=st.lists(tmnf_programs(), min_size=1, max_size=3),
-    executor=st.sampled_from(("serial", "thread")),
+    n_workers=st.sampled_from((1, 2)),
 )
 @settings(max_examples=25, **COMMON_SETTINGS)
-def test_parallel_equals_union_of_sequential_queries(trees, batch, executor):
+def test_parallel_equals_union_of_sequential_queries(trees, batch, n_workers):
     with tempfile.TemporaryDirectory() as directory:
         collection = build_collection(directory, trees)
-        result = collection.query_many(batch, n_workers=2, executor=executor)
+        result = collection.query_many(batch, n_workers=n_workers)
         assert len(result) == len(trees)
         for index, program in enumerate(batch):
             predicate = program.query_predicates[0]

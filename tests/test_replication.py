@@ -1,8 +1,8 @@
 """Unit and in-process tests of the generation-shipping replication tier.
 
-Covers the consistent-hash ring, the export/install snapshot round-trip,
-the primary's replication wire ops, the router's routing and failover
-behaviour, and the ``open_target`` directory diagnostic that rode along.
+Covers the export/install snapshot round-trip, the primary's replication
+wire ops, the router's routing, failover and backpressure behaviour, and the
+``open_target`` directory diagnostic that rode along.
 The multi-process kill/restart soak lives in ``test_replication_soak.py``;
 the wire contract (framing, ids, ``request_many``) in ``test_wire.py``.
 """
@@ -17,9 +17,9 @@ import shutil
 import pytest
 
 from repro.engine import Database
-from repro.errors import ServiceError, StorageError
+from repro.errors import ServiceError, ServiceOverloadedError, StorageError
 from repro.plan.cache import PlanCache
-from repro.replication import ArbRouter, ConsistentHashRing, ReplicaSet
+from repro.replication import ArbRouter, ReplicaSet
 from repro.service import ArbServer, request_many
 from repro.service.server import open_target
 from repro.storage.build import build_database
@@ -32,76 +32,9 @@ from repro.storage.generations import (
     read_pointer,
 )
 from repro.storage.update import Relabel
+from repro.wire import LineServer
 
 DOCUMENT = "<lib><book><t>x</t></book><book><t>y</t></book><dvd/></lib>"
-
-
-# --------------------------------------------------------------------- #
-# Consistent-hash ring
-# --------------------------------------------------------------------- #
-
-
-def test_hashring_is_deterministic_across_instances():
-    nodes = ["10.0.0.1:8723", "10.0.0.2:8723", "10.0.0.3:8723"]
-    ring_a = ConsistentHashRing(nodes)
-    ring_b = ConsistentHashRing(reversed(nodes))
-    keys = [f"doc-{i}" for i in range(200)]
-    assert [ring_a.owner(k) for k in keys] == [ring_b.owner(k) for k in keys]
-
-
-def test_hashring_minimal_movement_on_node_removal():
-    nodes = [f"replica-{i}" for i in range(4)]
-    ring = ConsistentHashRing(nodes)
-    keys = [f"doc-{i}" for i in range(400)]
-    before = {k: ring.owner(k) for k in keys}
-    ring.remove("replica-2")
-    after = {k: ring.owner(k) for k in keys}
-    # Keys owned by survivors must not move; the removed node's keys spread.
-    for key in keys:
-        if before[key] != "replica-2":
-            assert after[key] == before[key]
-        else:
-            assert after[key] != "replica-2"
-    moved = sum(1 for k in keys if before[k] != after[k])
-    assert 0 < moved < len(keys) / 2  # roughly 1/4 of the keyspace
-
-
-def test_hashring_add_back_restores_ownership():
-    nodes = [f"replica-{i}" for i in range(3)]
-    ring = ConsistentHashRing(nodes)
-    keys = [f"doc-{i}" for i in range(200)]
-    before = {k: ring.owner(k) for k in keys}
-    ring.remove("replica-1")
-    ring.add("replica-1")
-    assert {k: ring.owner(k) for k in keys} == before
-
-
-def test_hashring_preference_order_predicts_failover():
-    ring = ConsistentHashRing([f"replica-{i}" for i in range(3)])
-    for key in ("doc-a", "doc-b", "doc-c"):
-        order = ring.preference(key)
-        assert order[0] == ring.owner(key)
-        assert sorted(order) == sorted(ring.nodes)
-        # Removing the owner promotes exactly the next preference.
-        ring.remove(order[0])
-        assert ring.owner(key) == order[1]
-        ring.add(order[0])
-
-
-def test_hashring_empty_ring_raises():
-    ring = ConsistentHashRing()
-    with pytest.raises(KeyError):
-        ring.owner("anything")
-    assert ring.preference("anything") == []
-
-
-def test_hashring_spreads_keys_reasonably():
-    ring = ConsistentHashRing([f"replica-{i}" for i in range(4)])
-    counts: dict[str, int] = {}
-    for i in range(1000):
-        counts[ring.owner(f"doc-{i}")] = counts.get(ring.owner(f"doc-{i}"), 0) + 1
-    assert len(counts) == 4
-    assert min(counts.values()) > 1000 / 4 / 4  # no starving node
 
 
 # --------------------------------------------------------------------- #
@@ -476,37 +409,88 @@ def test_router_fans_reads_and_forwards_updates(tmp_path):
     assert len(stats["replicas"]) == 2
 
 
-def test_router_doc_id_routing_is_sticky(tmp_path):
-    """Reads carrying a doc_id ride the hash ring, not the round robin."""
+def test_router_doc_id_reads_ride_the_burst_pin_and_fail_over(tmp_path):
+    """A ``doc_id`` on a read does not steer it: one burst, one replica."""
     primary_base, _ = _build_pair(tmp_path)
     replica_bases = _replica_fleet(tmp_path, primary_base, 2)
+    burst = [
+        {"query": "//book", "language": "xpath", "doc_id": f"doc-{i}"}
+        for i in range(6)
+    ]
 
     async def scenario():
-        async with (
-            ArbServer(_open_served(primary_base)) as primary,
-            ArbServer(_open_served(replica_bases[0])) as r0,
-            ArbServer(_open_served(replica_bases[1])) as r1,
-            ArbRouter(
+        replicas = [ArbServer(_open_served(base)) for base in replica_bases]
+        async with ArbServer(_open_served(primary_base)) as primary:
+            for replica in replicas:
+                await replica.start()
+            router = ArbRouter(
                 (primary.host, primary.port),
-                [(r0.host, r0.port), (r1.host, r1.port)],
-                ping_interval=5.0,  # keep health pings out of the counts
-            ) as router,
-        ):
-            for _ in range(6):
-                (reply,) = await request_many(router.host, router.port, [
-                    {"query": "//book", "language": "xpath",
-                     "doc_id": "always-the-same"},
-                ])
-                assert reply["ok"]
-            stats = (await request_many(router.host, router.port, [
-                {"op": "router_stats"},
-            ]))[0]
-            return stats
+                [(replica.host, replica.port) for replica in replicas],
+                ping_interval=5.0,  # no health tick: failover must do it
+            )
+            await router.start()
+            try:
+                first = await request_many(router.host, router.port, burst)
+                served_first = [r.service.stats().completed for r in replicas]
+                # The round robin pins the next burst on the other replica:
+                # stop it, so that burst has to fail over.
+                idle = replicas[served_first.index(0)]
+                await idle.stop()
+                second = await request_many(router.host, router.port, burst)
+                served = [r.service.stats().completed for r in replicas]
+                stats = (await request_many(router.host, router.port, [
+                    {"op": "router_stats"},
+                ]))[0]
+            finally:
+                await router.stop()
+                for replica in replicas:
+                    await replica.stop()
+        return first, served_first, second, served, stats
 
-    stats = asyncio.run(scenario())
-    requests = sorted(row["requests"] for row in stats["replicas"])
-    # All six hashed reads landed on the one owning replica.
-    assert requests[-1] >= 6 and requests[0] <= 1
+    first, served_first, second, served, stats = asyncio.run(scenario())
+    assert all(r["ok"] and r["count"] == 2 for r in first + second)
+    # Six different doc_ids, one burst: all six on the pinned replica, where
+    # they coalesced into one batch.
+    assert sorted(served_first) == [0, 6]
+    assert first[0]["batch_size"] == 6
+    # The second burst's pin was dead: every read failed over to the one
+    # live replica, none reached the primary.
+    assert sorted(served) == [0, 12]
+    assert stats["retries"] >= 1
+    assert sorted(row["healthy"] for row in stats["replicas"]) == [False, True]
+
+
+def test_router_returns_backpressure_when_every_backend_is_overloaded():
+    """All candidates shed the read: the client sees the overload, not an
+    outage, so it can back off and retry."""
+
+    async def overloaded(message, state):
+        raise ServiceOverloadedError("queue depth limit reached")
+
+    async def scenario():
+        stubs = [LineServer(overloaded) for _ in range(3)]
+        for stub in stubs:
+            await stub.start()
+        primary, *replicas = stubs
+        try:
+            async with ArbRouter(
+                (primary.host, primary.port),
+                [(replica.host, replica.port) for replica in replicas],
+                ping_interval=5.0,
+            ) as router:
+                return await request_many(router.host, router.port, [
+                    {"query": "//book", "language": "xpath"},
+                    {"query": "//book", "language": "xpath", "doc_id": "d"},
+                ])
+        finally:
+            for stub in stubs:
+                await stub.stop()
+
+    replies = asyncio.run(scenario())
+    for reply in replies:
+        assert not reply["ok"]
+        assert reply["error_type"] == "ServiceOverloadedError"
+        assert "queue depth limit" in reply["error"]
 
 
 def test_router_read_failover_is_invisible_to_clients(tmp_path):

@@ -205,6 +205,16 @@ def test_constructor_validation(disk_database):
         QueryService(disk_database, max_pending=0)
 
 
+@pytest.mark.parametrize("n_workers", [0, -1, True, "2", 2.0, None], ids=repr)
+def test_constructor_refuses_a_bad_worker_count(tmp_path, n_workers):
+    # Refused up front, as `arb serve --workers 0` must be: not accepted and
+    # then failing every collection query.
+    collection = Collection.create(str(tmp_path / "corpus"), plan_cache=PlanCache())
+    collection.add_document("<a><b/></a>", doc_id="one")
+    with pytest.raises(ServiceError, match="n_workers"):
+        QueryService(collection, n_workers=n_workers)
+
+
 # --------------------------------------------------------------------------- #
 # Cross-thread submission
 # --------------------------------------------------------------------------- #

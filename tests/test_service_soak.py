@@ -126,21 +126,16 @@ def test_soak_os_threads_through_threadsafe_bridge(disk_database):
     assert cache["misses"] == len(QUERIES)
 
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
 @pytest.mark.timeout(120)
-def test_soak_collection_shard_executors(tmp_path, executor):
-    collection = Collection.create(
-        str(tmp_path / f"corpus-{executor}"), plan_cache=PlanCache()
-    )
+def test_soak_collection_shard_workers(tmp_path):
+    collection = Collection.create(str(tmp_path / "corpus"), plan_cache=PlanCache())
     n_docs = 4
     for index in range(n_docs):
         collection.add_document(DOCUMENT, doc_id=f"doc-{index}")
-    n_requests = 6 if executor == "process" else 24
+    n_requests = 24
 
     async def main():
-        async with QueryService(
-            collection, window=0.01, n_workers=2, executor=executor
-        ) as service:
+        async with QueryService(collection, window=0.01, n_workers=2) as service:
             rng = random.Random(7)
             workload = [rng.choice(list(QUERIES)) for _ in range(n_requests)]
             responses = await asyncio.gather(

@@ -191,6 +191,19 @@ class TestBuildAndOpen:
         with pytest.raises(StorageError):
             ArbDatabase.open(str(tmp_path / "missing"))
 
+    @pytest.mark.parametrize(
+        "meta",
+        ["", "[1]", "{}", '{"record_size": "x", "n_nodes": 2}'],
+        ids=["empty", "list", "no-sizes", "non-integer"],
+    )
+    def test_malformed_meta_is_a_storage_error_naming_the_file(self, tmp_path, meta):
+        base = str(tmp_path / "doc")
+        DatabaseBuilder().build_from_xml("<a><b/></a>", base)
+        with open(base + ".meta", "w", encoding="utf-8") as handle:
+            handle.write(meta)
+        with pytest.raises(StorageError, match=r"doc\.meta"):
+            ArbDatabase.open(base)
+
     def test_open_accepts_arb_suffix(self, tmp_path):
         base = str(tmp_path / "doc")
         build_database("<a><b/></a>", base)
