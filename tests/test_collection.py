@@ -92,11 +92,13 @@ def test_per_document_pages_read_independent_of_batch_size(corpus):
     assert full.statistics.nodes == corpus.n_nodes
 
 
-def test_wall_clock_statistics_recorded(corpus):
-    result = corpus.query(QUERIES[0], n_workers=4)
+@pytest.mark.parametrize("n_workers", [1, 4])
+def test_wall_clock_statistics_recorded(corpus, n_workers):
+    # 1 runs in the calling thread, 4 on worker processes.
+    result = corpus.query(QUERIES[0], n_workers=n_workers)
     assert result.wall_seconds > 0
-    assert result.n_workers == 4
-    assert result.n_shards == 4
+    assert result.n_workers == n_workers
+    assert result.n_shards == n_workers
 
 
 # --------------------------------------------------------------------------- #
@@ -117,6 +119,23 @@ def test_one_worker_shares_plans_through_the_keyed_cache(corpus):
     again = corpus.query_many(QUERIES, n_workers=1)
     assert corpus.plan_cache.misses == len(QUERIES)
     assert again.statistics.plan_cache_misses == 0
+
+
+def test_one_document_runs_in_the_calling_thread_whatever_the_worker_count(tmp_path):
+    collection = Collection.create(str(tmp_path / "single"), plan_cache=PlanCache())
+    collection.add_document(random_unranked_tree(random.Random(7), max_nodes=40),
+                            doc_id="only")
+    result = collection.query_many(QUERIES, n_workers=4)
+    # One document is one shard: no pool is started, and the document's
+    # evaluation hits the plans the coordinator put in the collection cache.
+    assert result.n_shards == 1 and result.n_workers == 1
+    assert collection.plan_cache.misses == len(QUERIES)
+    assert result.statistics.plan_cache_hits == len(QUERIES)
+    assert result.statistics.plan_cache_misses == 0
+    for index, query in enumerate(QUERIES):
+        assert result.selected_nodes(query_index=index) == sequential_reference(
+            collection, query
+        )
 
 
 def test_process_workers_share_plans_within_each_shard(corpus):

@@ -126,8 +126,10 @@ def test_soak_os_threads_through_threadsafe_bridge(disk_database):
     assert cache["misses"] == len(QUERIES)
 
 
+@pytest.mark.parametrize("n_workers", [1, 2])
 @pytest.mark.timeout(120)
-def test_soak_collection_shard_workers(tmp_path):
+def test_soak_collection_shard_workers(tmp_path, n_workers):
+    # 1 evaluates each burst in the service's worker thread, 2 on processes.
     collection = Collection.create(str(tmp_path / "corpus"), plan_cache=PlanCache())
     n_docs = 4
     for index in range(n_docs):
@@ -135,7 +137,7 @@ def test_soak_collection_shard_workers(tmp_path):
     n_requests = 24
 
     async def main():
-        async with QueryService(collection, window=0.01, n_workers=2) as service:
+        async with QueryService(collection, window=0.01, n_workers=n_workers) as service:
             rng = random.Random(7)
             workload = [rng.choice(list(QUERIES)) for _ in range(n_requests)]
             responses = await asyncio.gather(
