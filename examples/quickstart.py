@@ -10,7 +10,7 @@ results.
 
 from __future__ import annotations
 
-from repro import Database
+from repro import Database, evaluate_fixpoint
 
 DOCUMENT = """
 <library>
@@ -48,8 +48,8 @@ def main() -> None:
           xpath_result.selected_nodes() == result.selected_nodes())
 
     # 3. Cross-check against the naive datalog fixpoint (reference semantics).
-    reference = database.query(program, query_predicate="QUERY", engine="fixpoint")
-    assert reference.selected_nodes() == result.selected_nodes()
+    reference = evaluate_fixpoint(result.program, database.binary_tree())
+    assert reference.selected["QUERY"] == result.selected_nodes()
     print("fixpoint reference agrees:", True)
 
     # 4. Evaluation statistics: the engine's two phases and lazy automata.

@@ -13,10 +13,9 @@ Subcommands
     statistics are printed; ``--mark-up`` emits the whole document with the
     selected nodes marked, ``--ids`` prints the selected node ids.
 
-    ``--engine {auto,memory,disk,streaming,fixpoint}`` forces an execution
-    backend (default ``auto``: the two-scan disk evaluation for an `.arb`
-    database, the memory backend for an XML file; ``streaming`` is the
-    one-pass baseline for predicate-free downward XPath paths).
+    ``--engine {auto,memory,disk}``: ``auto`` (the default) evaluates an
+    `.arb` database in two linear scans and an XML file in memory; ``disk``
+    insists on the scans, ``memory`` loads the tree (the differential oracle).
     ``-q`` / ``-f`` / ``-x`` may be repeated together with ``--batch``: the
     batch is evaluated over an on-disk database with a **single** pair of
     linear scans of the `.arb` file, however many queries it holds.
@@ -80,6 +79,7 @@ import sys
 from repro.collection import Collection
 from repro.engine import Database
 from repro.errors import ReproError
+from repro.plan.options import AUTO_ENGINE, ENGINES
 from repro.storage.build import build_database
 from repro.storage.bufferpool import resolve_pager
 from repro.storage.database import ArbDatabase
@@ -137,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("-x", "--xpath", action="append",
                        help="XPath expression, supported fragment (repeatable with --batch)")
     query.add_argument("--query-predicate", help="IDB predicate to report (default: QUERY/first head)")
-    query.add_argument("--engine", choices=("auto", "memory", "disk", "streaming", "fixpoint"),
-                       default="auto", help="execution backend (default: disk scans on disk, else memory)")
+    query.add_argument("--engine", choices=ENGINES, default=AUTO_ENGINE,
+                       help="evaluator (default: disk scans on disk, else memory)")
     query.add_argument("--batch", action="store_true",
                        help="evaluate all given queries together "
                             "(on disk: one pair of linear scans for the whole batch)")
@@ -200,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="XPath expression, supported fragment (repeatable with --batch)")
     cquery.add_argument("--query-predicate",
                         help="IDB predicate to report (default: QUERY/first head)")
-    cquery.add_argument("--engine", choices=("auto", "memory", "disk", "streaming", "fixpoint"),
-                        default="auto", help="execution backend (default: the disk scan pair)")
+    cquery.add_argument("--engine", choices=ENGINES, default=AUTO_ENGINE,
+                        help="evaluator (default: the disk scan pair)")
     cquery.add_argument("--batch", action="store_true",
                         help="evaluate all given queries together "
                              "(one lockstep scan pair per document)")
@@ -362,18 +362,13 @@ def _run_batch_query(database: Database, queries: list[str], language: str,
               f"plan {cache}")
         if args.ids:
             print("      " + " ".join(str(node) for node in result.selected_nodes(predicate)))
-    arb = batch.arb_io
     if batch.backend == "disk":
-        # Only the lockstep scan pair reads the file twice for the whole
-        # batch; the per-plan backends scan once (streaming) or never per query.
+        arb = batch.arb_io
         print(f".arb file I/O   : {arb.pages_read} pages / {arb.bytes_read} bytes read "
               f"in {arb.seeks} linear scans (independent of batch size)")
         print(f"state file      : {batch.state_file_bytes} bytes "
               f"({batch.state_io.pages_read} pages read, "
               f"{batch.state_io.pages_written} written)")
-    elif arb.pages_read or arb.bytes_read:
-        print(f".arb file I/O   : {arb.pages_read} pages / {arb.bytes_read} bytes read "
-              f"in {arb.seeks} linear scans")
     print(f"total           : {batch.statistics.total_seconds:.4f}s "
           f"over {batch.statistics.nodes} nodes")
     return 0
@@ -415,7 +410,7 @@ def _command_collection_query(args: argparse.Namespace) -> int:
     )
     statistics = result.statistics
     print(f"collection      : {len(result)} documents, {statistics.nodes} nodes")
-    print(f"workers         : {result.n_workers} ({result.n_shards} shards)")
+    print(f"shards          : {result.n_shards}")
     for index, program in enumerate(result.programs):
         predicate = program.query_predicates[0]
         total = result.count(query_index=index)

@@ -226,29 +226,21 @@ def run_collection_query(
     }
     documents = [by_doc[entry.doc_id] for entry in entries]
 
-    aggregate = EvaluationStatistics()
     arb_io = IOStatistics()
     state_io = IOStatistics()
     for doc in documents:
         arb_io.add(doc.arb_io)
         state_io.add(doc.state_io)
-        aggregate.nodes += doc.n_nodes
-        for result in doc.results:
-            stats = result.statistics
-            aggregate.bu_seconds += stats.bu_seconds
-            aggregate.td_seconds += stats.td_seconds
-            aggregate.bu_transitions += stats.bu_transitions
-            aggregate.td_transitions += stats.td_transitions
-            aggregate.selected += stats.selected
-            aggregate.plan_cache_hits += stats.plan_cache_hits
-            aggregate.plan_cache_misses += stats.plan_cache_misses
+    statistics = EvaluationStatistics.merged(
+        result.statistics for doc in documents for result in doc.results
+    )
+    statistics.nodes = sum(doc.n_nodes for doc in documents)
     return CollectionQueryResult(
         programs=programs,
         documents=documents,
-        statistics=aggregate,
+        statistics=statistics,
         arb_io=arb_io,
         state_io=state_io,
         wall_seconds=wall_seconds,
-        n_workers=min(n_workers, len(tasks)),
         n_shards=len(tasks),
     )

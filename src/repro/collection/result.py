@@ -72,7 +72,7 @@ class CollectionQueryResult:
     arb_io: IOStatistics = field(default_factory=IOStatistics)
     state_io: IOStatistics = field(default_factory=IOStatistics)
     wall_seconds: float = 0.0
-    n_workers: int = 1
+    #: Number of shards, one per worker the call used.
     n_shards: int = 1
 
     @property
@@ -118,7 +118,6 @@ class CollectionQueryResult:
             arb_io=self.arb_io,
             state_io=self.state_io,
             wall_seconds=self.wall_seconds,
-            n_workers=self.n_workers,
             n_shards=self.n_shards,
         )
 
@@ -183,7 +182,6 @@ class CollectionQueryResult:
             arb_io=arb_io,
             state_io=state_io,
             wall_seconds=max((result.wall_seconds for result in distinct), default=0.0),
-            n_workers=max((result.n_workers for result in distinct), default=1),
             n_shards=max((result.n_shards for result in distinct), default=1),
         )
 

@@ -15,12 +15,14 @@ documents* -- and executed:
   :meth:`Database.query` is a batch of one; :meth:`Database.query_many`
   runs *k* queries in the **same single pair of linear scans** by running
   the k bottom-up automata in lockstep per node;
-* otherwise plan by plan, on a backend of :mod:`repro.plan.backends`:
-  ``memory`` (:class:`~repro.core.two_phase.TwoPhaseEvaluator` over the
-  in-memory binary tree; the default in memory), ``streaming`` (the
-  one-pass lazy-DFA baseline for predicate-free downward XPath paths, only
-  when named) or ``fixpoint`` (the naive datalog fixpoint, reference
-  semantics).
+* in memory, or with ``engine="memory"`` (the differential oracle), plan by
+  plan by the :class:`~repro.core.two_phase.TwoPhaseEvaluator` over the
+  in-memory binary tree.
+
+Where the data lives picks the evaluator; ``engine=`` only asserts it or
+asks for the oracle.  The one-pass streaming engine (:mod:`repro.streaming`)
+and the datalog fixpoint (:mod:`repro.baselines.datalog`) are the paper's
+baseline and reference semantics, called directly, not routes of this API.
 
 Queries can be written in TMNF / caterpillar syntax (the native language) or
 in the supported XPath fragment (translated to TMNF first).
@@ -38,8 +40,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from repro.core.two_phase import EvaluationStatistics
 from repro.errors import EvaluationError, StorageError
-from repro.plan.backends import AUTO_ENGINE, BACKENDS
 from repro.plan.batch import evaluate_batch_on_disk
 from repro.plan.cache import PlanCache, default_plan_cache
 from repro.plan.locks import plans_locked
@@ -48,7 +50,7 @@ from repro.plan.plan import QueryPlan, compile_query
 from repro.plan.result import BatchQueryResult, QueryResult
 from repro.storage.build import build_database
 from repro.storage.database import ArbDatabase
-from repro.storage.paging import DEFAULT_PAGE_SIZE, PagerConfig
+from repro.storage.paging import DEFAULT_PAGE_SIZE, IOStatistics, PagerConfig
 from repro.storage.update import apply_many
 from repro.tmnf.program import TMNFProgram
 from repro.tree.binary import BinaryTree
@@ -346,27 +348,22 @@ class Database:
         *,
         language: str = "tmnf",
         query_predicate: str | tuple[str, ...] | None = None,
-        keep_true_predicates: bool = False,
         memoize: bool = True,
         engine: str | None = None,
         temp_dir: str | None = None,
     ) -> QueryResult:
         """Evaluate a node-selecting query and return the selected nodes.
 
-        ``engine`` selects the execution backend (``"memory"``, ``"disk"``,
-        ``"streaming"``, ``"fixpoint"``, or ``"auto"``/``None`` for the disk
-        scan pair on disk and ``memory`` otherwise); it is an error to name a
-        backend that cannot run this query on this database.  On disk the
-        default is a lockstep batch of one: the same scan pair, page skipping
-        and loop as ``query_many([query])``.
+        ``engine`` is ``"auto"``/``None`` (the disk scan pair on disk, the
+        in-memory evaluator otherwise), ``"disk"`` (an error in memory) or
+        ``"memory"``.  On disk the default is a lockstep batch of one: the
+        same scan pair, page skipping and loop as ``query_many([query])``.
         """
         options = ExecutionOptions(engine=engine, temp_dir=temp_dir)
         plan, hit = self.plan(
             query, language=language, query_predicate=query_predicate, memoize=memoize
         )
-        return self.execute_plans(
-            [plan], options, hits=[hit], keep_true_predicates=keep_true_predicates
-        )[0]
+        return self.execute_plans([plan], options, hits=[hit])[0]
 
     def query_many(
         self,
@@ -388,7 +385,7 @@ class Database:
         top-down automata: the `.arb` file is read exactly twice however
         large the batch is (see :attr:`BatchQueryResult.arb_io`), less the
         pages the generation's ``.idx`` sidecar lets a selective batch skip.
-        Otherwise the queries are executed one by one on the selected backend.
+        Otherwise the queries are evaluated one by one in memory.
         """
         if not queries:
             raise EvaluationError("query_many needs at least one query")
@@ -407,7 +404,6 @@ class Database:
         options: ExecutionOptions,
         *,
         hits: Sequence[bool | None] = (),
-        keep_true_predicates: bool = False,
     ) -> BatchQueryResult:
         """Run compiled ``plans`` over this database: the one plan dispatcher.
 
@@ -416,10 +412,8 @@ class Database:
         call.  An on-disk database under ``options.engine`` of
         ``None``/``"auto"``/``"disk"`` runs the whole list as **one** lockstep
         scan pair (:func:`~repro.plan.batch.evaluate_batch_on_disk`) -- a
-        single query is a batch of one.  Anything else runs plan by plan on
-        the named backend of :data:`~repro.plan.backends.BACKENDS`, ``auto``
-        meaning ``memory`` (in memory, or when ``keep_true_predicates`` asks
-        for per-node predicate sets, which neither scan can produce).
+        single query is a batch of one.  In memory, or under ``"memory"``,
+        each plan runs the two-phase evaluator over the binary tree.
 
         The plans' execution locks (:mod:`repro.plan.locks`) are held
         throughout, so callers on any number of threads may share cached
@@ -428,43 +422,29 @@ class Database:
         them untouched).
         """
         disk = self._disk
-        engine = options.engine or AUTO_ENGINE
-        backend = None  # the lockstep scan pair
-        if disk is None or keep_true_predicates or engine not in (AUTO_ENGINE, "disk"):
-            if engine == "disk" and disk is None:
-                raise EvaluationError("engine 'disk' cannot execute this query on this database")
-            if engine == "disk":
-                raise EvaluationError(
-                    "the disk backend cannot report per-node true-predicate sets; "
-                    "use engine='memory' (or 'auto') with keep_true_predicates"
-                )
-            backend = BACKENDS.get("memory" if engine == AUTO_ENGINE else engine)
-            if backend is None:
-                names = ", ".join(sorted([*BACKENDS, "disk"]))
-                raise EvaluationError(f"unknown engine {engine!r} (use one of: {names}, auto)")
+        if options.engine == "disk" and disk is None:
+            raise EvaluationError("engine 'disk' needs an on-disk database")
         with plans_locked(plans):
-            if backend is None:
+            if disk is not None and options.engine != "memory":
                 batch = evaluate_batch_on_disk(plans, disk, options)
             else:
-                batch = BatchQueryResult(results=[], backend=backend.name)
-                totals = batch.statistics
+                tree = self.binary_tree()
+                results = []
                 for plan in plans:
-                    result = backend.execute(
-                        plan, self, options, keep_true_predicates=keep_true_predicates
-                    )
+                    plan.begin_run()
+                    evaluation = plan.evaluator.evaluate(tree)
+                    selected = evaluation.selected
+                    counts = {pred: len(nodes) for pred, nodes in selected.items()}
                     if not options.collect_selected_nodes:
-                        result.selected = {pred: [] for pred in result.selected}
-                    batch.results.append(result)
-                    stats = result.statistics
-                    totals.bu_seconds += stats.bu_seconds
-                    totals.td_seconds += stats.td_seconds
-                    totals.bu_transitions += stats.bu_transitions
-                    totals.td_transitions += stats.td_transitions
-                    totals.selected += stats.selected
-                    # memory/fixpoint report zero I/O; streaming reads only
-                    # the `.arb` file (one forward scan).
-                    batch.arb_io.add(result.io)
-                totals.nodes = self.n_nodes
+                        selected = {pred: [] for pred in selected}
+                    results.append(QueryResult(
+                        program=plan.program, selected=selected, counts=counts,
+                        statistics=evaluation.statistics, io=IOStatistics(),
+                        backend="memory",
+                    ))
+                statistics = EvaluationStatistics.merged(r.statistics for r in results)
+                statistics.nodes = self.n_nodes
+                batch = BatchQueryResult(results=results, statistics=statistics)
         if disk is not None:
             batch.snapshot = (disk.generation, disk.change_counter)
         for hit, result in zip(hits, batch.results):

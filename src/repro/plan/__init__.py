@@ -11,20 +11,14 @@ This package separates *query compilation* from *query execution*:
   queries share one plan;
 * :mod:`repro.plan.batch` evaluates *k* plans over an on-disk database in a
   **single pair of linear scans** by running the k bottom-up automata in
-  lockstep per node -- the ``disk`` engine and the default route on disk,
-  for a batch of one as for a batch of many;
-* the per-plan backends in :mod:`repro.plan.backends`
-  (``memory`` / ``streaming`` / ``fixpoint``) run one plan at a time: the
-  default route in memory, and whatever ``engine=`` names explicitly.
+  lockstep per node -- the default route on disk, for a batch of one as
+  for a batch of many;
+* :class:`~repro.plan.options.ExecutionOptions` carries the few choices a
+  caller makes (``engine`` is ``auto`` / ``disk`` / ``memory``).  In memory,
+  :meth:`Database.execute_plans <repro.engine.Database.execute_plans>` runs
+  each plan's own two-phase evaluator over the binary tree.
 """
 
-from repro.plan.backends import (
-    BACKENDS,
-    ExecutionBackend,
-    FixpointBackend,
-    MemoryBackend,
-    StreamingBackend,
-)
 from repro.plan.batch import evaluate_batch_on_disk
 from repro.plan.cache import PlanCache, default_plan_cache
 from repro.plan.options import ExecutionOptions
@@ -38,11 +32,6 @@ __all__ = [
     "compile_query",
     "QueryResult",
     "BatchQueryResult",
-    "ExecutionBackend",
-    "MemoryBackend",
-    "StreamingBackend",
-    "FixpointBackend",
-    "BACKENDS",
     "evaluate_batch_on_disk",
     "ExecutionOptions",
 ]

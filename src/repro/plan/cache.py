@@ -82,20 +82,12 @@ class PlanCache:
             cached = self._plans.get(structural)
             if cached is not None:
                 self._plans.move_to_end(structural)
-                if source_key is not None and language == "xpath" and cached.language != "xpath":
-                    # The plan was first compiled from another spelling;
-                    # ``engine="streaming"`` needs an XPath one.
-                    cached.source, cached.language = query, language
                 if source_key is not None:
                     self._aliases[source_key] = structural
                     self._bound_aliases()
                 self.hits += 1
                 return cached, True
-            plan = QueryPlan(
-                program,
-                source=query if isinstance(query, str) else None,
-                language=language if isinstance(query, str) else "tmnf",
-            )
+            plan = QueryPlan(program)
             self._plans[structural] = plan
             if source_key is not None:
                 self._aliases[source_key] = structural

@@ -7,12 +7,8 @@ lives as long as the :class:`~repro.plan.cache.PlanCache` keeps it.  It owns
 * one persistent :class:`~repro.core.two_phase.TwoPhaseEvaluator` whose four
   hash tables (interned states, bottom-up and top-down transitions) are the
   lazily-materialised automata -- shared by **all** executions of the plan,
-  over any document, so a transition is computed at most once per plan
-  lifetime, and
-* once ``engine="streaming"`` has run it, the one-pass
-  :class:`~repro.streaming.engine.StreamingEngine` compiled from the plan's
-  XPath spelling, whose lazy DFA persists the same way
-  (:mod:`repro.plan.backends` builds it; no other route needs it).
+  in memory or on disk, over any document, so a transition is computed at
+  most once per plan lifetime.
 
 Per-execution statistics are separated from the persistent tables with
 :meth:`QueryPlan.begin_run`: it installs a fresh
@@ -66,22 +62,11 @@ def compile_query(
 class QueryPlan:
     """A compiled query and the memoised automata that execute it."""
 
-    def __init__(
-        self,
-        program: TMNFProgram,
-        *,
-        source: str | None = None,
-        language: str = "tmnf",
-        memoize: bool = True,
-    ):
+    def __init__(self, program: TMNFProgram, *, memoize: bool = True):
         self.program = program
-        self.source = source if source is not None else program.source
-        self.language = language
         self.memoize = memoize
         self.evaluator = TwoPhaseEvaluator(program, memoize=memoize)
-        #: The one-pass engine, built on the first ``engine="streaming"`` run.
-        self.streaming_engine = None
-        #: Number of times the plan has been executed (any backend).
+        #: Number of times the plan has been executed (in memory or on disk).
         self.executions = 0
 
     # ------------------------------------------------------------------ #
@@ -96,10 +81,8 @@ class QueryPlan:
         memoize: bool = True,
     ) -> "QueryPlan":
         """Compile ``query`` and wrap it in a fresh plan."""
-        if isinstance(query, TMNFProgram):
-            return cls(query, language="tmnf", memoize=memoize)
         program = compile_query(query, language=language, query_predicate=query_predicate)
-        return cls(program, source=query, language=language, memoize=memoize)
+        return cls(program, memoize=memoize)
 
     # ------------------------------------------------------------------ #
 
@@ -124,7 +107,4 @@ class QueryPlan:
         return self.evaluator.n_top_down_transitions
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"QueryPlan({self.program!r}, language={self.language}, "
-            f"executions={self.executions})"
-        )
+        return f"QueryPlan({self.program!r}, executions={self.executions})"

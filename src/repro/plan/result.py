@@ -1,12 +1,12 @@
-"""Result types shared by every execution backend.
+"""Result types of the plan dispatcher.
 
-:class:`QueryResult` is the single answer type of the public API,
-independent of which backend produced it (historically it lived in
-:mod:`repro.engine`, which still re-exports it).  :class:`BatchQueryResult`
-is the answer of :meth:`repro.engine.Database.query_many`: the per-query
-results plus the I/O counters that *prove* the batch touched the `.arb`
-file with one backward and one forward scan, independent of the number of
-queries.
+:class:`QueryResult` is the single answer type of the public API, whether
+the disk scan pair or the in-memory evaluator produced it (historically it
+lived in :mod:`repro.engine`, which still re-exports it).
+:class:`BatchQueryResult` is the answer of
+:meth:`repro.engine.Database.query_many`: the per-query results plus the I/O
+counters that *prove* the batch touched the `.arb` file with one backward
+and one forward scan, independent of the number of queries.
 """
 
 from __future__ import annotations
@@ -31,9 +31,7 @@ class QueryResult:
     counts: dict[str, int]
     statistics: EvaluationStatistics
     io: IOStatistics | None = None
-    true_predicates: list[frozenset[str]] | None = None
-    #: Name of the execution backend that produced this result
-    #: (``memory`` / ``disk`` / ``streaming`` / ``fixpoint``).
+    #: Which evaluator produced this result: ``disk`` or ``memory``.
     backend: str | None = None
 
     def selected_nodes(self, predicate: str | None = None) -> list[int]:

@@ -258,39 +258,6 @@ class ArbDatabase:
         return self.label_name(self.read_record(node_id, stats=stats))
 
     # ------------------------------------------------------------------ #
-    # Event reconstruction (for the one-pass streaming backend)
-    # ------------------------------------------------------------------ #
-
-    def sax_events(self, stats: IOStatistics | None = None):
-        """Reconstruct the document's SAX events in **one forward scan**.
-
-        The binary encoding is first-child/next-sibling, so a forward scan
-        (pre-order) yields the start events in document order; end events are
-        recovered with the stack discipline of Proposition 5.1: a node's end
-        event is due once its first-child subtree is exhausted, i.e. when a
-        descendant record without children and without a second child closes
-        the chain.  Yields ``(kind, label)`` pairs compatible with
-        :func:`repro.tree.xml_io.tree_to_sax_events`.
-        """
-        from repro.tree.xml_io import END, START
-
-        # (label, has_second_child) of nodes whose end event is pending.
-        stack: list[tuple[str, bool]] = []
-        for record in self.records_forward(stats=stats):
-            name = self.label_name(record)
-            yield START, name
-            if record.has_first_child:
-                stack.append((name, record.has_second_child))
-                continue
-            yield END, name
-            has_second = record.has_second_child
-            while not has_second:
-                if not stack:
-                    return
-                parent_name, has_second = stack.pop()
-                yield END, parent_name
-
-    # ------------------------------------------------------------------ #
     # Materialisation (for tests, small databases and the in-memory engine)
     # ------------------------------------------------------------------ #
 

@@ -103,10 +103,8 @@ class StreamingEngine:
     """Run compiled path queries over SAX event streams with a lazy DFA.
 
     An engine is reusable: :meth:`select` may be called any number of times
-    (over trees, or over events reconstructed from an `.arb` database with
-    :meth:`repro.storage.database.ArbDatabase.sax_events`), and the lazily
-    determinised transitions accumulate across runs -- the query-plan layer
-    keeps one engine per streamable plan for exactly this reason.
+    (over any SAX event stream, e.g. :func:`repro.tree.xml_io.iter_sax_events`),
+    and the lazily determinised transitions accumulate across runs.
     """
 
     def __init__(self, query: StreamPathQuery | str):

@@ -107,7 +107,7 @@ def xpath_queries(max_steps: int = 4):
     """Random predicate-free downward XPath paths, e.g. ``/a//b/*``.
 
     This is exactly the fragment the one-pass streaming engine accepts, so
-    the differential suite can run the same query on all four backends.
+    the differential suite can run the same query on all four evaluators.
     """
     step = st.tuples(st.sampled_from(("/", "//")), st.sampled_from(LABELS + ("*",)))
     return st.lists(step, min_size=1, max_size=max_steps).map(

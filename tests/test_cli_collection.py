@@ -47,7 +47,7 @@ def test_collection_query_single(corpus_root, capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "collection      : 3 documents" in out
-    assert "workers         : 2 (2 shards)" in out
+    assert "shards          : 2" in out
     assert "[0] QUERY: 6 selected across the corpus" in out
     assert "doc0[0]:" in out
     assert "linear scans" in out
@@ -67,13 +67,19 @@ def test_collection_query_batch(corpus_root, capsys):
 
 
 def test_collection_query_xpath_streaming(corpus_root, capsys):
+    """The one-pass baseline is no engine: the flag refuses it."""
     capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main([
+            "collection", "query", corpus_root, "-x", "//book",
+            "--engine", "streaming",
+        ])
+    assert exit_info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
     assert cli_main([
-        "collection", "query", corpus_root, "-x", "//book",
-        "--engine", "streaming",
+        "collection", "query", corpus_root, "-x", "//book", "--engine", "memory",
     ]) == 0
-    out = capsys.readouterr().out
-    assert "6 selected across the corpus" in out
+    assert "6 selected across the corpus" in capsys.readouterr().out
 
 
 def test_collection_query_multiple_without_batch_fails(corpus_root, capsys):

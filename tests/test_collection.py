@@ -8,12 +8,18 @@ be independent of how many queries ride in one batch.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
-from repro import Collection, Database
-from repro.collection import CollectionManifest, DocumentEntry, partition_documents
+from repro import Collection, Database, EvaluationStatistics
+from repro.collection import (
+    CollectionManifest,
+    CollectionQueryResult,
+    DocumentEntry,
+    partition_documents,
+)
 from repro.collection.manifest import validate_doc_id
 from repro.errors import EvaluationError, StorageError
 from repro.plan import PlanCache
@@ -92,12 +98,25 @@ def test_per_document_pages_read_independent_of_batch_size(corpus):
     assert full.statistics.nodes == corpus.n_nodes
 
 
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_batch_statistics_equal_its_merged_views(corpus, n_workers):
+    """The batch and the fold of its per-query views count the same runs."""
+    full = corpus.query_many(QUERIES, n_workers=n_workers)
+    views = CollectionQueryResult.merged(full.for_query(i) for i in range(len(QUERIES)))
+    for field in dataclasses.fields(EvaluationStatistics):
+        if not field.name.endswith("_seconds"):
+            assert getattr(full.statistics, field.name) == getattr(
+                views.statistics, field.name
+            ), field.name
+    assert full.statistics.bu_states > 0
+    assert full.statistics.memory_estimate_kb > 0
+
+
 @pytest.mark.parametrize("n_workers", [1, 4])
 def test_wall_clock_statistics_recorded(corpus, n_workers):
     # 1 runs in the calling thread, 4 on worker processes.
     result = corpus.query(QUERIES[0], n_workers=n_workers)
     assert result.wall_seconds > 0
-    assert result.n_workers == n_workers
     assert result.n_shards == n_workers
 
 
@@ -128,7 +147,7 @@ def test_one_document_runs_in_the_calling_thread_whatever_the_worker_count(tmp_p
     result = collection.query_many(QUERIES, n_workers=4)
     # One document is one shard: no pool is started, and the document's
     # evaluation hits the plans the coordinator put in the collection cache.
-    assert result.n_shards == 1 and result.n_workers == 1
+    assert result.n_shards == 1
     assert collection.plan_cache.misses == len(QUERIES)
     assert result.statistics.plan_cache_hits == len(QUERIES)
     assert result.statistics.plan_cache_misses == 0
@@ -157,27 +176,34 @@ def test_process_workers_share_plans_within_each_shard(corpus):
 
 def test_single_streamable_xpath_is_a_batch_of_one(corpus):
     result = corpus.query("//a", language="xpath", n_workers=2)
-    streamed = corpus.query("//a", language="xpath", engine="streaming", n_workers=2)
-    for doc, baseline in zip(result, streamed):
+    for doc in result:
         assert doc.backend == "disk"
         assert doc.arb_io.seeks == 2  # the scan pair, like any batch
         assert doc.state_file_bytes > 0
-        assert baseline.backend == "streaming"
-        assert baseline.arb_io.seeks == 1  # one forward scan, no state file
-        assert baseline.state_file_bytes == 0
     reference = {
         doc_id: corpus.open_database(doc_id).query(
             "//a", language="xpath", engine="memory"
         ).selected_nodes()
         for doc_id in corpus.doc_ids
     }
-    assert result.selected_nodes() == streamed.selected_nodes() == reference
+    assert result.selected_nodes() == reference
 
 
 def test_forced_memory_engine(corpus):
     result = corpus.query(QUERIES[0], engine="memory", n_workers=2)
     assert all(doc.backend == "memory" for doc in result)
     assert result.selected_nodes() == sequential_reference(corpus, QUERIES[0])
+
+
+def test_unknown_engine_fails_before_a_pool_starts(corpus, monkeypatch):
+    import repro.collection.executor as executor
+
+    def refuse():
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(executor, "_worker_context", refuse)
+    with pytest.raises(EvaluationError, match="unknown engine"):
+        corpus.query("//b", language="xpath", engine="quantum", n_workers=2)
 
 
 # --------------------------------------------------------------------------- #

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Database, TMNFProgram, compile_query
+from repro import Database, TMNFProgram, compile_query, evaluate_fixpoint
 from repro.cli import main as cli_main
 from repro.errors import EvaluationError
 
@@ -35,8 +35,9 @@ class TestDatabaseAPI:
     def test_fixpoint_reference_evaluation(self):
         database = Database.from_xml(DOCUMENT)
         fast = database.query("QUERY :- V.Label[book];")
-        slow = database.query("QUERY :- V.Label[book];", engine="fixpoint")
-        assert fast.selected_nodes() == slow.selected_nodes()
+        program = compile_query("QUERY :- V.Label[book];")
+        slow = evaluate_fixpoint(program, database.binary_tree())
+        assert fast.selected_nodes() == slow.selected["QUERY"]
 
     def test_on_disk_database(self, tmp_path):
         base = str(tmp_path / "library")

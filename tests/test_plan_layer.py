@@ -1,4 +1,4 @@
-"""Tests for the query-plan layer: caching, backends, routing and batches."""
+"""Tests for the query-plan layer: caching, engine routing and batches."""
 
 from __future__ import annotations
 
@@ -8,13 +8,15 @@ import threading
 
 import pytest
 
-from repro import Database, TMNFProgram
+from repro import Database, TMNFProgram, evaluate_fixpoint
 from repro.cli import main as cli_main
+from repro.core.two_phase import EvaluationStatistics
 from repro.datasets.treebank import TAGS, generate_treebank
 from repro.errors import EvaluationError
-from repro.plan import PlanCache, QueryPlan, default_plan_cache
+from repro.plan import ExecutionOptions, PlanCache, QueryPlan, default_plan_cache
 from repro.storage.paging import IOStatistics
-from repro.tree.xml_io import parse_xml, tree_to_sax_events
+from repro.streaming import stream_select
+from repro.xpath import xpath_to_program
 
 DOCUMENT = "<library><book><title>ab</title></book><dvd/><book/></library>"
 BOOK_QUERY = "QUERY :- V.Label[book];"
@@ -72,7 +74,7 @@ class TestPlanCache:
         two.plan_cache = cache
         one.query(BOOK_QUERY)
         result = two.query(BOOK_QUERY)
-        # Same plan object serves both documents (and both backends).
+        # Same plan object serves both documents (and both evaluators).
         assert result.statistics.plan_cache_hits == 1
         assert len(cache) == 1
 
@@ -121,62 +123,31 @@ class TestBackendsAndPlanner:
         assert disk.query(BOOK_QUERY).backend == "disk"
         # Predicate-free downward XPath is a batch of one like any query.
         assert disk.query("//book", language="xpath").backend == "disk"
-        # ... but per-node predicate sets need the tree in memory.
-        kept = disk.query("//book", language="xpath", keep_true_predicates=True)
-        assert kept.backend == "memory"
-
-    def test_keep_true_predicates_on_disk_is_never_dropped(self, tmp_path):
-        disk = _disk_database(tmp_path)
-        expected = _memory_database().query(BOOK_QUERY, keep_true_predicates=True)
-        # auto routes to the backend that can produce the sets ...
-        kept = disk.query(BOOK_QUERY, keep_true_predicates=True)
-        assert kept.backend == "memory"
-        assert kept.true_predicates == expected.true_predicates
-        assert kept.true_predicates is not None
-        # ... and an explicit disk engine refuses instead of returning None.
-        with pytest.raises(EvaluationError, match="engine='memory'"):
-            disk.query(BOOK_QUERY, engine="disk", keep_true_predicates=True)
 
     def test_explicit_engines_agree(self, tmp_path):
         disk = _disk_database(tmp_path, text_mode="ignore")
         expected = [1, 4]
-        for engine in ("memory", "disk", "streaming", "fixpoint"):
+        for engine in ("memory", "disk"):
             result = disk.query("//book", language="xpath", engine=engine)
             assert result.backend == engine
             assert result.selected_nodes() == expected, engine
+        # The reference semantics and the one-pass baseline, called directly.
+        program = xpath_to_program("//book")
+        assert evaluate_fixpoint(program, disk.binary_tree()).selected["QUERY"] == expected
+        assert stream_select(disk.unranked_tree(), "//book") == expected
 
     def test_streaming_matches_two_phase_with_char_nodes(self, tmp_path):
         disk = _disk_database(tmp_path)  # chars mode: 'a'/'b' char nodes exist
-        stream = disk.query("//book", language="xpath", engine="streaming")
         two_phase = disk.query("//book", language="xpath", engine="disk")
-        assert stream.selected_nodes() == two_phase.selected_nodes()
+        assert stream_select(disk.unranked_tree(), "//book") == two_phase.selected_nodes()
 
-    def test_streaming_single_scan_io(self, tmp_path):
-        disk = _disk_database(tmp_path)
-        stream = disk.query("//book", language="xpath", engine="streaming")
-        two_phase = disk.query("//book", language="xpath", engine="disk")
-        # One forward scan, no temporary state file: strictly less I/O.
-        assert stream.io.seeks == 1
-        assert stream.io.bytes_read == disk.disk.file_size()
-        assert two_phase.io.bytes_read >= 2 * disk.disk.file_size()
-
-    def test_streaming_rejects_non_streamable_queries(self):
+    @pytest.mark.parametrize("engine", ["quantum", "streaming", "fixpoint"])
+    def test_unknown_engine(self, engine):
         database = _memory_database()
-        with pytest.raises(EvaluationError):
-            database.query(BOOK_QUERY, engine="streaming")  # TMNF, not a path
-        with pytest.raises(EvaluationError):
-            database.query("//book[title]", language="xpath", engine="streaming")
-
-    def test_streaming_rejects_keep_true_predicates(self):
-        database = _memory_database()
-        with pytest.raises(EvaluationError):
-            database.query("//book", language="xpath", engine="streaming",
-                           keep_true_predicates=True)
-
-    def test_unknown_engine(self):
-        database = _memory_database()
-        with pytest.raises(EvaluationError):
-            database.query(BOOK_QUERY, engine="quantum")
+        with pytest.raises(EvaluationError, match="unknown engine"):
+            database.query(BOOK_QUERY, engine=engine)
+        with pytest.raises(EvaluationError, match="unknown engine"):
+            ExecutionOptions(engine=engine)
 
     def test_engine_names_the_backend_whatever_the_database(self, tmp_path):
         disk = _disk_database(tmp_path)
@@ -185,12 +156,18 @@ class TestBackendsAndPlanner:
         with pytest.raises(EvaluationError):
             memory.query(BOOK_QUERY, engine="disk")
 
-    def test_fixpoint_backend(self):
-        database = _memory_database()
-        via_engine = database.query(BOOK_QUERY, engine="fixpoint")
-        fast = database.query(BOOK_QUERY)
-        assert via_engine.backend == "fixpoint"
-        assert via_engine.selected_nodes() == fast.selected_nodes()
+    def test_memory_batch_statistics_fold_every_run(self, tmp_path):
+        disk = _disk_database(tmp_path)
+        queries = [BOOK_QUERY, "QUERY :- V.Label[dvd];", BOOK_QUERY]
+        for database in (disk, _memory_database()):
+            batch = database.query_many(queries, engine="memory")
+            runs = [result.statistics for result in batch]
+            expected = EvaluationStatistics.merged(runs)
+            assert batch.statistics.bu_states == expected.bu_states > 0
+            assert batch.statistics.memory_estimate_kb == expected.memory_estimate_kb > 0
+            assert batch.statistics.bu_transitions == expected.bu_transitions
+            assert batch.statistics.selected == expected.selected == 5
+            assert batch.statistics.nodes == database.n_nodes
 
     def test_memory_path_reports_zeroed_io(self):
         database = _memory_database()
@@ -202,39 +179,10 @@ class TestBackendsAndPlanner:
         disk = _disk_database(tmp_path)
         plan, hit = disk.plan("//book", language="xpath")
         assert hit is False and isinstance(plan, QueryPlan)
-        assert (plan.source, plan.language, plan.streaming_engine) == ("//book", "xpath", None)
-        disk.query("//book", language="xpath", engine="streaming")
-        assert plan.streaming_engine is not None  # compiled on first use, kept
-
-    def test_plan_cache_miss_never_compiles_the_streaming_query(self, tmp_path, monkeypatch):
-        import repro.streaming.engine
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("StreamPathQuery constructed")
-
-        monkeypatch.setattr(repro.streaming.engine, "StreamPathQuery", refuse)
-        disk = _disk_database(tmp_path)
-        for engine in ("auto", "disk", "memory"):
-            disk.plan_cache = PlanCache()
-            result = disk.query("//book", language="xpath", engine=engine)
-            assert result.statistics.plan_cache_misses == 1
-            assert result.selected_nodes() == [1, 6]
-        with pytest.raises(AssertionError, match="StreamPathQuery constructed"):
-            disk.query("//book", language="xpath", engine="streaming")
-
-    def test_streaming_does_not_depend_on_plan_cache_order(self):
-        from repro.xpath import xpath_to_program
-
-        database = _memory_database()
-        program = xpath_to_program("//book")
-        database.query(program)  # the plan's first spelling is TMNF
-        with pytest.raises(EvaluationError, match="cannot execute"):
-            database.query(program, engine="streaming")
-        # The XPath spelling lands on the same plan and gives it the spelling
-        # the streaming engine needs; the earlier refusal does not stick.
-        result = database.query("//book", language="xpath", engine="streaming")
-        assert result.statistics.plan_cache_hits == 1
-        assert result.count() == 2
+        assert plan.program.query_predicates == ("QUERY",) and plan.executions == 0
+        for engine in ("disk", "memory"):
+            disk.query("//book", language="xpath", engine=engine)
+        assert plan.executions == 2  # one plan, whichever evaluator runs it
 
 
 class TestBatchEvaluation:
@@ -420,15 +368,6 @@ class TestDirectDiskAccess:
         database.close()
         Database.from_xml("<a/>").close()  # no-op in memory
 
-    def test_sax_events_match_tree_events(self, tmp_path):
-        for text_mode in ("chars", "ignore"):
-            document = "<a><b>xy</b><c/><d><e/></d></a>"
-            database = Database.build(
-                document, str(tmp_path / f"sax-{text_mode}"), text_mode=text_mode
-            )
-            tree = parse_xml(document, text_mode=text_mode)
-            assert list(database.disk.sax_events()) == list(tree_to_sax_events(tree))
-
 
 class TestCLIPlanFlags:
     def _build(self, tmp_path) -> str:
@@ -441,10 +380,19 @@ class TestCLIPlanFlags:
     def test_engine_flag(self, tmp_path, capsys):
         base = self._build(tmp_path)
         capsys.readouterr()
-        assert cli_main(["query", base, "-x", "//book", "--engine", "streaming"]) == 0
+        assert cli_main(["query", base, "-x", "//book", "--engine", "memory"]) == 0
         out = capsys.readouterr().out
-        assert "engine          : streaming" in out
+        assert "engine          : memory" in out
         assert "selected nodes  : 2" in out
+
+    @pytest.mark.parametrize("engine", ["streaming", "fixpoint"])
+    def test_removed_engine_flag_is_a_usage_error(self, tmp_path, capsys, engine):
+        base = self._build(tmp_path)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["query", base, "-x", "//book", "--engine", engine])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_batch_flag(self, tmp_path, capsys):
         base = self._build(tmp_path)

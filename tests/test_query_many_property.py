@@ -209,8 +209,7 @@ def test_every_entry_point_skips_what_a_batch_of_one_skips(document, program):
 def test_a_single_streamable_query_is_a_batch_of_one_everywhere():
     """No entry point routes a lone predicate-free XPath path anywhere else:
     ``Database.query``, ``query_many([q])``, ``Collection.query`` and the
-    service all take the one scan pair; only ``engine="streaming"`` takes the
-    one-scan baseline."""
+    service all take the one scan pair."""
     streamable = "//book/title"
     with tempfile.TemporaryDirectory() as directory:
         collection = Collection.create(f"{directory}/corpus", plan_cache=PlanCache())
@@ -231,10 +230,3 @@ def test_a_single_streamable_query_is_a_batch_of_one_everywhere():
         assert len(expected) == 400
         assert single.selected_nodes() == sharded.selected_nodes() == expected
         assert served.result.selected_nodes() == expected
-
-        streamed = database.query(streamable, language="xpath", engine="streaming")
-        assert (streamed.backend, streamed.io.seeks) == ("streaming", 1)
-        assert streamed.selected_nodes() == expected
-        forced = collection.query(streamable, language="xpath", engine="streaming").document(doc_id)
-        assert (forced.backend, forced.arb_io.seeks, forced.state_file_bytes) == ("streaming", 1, 0)
-        assert forced.selected_nodes() == expected
