@@ -404,6 +404,10 @@ class TwoPhaseEvaluator:
         return len(self._tables.states)
 
     @property
+    def n_top_down_states(self) -> int:
+        return len(self._tables.td_states)
+
+    @property
     def n_bottom_up_transitions(self) -> int:
         return len(self._tables.bu_transitions)
 

@@ -14,7 +14,6 @@ which the simple probabilistic grammar below provides.
 from __future__ import annotations
 
 import random
-from typing import Iterator
 
 from repro.tree.unranked import UnrankedNode, UnrankedTree
 
@@ -95,8 +94,3 @@ def _count_nodes(node: UnrankedNode) -> int:
         count += 1
         stack.extend(current.children)
     return count
-
-
-def iter_sentences(tree: UnrankedTree) -> Iterator[UnrankedNode]:
-    """The sentence roots of a generated corpus."""
-    return iter(tree.root.children)

@@ -44,9 +44,8 @@ from repro.core.two_phase import EvaluationStatistics
 from repro.errors import EvaluationError, StorageError
 from repro.plan.batch import evaluate_batch_on_disk
 from repro.plan.cache import PlanCache, default_plan_cache
-from repro.plan.locks import plans_locked
 from repro.plan.options import ExecutionOptions
-from repro.plan.plan import QueryPlan, compile_query
+from repro.plan.plan import QueryPlan, compile_query, plans_locked
 from repro.plan.result import BatchQueryResult, QueryResult
 from repro.storage.build import build_database
 from repro.storage.database import ArbDatabase
@@ -104,10 +103,6 @@ class Database:
     @classmethod
     def from_unranked(cls, tree: UnrankedTree, name: str = "") -> "Database":
         return cls(unranked=tree, binary=BinaryTree.from_unranked(tree), name=name)
-
-    @classmethod
-    def from_binary(cls, tree: BinaryTree, name: str = "") -> "Database":
-        return cls(binary=tree, name=name)
 
     @classmethod
     def open(cls, base_path: str, *, pager: "PagerConfig | None" = None,
@@ -415,7 +410,7 @@ class Database:
         single query is a batch of one.  In memory, or under ``"memory"``,
         each plan runs the two-phase evaluator over the binary tree.
 
-        The plans' execution locks (:mod:`repro.plan.locks`) are held
+        The plans' locks (:func:`~repro.plan.plan.plans_locked`) are held
         throughout, so callers on any number of threads may share cached
         plans.  ``hits`` are the plan-cache lookup flags to record on the
         per-query statistics (``None`` entries, or no ``hits`` at all, leave

@@ -63,7 +63,6 @@ from typing import TYPE_CHECKING, Sequence
 from repro.core.two_phase import BOTTOM, EvaluationStatistics
 from repro.errors import EvaluationError
 from repro.plan import kernel
-from repro.plan.memo import memo_for
 from repro.plan.options import ExecutionOptions
 from repro.plan.result import BatchQueryResult, QueryResult
 from repro.storage import pageindex
@@ -142,26 +141,23 @@ def evaluate_batch_on_disk(
         plan.evaluator.stats.td_seconds += phase2_seconds * share
 
     results: list[QueryResult] = []
-    batch_stats = EvaluationStatistics(
-        bu_seconds=phase1_seconds,
-        td_seconds=phase2_seconds,
-        nodes=database.n_nodes,
-    )
     plans_reported: set[int] = set()
     for plan in plans:
         stats = plan.evaluator.stats
         own = position[id(plan)]
         plan_selected, plan_counts = selected[own], counts[own]
         if id(plan) in plans_reported:
-            # A duplicate occurrence must not share (and overwrite) the first
-            # occurrence's statistics or answers; give it independent copies.
-            stats = replace(stats)
+            # A repeated occurrence gets its own copies of the statistics and
+            # answers.  Like the memory engine's warm re-run of the plan, it
+            # computed no transitions and took no time of its own.
+            stats = replace(stats, bu_seconds=0.0, td_seconds=0.0, bu_transitions=0, td_transitions=0)
             plan_selected = {pred: list(nodes) for pred, nodes in plan_selected.items()}
             plan_counts = dict(plan_counts)
         plans_reported.add(id(plan))
         stats.nodes = database.n_nodes
         stats.selected = plan_counts.get(plan.program.query_predicates[0], 0)
         stats.bu_states = plan.evaluator.n_bottom_up_states
+        stats.td_states = plan.evaluator.n_top_down_states
         stats.memory_estimate_kb = plan.evaluator._memory_estimate_kb()
         results.append(
             QueryResult(
@@ -173,12 +169,11 @@ def evaluate_batch_on_disk(
                 backend="disk",
             )
         )
-    for plan in unique_plans:
-        stats = plan.evaluator.stats
-        batch_stats.bu_transitions += stats.bu_transitions
-        batch_stats.td_transitions += stats.td_transitions
-        batch_stats.selected += stats.selected
-        batch_stats.memory_estimate_kb += stats.memory_estimate_kb
+    # The batch folds its per-query statistics as the memory engine does.
+    batch_stats = EvaluationStatistics.merged(result.statistics for result in results)
+    batch_stats.nodes = database.n_nodes
+    batch_stats.bu_seconds = phase1_seconds
+    batch_stats.td_seconds = phase2_seconds
     return BatchQueryResult(
         results=results,
         arb_io=arb_io,
@@ -270,26 +265,21 @@ def _neutral_state(plan: "QueryPlan") -> int | None:
     (:meth:`~repro.tree.model.NodeSchema.neutral_label_set`).  If the leaf
     state is a fixed point of all three child shapes, *every* node of a
     complete all-neutral binary subtree lands in it; otherwise the plan
-    cannot skip and ``None`` is returned.  The result is memoised per plan
-    in the lock-guarded :mod:`repro.plan.memo` side table (plans are shared
-    across threads by the plan cache, so nothing is stashed on the plan
-    itself).
+    cannot skip and ``None`` is returned.  The result is kept in the plan's
+    memo, which the caller's hold of the plan's lock guards.
     """
-    return memo_for(plan).neutral_state(lambda: _neutral_state_uncached(plan))
-
-
-def _neutral_state_uncached(plan: "QueryPlan") -> int | None:
-    evaluator = plan.evaluator
-    schema = evaluator.prop.schema
-    compute = evaluator.compute_reachable_states
-    leaf = compute(BOTTOM, BOTTOM, _neutral_labels(schema, False, False))
-    if (
-        compute(leaf, BOTTOM, _neutral_labels(schema, True, False)) != leaf
-        or compute(BOTTOM, leaf, _neutral_labels(schema, False, True)) != leaf
-        or compute(leaf, leaf, _neutral_labels(schema, True, True)) != leaf
-    ):
-        return None
-    return leaf
+    memo = plan.memo
+    if "neutral" not in memo:
+        schema = plan.evaluator.prop.schema
+        compute = plan.evaluator.compute_reachable_states
+        leaf = compute(BOTTOM, BOTTOM, _neutral_labels(schema, False, False))
+        fixed = (
+            compute(leaf, BOTTOM, _neutral_labels(schema, True, False)) == leaf
+            and compute(BOTTOM, leaf, _neutral_labels(schema, False, True)) == leaf
+            and compute(leaf, leaf, _neutral_labels(schema, True, True)) == leaf
+        )
+        memo["neutral"] = leaf if fixed else None
+    return memo["neutral"]
 
 
 def _silent(plan: "QueryPlan", state: int) -> bool:
@@ -300,15 +290,16 @@ def _silent(plan: "QueryPlan", state: int) -> bool:
     predicates under any parent are among those under a parent holding
     every IDB predicate.  So it suffices that no query predicate is derived
     for ``state`` as a first or a second child of such a parent.  Memoised
-    per ``(plan, state)`` in the :mod:`repro.plan.memo` side table.
+    per state in the plan's memo, under the plan's lock like
+    :func:`_neutral_state`.
     """
-    return memo_for(plan).silent(state, lambda: _silent_uncached(plan, state))
-
-
-def _silent_uncached(plan: "QueryPlan", state: int) -> bool:
-    evaluator = plan.evaluator
-    everything = evaluator.prop.idb
-    return all(
-        evaluator.compute_true_preds(everything, state, which).isdisjoint(plan.program.query_predicates)
-        for which in (1, 2)
-    )
+    key = ("silent", state)
+    silent = plan.memo.get(key)
+    if silent is None:
+        evaluator = plan.evaluator
+        everything = evaluator.prop.idb
+        silent = plan.memo[key] = all(
+            evaluator.compute_true_preds(everything, state, which).isdisjoint(plan.program.query_predicates)
+            for which in (1, 2)
+        )
+    return silent

@@ -26,8 +26,8 @@ by every thread of a process -- the query service's compile and evaluation
 workers among them.  The **plans** a lookup hands out are not: a plan's
 evaluator memoises into shared hash tables and carries per-run statistics,
 so two threads must never *execute* the same plan concurrently.  The plan
-dispatcher serialises executions per plan with one lock per plan (see
-:mod:`repro.plan.locks`).
+dispatcher serialises executions per plan with the plan's own lock (see
+:func:`repro.plan.plan.plans_locked`).
 """
 
 from __future__ import annotations

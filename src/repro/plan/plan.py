@@ -15,15 +15,24 @@ Per-execution statistics are separated from the persistent tables with
 :class:`~repro.core.two_phase.EvaluationStatistics` on the evaluator while
 keeping the memo tables, so a warm plan reports zero recompiled automaton
 transitions.
+
+A plan is the query's whole run state, so it also carries the one lock that
+serialises its executions (:func:`plans_locked`) and the memo of results
+derived from its automata (the neutral state and the silent states of the
+disk loop's page skips, :mod:`repro.plan.batch`).
 """
 
 from __future__ import annotations
+
+import threading
+from contextlib import contextmanager
+from typing import Sequence
 
 from repro.core.two_phase import EvaluationStatistics, TwoPhaseEvaluator
 from repro.errors import EvaluationError
 from repro.tmnf.program import TMNFProgram
 
-__all__ = ["QueryPlan", "compile_query", "structural_key_of"]
+__all__ = ["QueryPlan", "compile_query", "plans_locked", "structural_key_of"]
 
 
 def structural_key_of(program: TMNFProgram) -> tuple:
@@ -60,7 +69,13 @@ def compile_query(
 
 
 class QueryPlan:
-    """A compiled query and the memoised automata that execute it."""
+    """A compiled query and the memoised automata that execute it.
+
+    Plans are shared: the plan cache hands the same plan to every thread of
+    the process that asks for it.  Executing one is not thread-safe (its
+    evaluator grows shared hash tables and carries per-run statistics), so
+    every execution holds :attr:`lock`; :func:`plans_locked` takes it.
+    """
 
     def __init__(self, program: TMNFProgram, *, memoize: bool = True):
         self.program = program
@@ -68,6 +83,11 @@ class QueryPlan:
         self.evaluator = TwoPhaseEvaluator(program, memoize=memoize)
         #: Number of times the plan has been executed (in memory or on disk).
         self.executions = 0
+        #: Held by whoever executes the plan; reads and writes of ``memo`` too.
+        self.lock = threading.Lock()
+        #: What the disk loop's skip planning derives from the automata:
+        #: ``"neutral"`` -> the neutral state, ``("silent", state)`` -> bool.
+        self.memo: dict = {}
 
     # ------------------------------------------------------------------ #
 
@@ -108,3 +128,21 @@ class QueryPlan:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"QueryPlan({self.program!r}, executions={self.executions})"
+
+
+@contextmanager
+def plans_locked(plans: Sequence[QueryPlan]):
+    """Hold the locks of all distinct ``plans``, taken in object-id order.
+
+    Every thread takes them in the same global order, so two threads
+    locking overlapping plan sets cannot deadlock.
+    """
+    distinct = {id(plan): plan for plan in plans}
+    locks = [distinct[key].lock for key in sorted(distinct)]
+    for lock in locks:
+        lock.acquire()
+    try:
+        yield
+    finally:
+        for lock in reversed(locks):
+            lock.release()

@@ -445,21 +445,6 @@ class QueryService:
             return target.generation, target.disk.change_counter
         return 0, 0
 
-    def apply_threadsafe(
-        self,
-        update,
-        *,
-        doc_id: str | None = None,
-        retain_generations: int | None = None,
-    ) -> Future:
-        """Submit an update from any thread (see :meth:`submit_threadsafe`)."""
-        if not self._running or self._loop is None:
-            raise ServiceClosedError("the query service is not running")
-        return asyncio.run_coroutine_threadsafe(
-            self.apply(update, doc_id=doc_id, retain_generations=retain_generations),
-            self._loop,
-        )
-
     def submit_threadsafe(
         self,
         query,

@@ -73,11 +73,6 @@ class BufferPoolStats:
     def requests(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.requests
-        return self.hits / total if total else 0.0
-
 
 class BufferPool:
     """An LRU cache of file pages, shared by every scan that is handed it.

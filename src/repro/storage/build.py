@@ -59,7 +59,7 @@ from repro.storage.records import (
     record_struct,
 )
 from repro.tree.unranked import UnrankedNode, UnrankedTree
-from repro.tree.xml_io import parse_xml, parse_xml_file
+from repro.tree.xml_io import parse_xml
 
 __all__ = ["BuildStatistics", "DatabaseBuilder", "build_database", "events_from_tree"]
 
@@ -140,12 +140,6 @@ class DatabaseBuilder:
     ) -> BuildStatistics:
         tree = parse_xml(document, text_mode=text_mode)
         return self.build_from_tree(tree, base_path, name=name)
-
-    def build_from_xml_file(
-        self, xml_path: str, base_path: str, *, text_mode: str = "chars", name: str = ""
-    ) -> BuildStatistics:
-        tree = parse_xml_file(xml_path, text_mode=text_mode)
-        return self.build_from_tree(tree, base_path, name=name or os.path.basename(xml_path))
 
     def build_from_tree(self, tree: UnrankedTree, base_path: str, *, name: str = "") -> BuildStatistics:
         return self.build_from_events(events_from_tree(tree), base_path, name=name)

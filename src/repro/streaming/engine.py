@@ -142,13 +142,6 @@ class StreamingEngine:
     def select_from_tree(self, tree: UnrankedTree) -> list[int]:
         return list(self.select(tree_to_sax_events(tree)))
 
-    @property
-    def n_dfa_states(self) -> int:
-        """Distinct determinised state sets reached so far."""
-        states = {self.query.initial_state()}
-        states.update(self._dfa.values())
-        return len(states)
-
 
 def stream_select(tree: UnrankedTree, expression: str) -> list[int]:
     """One-pass selection of ``expression`` (downward path query) on ``tree``."""

@@ -229,15 +229,6 @@ class StepNFA:
     accepting: set[int] = field(default_factory=set)
     transitions: dict[int, list[tuple[Step, int]]] = field(default_factory=dict)
 
-    def add_state(self) -> int:
-        state = self.n_states
-        self.n_states += 1
-        self.transitions.setdefault(state, [])
-        return state
-
-    def add_transition(self, source: int, symbol: Step, target: int) -> None:
-        self.transitions.setdefault(source, []).append((symbol, target))
-
     def all_edges(self) -> Iterable[tuple[int, Step, int]]:
         for source, edges in self.transitions.items():
             for symbol, target in edges:

@@ -71,11 +71,6 @@ class PropLocalProgram:
         """
         return self.sigma | self.schema.all_predicates()
 
-    @property
-    def n_clauses(self) -> int:
-        """Total number of propositional clauses (left/right include downward)."""
-        return len(self.local_rules) + len(self.left_rules) + len(self.right_rules)
-
 
 def prop_local(rules: list[ast.InternalRule]) -> PropLocalProgram:
     """Translate internal TMNF rules into their PropLocal form."""

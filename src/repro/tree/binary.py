@@ -133,16 +133,6 @@ class BinaryTree:
     # binary sense, e.g. a flat document is one long second-child chain).
     # ------------------------------------------------------------------ #
 
-    def iter_preorder(self) -> Iterator[int]:
-        """Node ids in pre-order.  Because ids are assigned in pre-order this
-        is simply ``range(n)``, but the method exists so that callers do not
-        rely on that invariant silently."""
-        return iter(range(len(self.labels)))
-
-    def iter_reverse_preorder(self) -> Iterator[int]:
-        """Node ids in reverse pre-order (the order of the backward disk scan)."""
-        return iter(range(len(self.labels) - 1, -1, -1))
-
     def iter_postorder(self) -> Iterator[int]:
         """Post-order (children before parents), computed iteratively."""
         # left subtree, right subtree, node
@@ -213,12 +203,6 @@ class BinaryTree:
             if first != NO_NODE:
                 stack.append(first)
         return result
-
-    def count_label(self, label: str) -> int:
-        return sum(1 for l in self.labels if l == label)
-
-    def distinct_labels(self) -> set[str]:
-        return set(self.labels)
 
     def validate(self) -> None:
         """Check structural invariants; raises :class:`TreeError` on failure.

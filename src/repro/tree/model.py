@@ -303,7 +303,3 @@ class NodeSchema:
         if HAS_SECOND_CHILD in self.builtins:
             facts.append(HAS_SECOND_CHILD if has_second_child else negate(HAS_SECOND_CHILD))
         return frozenset(facts)
-
-    def relevant_label(self, label: str) -> bool:
-        """Whether a node label can influence the label set at all."""
-        return label in self.positive_labels or label in self.negative_labels

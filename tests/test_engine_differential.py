@@ -9,11 +9,13 @@ generated XPath queries (drawn from the predicate-free downward fragment,
 the intersection all four support) and for random TMNF programs, they must
 return identical selected node ids on every seed document -- same queries,
 same trees, four completely different access patterns (two scans /
-in-memory automata / naive fixpoint / one scan).
+in-memory automata / naive fixpoint / one scan).  The two plan-layer engines
+also report the same statistics, per query and for the batch.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import tempfile
 
 from hypothesis import HealthCheck, given, settings
@@ -41,6 +43,11 @@ COMMON_SETTINGS = dict(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
+#: The statistics fields disk and memory cannot agree on: the wall clock.
+#: The disk scans are shared, so a plan gets a share of their time, and a
+#: repeated query gets none, where the memory engine times its warm re-run.
+SECONDS_FIELDS = ("bu_seconds", "td_seconds")
+
 
 def _selected(database, query, language, engine):
     if engine == "fixpoint":
@@ -52,6 +59,23 @@ def _selected(database, query, language, engine):
     return database.query(query, language=language, engine=engine).selected_nodes()
 
 
+def _statistics(database, queries, language, engine) -> list[dict]:
+    """Every statistics field but :data:`SECONDS_FIELDS`, of the batch and
+    then of each query, evaluated on a fresh plan cache."""
+    database.plan_cache = PlanCache()
+    batch = database.query_many(queries, language=language, engine=engine)
+    return [
+        {name: value for name, value in dataclasses.asdict(stats).items() if name not in SECONDS_FIELDS}
+        for stats in [batch.statistics] + [result.statistics for result in batch]
+    ]
+
+
+def _assert_statistics_agree(database, queries, language):
+    disk = _statistics(database, queries, language, "disk")
+    assert disk == _statistics(database, queries, language, "memory")
+    return disk[0]
+
+
 def _assert_engines_agree(query, language, engines, document, base_path):
     """All ``engines`` agree on ``document``, on disk and in memory."""
     on_disk = Database.build(document, base_path)
@@ -61,6 +85,8 @@ def _assert_engines_agree(query, language, engines, document, base_path):
     }
     reference = answers[engines[0]]
     assert all(nodes == reference for nodes in answers.values()), answers
+    for queries in ([query], [query, query]):  # the second occurrence runs warm
+        _assert_statistics_agree(on_disk, queries, language)
     # The memory-resident paths must agree with the disk-resident ones.
     in_memory = Database.from_xml(document)
     in_memory.plan_cache = PlanCache()
@@ -119,3 +145,13 @@ def test_planner_auto_choice_matches_forced_backends():
                 engines = ALL_ENGINES if language == "xpath" else ALL_ENGINES[1:]
                 for engine in engines:
                     assert _selected(database, query, language, engine) == auto
+
+
+def test_a_disk_batch_with_a_repeated_query_folds_its_statistics_like_memory():
+    with tempfile.TemporaryDirectory() as directory:
+        database = Database.build("<a><b/><c/><b/></a>", f"{directory}/doc")
+        batch = _assert_statistics_agree(database, ["//b", "//c", "//b"], "xpath")
+        assert (batch["bu_states"], batch["td_states"], batch["selected"]) == (2, 2, 5)
+        assert (batch["bu_transitions"], batch["td_transitions"]) == (8, 6)
+        single = _assert_statistics_agree(database, ["//b"], "xpath")
+        assert single["td_states"] == 2

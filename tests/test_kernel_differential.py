@@ -5,9 +5,8 @@ that really exist beside it, the way pooled==unpooled is held elsewhere:
 
 * **disk == memory** -- with the page-skipping sidecar hidden, a batch over
   the `.arb` file selects exactly what the in-memory two-phase evaluator
-  selects over the same tree, and its per-query automaton statistics
-  (bottom-up and top-down transitions, bottom-up states) are the same, cold
-  and warm;
+  selects over the same tree, and every field of its statistics but the
+  wall clock is the same, per query and for the batch, cold and warm;
 * **indexed == full scan** -- with the sidecar the answers are the same and
   no more `.arb` pages are read;
 * **closed form** -- the state file holds 4 bytes per node outside the
@@ -60,8 +59,10 @@ CHAIN_PAGE_SIZE = 64
 #: per-segment path (including star regions) is exercised, not just full scans.
 _NOISE_TAGS = ("n0", "n1", "n2", "n3")
 
-#: Statistics fields that legitimately differ between runs (wall clock).
-_TIMING_FIELDS = ("bu_seconds", "td_seconds", "memory_estimate_kb")
+#: The statistics fields disk and memory cannot agree on: the wall clock.
+#: The disk scans are shared, so a plan gets a share of their time, and a
+#: repeated query gets none, where the memory engine times its warm re-run.
+_SECONDS_FIELDS = ("bu_seconds", "td_seconds")
 
 
 @st.composite
@@ -94,7 +95,7 @@ def _build(document: str, directory: str, page_size: int = PAGE_SIZE) -> Databas
 
 def _stats_key(statistics) -> dict:
     payload = dataclasses.asdict(statistics)
-    for name in _TIMING_FIELDS:
+    for name in _SECONDS_FIELDS:
         payload.pop(name, None)
     return payload
 
@@ -118,22 +119,9 @@ def _answers(batch) -> list[dict]:
     return [{pred: sorted(nodes) for pred, nodes in result.selected.items()} for result in batch.results]
 
 
-def _automaton_stats(result) -> tuple:
-    statistics = result.statistics
-    return statistics.bu_transitions, statistics.td_transitions, statistics.bu_states
-
-
-def _per_plan_stats(batch) -> list[tuple]:
-    """:func:`_automaton_stats` of each plan's first result: a repeated query
-    shares its plan, which the memory engine then runs warm, the disk loop
-    once for both."""
-    seen: set[int] = set()
-    stats = []
-    for result in batch.results:
-        if id(result.program) not in seen:
-            seen.add(id(result.program))
-            stats.append(_automaton_stats(result))
-    return stats
+def _all_stats(batch) -> list[dict]:
+    """:func:`_stats_key` of the batch, then of each query."""
+    return [_stats_key(batch.statistics)] + [_stats_key(result.statistics) for result in batch.results]
 
 
 def _cold_and_warm(database: Database, batch, **options):
@@ -176,7 +164,7 @@ def _differential(database: Database, batch) -> list[list]:
         indexed = _cold_and_warm(database, batch)
     for by_memory, by_full, by_index, regions in zip(memory, full, indexed, crossed):
         assert _answers(by_full) == _answers(by_memory)
-        assert _per_plan_stats(by_full) == _per_plan_stats(by_memory)
+        assert _all_stats(by_full) == _all_stats(by_memory)
         assert _answers(by_index) == _answers(by_full)
         assert by_index.arb_io.pages_read <= by_full.arb_io.pages_read
         assert (by_full.state_file_bytes, by_full.arb_io.seeks) == (4 * database.n_nodes, 2)
@@ -395,7 +383,7 @@ def test_single_disk_query_matches_memory(document, program):
         assert on_disk.backend == "disk"
         assert on_disk.selected == in_memory.selected
         assert on_disk.counts == in_memory.counts
-        assert _automaton_stats(on_disk) == _automaton_stats(in_memory)
+        assert _stats_key(on_disk.statistics) == _stats_key(in_memory.statistics)
         assert on_disk.io.bytes_written == 4 * database.n_nodes
 
 
@@ -414,7 +402,8 @@ def test_unmemoised_plans_match_memoised(tmp_path):
     assert _answers(unmemoised) == _answers(memoised)
     n = database.n_nodes
     assert n == 241
-    assert [_automaton_stats(r)[:2] for r in unmemoised] == [(n, n - 1)] * len(_FIXED_BATCH)
+    transitions = [(r.statistics.bu_transitions, r.statistics.td_transitions) for r in unmemoised]
+    assert transitions == [(n, n - 1)] * len(_FIXED_BATCH)
 
 
 def test_unmemoised_plans_skip_the_pages_memoised_plans_skip(tmp_path):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import sys
 import threading
+import time
 
 import pytest
 
@@ -14,7 +15,7 @@ from repro.core.two_phase import EvaluationStatistics
 from repro.datasets.treebank import TAGS, generate_treebank
 from repro.errors import EvaluationError
 from repro.plan import ExecutionOptions, PlanCache, QueryPlan, default_plan_cache
-from repro.storage.paging import IOStatistics
+from repro.storage.paging import DEFAULT_PAGE_SIZE, IOStatistics
 from repro.streaming import stream_select
 from repro.xpath import xpath_to_program
 
@@ -272,6 +273,22 @@ class TestBatchEvaluation:
             database.query_many([BOOK_QUERY], engine="disk")
 
 
+def _race(threads, seconds: float) -> None:
+    """Start ``threads`` with a tiny switch interval and join them by a
+    deadline; a thread still running then is stuck (a deadlock)."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + seconds
+        for thread in threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads), "threads still running at the deadline"
+
+
 class TestSharedPlansAcrossThreads:
     """``Database.query`` on several threads sharing one plan cache.
 
@@ -292,20 +309,31 @@ class TestSharedPlansAcrossThreads:
     QUERIES = [f"//{a}[{b}]//{c}" for a, b, c in itertools.product(TAGS, repeat=3)][:150]
 
     def test_concurrent_queries_on_shared_cold_plans_are_correct(self, tmp_path):
+        self._run_shared(tmp_path, self.QUERIES, DEFAULT_PAGE_SIZE)
+
+    def test_concurrent_page_skips_on_shared_cold_plans_are_correct(self, tmp_path):
+        """With 64-byte pages the ``.idx`` sidecar has many pages and every
+        query gets a skip plan: the plans' memos (neutral and silent states)
+        and the chain carry are filled on several threads at once."""
+        shared = self._run_shared(tmp_path, self.QUERIES, 64)
+        plans = [shared.get_cached(query, language="xpath") for query in self.QUERIES]
+        assert all(plan.memo["neutral"] is not None for plan in plans)
+
+    def _run_shared(self, tmp_path, queries, page_size: int) -> PlanCache:
         bases = []
         for seed, size in enumerate(self.SIZES):
             bases.append(str(tmp_path / f"treebank{seed}"))
-            Database.build(generate_treebank(size, seed=seed), bases[-1]).close()
+            Database.build(generate_treebank(size, seed=seed), bases[-1], page_size=page_size).close()
         shared = PlanCache()
         barrier = threading.Barrier(len(bases))
         answers = [[] for _ in bases]
         errors = []
 
         def worker(index: int) -> None:
-            database = Database.open(bases[index])
+            database = Database.open(bases[index], page_size=page_size)
             database.plan_cache = shared
             try:
-                for query in self.QUERIES:
+                for query in queries:
                     barrier.wait()
                     result = database.query(query, language="xpath")
                     answers[index].append(result.selected_nodes())
@@ -315,25 +343,39 @@ class TestSharedPlansAcrossThreads:
                 errors.append(exc)
                 barrier.abort()
 
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(bases))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        finally:
-            sys.setswitchinterval(interval)
+        _race([threading.Thread(target=worker, args=(i,), daemon=True) for i in range(len(bases))], 90)
         assert errors == []
         for base, answered in zip(bases, answers):
-            reference = Database.open(base)
+            reference = Database.open(base, page_size=page_size)
             reference.plan_cache = PlanCache()
             expected = [
                 reference.query(query, language="xpath", engine="memory").selected_nodes()
-                for query in self.QUERIES
+                for query in queries
             ]
             assert answered == expected
+        return shared
+
+
+class TestPlansLockedOrder:
+    """``plans_locked`` takes a batch's plan locks in one global order."""
+
+    def test_opposite_plan_orders_do_not_deadlock(self, tmp_path):
+        base = str(tmp_path / "db")
+        Database.build(DOCUMENT, base).close()
+        shared = PlanCache()
+        plans = [shared.lookup(query)[0] for query in (BOOK_QUERY, "QUERY :- V.Label[dvd];")]
+        errors = []
+
+        def worker(order) -> None:
+            database = Database.open(base)
+            try:
+                for _ in range(300):
+                    database.execute_plans(order, ExecutionOptions())
+            except Exception as exc:
+                errors.append(exc)
+
+        _race([threading.Thread(target=worker, args=(order,), daemon=True) for order in (plans, plans[::-1])], 30)
+        assert errors == []
 
 
 class TestDirectDiskAccess:
