@@ -16,9 +16,10 @@ Subcommands
     ``--engine {auto,memory,disk}``: ``auto`` (the default) evaluates an
     `.arb` database in two linear scans and an XML file in memory; ``disk``
     insists on the scans, ``memory`` loads the tree (the differential oracle).
-    ``-q`` / ``-f`` / ``-x`` may be repeated together with ``--batch``: the
-    batch is evaluated over an on-disk database with a **single** pair of
-    linear scans of the `.arb` file, however many queries it holds.
+    ``-q`` / ``-f`` / ``-x`` may be repeated: the queries are evaluated
+    together, over an on-disk database with a **single** pair of linear
+    scans of the `.arb` file, however many there are (``--mark-up`` takes
+    exactly one).
 
 ``arb stats DATABASE``
     Print the stored metadata of an `.arb` database, including its current
@@ -40,8 +41,8 @@ Subcommands
 ``arb collection query ROOT (-q PROGRAM | -f FILE | -x XPATH)``
     Evaluate queries over **every** document of the collection, sharded
     across ``--workers`` worker processes (one worker evaluates in the
-    calling process).  With ``--batch``, all given queries ride one
-    lockstep scan pair per document.
+    calling process).  All given queries ride one lockstep scan pair per
+    document.
 
 ``arb collection stats ROOT``
     Print the manifest of a collection and the shared plan-cache counters.
@@ -131,20 +132,18 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("database", help=".arb base path or XML file")
     group = query.add_mutually_exclusive_group(required=True)
     group.add_argument("-q", "--program", action="append",
-                       help="TMNF/caterpillar program text (repeatable with --batch)")
+                       help="TMNF/caterpillar program text (repeatable)")
     group.add_argument("-f", "--program-file", action="append",
-                       help="file containing a TMNF program (repeatable with --batch)")
+                       help="file containing a TMNF program (repeatable)")
     group.add_argument("-x", "--xpath", action="append",
-                       help="XPath expression, supported fragment (repeatable with --batch)")
+                       help="XPath expression, supported fragment (repeatable)")
     query.add_argument("--query-predicate", help="IDB predicate to report (default: QUERY/first head)")
     query.add_argument("--engine", choices=ENGINES, default=AUTO_ENGINE,
                        help="evaluator (default: disk scans on disk, else memory)")
-    query.add_argument("--batch", action="store_true",
-                       help="evaluate all given queries together "
-                            "(on disk: one pair of linear scans for the whole batch)")
     query.add_argument("--ids", action="store_true", help="print selected node ids")
     query.add_argument("--mark-up", action="store_true",
-                       help="print the document with selected nodes marked up")
+                       help="print the document with selected nodes marked up "
+                            "(one query only)")
 
     stats = subparsers.add_parser("stats", help="print metadata of an .arb database")
     stats.add_argument("database", help=".arb base path")
@@ -193,18 +192,15 @@ def build_parser() -> argparse.ArgumentParser:
     cquery.add_argument("root", help="collection root directory")
     cgroup = cquery.add_mutually_exclusive_group(required=True)
     cgroup.add_argument("-q", "--program", action="append",
-                        help="TMNF/caterpillar program text (repeatable with --batch)")
+                        help="TMNF/caterpillar program text (repeatable)")
     cgroup.add_argument("-f", "--program-file", action="append",
-                        help="file containing a TMNF program (repeatable with --batch)")
+                        help="file containing a TMNF program (repeatable)")
     cgroup.add_argument("-x", "--xpath", action="append",
-                        help="XPath expression, supported fragment (repeatable with --batch)")
+                        help="XPath expression, supported fragment (repeatable)")
     cquery.add_argument("--query-predicate",
                         help="IDB predicate to report (default: QUERY/first head)")
     cquery.add_argument("--engine", choices=ENGINES, default=AUTO_ENGINE,
                         help="evaluator (default: the disk scan pair)")
-    cquery.add_argument("--batch", action="store_true",
-                        help="evaluate all given queries together "
-                             "(one lockstep scan pair per document)")
     cquery.add_argument("--workers", type=int, default=1, metavar="N",
                         help="number of worker processes (default: 1, in-process)")
     cquery.add_argument("--ids", action="store_true",
@@ -318,59 +314,36 @@ def _collect_queries(args: argparse.Namespace) -> tuple[list[str], str]:
 def _command_query(args: argparse.Namespace) -> int:
     database = _open_database(args.database)
     queries, language = _collect_queries(args)
-    if args.batch:
-        return _run_batch_query(database, queries, language, args)
-    if len(queries) > 1:
-        raise ReproError("multiple queries given; use --batch to evaluate them together")
-    result = database.query(
-        queries[0], language=language, query_predicate=args.query_predicate,
-        engine=args.engine,
-    )
-    predicate = result.program.query_predicates[0]
-    statistics = result.statistics
-    print(f"query predicate : {predicate}")
-    print(f"selected nodes  : {result.count(predicate)}")
-    print(f"engine          : {result.backend}")
-    print(f"plan cache      : {'hit' if statistics.plan_cache_hits else 'miss'}")
-    print(f"phase 1 (bottom-up): {statistics.bu_seconds:.4f}s, "
-          f"{statistics.bu_transitions} transitions")
-    print(f"phase 2 (top-down) : {statistics.td_seconds:.4f}s, "
-          f"{statistics.td_transitions} transitions")
-    print(f"total              : {statistics.total_seconds:.4f}s over {statistics.nodes} nodes")
-    if args.ids:
-        print(" ".join(str(node) for node in result.selected_nodes(predicate)))
-    if args.mark_up:
-        print(database.to_xml(result.selected_nodes(predicate)))
-    return 0
-
-
-def _run_batch_query(database: Database, queries: list[str], language: str,
-                     args: argparse.Namespace) -> int:
-    if args.mark_up:
-        raise ReproError("--mark-up is not available with --batch")
+    if args.mark_up and len(queries) != 1:
+        raise ReproError("--mark-up needs exactly one query")
     batch = database.query_many(
         queries, language=language, query_predicate=args.query_predicate,
         engine=args.engine,
     )
-    print(f"batch           : {len(batch)} queries ({batch.backend})")
     for index, result in enumerate(batch):
         predicate = result.program.query_predicates[0]
         statistics = result.statistics
-        cache = "hit" if statistics.plan_cache_hits else "miss"
-        print(f"  [{index}] {predicate}: {result.count(predicate)} selected, "
-              f"{statistics.bu_transitions}+{statistics.td_transitions} transitions, "
-              f"plan {cache}")
+        print(f"{f'query [{index}]':<16}: {predicate}")
+        print(f"selected nodes  : {result.count(predicate)}")
+        print(f"engine          : {result.backend}")
+        print(f"plan cache      : {'hit' if statistics.plan_cache_hits else 'miss'}")
+        print(f"phase 1 (bottom-up): {statistics.bu_seconds:.4f}s, "
+              f"{statistics.bu_transitions} transitions")
+        print(f"phase 2 (top-down) : {statistics.td_seconds:.4f}s, "
+              f"{statistics.td_transitions} transitions")
         if args.ids:
-            print("      " + " ".join(str(node) for node in result.selected_nodes(predicate)))
+            print(" ".join(str(node) for node in result.selected_nodes(predicate)))
     if batch.backend == "disk":
         arb = batch.arb_io
         print(f".arb file I/O   : {arb.pages_read} pages / {arb.bytes_read} bytes read "
-              f"in {arb.seeks} linear scans (independent of batch size)")
+              f"in {arb.seeks} linear scans (independent of the number of queries)")
         print(f"state file      : {batch.state_file_bytes} bytes "
               f"({batch.state_io.pages_read} pages read, "
               f"{batch.state_io.pages_written} written)")
     print(f"total           : {batch.statistics.total_seconds:.4f}s "
           f"over {batch.statistics.nodes} nodes")
+    if args.mark_up:
+        print(database.to_xml(batch[0].selected_nodes()))
     return 0
 
 
@@ -402,8 +375,6 @@ def _command_collection_build(args: argparse.Namespace) -> int:
 def _command_collection_query(args: argparse.Namespace) -> int:
     collection = Collection.open(args.root)
     queries, language = _collect_queries(args)
-    if len(queries) > 1 and not args.batch:
-        raise ReproError("multiple queries given; use --batch to evaluate them together")
     result = collection.query_many(
         queries, language=language, query_predicate=args.query_predicate,
         engine=args.engine, n_workers=args.workers,

@@ -446,6 +446,9 @@ class Database:
             if hit is not None:
                 result.statistics.plan_cache_hits = int(hit)
                 result.statistics.plan_cache_misses = int(not hit)
+                # The batch figure was folded before the lookups were known.
+                batch.statistics.plan_cache_hits += int(hit)
+                batch.statistics.plan_cache_misses += int(not hit)
         return batch
 
     # ------------------------------------------------------------------ #

@@ -225,8 +225,10 @@ class _SkipPlan:
 
 
 def _compute_skip(plans: Sequence["QueryPlan"], database: ArbDatabase) -> _SkipPlan | None:
+    if database.n_nodes * database.record_size <= database.page_size:
+        return None  # one page: nothing to skip, no sidecar to read
     index = pageindex.index_for(database)
-    if index is None or index.n_pages <= 1:
+    if index is None:
         return None
     star: list[int] = []
     for plan in plans:

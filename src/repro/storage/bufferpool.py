@@ -16,17 +16,12 @@ own physical I/O and hit/miss behaviour are reported separately
 Pages are keyed by ``(path, generation, page_size, page_index)`` -- the
 page size is part of the key because the grid it induces is, and two
 readers with different page sizes must never see each other's slices.  The
-*generation* combines an explicit epoch counter -- bumped by
-:meth:`BufferPool.invalidate` whenever a database is rebuilt
-(``repro.storage.build`` bumps the default pool automatically) -- with the
-file's ``(creation counter, size, mtime_ns)`` fingerprint.  The epoch bump
-is the authoritative in-process invalidation; the fingerprint is a safety
-net that also catches rebuilds a private pool was never told about.  The
-creation counter (the generation-pointer counter recorded in the ``.meta``
-sidecar, see :mod:`repro.storage.generations`) closes the historical hole
-where a same-size rewrite inside one mtime tick could collide: every build
-and update writes a strictly larger counter, so no two generations of a
-path ever share a fingerprint.
+*generation* is the reader's ``(creation counter, size, mtime_ns)``
+(:attr:`~repro.storage.paging.PagedReader.key`): data files are written
+once, and every build and commit records a strictly larger creation counter
+in the generation's ``.meta`` (see :mod:`repro.storage.generations`), so a
+rewritten file's pages are unreachable under the old key and nothing ever
+has to invalidate the pool.
 
 Eviction is strict LRU over a byte budget; the pool is thread-safe (scans on
 any thread share it) and page loads run outside the lock so concurrent
@@ -35,13 +30,11 @@ misses never serialise their disk reads.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.errors import StorageError
-from repro.storage.generations import creation_counter_of
 from repro.storage.paging import IOStatistics, PagerConfig
 
 __all__ = [
@@ -49,7 +42,6 @@ __all__ = [
     "BufferPoolStats",
     "DEFAULT_POOL_CAPACITY",
     "default_buffer_pool",
-    "invalidate_default_pool",
     "resolve_pager",
 ]
 
@@ -67,7 +59,6 @@ class BufferPoolStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    invalidations: int = 0
 
     @property
     def requests(self) -> int:
@@ -93,55 +84,6 @@ class BufferPool:
         self._lock = threading.RLock()
         self._pages: OrderedDict[PageKey, bytes] = OrderedDict()
         self._cached_bytes = 0
-        self._epochs: dict[str, int] = {}
-
-    # ------------------------------------------------------------------ #
-    # Generations
-    # ------------------------------------------------------------------ #
-
-    def generation_for(self, path: str) -> tuple:
-        """The current generation of ``path``: ``(epoch, counter, size, mtime_ns)``.
-
-        The epoch changes on :meth:`invalidate`; the fingerprint changes on
-        any rebuild of the file, so stale pages are unreachable either way.
-        The *counter* component is the generation-pointer counter recorded
-        in the file's ``.meta`` sidecar at creation time
-        (:mod:`repro.storage.generations`): it closes the one hole the
-        ``(size, mtime_ns)`` pair has -- a same-size rewrite landing inside
-        one mtime tick on a filesystem with coarse timestamps -- because
-        every build and update writes a strictly larger counter.  Files
-        without a sidecar (temp files, pre-counter databases) get counter 0
-        and keep the old fingerprint semantics.
-        """
-        path = os.path.abspath(path)
-        try:
-            status = os.stat(path)
-            fingerprint = (status.st_size, status.st_mtime_ns)
-        except OSError:
-            fingerprint = (-1, -1)
-        counter = creation_counter_of(path)
-        with self._lock:
-            return (self._epochs.get(path, 0), counter, *fingerprint)
-
-    def epoch_of(self, path: str) -> int:
-        """The explicit invalidation epoch of ``path`` (0 until first bump)."""
-        with self._lock:
-            return self._epochs.get(os.path.abspath(path), 0)
-
-    def invalidate(self, path: str) -> int:
-        """Drop every cached page of ``path`` and bump its generation epoch.
-
-        Called after a database rebuild; returns the new epoch.
-        """
-        path = os.path.abspath(path)
-        with self._lock:
-            epoch = self._epochs.get(path, 0) + 1
-            self._epochs[path] = epoch
-            stale = [key for key in self._pages if key[0] == path]
-            for key in stale:
-                self._cached_bytes -= len(self._pages.pop(key))
-            self.stats.invalidations += 1
-            return epoch
 
     # ------------------------------------------------------------------ #
     # Pages
@@ -224,16 +166,6 @@ def default_buffer_pool() -> BufferPool:
             if _default_pool is None:
                 _default_pool = BufferPool()
     return _default_pool
-
-
-def invalidate_default_pool(path: str) -> None:
-    """Bump ``path``'s generation in the default pool, if one exists.
-
-    Database builds call this so a rebuilt file can never be served from
-    stale cached pages; it never *creates* the pool.
-    """
-    if _default_pool is not None:
-        _default_pool.invalidate(path)
 
 
 def resolve_pager(*, pooled: bool = True) -> PagerConfig:

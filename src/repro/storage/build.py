@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from repro.errors import StorageError
-from repro.storage.bufferpool import invalidate_default_pool
 from repro.storage.durability import fault_point, fsync_fd
 from repro.storage.generations import (
     GenerationPointer,
@@ -40,7 +39,6 @@ from repro.storage.labels import FIRST_TAG_INDEX, LabelTable
 from repro.storage.pageindex import (
     SummaryAccumulator,
     index_path_of,
-    invalidate_index_cache,
     write_page_index,
 )
 from repro.storage.paging import (
@@ -239,10 +237,10 @@ class DatabaseBuilder:
         stats.seconds = time.perf_counter() - started
 
         # A build (or rebuild) is change number counter+1 of this base path:
-        # the counter lands in the .meta sidecar (the buffer-pool fingerprint
-        # reads it, so even a same-size same-mtime-tick rewrite can never be
-        # served from stale cached pages) and the generation pointer is reset
-        # to the plain generation-0 files.  The counter bump and the stale-
+        # the counter lands in the .meta sidecar (a reader's content key
+        # carries it, so even a same-size same-mtime-tick rewrite can never
+        # be served from stale cached pages) and the generation pointer is
+        # reset to the plain generation-0 files.  The counter bump and the stale-
         # generation cleanup share the update subsystem's writer lock, so a
         # rebuild racing a concurrent apply_update can neither allocate the
         # same change number nor delete files the applier is mid-swap on.
@@ -258,11 +256,6 @@ class DatabaseBuilder:
             for generation in list_generations(base_path):
                 if generation != 0:
                     remove_generation_files(base_path, generation)
-        # Belt and braces for the process-wide pool: the epoch bump drops any
-        # cached pages of the overwritten file immediately (and any cached
-        # page summaries of the overwritten sidecar).
-        invalidate_default_pool(arb_path)
-        invalidate_index_cache(base_path)
         return stats
 
     def _decoded_events_backward(self, evt_reader: PagedReader):
@@ -298,8 +291,8 @@ def _write_metadata(
     The paper's prototype derives the node count from the file size and fixes
     ``k = 2``; the sidecar keeps the format self-describing without changing
     the `.arb` layout.  ``counter`` records which change of the base path
-    created these files (the generation-pointer counter), which is what the
-    buffer pool fingerprints pages by.  The schema itself lives in
+    created these files (the generation-pointer counter), which names their
+    content in every page and structure cache.  The schema itself lives in
     :func:`repro.storage.generations.write_metadata`, shared with the
     update subsystem's spliced generations.
     """

@@ -41,8 +41,9 @@ from repro.tree.binary import NO_NODE, BinaryTree
 __all__ = ["ArbDatabase"]
 
 
-def _read_meta(meta_path: str) -> tuple[int, int, int, int]:
-    """``(record_size, n_nodes, element_nodes, char_nodes)`` of a `.meta` file.
+def _read_meta(meta_path: str) -> tuple[int, int, int, int, int]:
+    """``(record_size, n_nodes, element_nodes, char_nodes, counter)`` of a
+    `.meta` file.
 
     Anything but a JSON object with integer sizes is a :class:`StorageError`
     naming the file, as for a malformed generation pointer.
@@ -55,6 +56,7 @@ def _read_meta(meta_path: str) -> tuple[int, int, int, int]:
             int(meta["n_nodes"]),
             int(meta.get("element_nodes", 0)),
             int(meta.get("char_nodes", 0)),
+            int(meta.get("counter", 0)),
         )
     except (OSError, ValueError, KeyError, TypeError) as error:
         raise StorageError(f"malformed database metadata {meta_path}: {error!r}") from error
@@ -83,6 +85,10 @@ class ArbDatabase:
     #: generation number, the counter also moves on an in-place rebuild
     #: (which resets the generation to 0), so staleness checks compare it.
     change_counter: int = 0
+    #: The pointer counter the generation's files were created under (its
+    #: ``.meta`` records it; 0 without one).  Every build and commit writes
+    #: a strictly larger one, so it names this generation's content for good.
+    creation_counter: int = 0
     # Lazily opened read handle for point lookups (see read_record).
     _point_handle: object = field(default=None, init=False, repr=False, compare=False)
 
@@ -137,13 +143,13 @@ class ArbDatabase:
         if not os.path.exists(arb_path):
             raise StorageError(f"no such database: {arb_path}")
         if os.path.exists(meta_path):
-            record_size, n_nodes, element_nodes, char_nodes = _read_meta(meta_path)
+            record_size, n_nodes, element_nodes, char_nodes, creation_counter = _read_meta(meta_path)
         else:
             # Fall back to the paper's convention: k = 2 and the node count is
             # implied by the file size.
             record_size = 2
             n_nodes = os.path.getsize(arb_path) // record_size
-            element_nodes = char_nodes = 0
+            element_nodes = char_nodes = creation_counter = 0
         expected = n_nodes * record_size
         if os.path.getsize(arb_path) != expected:
             raise StorageError(
@@ -163,6 +169,7 @@ class ArbDatabase:
             logical_base_path=logical,
             generation=gen_number,
             change_counter=pointer.counter,
+            creation_counter=creation_counter,
         )
 
     # ------------------------------------------------------------------ #
@@ -185,7 +192,10 @@ class ArbDatabase:
         config = self.pager
         if page_filter is not None:
             config = replace(config, page_filter=page_filter)
-        return PagedReader(self.arb_path, self.page_size, stats=stats, config=config)
+        return PagedReader(
+            self.arb_path, self.page_size, stats=stats, config=config,
+            creation_counter=self.creation_counter,
+        )
 
     def records_forward(self, stats: IOStatistics | None = None) -> Iterator[NodeRecord]:
         """All node records in pre-order (one forward linear scan)."""

@@ -18,8 +18,9 @@ The pointer file is a one-line JSON document::
 ``counter`` increases monotonically across *every* rebuild and update of the
 base path and never decreases, so it doubles as the allocator for new
 generation numbers (a crashed, never-swapped attempt can only have used a
-number that the retry safely overwrites) and as the freshness component of
-the buffer-pool fingerprint (see :mod:`repro.storage.bufferpool`).  The
+number that the retry safely overwrites) and, recorded in each generation's
+``.meta`` as its *creation counter*, as the name of that generation's
+content (:attr:`repro.storage.database.ArbDatabase.creation_counter`).  The
 pointer is written with the classic temp-file + ``os.replace`` + directory
 fsync protocol, so a reader sees either the old pointer or the new one --
 never a torn file.
@@ -55,7 +56,6 @@ __all__ = [
     "POINTER_SUFFIX",
     "atomic_write_bytes",
     "atomic_write_text",
-    "creation_counter_of",
     "exclusive_writer",
     "export_generation",
     "fsync_directory",
@@ -208,12 +208,6 @@ def write_pointer(
     os.replace(temp_path, path)
     _fsync_directory(os.path.dirname(path) or ".")
     count_pointer_swap()
-    # This process just changed the base's files; the counter memo must not
-    # outlive the change (a same-tick same-size meta rewrite would otherwise
-    # slip past the fingerprint).  clear() is a single C-level operation, so
-    # it cannot race reader threads mid-iteration; pointer writes are rare
-    # enough that repopulating the whole memo is free.
-    _COUNTER_MEMO.clear()
     return path
 
 
@@ -418,49 +412,6 @@ def install_generation(base_path: str, snapshot: dict) -> dict:
         return {"installed": True, "generation": generation, "counter": counter}
 
 
-#: Memo for :func:`creation_counter_of`: meta path -> (fingerprint, counter).
-#: The counter is immutable for a given sidecar content, so a (size,
-#: mtime_ns) fingerprint suffices; the memo spares every pooled scan an
-#: open + JSON parse on its hot path.  Plain dict: GIL-atomic get/set.
-#: :func:`write_pointer` purges the written base's entries, so a process
-#: that rebuilds or updates a database never trusts its own stale memo
-#: (other processes see the fingerprint change on the next stat).
-_COUNTER_MEMO: dict[str, tuple[tuple[int, int], int]] = {}
-_COUNTER_MEMO_LIMIT = 1024
-
-
-def creation_counter_of(arb_path: str) -> int:
-    """The pointer counter an ``.arb`` file was *created* under.
-
-    Read from the file's own ``.meta`` sidecar (the builder and the update
-    subsystem both record it there), so every generation keeps the counter
-    of its creation forever -- unlike the live pointer, which moves on.
-    The buffer pool fingerprints pages with it; the update layer keys its
-    analysis cache with it.  0 for files without a sidecar (temp files,
-    pre-counter databases), which degrades to plain size/mtime freshness.
-    """
-    if not arb_path.endswith(".arb"):
-        return 0
-    meta_path = os.path.abspath(arb_path[: -len(".arb")] + ".meta")
-    try:
-        status = os.stat(meta_path)
-    except OSError:
-        return 0
-    fingerprint = (status.st_size, status.st_mtime_ns)
-    memoised = _COUNTER_MEMO.get(meta_path)
-    if memoised is not None and memoised[0] == fingerprint:
-        return memoised[1]
-    try:
-        with open(meta_path, "r", encoding="utf-8") as handle:
-            counter = int(json.load(handle).get("counter", 0))
-    except (OSError, ValueError, TypeError, AttributeError):
-        return 0
-    if len(_COUNTER_MEMO) >= _COUNTER_MEMO_LIMIT:
-        _COUNTER_MEMO.clear()
-    _COUNTER_MEMO[meta_path] = (fingerprint, counter)
-    return counter
-
-
 # ---------------------------------------------------------------------- #
 # Writer exclusion
 # ---------------------------------------------------------------------- #
@@ -552,7 +503,8 @@ def write_metadata(
     update subsystem (spliced generations) -- so sidecar consumers never
     see a field set that depends on which path created the files.
     ``counter`` is the pointer change counter the files were created under
-    (the buffer pool's fingerprint component); ``parent_generation`` is the
+    (their creation counter, part of their content key -- see
+    :func:`repro.storage.paging.content_key`); ``parent_generation`` is the
     update lineage link (``None`` for builds).  The returned payload is what
     the group-commit pipeline embeds in the pointer sidecar.
     """

@@ -44,16 +44,12 @@ stale or old index can cost speed, never answers.
 
 from __future__ import annotations
 
-import os
 import struct
-import threading
 import zlib
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.storage.durability import fsync_file
-from repro.storage.generations import logical_base_of
 from repro.storage.labels import CHARACTER_INDEX_LIMIT, LabelTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -68,7 +64,6 @@ __all__ = [
     "load_page_index",
     "index_path_of",
     "index_for",
-    "invalidate_index_cache",
     "relevant_label_bits",
     "compute_skip_regions",
     "segments_of",
@@ -344,53 +339,14 @@ def load_page_index(path: str) -> PageIndex | None:
 
 
 # ---------------------------------------------------------------------- #
-# Per-generation cache (same fingerprint discipline as the buffer pool)
+# A handle's sidecar (read per batch: the `.arb` it summarises is immutable)
 # ---------------------------------------------------------------------- #
-
-#: Decoded-sidecar cache: ``abspath(idx) -> (logical_base, fingerprint,
-#: index | None)``, LRU-bounded and guarded by :data:`_INDEX_CACHE_LOCK`.
-#: Threads (a service's workers, a caller's own) load indexes concurrently
-#: and a long-lived collection sees a fresh generation path per update, so
-#: the cache must be both race-free and bounded: inserts evict superseded
-#: generations of the same logical document first, then fall back to plain
-#: LRU eviction.
-_INDEX_CACHE: "OrderedDict[str, tuple[str, tuple, PageIndex | None]]" = OrderedDict()
-_INDEX_CACHE_LOCK = threading.Lock()
-_INDEX_CACHE_CAP = 128
 
 
 def index_for(database: "ArbDatabase") -> PageIndex | None:
     """The sidecar of ``database``'s generation, if present, valid and on the
-    same page grid; cached per generation fingerprint."""
-    path = index_path_of(database.base_path)
-    try:
-        stat = os.stat(path)
-    except OSError:
-        return None
-    key = os.path.abspath(path)
-    fingerprint = (stat.st_size, stat.st_mtime_ns, database.change_counter)
-    with _INDEX_CACHE_LOCK:
-        cached = _INDEX_CACHE.get(key)
-        if cached is not None and cached[1] == fingerprint:
-            _INDEX_CACHE.move_to_end(key)
-            index = cached[2]
-        else:
-            index = False  # sentinel: load outside the lock
-    if index is False:
-        loaded = load_page_index(path)
-        logical = os.path.abspath(logical_base_of(path))
-        with _INDEX_CACHE_LOCK:
-            # A concurrent loader may have raced us here; last write wins,
-            # both computed the same fingerprint's decoding.
-            _INDEX_CACHE[key] = (logical, fingerprint, loaded)
-            _INDEX_CACHE.move_to_end(key)
-            # Evict superseded generations of the same logical document.
-            stale = [k for k, v in _INDEX_CACHE.items() if k != key and v[0] == logical]
-            for k in stale:
-                del _INDEX_CACHE[k]
-            while len(_INDEX_CACHE) > _INDEX_CACHE_CAP:
-                _INDEX_CACHE.popitem(last=False)
-        index = loaded
+    same page grid as the handle."""
+    index = load_page_index(index_path_of(database.base_path))
     if index is None:
         return None
     if (
@@ -400,15 +356,6 @@ def index_for(database: "ArbDatabase") -> PageIndex | None:
     ):
         return None
     return index
-
-
-def invalidate_index_cache(base_path: str | None = None) -> None:
-    """Drop cached sidecars (one generation's, or all)."""
-    with _INDEX_CACHE_LOCK:
-        if base_path is None:
-            _INDEX_CACHE.clear()
-        else:
-            _INDEX_CACHE.pop(os.path.abspath(index_path_of(base_path)), None)
 
 
 # ---------------------------------------------------------------------- #

@@ -57,9 +57,21 @@ __all__ = [
     "RangedScan",
     "DEFAULT_PAGE_SIZE",
     "check_page_size",
+    "content_key",
 ]
 
 DEFAULT_PAGE_SIZE = 64 * 1024
+
+
+def content_key(path: str, creation_counter: int, status: os.stat_result) -> tuple[str, tuple]:
+    """``(absolute path, (creation counter, size, mtime_ns))``: the one name
+    of a file's content that page and structure caches key by.
+
+    Data files are written once, and every build and commit records a
+    strictly larger creation counter in the generation's ``.meta``, so no
+    two contents of a path share a key and nothing ever invalidates a cache.
+    """
+    return os.path.abspath(path), (creation_counter, status.st_size, status.st_mtime_ns)
 
 
 def check_page_size(page_size: object) -> None:
@@ -256,13 +268,11 @@ class _PageSource:
         self._path = reader.path
         self._page_size = reader.page_size
         self._file_size = reader.file_size
-        self._pool = pool = reader.config.pool
+        self._pool = reader.config.pool
         self._filter = reader.config.page_filter
         self._handle = None
         self._position = 0
-        if pool is not None:
-            self._key_path = os.path.abspath(reader.path)
-            self._generation = pool.generation_for(reader.path)
+        self._key_path, self._generation = reader.key
 
     def page(self, index: int):
         if self._filter is not None and not self._filter(index):
@@ -315,15 +325,20 @@ class PagedReader:
 
     def __init__(self, path: str, page_size: int = DEFAULT_PAGE_SIZE,
                  stats: IOStatistics | None = None,
-                 config: PagerConfig | None = None):
+                 config: PagerConfig | None = None,
+                 creation_counter: int = 0):
         check_page_size(page_size)
-        if not os.path.exists(path):
-            raise StorageError(f"no such file: {path}")
+        try:
+            status = os.stat(path)
+        except OSError:
+            raise StorageError(f"no such file: {path}") from None
         self.path = path
         self.page_size = page_size
         self.stats = stats if stats is not None else IOStatistics()
         self.config = config if config is not None else PagerConfig()
-        self.file_size = os.path.getsize(path)
+        self.file_size = status.st_size
+        #: What a buffer pool keys this file's pages by (:func:`content_key`).
+        self.key = content_key(path, creation_counter, status)
 
     def ranged_scan(self, *, backward: bool = False) -> "RangedScan":
         """The scan that reads this file, one record range at a time.

@@ -1,8 +1,9 @@
 """The decoded shape of a generation, and how an operation edits it.
 
 :func:`_analyse` recovers where every subtree ends in one forward scan of
-the `.arb` file, as a :class:`_Structure` cached per ``(path, generation
-fingerprint)`` -- the update layer's analogue of plan-cache keying.  The
+the `.arb` file, as a :class:`_Structure` cached per content key
+(:func:`~repro.storage.paging.content_key`: path, creation counter, size,
+mtime) -- the update layer's analogue of plan-cache keying.  The
 ``_compile_*`` functions turn one operation into the byte edits it makes to
 the record file **and** apply it to the structure in place, so the next
 operation of a group -- and the next commit on the base -- compile against
@@ -23,7 +24,6 @@ from typing import Iterator
 
 from repro.errors import StorageError
 from repro.storage.database import ArbDatabase
-from repro.storage.generations import creation_counter_of
 from repro.storage.labels import CHARACTER_INDEX_LIMIT, LabelTable
 from repro.storage.ops import (
     DeleteSubtree,
@@ -33,7 +33,7 @@ from repro.storage.ops import (
     check_node,
     materialize_op,
 )
-from repro.storage.paging import IOStatistics
+from repro.storage.paging import IOStatistics, content_key
 from repro.storage.records import encode_node
 from repro.tree.unranked import UnrankedNode, UnrankedTree
 
@@ -139,14 +139,14 @@ def _analyse(database: ArbDatabase, stats: IOStatistics) -> _Structure:
 
 
 class _StructureCache:
-    """A few per-generation analyses, keyed by file fingerprint.
+    """A few per-generation analyses, keyed by the `.arb` file's content key.
 
-    The key is ``(absolute .arb path, size, mtime_ns, meta counter)`` -- the
-    same freshness triple the buffer pool uses -- so a stale analysis can
-    never be applied to a rewritten file.  Entries are small (7 bytes per
-    node, see :class:`_Structure`) and a generation's analysis is wanted by
-    the one commit that supersedes it, so a handful of slots, first in first
-    out, suffice.
+    The key is the one a reader's pages are pooled under,
+    ``(absolute .arb path, (creation counter, size, mtime_ns))``, so a stale
+    analysis can never be applied to a rewritten file.  Entries are small
+    (7 bytes per node, see :class:`_Structure`) and a generation's analysis
+    is wanted by the one commit that supersedes it, so a handful of slots,
+    first in first out, suffice.
     """
 
     def __init__(self, capacity: int = 4):
@@ -155,19 +155,20 @@ class _StructureCache:
         self._entries: dict[tuple, _Structure] = {}  # oldest first
 
     @staticmethod
-    def _key(arb_path: str) -> tuple | None:
+    def _key(arb_path: str, counter: int) -> tuple | None:
         try:
             status = os.stat(arb_path)
         except OSError:
-            return None  # nothing to fingerprint: no caching, never an error
-        return (os.path.abspath(arb_path), status.st_size, status.st_mtime_ns, creation_counter_of(arb_path))
+            return None  # no content to name: no caching, never an error
+        return content_key(arb_path, counter, status)
 
-    def get(self, arb_path: str) -> _Structure | None:
+    def get(self, arb_path: str, counter: int) -> _Structure | None:
+        """The analysis of ``arb_path`` created under creation ``counter``."""
         with self._lock:
-            return self._entries.get(self._key(arb_path))
+            return self._entries.get(self._key(arb_path, counter))
 
-    def put(self, arb_path: str, structure: _Structure) -> None:
-        key = self._key(arb_path)
+    def put(self, arb_path: str, counter: int, structure: _Structure) -> None:
+        key = self._key(arb_path, counter)
         with self._lock:
             if key is not None:
                 self._entries[key] = structure

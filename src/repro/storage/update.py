@@ -66,7 +66,6 @@ from typing import Sequence
 
 from repro.errors import StorageError
 from repro.storage import wal
-from repro.storage.bufferpool import invalidate_default_pool
 from repro.storage.database import ArbDatabase
 from repro.storage.durability import FAULT_ENV, FAULT_EXIT_CODE, fault_point
 from repro.storage.generations import (
@@ -91,7 +90,6 @@ from repro.storage.ops import (
     materialize_op,
     op_from_spec,
 )
-from repro.storage.pageindex import invalidate_index_cache
 from repro.storage.paging import DEFAULT_PAGE_SIZE
 from repro.storage.splice import (
     UpdateStatistics,
@@ -316,10 +314,10 @@ def _commit_locked(
     record_size = database.record_size
     old_arb = database.arb_path
     old_size = database.file_size()
-    analysis = structure_cache.get(old_arb)
+    analysis = structure_cache.get(old_arb, database.creation_counter)
     if analysis is None:
         analysis = _analyse(database, stats.io)
-        structure_cache.put(old_arb, analysis)
+        structure_cache.put(old_arb, database.creation_counter, analysis)
     else:
         stats.analysis_cache_hit = True
     labels = database.labels  # this open's own copy: the commit may add to it
@@ -387,11 +385,6 @@ def _commit_locked(
             page_size=page_size,
             n_label_indices=FIRST_TAG_INDEX + labels.n_tags,
         )
-        # A crashed earlier attempt may have left files under this generation
-        # number (the counter only advances at the swap); make sure no pool
-        # ever serves their pages now that the retry overwrote them.
-        invalidate_default_pool(new_base + ".arb")
-        invalidate_index_cache(new_base)
         # The new files' *directory entries* must be durable before a durable
         # pointer can name them -- file-data fsyncs alone do not persist the
         # dirents on a power loss.
@@ -416,7 +409,7 @@ def _commit_locked(
 
     # Whatever the operations were, the next commit on this base starts
     # from the structure they left behind instead of a rescan.
-    structure_cache.put(new_base + ".arb", structure)
+    structure_cache.put(new_base + ".arb", new_counter, structure)
     stats.seconds = time.perf_counter() - started
     return UpdateResult(
         base_path=base_path,

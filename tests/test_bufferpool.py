@@ -2,9 +2,10 @@
 
 Pinned here: strict LRU eviction order under a byte budget, page sharing
 across scans (a backward scan hits the pages its forward sibling loaded,
-and concurrent threads share one pool), generation-bump invalidation on
-rebuild, and the cardinal rule that a pool changes *no* logical I/O counter
--- only the pool's own hit/miss/physical-read telemetry.
+and concurrent threads share one pool), fresh pages after a rebuild (the
+reader's content key moves with the creation counter), and the cardinal
+rule that a pool changes *no* logical I/O counter -- only the pool's own
+hit/miss/physical-read telemetry.
 """
 
 from __future__ import annotations
@@ -45,8 +46,7 @@ def test_lru_eviction_order_is_strict(tmp_path):
 
     # Touch page 1 (the current LRU victim candidate), then load page 0
     # again: page *2* must be the one evicted, not the refreshed page 1.
-    generation = pool.generation_for(path)
-    key_path = os.path.abspath(path)
+    key_path, generation = reader.key
     pool.read_page(key_path, generation, 16, 1, lambda: (_ for _ in ()).throw(AssertionError))
     with open(path, "rb") as handle:
         payload = handle.read(16)
@@ -153,26 +153,11 @@ def test_pool_changes_no_logical_counter(tmp_path):
 
 
 # --------------------------------------------------------------------------- #
-# Invalidation on rebuild
+# Fresh pages after a rebuild
 # --------------------------------------------------------------------------- #
 
 
-def test_invalidate_bumps_generation_and_purges(tmp_path):
-    path = _write(tmp_path / "data.bin", bytes(64))
-    pool = BufferPool()
-    reader = PagedReader(path, page_size=16, config=PagerConfig(pool=pool))
-    list(reader.records_forward(16))
-    assert len(pool) == 4
-    before = pool.generation_for(path)
-    epoch = pool.invalidate(path)
-    assert epoch == 1
-    assert pool.epoch_of(path) == 1
-    assert len(pool) == 0
-    assert pool.stats.invalidations == 1
-    assert pool.generation_for(path) != before
-
-
-def test_rebuild_through_builder_invalidates_default_pool(tmp_path):
+def test_rebuild_through_builder_never_serves_default_pool_pages(tmp_path):
     base = str(tmp_path / "doc")
     build_database("<r><a/></r>", base, text_mode="ignore")
     pool = default_buffer_pool()
@@ -181,14 +166,14 @@ def test_rebuild_through_builder_invalidates_default_pool(tmp_path):
 
     db = ArbDatabase.open(base, pager=config)
     first = [record.label_index for record in db.records_forward()]
-    epoch_before = pool.epoch_of(base + ".arb")
+    key_before = db.reader().key
 
-    # Rebuild the same path with different content; the builder must bump
-    # the generation so the cached pages can never be served again.
+    # Rebuild the same path with different content: the new files carry a
+    # larger creation counter, so the cached pages are under another key.
     build_database("<r><b/><b/></r>", base, text_mode="ignore")
-    assert pool.epoch_of(base + ".arb") == epoch_before + 1
 
     db = ArbDatabase.open(base, pager=config)
+    assert db.reader().key != key_before
     labels = [db.label_name(record) for record in db.records_forward()]
     assert labels == ["r", "b", "b"]
     assert len(first) == 2  # the old document really was different
@@ -208,26 +193,29 @@ def test_fingerprint_protects_private_pools(tmp_path):
     assert labels == ["r", "b", "b"]
 
 
-def test_fingerprint_survives_same_size_same_mtime_rewrite(tmp_path):
-    """The counter component closes the size/mtime collision hole.
+@pytest.mark.parametrize("shared", [False, True], ids=["private-pool", "default-pool"])
+def test_fingerprint_survives_same_size_same_mtime_rewrite(tmp_path, shared):
+    """The creation counter closes the size/mtime collision hole.
 
     A rebuild that produces a file of the *same size* within the *same
     mtime tick* (forced here with os.utime; real filesystems with coarse
-    timestamps do it on their own) used to collide with the cached
-    generation on private pools.  The generation-pointer counter recorded
-    in the ``.meta`` sidecar changes on every build and update, so the
-    fingerprints differ even when size and mtime agree.
+    timestamps do it on their own) would collide with the cached pages if
+    the pool keyed by size and mtime alone.  The generation-pointer counter
+    recorded in the ``.meta`` sidecar changes on every build and update, so
+    the reader's content key differs even when size and mtime agree -- for
+    the process-wide pool as much as for a private one: nothing invalidates
+    either.
     """
     base = str(tmp_path / "doc")
     arb_path = base + ".arb"
     build_database("<r><a/><b/></r>", base, text_mode="ignore")
     mtime = os.stat(arb_path)
-    pool = BufferPool()  # private: no epoch bump reaches it
+    pool = default_buffer_pool() if shared else BufferPool()
     config = PagerConfig(pool=pool)
     db = ArbDatabase.open(base, pager=config)
     before = [db.label_name(record) for record in db.records_forward()]
     assert before == ["r", "a", "b"]
-    generation_before = pool.generation_for(arb_path)
+    key_before = db.reader().key
 
     # Same node count, same label-table size: the .arb is byte-compatible in
     # size.  Pin the mtime to the old value to simulate a one-tick rewrite.
@@ -235,9 +223,10 @@ def test_fingerprint_survives_same_size_same_mtime_rewrite(tmp_path):
     os.utime(arb_path, ns=(mtime.st_atime_ns, mtime.st_mtime_ns))
     assert os.path.getsize(arb_path) == 3 * 2
 
-    generation_after = pool.generation_for(arb_path)
-    assert generation_after != generation_before  # the counter moved
     db = ArbDatabase.open(base, pager=config)
+    key_after = db.reader().key
+    assert key_after[1][1:] == key_before[1][1:]  # same size, same mtime...
+    assert key_after != key_before  # ...but the counter moved
     labels = [db.label_name(record) for record in db.records_forward()]
     assert labels == ["r", "b", "a"]  # fresh pages, not the cached ones
 

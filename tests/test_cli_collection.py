@@ -53,10 +53,10 @@ def test_collection_query_single(corpus_root, capsys):
     assert "linear scans" in out
 
 
-def test_collection_query_batch(corpus_root, capsys):
+def test_collection_query_several_queries(corpus_root, capsys):
     capsys.readouterr()
     assert cli_main([
-        "collection", "query", corpus_root, "--batch",
+        "collection", "query", corpus_root,
         "-q", BOOK_QUERY, "-q", DVD_QUERY,
         "--workers", "3",
     ]) == 0
@@ -82,12 +82,14 @@ def test_collection_query_xpath_streaming(corpus_root, capsys):
     assert "6 selected across the corpus" in capsys.readouterr().out
 
 
-def test_collection_query_multiple_without_batch_fails(corpus_root, capsys):
+def test_collection_query_batch_flag_is_a_usage_error(corpus_root, capsys):
     capsys.readouterr()
-    assert cli_main([
-        "collection", "query", corpus_root, "-q", BOOK_QUERY, "-q", DVD_QUERY,
-    ]) == 1
-    assert "use --batch" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main([
+            "collection", "query", corpus_root, "--batch", "-q", BOOK_QUERY, "-q", DVD_QUERY,
+        ])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --batch" in capsys.readouterr().err
 
 
 def test_collection_stats(corpus_root, capsys):

@@ -41,7 +41,6 @@ from repro.storage.database import ArbDatabase
 from repro.storage.generations import read_pointer, resolve_generation
 from repro.storage.pageindex import (
     index_path_of,
-    invalidate_index_cache,
     load_page_index,
     summarize_arb_bytes,
 )
@@ -261,7 +260,6 @@ def test_torn_index_falls_back_to_full_scans(tmp_path, corrupt):
 
     _, gen_base = resolve_generation(base)
     corrupt(index_path_of(gen_base))
-    invalidate_index_cache(gen_base)
     assert load_page_index(index_path_of(gen_base)) is None
 
     degraded = database.query_many([_SELECTIVE_QUERY])
@@ -336,7 +334,6 @@ def test_committed_index_equals_a_from_scratch_summary(document, data):
             _, parent_base = resolve_generation(base)
             state = data.draw(st.sampled_from(sorted(_PARENT_INDEX_STATES)), label="parent .idx")
             _PARENT_INDEX_STATES[state](index_path_of(parent_base))
-            invalidate_index_cache(parent_base)
             ops, mirror = _draw_group(data, mirror)
             result = apply_many(base, ops, page_size=ORACLE_PAGE_SIZE)
             assert result.n_nodes == mirror.node_count()
@@ -371,7 +368,6 @@ def test_a_version_1_index_degrades_to_full_scans_until_the_next_commit(tmp_path
     full = _full_scan(database, [_SELECTIVE_QUERY])
     path = index_path_of(resolve_generation(base)[1])
     Path(path).write_bytes(_version_1(load_page_index(path)))
-    invalidate_index_cache()
     assert load_page_index(path) is None
 
     degraded = database.query_many([_SELECTIVE_QUERY])

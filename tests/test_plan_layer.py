@@ -96,6 +96,20 @@ class TestPlanCache:
         result = database.query(BOOK_QUERY)
         assert result.statistics.plan_cache_misses == 1
 
+    @pytest.mark.parametrize("on_disk", [False, True], ids=["memory", "disk"])
+    def test_batch_statistics_fold_the_plan_cache_lookups(self, tmp_path, on_disk):
+        document = "<a><b/><c/><b/></a>"
+        if on_disk:
+            database = _disk_database(tmp_path, document)
+        else:
+            database = Database.from_xml(document)
+            database.plan_cache = PlanCache()
+        batch = database.query_many(["//b", "//c", "//b"], language="xpath")
+        per_query = [(r.statistics.plan_cache_hits, r.statistics.plan_cache_misses) for r in batch]
+        assert per_query == [(0, 1), (0, 1), (1, 0)]
+        assert batch.statistics.plan_cache_hits == 1
+        assert batch.statistics.plan_cache_misses == 2
+
     def test_memoize_false_bypasses_the_cache(self):
         database = _memory_database()
         result = database.query(BOOK_QUERY, memoize=False)
@@ -436,26 +450,35 @@ class TestCLIPlanFlags:
         assert exit_info.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
-    def test_batch_flag(self, tmp_path, capsys):
+    def test_repeated_queries_share_one_scan_pair(self, tmp_path, capsys):
         base = self._build(tmp_path)
         capsys.readouterr()
         assert cli_main([
-            "query", base, "--batch", "--ids",
+            "query", base, "--ids",
             "-q", "QUERY :- V.Label[book];",
             "-q", "QUERY :- V.Label[dvd];",
         ]) == 0
         out = capsys.readouterr().out
-        assert "batch           : 2 queries (disk)" in out
-        assert "independent of batch size" in out
+        assert "query [0]       : QUERY" in out and "query [1]       : QUERY" in out
+        assert "selected nodes  : 2" in out and "selected nodes  : 1" in out
+        assert out.count("engine          : disk") == 2
+        assert "in 2 linear scans (independent of the number of queries)" in out
 
-    def test_multiple_queries_without_batch_fail(self, tmp_path, capsys):
+    def test_batch_flag_is_a_usage_error(self, tmp_path, capsys):
         base = self._build(tmp_path)
         capsys.readouterr()
-        assert cli_main(["query", base, "-q", "A :- V.Root;", "-q", "B :- V.Root;"]) == 1
-        assert "use --batch" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["query", base, "--batch", "-q", "A :- V.Root;", "-q", "B :- V.Root;"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --batch" in capsys.readouterr().err
+        # The same two queries need no flag to run together.
+        assert cli_main(["query", base, "-q", "A :- V.Root;", "-q", "B :- V.Root;"]) == 0
+        assert capsys.readouterr().out.count("selected nodes  : 1") == 2
 
-    def test_markup_with_batch_fails(self, tmp_path, capsys):
+    def test_markup_needs_exactly_one_query(self, tmp_path, capsys):
         base = self._build(tmp_path)
         capsys.readouterr()
-        assert cli_main(["query", base, "--batch", "--mark-up", "-q", BOOK_QUERY]) == 1
-        assert "--mark-up" in capsys.readouterr().err
+        assert cli_main(["query", base, "--mark-up", "-q", BOOK_QUERY, "-q", BOOK_QUERY]) == 1
+        assert "--mark-up needs exactly one query" in capsys.readouterr().err
+        assert cli_main(["query", base, "--mark-up", "-q", BOOK_QUERY]) == 0
+        assert capsys.readouterr().out.count('arb:selected="true"') == 2

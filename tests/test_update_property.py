@@ -169,7 +169,7 @@ def test_structure_updated_in_place_equals_analysis_of_a_rebuild(data):
             apply_update(base, op)
 
             live, fresh = _analysis_of(base)
-            cached = structure_cache.get(live.arb_path)
+            cached = structure_cache.get(live.arb_path, live.creation_counter)
             assert cached == fresh, op
             rebuilt_base = os.path.join(tmp, f"rebuilt{step}")
             build_database(mirror, rebuilt_base)
@@ -189,7 +189,8 @@ def test_structure_updated_in_place_equals_analysis_of_a_rebuild(data):
             )
             with pytest.raises(StorageError):
                 apply_many(base, [InsertSubtree(0, "<b><a/></b>", position=0), bad])
-            assert structure_cache.get(live.arb_path) is cached and cached == fresh, bad
+            kept = structure_cache.get(live.arb_path, live.creation_counter)
+            assert kept is cached and cached == fresh, bad
 
 
 @pytest.mark.parametrize("record_size", [2, 3])
