@@ -1,12 +1,9 @@
-"""Baseline evaluators: naive datalog fixpoint and set-at-a-time XPath."""
+"""Baseline evaluator: the naive datalog fixpoint."""
 
 from repro.baselines.datalog import FixpointEvaluator, FixpointResult, evaluate_fixpoint
-from repro.baselines.xpath_naive import NaiveXPathEvaluator, evaluate_xpath_naive
 
 __all__ = [
     "FixpointEvaluator",
     "FixpointResult",
     "evaluate_fixpoint",
-    "NaiveXPathEvaluator",
-    "evaluate_xpath_naive",
 ]

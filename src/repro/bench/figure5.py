@@ -82,7 +82,7 @@ def build_figure5_database(
     """Build one of the four Figure-5 databases and return its statistics row."""
     if isinstance(scale, str):
         scale = SCALES[scale]
-    builder = DatabaseBuilder(keep_event_file=False)
+    builder = DatabaseBuilder()
     base = os.path.join(output_dir, name.lower().replace("-", "_"))
     if name == "Treebank":
         tree = generate_treebank(scale.treebank_nodes, seed=seed)

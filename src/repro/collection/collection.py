@@ -140,16 +140,6 @@ class Collection:
         return self.add_document(document, doc_id=doc_id, text_mode=text_mode,
                                  save=save)
 
-    def add_xml_files(self, paths: Sequence[str], *,
-                      text_mode: str = "chars") -> list[DocumentEntry]:
-        """Add many XML files with one manifest write at the end."""
-        entries = [
-            self.add_xml_file(path, text_mode=text_mode, save=False)
-            for path in paths
-        ]
-        self.save_manifest()
-        return entries
-
     def save_manifest(self) -> str:
         """Write the manifest to disk (atomic replace); returns its path."""
         return self.manifest.save(self.root)

@@ -87,10 +87,9 @@ class CollectionQueryResult:
         document's per-query :class:`~repro.plan.result.QueryResult` (and its
         statistics) and, crucially, the document's ``arb_io`` /``state_io``
         counters, because the scan pair that produced them served the whole
-        batch, not this query alone.  :meth:`merged` relies on that sharing
-        to count every scan exactly once when the views of one batch are
-        aggregated back together (the query service demultiplexes a coalesced
-        batch into such views, one per caller).
+        batch, not this query alone (the query service demultiplexes a
+        coalesced batch into such views, one per caller).  The view's
+        ``statistics`` fold this query's per-document statistics.
         """
         if not 0 <= query_index < len(self.programs):
             raise EvaluationError(f"no query at index {query_index}")
@@ -119,70 +118,6 @@ class CollectionQueryResult:
             state_io=self.state_io,
             wall_seconds=self.wall_seconds,
             n_shards=self.n_shards,
-        )
-
-    @classmethod
-    def merged(cls, results) -> "CollectionQueryResult":
-        """Aggregate many results into one, idempotently and order-independently.
-
-        De-duplication is by object identity at every level: feeding the same
-        result twice, or feeding the per-query :meth:`for_query` views of one
-        batch (which share their documents' I/O counter objects), counts each
-        underlying scan pair and evaluation run exactly once.  All counters
-        are combined commutatively, so the input order never changes the
-        totals; ``wall_seconds`` takes the maximum (merged runs may overlap
-        in time), and ``nodes`` is recomputed from the de-duplicated scans
-        rather than summed from per-view statistics.
-        """
-        results = list(results)
-        distinct: list[CollectionQueryResult] = []
-        seen_results: set[int] = set()
-        for result in results:
-            if id(result) not in seen_results:
-                seen_results.add(id(result))
-                distinct.append(result)
-
-        programs: list[TMNFProgram] = []
-        seen_programs: set[int] = set()
-        documents: list[DocumentQueryResult] = []
-        seen_documents: set[int] = set()
-        for result in distinct:
-            for program in result.programs:
-                if id(program) not in seen_programs:
-                    seen_programs.add(id(program))
-                    programs.append(program)
-            for doc in result.documents:
-                if id(doc) not in seen_documents:
-                    seen_documents.add(id(doc))
-                    documents.append(doc)
-
-        arb_io = IOStatistics()
-        state_io = IOStatistics()
-        nodes = 0
-        seen_io: set[int] = set()
-        for doc in documents:
-            # Views of one batch wrap fresh DocumentQueryResult objects
-            # around *shared* counters; the counter object's identity marks
-            # the physical scan pair, so it (and the nodes it visited) is
-            # counted once however many views carry it.
-            if id(doc.arb_io) in seen_io:
-                continue
-            seen_io.add(id(doc.arb_io))
-            arb_io = arb_io.merge(doc.arb_io)
-            state_io = state_io.merge(doc.state_io)
-            nodes += doc.n_nodes
-        statistics = EvaluationStatistics.merged(
-            result.statistics for doc in documents for result in doc.results
-        )
-        statistics.nodes = nodes
-        return cls(
-            programs=programs,
-            documents=documents,
-            statistics=statistics,
-            arb_io=arb_io,
-            state_io=state_io,
-            wall_seconds=max((result.wall_seconds for result in distinct), default=0.0),
-            n_shards=max((result.n_shards for result in distinct), default=1),
         )
 
     def __iter__(self) -> Iterator[DocumentQueryResult]:

@@ -1,7 +1,6 @@
-"""Core of the Arb reproduction: Horn machinery, automata, two-phase engine."""
+"""Core of the Arb reproduction: Horn machinery and the two-phase engine."""
 
 from repro.core.horn import Rule, contract_program, ltur, simplify_program
-from repro.core.sta import SelectingTreeAutomaton
 from repro.core.two_phase import BOTTOM, EvaluationResult, EvaluationStatistics, TwoPhaseEvaluator
 
 __all__ = [
@@ -13,5 +12,4 @@ __all__ = [
     "EvaluationResult",
     "EvaluationStatistics",
     "BOTTOM",
-    "SelectingTreeAutomaton",
 ]

@@ -46,14 +46,12 @@ __all__ = [
     "Rule",
     "fact",
     "push_down",
-    "push_up",
     "superscript_of",
     "strip_superscript",
     "is_superscripted",
     "preds_as_rules",
     "true_preds",
     "freeze_program",
-    "program_predicates",
     "ltur",
     "LturResult",
     "contract_program",
@@ -121,11 +119,6 @@ def strip_superscript(pred: str) -> str:
     return name if sep else pred
 
 
-def push_up(pred: str) -> str:
-    """Alias of :func:`strip_superscript` matching the paper's PushUpFrom_k."""
-    return strip_superscript(pred)
-
-
 def is_superscripted(pred: str) -> bool:
     return SUPERSCRIPT_SEPARATOR in pred
 
@@ -157,15 +150,6 @@ def true_preds(rules: Iterable[Rule]) -> frozenset[str]:
 def freeze_program(rules: Iterable[Rule]) -> frozenset[Rule]:
     """Canonical hashable form of a program (used as automaton state)."""
     return frozenset(rules)
-
-
-def program_predicates(rules: Iterable[Rule]) -> frozenset[str]:
-    """All predicates occurring anywhere in the program."""
-    preds: set[str] = set()
-    for rule in rules:
-        preds.add(rule.head)
-        preds.update(rule.body)
-    return frozenset(preds)
 
 
 # --------------------------------------------------------------------------- #

@@ -76,49 +76,32 @@ class EvaluationStatistics:
     def total_seconds(self) -> float:
         return self.bu_seconds + self.td_seconds
 
-    def merge(self, other: "EvaluationStatistics") -> "EvaluationStatistics":
-        """Combine the counters of two *distinct* runs into a new object.
+    @classmethod
+    def merged(cls, runs) -> "EvaluationStatistics":
+        """Fold the statistics of distinct runs into one.
 
         Additive counters (times, transitions, nodes, selected, memory,
         plan-cache hits/misses) sum; the state-table sizes ``bu_states`` /
         ``td_states`` are gauges of (possibly shared) memo tables, so the
-        merge takes their maximum instead of double-counting shared tables.
-        The operation is commutative and associative, so folding any number
-        of runs is order-independent; use :meth:`merged` to also make it
-        idempotent over repeated *objects*.
-        """
-        return EvaluationStatistics(
-            bu_seconds=self.bu_seconds + other.bu_seconds,
-            td_seconds=self.td_seconds + other.td_seconds,
-            bu_transitions=self.bu_transitions + other.bu_transitions,
-            td_transitions=self.td_transitions + other.td_transitions,
-            bu_states=max(self.bu_states, other.bu_states),
-            td_states=max(self.td_states, other.td_states),
-            nodes=self.nodes + other.nodes,
-            selected=self.selected + other.selected,
-            memory_estimate_kb=self.memory_estimate_kb + other.memory_estimate_kb,
-            plan_cache_hits=self.plan_cache_hits + other.plan_cache_hits,
-            plan_cache_misses=self.plan_cache_misses + other.plan_cache_misses,
-        )
-
-    @classmethod
-    def merged(cls, runs) -> "EvaluationStatistics":
-        """Fold many run statistics into one, idempotently.
-
-        Aggregation sites (the collection coordinator, the query service)
-        often see the *same* statistics object through several views -- e.g.
-        once per request of a coalesced batch.  ``merged`` de-duplicates by
-        object identity before summing, so feeding a run twice cannot
-        double-count its scan or cache counters, and the commutative
-        :meth:`merge` makes the fold order-independent.
+        fold takes their maximum instead of double-counting shared tables.
+        The fold is commutative, so the order of ``runs`` never changes the
+        totals.  Every run is counted as often as it is passed: each
+        execution of a plan gets statistics of its own
+        (:meth:`~repro.plan.plan.QueryPlan.begin_run`).
         """
         total = cls()
-        seen: set[int] = set()
         for stats in runs:
-            if id(stats) in seen:
-                continue
-            seen.add(id(stats))
-            total = total.merge(stats)
+            total.bu_seconds += stats.bu_seconds
+            total.td_seconds += stats.td_seconds
+            total.bu_transitions += stats.bu_transitions
+            total.td_transitions += stats.td_transitions
+            total.bu_states = max(total.bu_states, stats.bu_states)
+            total.td_states = max(total.td_states, stats.td_states)
+            total.nodes += stats.nodes
+            total.selected += stats.selected
+            total.memory_estimate_kb += stats.memory_estimate_kb
+            total.plan_cache_hits += stats.plan_cache_hits
+            total.plan_cache_misses += stats.plan_cache_misses
         return total
 
     def as_row(self) -> dict[str, float]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
-from repro.tree.unranked import UnrankedNode, UnrankedTree
+from repro.tree.unranked import UnrankedNode, UnrankedTree, events_from_tree
 
 __all__ = ["generate_swissprot", "generate_swissprot_events"]
 
@@ -53,8 +53,6 @@ def generate_swissprot(n_entries: int = 500, seed: int = 7) -> UnrankedTree:
 
 def generate_swissprot_events(n_entries: int = 500, seed: int = 7) -> Iterator[tuple[int, str, bool]]:
     """Streaming event form of :func:`generate_swissprot` (entry at a time)."""
-    from repro.storage.build import events_from_tree
-
     rng = random.Random(seed)
     yield 0, "sptr", False
     for index in range(n_entries):

@@ -65,8 +65,7 @@ class Database:
     ``plan_cache`` defaults to the process-wide shared cache
     (:func:`repro.plan.cache.default_plan_cache`), so query plans -- and the
     memoised automata inside them -- are reused across databases.  Pass a
-    private :class:`~repro.plan.cache.PlanCache` to isolate a database, or
-    ``memoize=False`` on a query to bypass the cache entirely.
+    private :class:`~repro.plan.cache.PlanCache` to isolate a database.
     """
 
     def __init__(
@@ -313,22 +312,8 @@ class Database:
         *,
         language: str = "tmnf",
         query_predicate: str | tuple[str, ...] | None = None,
-        memoize: bool = True,
-    ) -> tuple[QueryPlan, bool | None]:
-        """The (cached) plan for ``query`` and whether the lookup was a hit.
-
-        With ``memoize=False`` the plan cache is bypassed (a fresh
-        non-memoising plan is compiled; used by the laziness ablation) and the
-        hit flag is ``None``.
-        """
-        if not memoize:
-            return (
-                QueryPlan.from_query(
-                    query, language=language, query_predicate=query_predicate,
-                    memoize=False,
-                ),
-                None,
-            )
+    ) -> tuple[QueryPlan, bool]:
+        """The (cached) plan for ``query`` and whether the lookup was a hit."""
         return self.plan_cache.lookup(
             query, language=language, query_predicate=query_predicate
         )
@@ -343,7 +328,6 @@ class Database:
         *,
         language: str = "tmnf",
         query_predicate: str | tuple[str, ...] | None = None,
-        memoize: bool = True,
         engine: str | None = None,
         temp_dir: str | None = None,
     ) -> QueryResult:
@@ -355,9 +339,7 @@ class Database:
         same scan pair, page skipping and loop as ``query_many([query])``.
         """
         options = ExecutionOptions(engine=engine, temp_dir=temp_dir)
-        plan, hit = self.plan(
-            query, language=language, query_predicate=query_predicate, memoize=memoize
-        )
+        plan, hit = self.plan(query, language=language, query_predicate=query_predicate)
         return self.execute_plans([plan], options, hits=[hit])[0]
 
     def query_many(
@@ -366,7 +348,6 @@ class Database:
         *,
         language: str = "tmnf",
         query_predicate: str | tuple[str, ...] | None = None,
-        memoize: bool = True,
         engine: str | None = None,
         temp_dir: str | None = None,
         collect_selected_nodes: bool = True,
@@ -385,7 +366,7 @@ class Database:
         if not queries:
             raise EvaluationError("query_many needs at least one query")
         plans, hits = zip(*(
-            self.plan(q, language=language, query_predicate=query_predicate, memoize=memoize)
+            self.plan(q, language=language, query_predicate=query_predicate)
             for q in queries
         ))
         options = ExecutionOptions(
@@ -398,7 +379,7 @@ class Database:
         plans: Sequence[QueryPlan],
         options: ExecutionOptions,
         *,
-        hits: Sequence[bool | None] = (),
+        hits: Sequence[bool] = (),
     ) -> BatchQueryResult:
         """Run compiled ``plans`` over this database: the one plan dispatcher.
 
@@ -413,8 +394,7 @@ class Database:
         The plans' locks (:func:`~repro.plan.plan.plans_locked`) are held
         throughout, so callers on any number of threads may share cached
         plans.  ``hits`` are the plan-cache lookup flags to record on the
-        per-query statistics (``None`` entries, or no ``hits`` at all, leave
-        them untouched).
+        per-query statistics (no ``hits`` at all leaves them untouched).
         """
         disk = self._disk
         if options.engine == "disk" and disk is None:
@@ -443,12 +423,11 @@ class Database:
         if disk is not None:
             batch.snapshot = (disk.generation, disk.change_counter)
         for hit, result in zip(hits, batch.results):
-            if hit is not None:
-                result.statistics.plan_cache_hits = int(hit)
-                result.statistics.plan_cache_misses = int(not hit)
-                # The batch figure was folded before the lookups were known.
-                batch.statistics.plan_cache_hits += int(hit)
-                batch.statistics.plan_cache_misses += int(not hit)
+            result.statistics.plan_cache_hits = int(hit)
+            result.statistics.plan_cache_misses = int(not hit)
+            # The batch figure was folded before the lookups were known.
+            batch.statistics.plan_cache_hits += int(hit)
+            batch.statistics.plan_cache_misses += int(not hit)
         return batch
 
     # ------------------------------------------------------------------ #

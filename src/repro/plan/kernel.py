@@ -24,11 +24,10 @@ query is -- through the two functions of this module:
   and selects inline: a predicate composite that holds a watched
   (plan, query predicate) pair appends the node to that pair's list.
 
-Unmemoised plans (the laziness ablation) skip the transition dicts, so
-every node consults the evaluators.  Both phases cross the skip regions of
-the ``.idx`` sidecar as :mod:`repro.plan.batch` describes: phase 1 decides
-which ones (and returns the orbits of the chains it carried a state
-across), phase 2 crosses exactly those and reads the rest.
+Both phases cross the skip regions of the ``.idx`` sidecar as
+:mod:`repro.plan.batch` describes: phase 1 decides which ones (and returns
+the orbits of the chains it carried a state across), phase 2 crosses
+exactly those and reads the rest.
 
 What stays in memory is the two stacks, one page span and the composite
 tables -- the lazily built automaton the paper shows stays small.  The one
@@ -42,9 +41,8 @@ from __future__ import annotations
 import sys
 from array import array
 from itertools import chain, islice
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
 
-from repro.core.automata import StateInterner
 from repro.core.two_phase import BOTTOM
 from repro.errors import EvaluationError
 from repro.storage.labels import RecordShapeLabelSets
@@ -82,6 +80,34 @@ _SWAP = sys.byteorder == "little"
 
 #: First record byte -> child-flag code (2: has a first child, 1: a second).
 _FLAG_CODES = bytes(byte >> 6 for byte in range(256))
+
+
+class StateInterner:
+    """Dense integer ids for hashable automaton states.
+
+    Id 0 is the first value ever interned and ids grow densely, so interned
+    ids index directly into arrays (``values`` is the inverse mapping).
+    Numbers the composite states of both phases.
+    """
+
+    __slots__ = ("_ids", "values")
+
+    def __init__(self, values: Iterable[Hashable] = ()) -> None:
+        self.values: list[Hashable] = []
+        self._ids: dict[Hashable, int] = {}
+        for value in values:
+            self.intern(value)
+
+    def intern(self, value: Hashable) -> int:
+        """The id of ``value``, assigning the next dense id on first sight."""
+        found = self._ids.get(value)
+        if found is None:
+            found = self._ids[value] = len(self.values)
+            self.values.append(value)
+        return found
+
+    def __len__(self) -> int:
+        return len(self.values)
 
 
 def _decode(view, start, n: int, size: int):
@@ -151,7 +177,6 @@ def run_phase1(
     scan crossed to the orbit it carried (see :func:`_orbit`)."""
     base = _PACK_BASE
     base2 = base * base
-    memoize = all(plan.evaluator.memoize for plan in plans)
     indices = range(len(plans))
     computes = [plan.evaluator.compute_reachable_states for plan in plans]
     composites = StateInterner([(BOTTOM,) * len(plans)])  # id 0: the absent child
@@ -171,8 +196,7 @@ def run_phase1(
         cid = intern(tuple([computes[i](lt[i], rt[i], labels[i]) for i in indices]))
         if cid >= base:
             raise EvaluationError(COMPOSITE_OVERFLOW)
-        if memoize:
-            transitions[key] = cid
+        transitions[key] = cid
         return cid
 
     carries: dict[int, int | None] = {}  # composite id -> g(id), None where a chain is read
@@ -303,7 +327,6 @@ def run_phase2(
     Crosses the regions phase 1 crossed -- every self-contained one, and
     the chains that ``orbits`` holds -- and reads the rest."""
     base = _PACK_BASE
-    memoize = all(plan.evaluator.memoize for plan in plans)
     indices = range(len(plans))
     states = composites.values
     computes = [plan.evaluator.compute_true_preds for plan in plans]
@@ -335,8 +358,7 @@ def run_phase2(
                 adders[pid] = appends[0]
             elif appends:  # one composite selecting for several pairs
                 adders[pid] = lambda node: [append(node) for append in appends]
-        if memoize:
-            transitions[key] = pid
+        transitions[key] = pid
         return pid
 
     # The attachment discipline on packed keys: ``attach`` is

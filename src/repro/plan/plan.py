@@ -77,10 +77,9 @@ class QueryPlan:
     every execution holds :attr:`lock`; :func:`plans_locked` takes it.
     """
 
-    def __init__(self, program: TMNFProgram, *, memoize: bool = True):
+    def __init__(self, program: TMNFProgram):
         self.program = program
-        self.memoize = memoize
-        self.evaluator = TwoPhaseEvaluator(program, memoize=memoize)
+        self.evaluator = TwoPhaseEvaluator(program)
         #: Number of times the plan has been executed (in memory or on disk).
         self.executions = 0
         #: Held by whoever executes the plan; reads and writes of ``memo`` too.
@@ -88,21 +87,6 @@ class QueryPlan:
         #: What the disk loop's skip planning derives from the automata:
         #: ``"neutral"`` -> the neutral state, ``("silent", state)`` -> bool.
         self.memo: dict = {}
-
-    # ------------------------------------------------------------------ #
-
-    @classmethod
-    def from_query(
-        cls,
-        query: str | TMNFProgram,
-        *,
-        language: str = "tmnf",
-        query_predicate: str | tuple[str, ...] | None = None,
-        memoize: bool = True,
-    ) -> "QueryPlan":
-        """Compile ``query`` and wrap it in a fresh plan."""
-        program = compile_query(query, language=language, query_predicate=query_predicate)
-        return cls(program, memoize=memoize)
 
     # ------------------------------------------------------------------ #
 

@@ -42,6 +42,7 @@ import asyncio
 
 from repro.errors import ServiceError
 from repro.wire import (
+    DEFAULT_REQUEST_TIMEOUT,
     DEFAULT_STREAM_LIMIT,
     BackendUnavailableError,
     LineClient,
@@ -52,10 +53,6 @@ __all__ = ["ArbRouter", "BackendUnavailableError", "route"]
 
 #: How often the health loop pings backends (seconds).
 DEFAULT_PING_INTERVAL = 0.5
-
-#: Per-request forwarding timeout (seconds): a wedged backend must turn
-#: into a retry on the next candidate, not a hung client.
-DEFAULT_REQUEST_TIMEOUT = 60.0
 
 
 class _Backend(LineClient):

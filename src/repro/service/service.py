@@ -667,8 +667,8 @@ class QueryService:
             n_workers=self.n_workers,
         )
         # Demultiplex the corpus-wide batch into per-request single-query
-        # views; they share the batch's I/O counter objects, so idempotent
-        # merges (CollectionQueryResult.merged) count each scan pair once.
+        # views; they share the batch's I/O counter objects, and the service
+        # counts the batch's scans once, from ``full.arb_io``.
         # A collection versions per document, so the batch names no snapshot.
         views = [full.for_query(index) for index in range(len(plans))]
         return views, full.arb_io, None

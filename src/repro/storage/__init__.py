@@ -15,7 +15,6 @@ from repro.storage.paging import IOStatistics, PagedReader, PagedWriter, PagerCo
 from repro.storage.records import DEFAULT_RECORD_SIZE, NodeRecord, decode_node, encode_node
 from repro.storage.update import (
     DeleteSubtree,
-    GroupCommitResult,
     InsertSubtree,
     Relabel,
     UpdateResult,
@@ -52,7 +51,6 @@ __all__ = [
     "InsertSubtree",
     "UpdateResult",
     "UpdateStatistics",
-    "GroupCommitResult",
     "apply_many",
     "apply_update",
     "apply_to_tree",

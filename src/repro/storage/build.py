@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.errors import StorageError
 from repro.storage.durability import fault_point, fsync_fd
@@ -56,12 +56,13 @@ from repro.storage.records import (
     encode_node,
     record_struct,
 )
-from repro.tree.unranked import UnrankedNode, UnrankedTree
+from repro.tree.unranked import UnrankedTree, events_from_tree
 from repro.tree.xml_io import parse_xml
 
-__all__ = ["BuildStatistics", "DatabaseBuilder", "build_database", "events_from_tree"]
+__all__ = ["BuildStatistics", "DatabaseBuilder", "build_database"]
 
-#: Event kinds of the internal build event stream.
+#: Event kinds of the build event stream (see
+#: :func:`~repro.tree.unranked.events_from_tree`).
 _BEGIN = 0
 _END = 1
 
@@ -99,19 +100,6 @@ class BuildStatistics:
         }
 
 
-def events_from_tree(tree: UnrankedTree) -> Iterator[tuple[int, str, bool]]:
-    """Yield ``(kind, label, is_text)`` begin/end events for an unranked tree."""
-    stack: list[tuple[UnrankedNode, bool]] = [(tree.root, False)]
-    while stack:
-        node, closing = stack.pop()
-        if closing:
-            yield _END, node.label, node.is_text
-            continue
-        yield _BEGIN, node.label, node.is_text
-        stack.append((node, True))
-        stack.extend((child, False) for child in reversed(node.children))
-
-
 class DatabaseBuilder:
     """Builds `.arb` / `.lab` databases with the paper's two-pass procedure."""
 
@@ -119,7 +107,6 @@ class DatabaseBuilder:
         self,
         record_size: int = DEFAULT_RECORD_SIZE,
         page_size: int = 64 * 1024,
-        keep_event_file: bool = False,
     ):
         check_page_size(page_size)  # before any source is parsed or file created
         # Tag indexes start at 256, so a 1-byte record (63 labels) holds none.
@@ -127,7 +114,6 @@ class DatabaseBuilder:
             raise StorageError(f"record_size must be an integer >= 2, got {record_size!r}")
         self.record_size = record_size
         self.page_size = page_size
-        self.keep_event_file = keep_event_file
 
     # ------------------------------------------------------------------ #
     # Entry points
@@ -228,8 +214,7 @@ class DatabaseBuilder:
         with open(arb_path, "rb") as arb_handle:
             fsync_fd(arb_handle.fileno())
         stats.evt_file_size = os.path.getsize(evt_path)
-        if not self.keep_event_file:
-            os.remove(evt_path)
+        os.remove(evt_path)
         stats.arb_file_size = os.path.getsize(arb_path)
         stats.lab_file_size = os.path.getsize(lab_path)
         stats.n_tags = labels.n_tags
@@ -290,9 +275,10 @@ def _write_metadata(
 
     The paper's prototype derives the node count from the file size and fixes
     ``k = 2``; the sidecar keeps the format self-describing without changing
-    the `.arb` layout.  ``counter`` records which change of the base path
-    created these files (the generation-pointer counter), which names their
-    content in every page and structure cache.  The schema itself lives in
+    the `.arb` layout, and a generation without one does not open.
+    ``counter`` records which change of the base path created these files
+    (the generation-pointer counter), which names their content in every
+    page and structure cache.  The schema itself lives in
     :func:`repro.storage.generations.write_metadata`, shared with the
     update subsystem's spliced generations.
     """

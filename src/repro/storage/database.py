@@ -86,8 +86,9 @@ class ArbDatabase:
     #: (which resets the generation to 0), so staleness checks compare it.
     change_counter: int = 0
     #: The pointer counter the generation's files were created under (its
-    #: ``.meta`` records it; 0 without one).  Every build and commit writes
-    #: a strictly larger one, so it names this generation's content for good.
+    #: ``.meta`` records it; 0 in one written before the counter).  Every
+    #: build and commit writes a strictly larger one, so it names this
+    #: generation's content for good.
     creation_counter: int = 0
     # Lazily opened read handle for point lookups (see read_record).
     _point_handle: object = field(default=None, init=False, repr=False, compare=False)
@@ -142,14 +143,9 @@ class ArbDatabase:
         meta_path = gen_base + ".meta"
         if not os.path.exists(arb_path):
             raise StorageError(f"no such database: {arb_path}")
-        if os.path.exists(meta_path):
-            record_size, n_nodes, element_nodes, char_nodes, creation_counter = _read_meta(meta_path)
-        else:
-            # Fall back to the paper's convention: k = 2 and the node count is
-            # implied by the file size.
-            record_size = 2
-            n_nodes = os.path.getsize(arb_path) // record_size
-            element_nodes = char_nodes = creation_counter = 0
+        if not os.path.exists(meta_path):
+            raise StorageError(f"missing database metadata {meta_path} (next to {arb_path})")
+        record_size, n_nodes, element_nodes, char_nodes, creation_counter = _read_meta(meta_path)
         expected = n_nodes * record_size
         if os.path.getsize(arb_path) != expected:
             raise StorageError(
@@ -274,39 +270,22 @@ class ArbDatabase:
     def to_binary_tree(self) -> BinaryTree:
         """Load the database into an in-memory :class:`BinaryTree`.
 
-        The structure is reconstructed from the child flags during a single
-        forward scan with the stack discipline of Proposition 5.1.
+        The links come from the one forward structure decoder,
+        :func:`~repro.storage.structure._analyse`: the first child of ``v``
+        is ``v + 1`` iff ``usize[v] > 1``, and its second child (next
+        sibling) is ``v + usize[v]`` iff ``has_next[v]``.  Records that do
+        not form one tree raise :class:`StorageError`.
         """
-        labels: list[str] = []
-        first_child = [NO_NODE] * self.n_nodes
-        second_child = [NO_NODE] * self.n_nodes
-        # Stack of node ids still waiting for their second child's subtree.
-        awaiting_second: list[int] = []
-        # The node that the *next* record attaches to, and how.
-        attach_to: int | None = None
-        attach_which = 0
-        for index, record in enumerate(self.records_forward()):
-            labels.append(self.label_name(record))
-            if index > 0:
-                if attach_to is None:
-                    if not awaiting_second:
-                        raise StorageError("corrupt database: dangling record")
-                    parent = awaiting_second.pop()
-                    second_child[parent] = index
-                elif attach_which == 1:
-                    first_child[attach_to] = index
-                else:
-                    second_child[attach_to] = index
-            if record.has_first_child and record.has_second_child:
-                awaiting_second.append(index)
-                attach_to, attach_which = index, 1
-            elif record.has_first_child:
-                attach_to, attach_which = index, 1
-            elif record.has_second_child:
-                attach_to, attach_which = index, 2
-            else:
-                attach_to = None
-        return BinaryTree(labels, first_child, second_child)
+        from repro.storage.structure import _analyse
+
+        structure = _analyse(self, IOStatistics())
+        usize, has_next = structure.usize, structure.has_next
+        name_of = self.labels.name_of
+        return BinaryTree(
+            [name_of(index) for index in structure.label_idx],
+            [v + 1 if usize[v] > 1 else NO_NODE for v in range(self.n_nodes)],
+            [v + usize[v] if has_next[v] else NO_NODE for v in range(self.n_nodes)],
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ArbDatabase({self.base_path!r}, {self.n_nodes} nodes, k={self.record_size})"

@@ -68,7 +68,6 @@ __all__ = [
     "compute_skip_regions",
     "segments_of",
     "record_pages",
-    "summarize_arb_bytes",
 ]
 
 #: File-name suffix of the sidecar (one per generation, next to ``.arb``).
@@ -214,42 +213,6 @@ def _first_record(page: int, record_size: int, page_size: int) -> int:
     """The first record starting in ``page`` (or after it, for a page in
     which none starts)."""
     return (page * page_size + record_size - 1) // record_size
-
-
-def summarize_arb_bytes(
-    data: bytes | memoryview,
-    *,
-    n_records: int,
-    record_size: int,
-    page_size: int,
-    n_label_indices: int,
-) -> PageIndex:
-    """Summarise a whole `.arb` image held in memory (the oracle of the
-    builder's and the splice's summaries; any record size >= 2)."""
-    from repro.storage.records import decode_node_value
-
-    records = [
-        decode_node_value(int.from_bytes(data[at : at + record_size], "big"), record_size)
-        for at in range(0, n_records * record_size, record_size)
-    ]
-    # Forward pass: a first child is one deeper, a next sibling is level,
-    # and after a last leaf comes the pending sibling of its nearest
-    # ancestor that has one.
-    depths: list[int] = []
-    pending: list[int] = []
-    depth = 0
-    for record in records:
-        depths.append(depth)
-        if record.has_first_child:
-            if record.has_second_child:
-                pending.append(depth)
-            depth += 1
-        elif not record.has_second_child and pending:
-            depth = pending.pop()
-    accumulator = SummaryAccumulator(n_records, record_size, page_size)
-    for record, depth in zip(reversed(records), reversed(depths)):
-        accumulator.add(record.label_index, record.has_first_child, record.has_second_child, depth)
-    return accumulator.finish(n_label_indices)
 
 
 # ---------------------------------------------------------------------- #

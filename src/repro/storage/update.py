@@ -103,7 +103,6 @@ from repro.storage.structure import _analyse, _compile_op, structure_cache
 
 __all__ = [
     "DeleteSubtree",
-    "GroupCommitResult",
     "InsertSubtree",
     "Relabel",
     "UpdateResult",
@@ -148,10 +147,6 @@ class UpdateResult:
     #: Whether this commit was a WAL replay of a crashed one.
     replayed: bool = False
     statistics: UpdateStatistics = field(default_factory=UpdateStatistics)
-
-
-#: Alias for callers that import :func:`apply_many`'s result by this name.
-GroupCommitResult = UpdateResult
 
 
 # ---------------------------------------------------------------------- #

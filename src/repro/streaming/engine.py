@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.errors import XPathUnsupportedError
-from repro.tree.unranked import UnrankedTree
-from repro.tree.xml_io import END, START, tree_to_sax_events
+from repro.tree.unranked import UnrankedTree, events_from_tree
 from repro.xpath.ast import LocationPath
 from repro.xpath.parser import parse_xpath
 
@@ -100,11 +99,11 @@ class StreamPathQuery:
 
 
 class StreamingEngine:
-    """Run compiled path queries over SAX event streams with a lazy DFA.
+    """Run compiled path queries over tree event streams with a lazy DFA.
 
     An engine is reusable: :meth:`select` may be called any number of times
-    (over any SAX event stream, e.g. :func:`repro.tree.xml_io.iter_sax_events`),
-    and the lazily determinised transitions accumulate across runs.
+    (over any event stream of :func:`repro.tree.unranked.events_from_tree`'s
+    form), and the lazily determinised transitions accumulate across runs.
     """
 
     def __init__(self, query: StreamPathQuery | str):
@@ -123,12 +122,13 @@ class StreamingEngine:
             self.dfa_transitions_computed += 1
         return cached
 
-    def select(self, events: Iterable[tuple[str, str]]) -> Iterator[int]:
-        """Yield ids (document order) of selected nodes, in one pass."""
+    def select(self, events: Iterable[tuple[int, str, bool]]) -> Iterator[int]:
+        """Yield ids (document order) of selected nodes, in one pass over
+        ``(kind, label, is_text)`` events (kind 0 begins a node, 1 ends it)."""
         stack: list[frozenset[int]] = [self.query.initial_state()]
         node_id = -1
-        for kind, label in events:
-            if kind == START:
+        for kind, label, _ in events:
+            if kind == 0:
                 node_id += 1
                 states = self._advance(stack[-1], label)
                 stack.append(states)
@@ -136,11 +136,11 @@ class StreamingEngine:
                     self.max_stack_depth = len(stack)
                 if self.query.is_accepting(states):
                     yield node_id
-            elif kind == END:
+            else:
                 stack.pop()
 
     def select_from_tree(self, tree: UnrankedTree) -> list[int]:
-        return list(self.select(tree_to_sax_events(tree)))
+        return list(self.select(events_from_tree(tree)))
 
 
 def stream_select(tree: UnrankedTree, expression: str) -> list[int]:

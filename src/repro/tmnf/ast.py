@@ -43,7 +43,6 @@ __all__ = [
     "SurfaceRule",
     "UNIVERSE",
     "is_unary_edb",
-    "is_binary_relation",
 ]
 
 #: The predicate name for "all nodes" (the relation V of Section 2.1).
@@ -54,16 +53,6 @@ def is_unary_edb(name: str) -> bool:
     """Whether a (normalised) predicate name denotes a unary EDB predicate."""
     core = tree_model.positive_form(name)
     return core in tree_model.UNARY_BUILTINS or tree_model.is_label_predicate(core) or core == UNIVERSE
-
-
-def is_binary_relation(name: str) -> bool:
-    """Whether a (normalised) name denotes a binary relation or its inverse."""
-    return name in (
-        tree_model.FIRST_CHILD,
-        tree_model.SECOND_CHILD,
-        tree_model.INV_FIRST_CHILD,
-        tree_model.INV_SECOND_CHILD,
-    )
 
 
 @dataclass(frozen=True, slots=True)

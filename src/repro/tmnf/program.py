@@ -150,10 +150,6 @@ class TMNFProgram:
     # Misc
     # ------------------------------------------------------------------ #
 
-    def pretty(self) -> str:
-        """Human-readable listing of the internal rules."""
-        return "\n".join(str(rule) for rule in self.internal_rules)
-
     def __repr__(self) -> str:
         names = ",".join(self.query_predicates)
         return (

@@ -2,17 +2,8 @@
 
 from repro.tree.binary import NO_NODE, BinaryTree
 from repro.tree.model import NodeSchema, label_predicate, negate, normalize_binary, normalize_unary
-from repro.tree.unranked import UnrankedNode, UnrankedTree
-from repro.tree.xml_io import (
-    END,
-    START,
-    iter_sax_events,
-    parse_xml,
-    parse_xml_file,
-    serialize_with_selection,
-    serialize_xml,
-    tree_to_sax_events,
-)
+from repro.tree.unranked import UnrankedNode, UnrankedTree, events_from_tree
+from repro.tree.xml_io import parse_xml, parse_xml_file, serialize_with_selection, serialize_xml
 
 __all__ = [
     "BinaryTree",
@@ -20,6 +11,7 @@ __all__ = [
     "NodeSchema",
     "UnrankedNode",
     "UnrankedTree",
+    "events_from_tree",
     "label_predicate",
     "negate",
     "normalize_binary",
@@ -28,8 +20,4 @@ __all__ = [
     "parse_xml_file",
     "serialize_xml",
     "serialize_with_selection",
-    "iter_sax_events",
-    "tree_to_sax_events",
-    "START",
-    "END",
 ]

@@ -15,8 +15,6 @@ in-memory engine, the disk engine and the storage tests agree on node ids.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.errors import TreeError
 from repro.tree.unranked import UnrankedNode, UnrankedTree
 
@@ -132,25 +130,6 @@ class BinaryTree:
     # Traversals (all iterative; trees may be millions of nodes deep in the
     # binary sense, e.g. a flat document is one long second-child chain).
     # ------------------------------------------------------------------ #
-
-    def iter_postorder(self) -> Iterator[int]:
-        """Post-order (children before parents), computed iteratively."""
-        # left subtree, right subtree, node
-        out_stack: list[int] = []
-        stack: list[tuple[int, bool]] = [(self.root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                yield node
-                continue
-            stack.append((node, True))
-            second = self.second_child[node]
-            if second != NO_NODE:
-                stack.append((second, False))
-            first = self.first_child[node]
-            if first != NO_NODE:
-                stack.append((first, False))
-        del out_stack
 
     def parents(self) -> list[int]:
         """Return the binary-parent of every node (``NO_NODE`` for the root)."""

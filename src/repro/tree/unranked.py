@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator
 
 from repro.errors import TreeError
 
-__all__ = ["UnrankedNode", "UnrankedTree"]
+__all__ = ["UnrankedNode", "UnrankedTree", "events_from_tree"]
 
 
 class UnrankedNode:
@@ -125,9 +125,6 @@ class UnrankedTree:
         """Maximum depth of any node (root = 0)."""
         return max(depth for _, depth in self.iter_with_depth())
 
-    def max_fanout(self) -> int:
-        return max(len(node.children) for node in self.iter_nodes())
-
     def count_labels(self, predicate: Callable[[str], bool] | None = None) -> int:
         """Count nodes, optionally only those whose label satisfies ``predicate``."""
         if predicate is None:
@@ -154,6 +151,25 @@ class UnrankedTree:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"UnrankedTree({self.node_count()} nodes)"
+
+
+def events_from_tree(tree: UnrankedTree) -> Iterator[tuple[int, str, bool]]:
+    """Yield ``(kind, label, is_text)`` events for every node of ``tree``.
+
+    ``kind`` is 0 when a node begins (on the way down) and 1 when it ends
+    (on the way back up), so a tree of ``n`` nodes yields ``2 n`` events in
+    document order.  This is the event stream a `.arb` build consumes
+    (:mod:`repro.storage.build`) and the streaming baseline runs over.
+    """
+    stack: list[tuple[UnrankedNode, bool]] = [(tree.root, False)]
+    while stack:
+        node, closing = stack.pop()
+        if closing:
+            yield 1, node.label, node.is_text
+            continue
+        yield 0, node.label, node.is_text
+        stack.append((node, True))
+        stack.extend((child, False) for child in reversed(node.children))
 
 
 def _node_from_nested(spec) -> UnrankedNode:

@@ -15,15 +15,15 @@ instances under three text models:
 Attributes and comments are ignored, matching the datasets used in the paper
 ("our source XML documents contain no other kinds of nodes").
 
-The module also exposes :func:`iter_sax_events`, the event stream shared by
-the streaming baseline engine and the `.arb` database builder.
+The begin/end event stream of a parsed tree, which the `.arb` builder and the
+streaming baseline consume, is :func:`repro.tree.unranked.events_from_tree`.
 """
 
 from __future__ import annotations
 
 import io
 import xml.parsers.expat
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, TextIO
 
 from repro.errors import XMLParseError
 from repro.tree.unranked import UnrankedNode, UnrankedTree
@@ -32,19 +32,11 @@ __all__ = [
     "TEXT_MODES",
     "parse_xml",
     "parse_xml_file",
-    "iter_sax_events",
-    "tree_to_sax_events",
     "serialize_xml",
     "serialize_with_selection",
-    "START",
-    "END",
 ]
 
 TEXT_MODES = ("chars", "node", "ignore")
-
-#: SAX-like event kinds used throughout the library.
-START = "start"
-END = "end"
 
 
 def _check_text_mode(text_mode: str) -> None:
@@ -123,42 +115,6 @@ def _parse(data: bytes, text_mode: str) -> UnrankedTree:
     if builder.root is None:
         raise XMLParseError("document contains no element")
     return UnrankedTree(builder.root)
-
-
-# --------------------------------------------------------------------------- #
-# SAX event streams
-# --------------------------------------------------------------------------- #
-
-
-def iter_sax_events(document: str | bytes, text_mode: str = "chars") -> Iterator[tuple[str, str]]:
-    """Yield ``(kind, label)`` events for an XML document.
-
-    ``kind`` is :data:`START` or :data:`END`; character data is emitted as
-    start/end pairs per character (or per run, or not at all, depending on
-    ``text_mode``).  The stream is materialised through a full parse; for the
-    datasets used here this is simpler and no slower than incremental
-    parsing, and the `.arb` builder needs the total node count anyway.
-    """
-    _check_text_mode(text_mode)
-    if isinstance(document, bytes):
-        document = document.decode("utf-8")
-    tree = parse_xml(document, text_mode=text_mode)
-    return tree_to_sax_events(tree)
-
-
-def tree_to_sax_events(tree: UnrankedTree) -> Iterator[tuple[str, str]]:
-    """Yield ``(kind, label)`` begin/end events for every node of ``tree``."""
-    # Iterative pre/post traversal emitting START on the way down and END on
-    # the way back up.
-    stack: list[tuple[UnrankedNode, bool]] = [(tree.root, False)]
-    while stack:
-        node, closing = stack.pop()
-        if closing:
-            yield END, node.label
-            continue
-        yield START, node.label
-        stack.append((node, True))
-        stack.extend((child, False) for child in reversed(node.children))
 
 
 # --------------------------------------------------------------------------- #

@@ -22,6 +22,11 @@ one connection (and of concurrent connections) reach the handler together,
 and answers go out in completion order, not arrival order.
 :class:`LineClient` is the matching multiplexed client.  What the ops *mean*
 is the handler's business: :mod:`repro.service.server` has the catalogue.
+
+No await on the wire is unbounded: a request's connect, send and reply share
+one deadline (:data:`DEFAULT_REQUEST_TIMEOUT` unless the caller passes
+another), and closing a connection or stopping a server waits at most
+:data:`CLOSE_TIMEOUT` for what is still running, then cancels it.
 """
 
 from __future__ import annotations
@@ -33,12 +38,28 @@ import json
 from repro.errors import ReproError, ServiceError
 from repro.storage.generations import atomic_write_text
 
-__all__ = ["BackendUnavailableError", "DEFAULT_STREAM_LIMIT", "LineClient", "LineServer", "request_many"]
+__all__ = [
+    "BackendUnavailableError",
+    "CLOSE_TIMEOUT",
+    "DEFAULT_REQUEST_TIMEOUT",
+    "DEFAULT_STREAM_LIMIT",
+    "LineClient",
+    "LineServer",
+    "request_many",
+]
 
 #: StreamReader buffer limit of every connection, accepting or connecting.
 #: The default asyncio limit (64 KiB) is far too small for a JSON line
 #: carrying a base64-encoded generation, or a long list of selected ids.
 DEFAULT_STREAM_LIMIT = 256 * 1024 * 1024
+
+#: Deadline (seconds) of one request: connect, send and reply together.  A
+#: wedged peer turns into a :class:`BackendUnavailableError`, not a hang.
+DEFAULT_REQUEST_TIMEOUT = 60.0
+
+#: How long (seconds) closing a connection, or stopping a server, waits for
+#: what is still running before it cancels it.  Read at call time.
+CLOSE_TIMEOUT = 10.0
 
 
 def _encode(payload: dict) -> bytes:
@@ -52,9 +73,21 @@ def _failure(request_id, error_type: str, text: str) -> dict:
 async def _close(writer: asyncio.StreamWriter) -> None:
     writer.close()
     try:
-        await writer.wait_closed()
+        await asyncio.wait_for(writer.wait_closed(), CLOSE_TIMEOUT)
+    except TimeoutError:  # a peer that never reads keeps the buffer full
+        writer.transport.abort()
     except (ConnectionError, OSError):  # pragma: no cover - peer already gone
         pass
+
+
+async def _settle(tasks) -> None:
+    """Wait up to :data:`CLOSE_TIMEOUT` for ``tasks``, cancel the rest, and
+    wait for the cancellations to land."""
+    if tasks:
+        _, running = await asyncio.wait(tasks, timeout=CLOSE_TIMEOUT)
+        for task in running:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
 
 
 class LineServer:
@@ -88,18 +121,20 @@ class LineServer:
         """Stop listening, answer what is in flight, hang up, wait for it.
 
         Returning while a connection task is still closing would leave it to
-        be cancelled at loop teardown, which asyncio logs as an error.
+        be cancelled at loop teardown, which asyncio logs as an error.  Each
+        wait is bounded by :data:`CLOSE_TIMEOUT`; a request still running
+        after it is cancelled unanswered.
         """
         if self._server is None:
             return
         self._server.close()
         connections = dict(self._connections)
-        in_flight = [task for _, requests in connections.values() for task in requests]
-        await asyncio.gather(*in_flight, return_exceptions=True)
+        await _settle([task for _, requests in connections.values() for task in requests])
         for writer, _ in connections.values():
             writer.close()  # EOF for the read loop, which then finishes normally
-        await asyncio.gather(*connections, return_exceptions=True)
-        await self._server.wait_closed()
+        await _settle(list(connections))
+        with contextlib.suppress(TimeoutError):
+            await asyncio.wait_for(self._server.wait_closed(), CLOSE_TIMEOUT)
         self._server = None
 
     async def serve_forever(self) -> None:
@@ -302,51 +337,67 @@ class LineClient:
             await _close(self._writer)
             self._writer = None
 
-    async def request(self, message: dict, *, timeout: float | None = None) -> dict:
+    async def request(self, message: dict, *, timeout: float | None = DEFAULT_REQUEST_TIMEOUT) -> dict:
         """Send ``message`` and await its reply, which echoes ``message``'s id.
 
         On the wire the id is this client's own counter -- always unique, so
         a duplicate or colliding caller-supplied id can never make two
         answers land on one pending key; the caller's id is restored on the
-        way out.  Raises :class:`BackendUnavailableError`.
+        way out.  ``timeout`` bounds connect, send and reply together
+        (``None``: no bound).  Raises :class:`BackendUnavailableError`.
         """
+        loop = asyncio.get_running_loop()
+        deadline = None if timeout is None else loop.time() + timeout
+        late = f"{self.name} did not answer within {timeout}s"
         async with self._send_lock:
-            await self._ensure_connected()
+            try:
+                async with asyncio.timeout_at(deadline):
+                    await self._ensure_connected()
+            except TimeoutError:
+                await self.close()
+                raise BackendUnavailableError(late, sent=False) from None
             wire_id = self._next_id
             self._next_id += 1
-            future = asyncio.get_running_loop().create_future()
+            future = loop.create_future()
             self._pending[wire_id] = future
             try:
                 self._writer.write(_encode({**message, "id": wire_id}))
-                await self._writer.drain()
+                async with asyncio.timeout_at(deadline):
+                    await self._writer.drain()
             except (ConnectionError, OSError) as error:
                 self._pending.pop(wire_id, None)
                 await self.close()
+                if isinstance(error, TimeoutError):  # part of the line may have left
+                    raise BackendUnavailableError(late, sent=True) from None
                 reason = f"{self.name} refused the request: {error}"
                 raise BackendUnavailableError(reason, sent=False) from error
         self.requests += 1
         try:
-            reply = await asyncio.wait_for(future, timeout)
-        except (asyncio.TimeoutError, TimeoutError):
+            async with asyncio.timeout_at(deadline):
+                reply = await future
+        except TimeoutError:
             self._pending.pop(wire_id, None)
-            reason = f"{self.name} did not answer within {timeout}s"
-            raise BackendUnavailableError(reason, sent=True) from None
+            raise BackendUnavailableError(late, sent=True) from None
         reply["id"] = message.get("id")
         return reply
 
 
-async def request_many(host: str, port: int, messages: list[dict]) -> list[dict]:
+async def request_many(
+    host: str, port: int, messages: list[dict], *, timeout: float | None = DEFAULT_REQUEST_TIMEOUT
+) -> list[dict]:
     """Send ``messages`` concurrently over one connection; answers in order.
 
     A message without an ``id`` is answered under its list index; the
     returned list is aligned with the input whatever order the server
-    answered in.  This is the client used by ``arb client`` and the tests.
+    answered in.  Each message has ``timeout`` seconds (see
+    :meth:`LineClient.request`).  This is the client used by ``arb client``
+    and the tests.
     """
     client = LineClient(host, port)
     try:
         # Every line leaves before the first answer is awaited, so the server
         # can coalesce the burst.
-        replies = await asyncio.gather(*(client.request(m) for m in messages))
+        replies = await asyncio.gather(*(client.request(m, timeout=timeout) for m in messages))
     finally:
         await client.close()
     for index, (message, reply) in enumerate(zip(messages, replies)):

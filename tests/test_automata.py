@@ -1,114 +1,14 @@
-"""Tests for the explicit tree-automata classes and the STA construction."""
+"""Tests for the explicit STA construction (the test oracle of Definition 3.2)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.automata import (
-    DeterministicBottomUpAutomaton,
-    NondeterministicBottomUpAutomaton,
-    TopDownAutomaton,
-)
-from repro.core.sta import SelectingTreeAutomaton
 from repro.core.two_phase import TwoPhaseEvaluator
 from repro.errors import EvaluationError
 from repro.tmnf import TMNFProgram
-from repro.tree import BinaryTree, UnrankedTree, parse_xml
-
-
-def tree_from(spec) -> BinaryTree:
-    return BinaryTree.from_unranked(UnrankedTree.from_nested(spec))
-
-
-def boolean_even_a_automaton() -> DeterministicBottomUpAutomaton:
-    """Accepts binary trees with an even number of 'a'-labelled nodes."""
-    states = frozenset({"even", "odd"})
-
-    def parity(child_parity: str | None) -> int:
-        return 0 if child_parity in (None, "even") else 1
-
-    delta = {}
-    for left in (None, "even", "odd"):
-        for right in (None, "even", "odd"):
-            for label in ("a", "b"):
-                bit = (parity(left) + parity(right) + (1 if label == "a" else 0)) % 2
-                delta[(left, right, label)] = "even" if bit == 0 else "odd"
-    return DeterministicBottomUpAutomaton(
-        states=states,
-        alphabet=frozenset({"a", "b"}),
-        accepting=frozenset({"even"}),
-        delta=delta,
-    )
-
-
-class TestDeterministicBottomUp:
-    def test_even_a_acceptance(self):
-        automaton = boolean_even_a_automaton()
-        assert automaton.accepts(tree_from(("a", ["a", "b"])))
-        assert not automaton.accepts(tree_from(("a", ["b", "b"])))
-
-    def test_run_assigns_state_per_node(self):
-        automaton = boolean_even_a_automaton()
-        tree = tree_from(("a", ["a", "b"]))
-        run = automaton.run(tree)
-        assert len(run) == len(tree)
-        assert run[tree.root] == "even"
-
-    def test_missing_transition_raises(self):
-        automaton = boolean_even_a_automaton()
-        tree = tree_from(("c", ["a"]))
-        with pytest.raises(EvaluationError):
-            automaton.run(tree)
-
-
-class TestNondeterministicBottomUp:
-    def make_exists_a_automaton(self) -> NondeterministicBottomUpAutomaton:
-        """Accepts iff some node is labelled 'a' (guess-and-check style)."""
-        delta: dict = {}
-        for left in (None, "seen", "not"):
-            for right in (None, "seen", "not"):
-                for label in ("a", "b"):
-                    seen = label == "a" or left == "seen" or right == "seen"
-                    delta[(left, right, label)] = frozenset({"seen"} if seen else {"not"})
-        return NondeterministicBottomUpAutomaton(
-            states=frozenset({"seen", "not"}),
-            alphabet=frozenset({"a", "b"}),
-            accepting=frozenset({"seen"}),
-            delta=delta,
-        )
-
-    def test_reachable_states_and_acceptance(self):
-        automaton = self.make_exists_a_automaton()
-        assert automaton.accepts(tree_from(("b", ["b", ("b", ["a"])])))
-        assert not automaton.accepts(tree_from(("b", ["b", "b"])))
-
-    def test_runs_enumeration_matches_reachability(self):
-        automaton = self.make_exists_a_automaton()
-        tree = tree_from(("b", ["a"]))
-        runs = automaton.runs(tree)
-        # The automaton above is functionally deterministic, so exactly one run.
-        assert len(runs) == 1
-        assert runs[0][tree.root] == "seen"
-        assert automaton.accepting_runs(tree) == runs
-
-
-class TestTopDownAutomaton:
-    def test_depth_parity_annotation(self):
-        states = frozenset({0, 1})
-        delta = {(s, label): 1 - s for s in states for label in ("a", "b")}
-        automaton = TopDownAutomaton(
-            states=states,
-            alphabet=frozenset({"a", "b"}),
-            start=0,
-            delta1=dict(delta),
-            delta2=dict(delta),
-        )
-        tree = tree_from(("a", ["a", ("b", ["a"])]))
-        run = automaton.run(tree)
-        parent = tree.parents()
-        for node in range(1, len(tree)):
-            assert run[node] == 1 - run[parent[node]]
-        assert run[tree.root] == 0
+from repro.tree import BinaryTree, parse_xml
+from tests.oracles import SelectingTreeAutomaton
 
 
 class TestSelectingTreeAutomaton:

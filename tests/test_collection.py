@@ -8,7 +8,6 @@ be independent of how many queries ride in one batch.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -16,7 +15,6 @@ import pytest
 from repro import Collection, Database, EvaluationStatistics
 from repro.collection import (
     CollectionManifest,
-    CollectionQueryResult,
     DocumentEntry,
     partition_documents,
 )
@@ -99,15 +97,19 @@ def test_per_document_pages_read_independent_of_batch_size(corpus):
 
 
 @pytest.mark.parametrize("n_workers", [1, 2])
-def test_batch_statistics_equal_its_merged_views(corpus, n_workers):
-    """The batch and the fold of its per-query views count the same runs."""
+def test_batch_statistics_fold_its_per_document_runs(corpus, n_workers):
+    """The batch, and each per-query view, fold exactly their runs."""
     full = corpus.query_many(QUERIES, n_workers=n_workers)
-    views = CollectionQueryResult.merged(full.for_query(i) for i in range(len(QUERIES)))
-    for field in dataclasses.fields(EvaluationStatistics):
-        if not field.name.endswith("_seconds"):
-            assert getattr(full.statistics, field.name) == getattr(
-                views.statistics, field.name
-            ), field.name
+    runs = [result.statistics for doc in full.documents for result in doc.results]
+    expected = EvaluationStatistics.merged(runs)
+    expected.nodes = corpus.n_nodes
+    assert full.statistics == expected
+    for index in range(len(QUERIES)):
+        view = full.for_query(index)
+        assert view.statistics == EvaluationStatistics.merged(
+            doc.results[index].statistics for doc in full.documents
+        )
+        assert view.arb_io is full.arb_io
     assert full.statistics.bu_states > 0
     assert full.statistics.memory_estimate_kb > 0
 
@@ -257,19 +259,6 @@ def test_duplicate_and_invalid_document_ids(corpus):
     for bad in ("", ".hidden", "a/b", "a\\b"):
         with pytest.raises(StorageError):
             validate_doc_id(bad)
-
-
-def test_add_xml_files_saves_the_manifest_once(tmp_path):
-    paths = []
-    for index in range(4):
-        path = tmp_path / f"bulk{index}.xml"
-        path.write_text(f"<a><b/>{'<c/>' * index}</a>")
-        paths.append(str(path))
-    collection = Collection.create(str(tmp_path / "bulk"), plan_cache=PlanCache())
-    entries = collection.add_xml_files(paths)
-    assert [entry.doc_id for entry in entries] == [f"bulk{i}" for i in range(4)]
-    reopened = Collection.open(collection.root, plan_cache=PlanCache())
-    assert reopened.doc_ids == collection.doc_ids
 
 
 def test_open_requires_manifest(tmp_path):

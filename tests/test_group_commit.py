@@ -32,9 +32,9 @@ from repro.storage.durability import durability
 from repro.storage.generations import generation_base, list_generations, read_pointer
 from repro.storage.update import (
     DeleteSubtree,
-    GroupCommitResult,
     InsertSubtree,
     Relabel,
+    UpdateResult,
     apply_many,
     apply_to_tree,
     apply_update,
@@ -192,7 +192,7 @@ def test_group_is_byte_identical_to_sequential_applies(tmp_path):
     for op in GROUP:
         apply_update(sequential, op)
 
-    assert isinstance(result, GroupCommitResult)
+    assert isinstance(result, UpdateResult)
     assert result.n_ops == len(GROUP)
     assert result.new_generation == read_pointer(sequential).generation
     assert result.counter == read_pointer(sequential).counter
@@ -374,7 +374,7 @@ def test_engine_apply_many_refreshes_the_handle(tmp_path):
     database = Database.open(base)
     snapshot = Database.open(base)
     result = database.apply_many(list(GROUP))
-    assert isinstance(result, GroupCommitResult)
+    assert isinstance(result, UpdateResult)
     assert database.generation == result.new_generation
     assert database.n_nodes == result.n_nodes
     # Copy-on-write still holds for the whole group: the pre-group reader
@@ -544,7 +544,7 @@ def test_service_coalesces_concurrent_updates_into_one_group(tmp_path):
     results, delta, stats = asyncio.run(main())
     # Every rider resolves with the same shared group result...
     assert all(result is results[0] for result in results)
-    assert isinstance(results[0], GroupCommitResult)
+    assert isinstance(results[0], UpdateResult)
     assert results[0].n_ops == len(GROUP)
     # ...and the whole burst paid one group's durability budget.
     assert delta.data_fsyncs <= 2
@@ -570,7 +570,7 @@ def test_service_applies_an_op_sequence_as_one_group(tmp_path):
             return result, durability.since(before)
 
     result, delta = asyncio.run(main())
-    assert isinstance(result, GroupCommitResult)
+    assert isinstance(result, UpdateResult)
     assert result.n_ops == len(GROUP)
     assert delta.pointer_swaps == 1
     assert delta.wal_appends == 1
@@ -619,7 +619,7 @@ def test_service_mixed_group_keeps_explicit_retention(tmp_path):
     results = asyncio.run(main())
     # One shared group commit...
     assert all(result is results[0] for result in results)
-    assert isinstance(results[0], GroupCommitResult)
+    assert isinstance(results[0], UpdateResult)
     # ...whose explicit rider's retention was honoured: the intermediate
     # generation is pruned, leaving only the original build and the newest.
     assert list_generations(base) == [0, results[0].new_generation]

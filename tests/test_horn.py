@@ -69,10 +69,6 @@ class TestHelpers:
         program = [fact("A"), Rule("B", ["A"]), fact("C")]
         assert horn.true_preds(program) == frozenset({"A", "C"})
 
-    def test_program_predicates(self):
-        program = [Rule("A", ["B", "C"]), fact("D")]
-        assert horn.program_predicates(program) == frozenset("ABCD")
-
 
 class TestLtur:
     def test_simple_chain(self):

@@ -1,15 +1,12 @@
-"""Idempotent, order-independent merging of statistics and results.
+"""Folding statistics: one plain fold, and the views that use it.
 
-The query service aggregates per-request views of shared batches; those
-views deliberately share the underlying counter objects of the scans they
-rode on.  These tests pin the contract that makes that safe:
-
-* :meth:`EvaluationStatistics.merged` de-duplicates by object identity, so
-  feeding the same run twice cannot double-count, and the fold is
+* :meth:`EvaluationStatistics.merged` sums the counters of the runs it is
+  given and takes the maximum of the state-table gauges; the fold is
   commutative, so input order never changes the totals;
-* :meth:`CollectionQueryResult.merged` reassembles the per-query views of
-  one batch into exactly the batch's totals -- every scan pair counted
-  once, however many views carried it, in whatever order.
+* :class:`IOStatistics` accumulates in place;
+* a :meth:`CollectionQueryResult.for_query` view folds its query's
+  per-document statistics and shares the batch's scan counters, because
+  that scan pair served the whole batch.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ def _stats(**overrides) -> EvaluationStatistics:
 
 
 def test_merge_sums_counters_and_maxes_gauges():
-    merged = _stats().merge(_stats(bu_states=9, selected=3, nodes=50))
+    merged = EvaluationStatistics.merged([_stats(), _stats(bu_states=9, selected=3, nodes=50)])
     assert merged.bu_seconds == 1.0
     assert merged.bu_transitions == 20
     assert merged.selected == 10
@@ -59,15 +56,14 @@ def test_merge_sums_counters_and_maxes_gauges():
 
 def test_merge_is_commutative():
     a, b = _stats(selected=1), _stats(selected=41, bu_states=8)
-    assert a.merge(b) == b.merge(a)
+    assert EvaluationStatistics.merged([a, b]) == EvaluationStatistics.merged([b, a])
 
 
-def test_merged_is_idempotent_over_repeated_objects():
+def test_merged_counts_a_run_as_often_as_it_is_passed():
+    # Every execution gets statistics of its own, so the fold does not
+    # second-guess its input: a run passed twice is counted twice.
     a, b = _stats(selected=1), _stats(selected=2)
-    once = EvaluationStatistics.merged([a, b])
-    with_repeats = EvaluationStatistics.merged([a, b, a, a, b])
-    assert with_repeats == once
-    assert once.selected == 3
+    assert EvaluationStatistics.merged([a, b, a]).selected == 4
 
 
 def test_merged_is_order_independent():
@@ -82,8 +78,7 @@ def test_merged_of_nothing_is_zero():
 
 
 def test_merged_equal_but_distinct_objects_still_sum():
-    # Identity, not equality, is the dedup key: two distinct runs that happen
-    # to have equal counters are two runs.
+    # Two distinct runs that happen to have equal counters are two runs.
     a, b = _stats(), _stats()
     assert EvaluationStatistics.merged([a, b]).selected == 2 * a.selected
 
@@ -141,20 +136,6 @@ def batch_result(tmp_path) -> CollectionQueryResult:
     return collection.query_many(QUERIES)
 
 
-def _key_counters(result: CollectionQueryResult) -> dict:
-    return {
-        "pages": result.arb_io.pages_read,
-        "bytes": result.arb_io.bytes_read,
-        "state_pages": result.state_io.pages_read,
-        "selected": result.statistics.selected,
-        "bu_transitions": result.statistics.bu_transitions,
-        "td_transitions": result.statistics.td_transitions,
-        "nodes": result.statistics.nodes,
-        "hits": result.statistics.plan_cache_hits,
-        "misses": result.statistics.plan_cache_misses,
-    }
-
-
 def test_for_query_views_restrict_to_one_query(batch_result):
     for index, query in enumerate(QUERIES):
         view = batch_result.for_query(index)
@@ -168,36 +149,13 @@ def test_for_query_views_restrict_to_one_query(batch_result):
         batch_result.for_query(len(QUERIES))
 
 
-def test_merged_views_reassemble_the_batch_exactly_once(batch_result):
-    views = [batch_result.for_query(index) for index in range(len(QUERIES))]
-    merged = CollectionQueryResult.merged(views)
-    # Every scan pair is counted once although all three views carried it.
-    assert _key_counters(merged) == _key_counters(batch_result)
-    assert merged.statistics.selected == 3 * 3 + 3 * 5 + 3 * 7
-
-
-def test_merged_is_idempotent_and_order_independent(batch_result):
-    views = [batch_result.for_query(index) for index in range(len(QUERIES))]
-    once = CollectionQueryResult.merged(views)
-    with_repeats = CollectionQueryResult.merged(
-        views + [batch_result] + views[::-1]
-    )
-    assert _key_counters(with_repeats) == _key_counters(once)
-    shuffled = views[:]
-    random.Random(11).shuffle(shuffled)
-    assert _key_counters(CollectionQueryResult.merged(shuffled)) == _key_counters(once)
-
-
-def test_merged_sums_distinct_batches(tmp_path):
-    collection = Collection.create(str(tmp_path / "corpus2"), plan_cache=PlanCache())
-    collection.add_document(DOCUMENT, doc_id="only")
-    first = collection.query_many(QUERIES[:1])
-    second = collection.query_many(QUERIES[:1])
-    merged = CollectionQueryResult.merged([first, second])
-    # Two separate batches really did scan twice: counters sum.
-    assert merged.arb_io.pages_read == 2 * first.arb_io.pages_read
-    assert merged.statistics.selected == 2 * first.statistics.selected
-    assert merged.statistics.nodes == 2 * first.statistics.nodes
-    # Merging the merge with its inputs adds nothing new (idempotence).
-    again = CollectionQueryResult.merged([merged, first, second])
-    assert _key_counters(again) == _key_counters(merged)
+def test_for_query_views_fold_their_query_per_document_statistics(batch_result):
+    for index in range(len(QUERIES)):
+        view = batch_result.for_query(index)
+        expected = EvaluationStatistics.merged(
+            doc.results[index].statistics for doc in batch_result.documents
+        )
+        assert view.statistics == expected
+        assert view.statistics.selected == 3 * (3, 5, 7)[index]
+        assert view.arb_io is batch_result.arb_io
+        assert view.state_io is batch_result.state_io

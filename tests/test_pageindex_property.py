@@ -42,7 +42,6 @@ from repro.storage.generations import read_pointer, resolve_generation
 from repro.storage.pageindex import (
     index_path_of,
     load_page_index,
-    summarize_arb_bytes,
 )
 from repro.storage.update import (
     FAULT_ENV,
@@ -55,6 +54,7 @@ from repro.storage.update import (
 )
 from repro.tree.xml_io import parse_xml
 from tests.conftest import sidecars_hidden
+from tests.oracles import summarize_arb_bytes
 from tests.strategies import tmnf_programs as programs
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")

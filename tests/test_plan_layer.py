@@ -110,13 +110,6 @@ class TestPlanCache:
         assert batch.statistics.plan_cache_hits == 1
         assert batch.statistics.plan_cache_misses == 2
 
-    def test_memoize_false_bypasses_the_cache(self):
-        database = _memory_database()
-        result = database.query(BOOK_QUERY, memoize=False)
-        assert result.statistics.plan_cache_hits == 0
-        assert result.statistics.plan_cache_misses == 0
-        assert len(database.plan_cache) == 0
-
     def test_contains_and_clear(self):
         database = _memory_database()
         database.query(BOOK_QUERY)

@@ -18,9 +18,9 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 
 from repro.baselines.datalog import evaluate_fixpoint
-from repro.core.sta import SelectingTreeAutomaton
 from repro.core.two_phase import TwoPhaseEvaluator
 from repro.tmnf import TMNFProgram
+from tests.oracles import SelectingTreeAutomaton
 from tests.strategies import binary_trees as trees, tmnf_programs
 
 

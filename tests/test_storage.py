@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Database
-from repro.errors import StorageError, StorageFormatError
+from repro.errors import EvaluationError, StorageError, StorageFormatError
 from repro.plan import PlanCache
 from repro.storage import (
     ArbDatabase,
@@ -22,7 +22,7 @@ from repro.storage import (
     encode_node,
 )
 from repro.storage.paging import BackwardPagedWriter, IOStatistics
-from repro.storage.records import decode_event, encode_event
+from repro.storage.records import decode_event, encode_event, flag_masks
 from repro.tree import BinaryTree, parse_xml
 from tests.conftest import random_unranked_tree
 
@@ -178,11 +178,6 @@ class TestBuildAndOpen:
         assert tree.first_child == expected.first_child
         assert tree.second_child == expected.second_child
 
-    def test_keep_event_file_option(self, tmp_path):
-        base = str(tmp_path / "keep")
-        DatabaseBuilder(keep_event_file=True).build_from_xml("<a><b/></a>", base)
-        assert os.path.exists(base + ".evt")
-
     def test_empty_stream_rejected(self, tmp_path):
         with pytest.raises(StorageError):
             DatabaseBuilder().build_from_events(iter(()), str(tmp_path / "empty"))
@@ -229,23 +224,66 @@ class TestBuildAndOpen:
 
     @given(
         spec=st.recursive(
-            st.sampled_from(["a", "b"]),
+            st.sampled_from(["a", "b", "x", "y"]),
             lambda children: st.tuples(st.sampled_from(["a", "b"]), st.lists(children, max_size=3)),
             max_leaves=12,
-        )
+        ),
+        record_size=st.sampled_from([2, 3]),
     )
     @settings(max_examples=30, deadline=None)
-    def test_round_trip_property(self, spec, tmp_path_factory):
+    def test_round_trip_property(self, spec, record_size, tmp_path_factory):
+        """The structure decoder rebuilds the binary encoding exactly, with
+        character nodes ("x", "y" leaves) and at an odd record size."""
         from repro.tree import UnrankedTree
 
         tree = UnrankedTree.from_nested(spec)
+        for node in tree.iter_nodes():
+            node.is_text = node.label in ("x", "y") and not node.children
         base = str(tmp_path_factory.mktemp("arbdb") / "t")
-        build_database(tree, base)
-        reloaded = ArbDatabase.open(base).to_binary_tree()
+        build_database(tree, base, record_size=record_size)
+        database = ArbDatabase.open(base)
+        assert database.record_size == record_size
+        reloaded = database.to_binary_tree()
         expected = BinaryTree.from_unranked(tree)
         assert reloaded.labels == expected.labels
         assert reloaded.first_child == expected.first_child
         assert reloaded.second_child == expected.second_child
+
+    def test_a_corrupt_child_flag_fails_the_in_memory_load(self, tmp_path):
+        """The last record claims a first child: the disk loop refuses the
+        file, and so must the structure decoder behind ``engine="memory"``
+        (it once answered from a tree that silently lost the child)."""
+        base = str(tmp_path / "doc")
+        build_database("<a><b/><c/><b/></a>", base)
+        record_size = ArbDatabase.open(base).record_size
+        with open(base + ".arb", "r+b") as handle:
+            handle.seek(3 * record_size)
+            value = int.from_bytes(handle.read(record_size), "big") | flag_masks(record_size)[0]
+            handle.seek(3 * record_size)
+            handle.write(value.to_bytes(record_size, "big"))
+        query = "QUERY :- V.Label[b];"
+        with pytest.raises(StorageError, match="corrupt database"):
+            ArbDatabase.open(base).to_binary_tree()
+        database = Database.open(base)
+        database.plan_cache = PlanCache()
+        with pytest.raises(StorageError, match="corrupt database"):
+            database.binary_tree()
+        with pytest.raises(StorageError, match="corrupt database"):
+            Database.open(base).query(query, engine="memory")
+        with pytest.raises(EvaluationError):
+            database.query(query, engine="disk")
+
+    def test_a_missing_meta_is_a_storage_error_naming_it(self, tmp_path):
+        """No builder or commit writes a generation without its `.meta`; a
+        guess at the sizes (k = 2, nodes from the file size) misreads every
+        record of a record-size-3 file."""
+        base = str(tmp_path / "doc")
+        build_database("<a>" + "<b/>" * 7 + "</a>", base, record_size=3)
+        os.remove(base + ".meta")
+        with pytest.raises(StorageError, match=r"missing database metadata .*doc\.meta"):
+            ArbDatabase.open(base)
+        with pytest.raises(StorageError, match=r"doc\.meta"):
+            Database.open(base)
 
 
 class TestScans:

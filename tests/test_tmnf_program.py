@@ -120,11 +120,6 @@ class TestTMNFProgram:
         )
         assert program.query_predicates == ("A", "B")
 
-    def test_pretty_lists_every_rule(self):
-        program = TMNFProgram.parse(RUNNING_EXAMPLE, query_predicates="Q")
-        listing = program.pretty()
-        assert listing.count("\n") == program.n_rules - 1
-
     def test_repr_mentions_sizes(self):
         program = TMNFProgram.parse("A :- Root;", query_predicates="A")
         assert "|IDB|=1" in repr(program)

@@ -27,7 +27,6 @@ class TestUnrankedTree:
         tree = UnrankedTree.from_nested(("a", ["b", ("c", ["d", "e"]), "f"]))
         assert tree.node_count() == 6
         assert tree.depth() == 2
-        assert tree.max_fanout() == 3
         assert tree.labels() == {"a", "b", "c", "d", "e", "f"}
 
     def test_document_order_iteration(self):
@@ -114,16 +113,6 @@ class TestBinaryEncoding:
         assert not binary.is_last_sibling(v["x"])
         assert binary.is_leaf(v["y"]) and binary.is_last_sibling(v["y"])
         assert binary.is_leaf(v["z"]) and binary.is_last_sibling(v["z"])
-
-    def test_postorder_visits_children_before_parents(self):
-        tree = UnrankedTree.from_nested(("a", [("b", ["c"]), "d"]))
-        binary = BinaryTree.from_unranked(tree)
-        order = list(binary.iter_postorder())
-        position = {node: i for i, node in enumerate(order)}
-        for node in range(len(binary)):
-            for child in (binary.first_child[node], binary.second_child[node]):
-                if child != NO_NODE:
-                    assert position[child] < position[node]
 
     def test_subtree_nodes(self):
         tree = UnrankedTree.from_nested(("a", [("b", ["c", "d"]), "e"]))

@@ -28,7 +28,6 @@ from repro.engine import Database
 from repro.errors import StorageError
 from repro.storage.build import build_database
 from repro.storage.database import ArbDatabase
-from repro.storage.pageindex import summarize_arb_bytes
 from repro.storage.paging import IOStatistics
 from repro.storage.splice import _summarize
 from repro.storage.structure import _analyse, structure_cache
@@ -41,6 +40,7 @@ from repro.storage.update import (
     apply_update,
 )
 
+from tests.oracles import summarize_arb_bytes
 from tests.strategies import unranked_trees
 
 LABELS = ("a", "b", "c")

@@ -13,7 +13,9 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import glob
+import inspect
 import json
+import math
 import shutil
 import types
 
@@ -26,7 +28,7 @@ from repro.replication import ArbRouter
 from repro.replication.router import BackendUnavailableError
 from repro.service import ArbServer, request_many
 from repro.storage.build import build_database
-from repro.wire import LineClient
+from repro.wire import CLOSE_TIMEOUT, DEFAULT_REQUEST_TIMEOUT, LineClient, LineServer
 
 DOCUMENT = "<lib><book><t>x</t></book><book><t>y</t></book><dvd/></lib>"
 FRONT_DOORS = ("server", "router")
@@ -313,6 +315,73 @@ def test_client_drops_the_late_reply_of_a_request_it_gave_up_on():
             return reply
 
     assert asyncio.run(scenario()) == {"id": "mine", "ok": True, "n": 1}
+
+
+# --------------------------------------------------------------------- #
+# Deadlines: no await on the wire waits forever
+# --------------------------------------------------------------------- #
+
+
+def test_client_gives_up_on_a_server_that_never_answers():
+    async def connection(reader, writer):
+        await reader.read()  # takes every line, answers none, until hung up on
+        writer.close()
+
+    async def scenario():
+        server = await asyncio.start_server(connection, "127.0.0.1", 0)
+        host, port = server.sockets[0].getsockname()[:2]
+        client = LineClient(host, port)
+        loop = asyncio.get_running_loop()
+        started = loop.time()
+        try:
+            with pytest.raises(BackendUnavailableError, match="did not answer") as silent:
+                await client.request(READ, timeout=0.5)
+            elapsed = loop.time() - started
+        finally:
+            await client.close()
+            server.close()
+            await server.wait_closed()
+        return silent.value.sent, elapsed
+
+    sent, elapsed = asyncio.run(scenario())
+    assert sent
+    assert elapsed < 2
+
+
+def test_every_wire_wait_has_a_finite_default():
+    assert math.isfinite(DEFAULT_REQUEST_TIMEOUT) and DEFAULT_REQUEST_TIMEOUT > 0
+    assert math.isfinite(CLOSE_TIMEOUT) and CLOSE_TIMEOUT > 0
+    for function in (LineClient.request, request_many):
+        assert inspect.signature(function).parameters["timeout"].default == DEFAULT_REQUEST_TIMEOUT
+    assert inspect.signature(ArbRouter).parameters["request_timeout"].default == DEFAULT_REQUEST_TIMEOUT
+
+
+def test_server_stop_is_bounded_when_a_handler_never_returns(monkeypatch):
+    monkeypatch.setattr("repro.wire.CLOSE_TIMEOUT", 0.2)
+
+    async def never(message, state):
+        await asyncio.Event().wait()
+
+    async def scenario():
+        server = LineServer(never)
+        host, port = await server.start()
+        client = LineClient(host, port)
+        pending = asyncio.ensure_future(client.request(READ))
+        while not server._connections or not any(requests for _, requests in server._connections.values()):
+            await asyncio.sleep(0.01)  # until the request is in flight
+        loop = asyncio.get_running_loop()
+        started = loop.time()
+        await asyncio.wait_for(server.stop(), 5)
+        elapsed = loop.time() - started
+        # The cancelled request is never answered: the client hears the hang-up.
+        with pytest.raises(BackendUnavailableError) as dropped:
+            await asyncio.wait_for(pending, 5)
+        await client.close()
+        return elapsed, dropped.value.sent
+
+    elapsed, sent = asyncio.run(scenario())
+    assert elapsed < 2
+    assert sent
 
 
 # --------------------------------------------------------------------- #

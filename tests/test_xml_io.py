@@ -1,4 +1,4 @@
-"""Tests for XML parsing, SAX event streams and serialisation."""
+"""Tests for XML parsing, tree event streams and serialisation."""
 
 from __future__ import annotations
 
@@ -9,13 +9,12 @@ import pytest
 from repro.errors import XMLParseError
 from repro.tree import (
     BinaryTree,
+    events_from_tree,
     parse_xml,
     parse_xml_file,
     serialize_with_selection,
     serialize_xml,
-    tree_to_sax_events,
 )
-from repro.tree.xml_io import END, START, iter_sax_events
 
 
 class TestParsing:
@@ -67,30 +66,31 @@ class TestParsing:
         assert [n.label for n in tree.iter_nodes()] == ["a", "&"]
 
 
-class TestSaxEvents:
+class TestTreeEvents:
     def test_events_are_balanced(self):
-        events = list(iter_sax_events("<a><b>x</b></a>"))
-        starts = [label for kind, label in events if kind == START]
-        ends = [label for kind, label in events if kind == END]
+        events = list(events_from_tree(parse_xml("<a><b>x</b></a>")))
+        starts = [label for kind, label, _ in events if kind == 0]
+        ends = [label for kind, label, _ in events if kind == 1]
         assert sorted(starts) == sorted(ends)
         assert starts[0] == "a" and ends[-1] == "a"
+        assert {kind for kind, _, _ in events} == {0, 1}
 
     def test_event_count_is_twice_node_count(self):
-        document = "<a><b>xy</b><c/></a>"
-        tree = parse_xml(document)
-        events = list(iter_sax_events(document))
+        tree = parse_xml("<a><b>xy</b><c/></a>")
+        events = list(events_from_tree(tree))
         assert len(events) == 2 * tree.node_count()
+        # Character nodes say so; the builder puts them in the text range.
+        assert [label for kind, label, is_text in events if kind == 0 and is_text] == ["x", "y"]
 
-    def test_tree_to_sax_events_nesting(self):
+    def test_events_nest_in_document_order(self):
         tree = parse_xml("<a><b/><c/></a>", text_mode="ignore")
-        events = list(tree_to_sax_events(tree))
-        assert events == [
-            (START, "a"),
-            (START, "b"),
-            (END, "b"),
-            (START, "c"),
-            (END, "c"),
-            (END, "a"),
+        assert list(events_from_tree(tree)) == [
+            (0, "a", False),
+            (0, "b", False),
+            (1, "b", False),
+            (0, "c", False),
+            (1, "c", False),
+            (1, "a", False),
         ]
 
 

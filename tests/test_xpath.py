@@ -7,7 +7,6 @@ import random
 
 import pytest
 
-from repro.baselines.xpath_naive import NaiveXPathEvaluator, evaluate_xpath_naive
 from repro.core.two_phase import TwoPhaseEvaluator
 from repro.errors import XPathSyntaxError, XPathUnsupportedError
 from repro.streaming import StreamingEngine, StreamPathQuery, stream_select
@@ -15,6 +14,7 @@ from repro.tree import BinaryTree, parse_xml
 from repro.xpath import parse_xpath, xpath_to_program
 from repro.xpath.ast import PathCondition
 from tests.conftest import random_unranked_tree
+from tests.oracles import NaiveXPathEvaluator, evaluate_xpath_naive
 
 LIBRARY = (
     "<library>"
