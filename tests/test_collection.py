@@ -261,6 +261,24 @@ def test_duplicate_and_invalid_document_ids(corpus):
             validate_doc_id(bad)
 
 
+def test_add_xml_file_names_the_document_after_its_file_and_saves_the_manifest(tmp_path):
+    collection = Collection.create(str(tmp_path / "bulk"), plan_cache=PlanCache())
+    for index in range(3):
+        path = tmp_path / f"bulk{index}.xml"
+        path.write_text(f"<a><b/>{'<c/>' * index}</a>")
+        entry = collection.add_xml_file(str(path))
+        assert entry.doc_id == f"bulk{index}"
+        # Each call saves: a reader opening now sees every file added so far.
+        reopened = Collection.open(collection.root, plan_cache=PlanCache())
+        assert reopened.doc_ids == [f"bulk{i}" for i in range(index + 1)]
+    unsaved = tmp_path / "later.xml"
+    unsaved.write_text("<a/>")
+    collection.add_xml_file(str(unsaved), doc_id="later", save=False)
+    assert "later" not in Collection.open(collection.root, plan_cache=PlanCache()).doc_ids
+    collection.save_manifest()
+    assert Collection.open(collection.root, plan_cache=PlanCache()).doc_ids[-1] == "later"
+
+
 def test_open_requires_manifest(tmp_path):
     with pytest.raises(StorageError):
         Collection.open(str(tmp_path / "nowhere"))

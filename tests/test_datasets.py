@@ -14,6 +14,7 @@ from repro.datasets import (
     acgt_flat_tree,
     acgt_infix_tree,
     generate_swissprot,
+    generate_swissprot_events,
     generate_treebank,
     random_path_query,
     random_query_batch,
@@ -22,6 +23,7 @@ from repro.datasets import (
 from repro.datasets.acgt import infix_inorder_sequence
 from repro.errors import TreeError
 from repro.tmnf import TMNFProgram
+from repro.tree import events_from_tree
 from repro.tree import BinaryTree
 
 
@@ -77,6 +79,13 @@ class TestTreebankAndSwissprot:
         assert len(tree.root.children) == 20
         entry = tree.root.children[0]
         assert {child.label for child in entry.children} >= {"AC", "Name", "Sequence"}
+
+    def test_swissprot_events_match_its_tree(self):
+        # The streaming form walks one entry at a time with the same event
+        # walk the builder uses, so it must spell the very same document.
+        events = list(generate_swissprot_events(12, seed=4))
+        assert events == list(events_from_tree(generate_swissprot(12, seed=4)))
+        assert any(is_text for _, _, is_text in events)
 
 
 class TestRandomQueries:

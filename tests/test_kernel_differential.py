@@ -452,6 +452,13 @@ def test_a_corrupt_arb_raises_the_named_error(tmp_path, corruption):
 # ---------------------------------------------------------------------- #
 
 
+def test_state_interner_seeds_each_value_once():
+    interner = StateInterner([("bottom",), frozenset(), ("bottom",)])
+    assert len(interner) == 2
+    assert interner.values == [("bottom",), frozenset()]
+    assert interner.intern(frozenset()) == 1
+
+
 def test_state_interner_assigns_dense_stable_ids():
     interner = StateInterner([("bottom",)])
     assert interner.intern(("bottom",)) == 0

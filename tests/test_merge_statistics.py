@@ -73,6 +73,14 @@ def test_merged_is_order_independent():
     assert EvaluationStatistics.merged(shuffled) == EvaluationStatistics.merged(runs)
 
 
+def test_merged_builds_a_new_object_and_leaves_its_runs_alone():
+    run = _stats()
+    total = EvaluationStatistics.merged([run])
+    assert total == run and total is not run
+    total.selected += 1
+    assert run == _stats()
+
+
 def test_merged_of_nothing_is_zero():
     assert EvaluationStatistics.merged([]) == EvaluationStatistics()
 

@@ -183,6 +183,19 @@ class TestBackendsAndPlanner:
         assert isinstance(result.io, IOStatistics)
         assert result.io.bytes_read == 0 and result.io.pages_read == 0
 
+    def test_every_lookup_goes_through_the_cache(self, tmp_path):
+        """There is no uncached plan: the first lookup of a query is a miss,
+        every later one (also by the query that ran it) hands back the same
+        plan and says it was a hit."""
+        disk = _disk_database(tmp_path)
+        plan, hit = disk.plan(BOOK_QUERY)
+        assert hit is False
+        assert disk.query(BOOK_QUERY).statistics.plan_cache_hits == 1
+        again, hit = disk.plan(BOOK_QUERY)
+        assert hit is True and again is plan
+        assert plan.executions == 1
+        assert (disk.plan_cache.hits, disk.plan_cache.misses) == (2, 1)
+
     def test_plan_object_api(self, tmp_path):
         disk = _disk_database(tmp_path)
         plan, hit = disk.plan("//book", language="xpath")

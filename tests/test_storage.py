@@ -273,6 +273,45 @@ class TestBuildAndOpen:
         with pytest.raises(EvaluationError):
             database.query(query, engine="disk")
 
+    @pytest.mark.parametrize(
+        "record, set_bit",
+        [(0, True), (1, False)],
+        ids=["root-claims-a-sibling", "child-list-ends-early"],
+    )
+    def test_a_corrupt_sibling_flag_fails_the_in_memory_load(self, tmp_path, record, set_bit):
+        """The decoder trusts no next-sibling flag: a root with a sibling
+        leaves the stream inside a subtree, a child list that stops early
+        leaves records dangling after the root is complete."""
+        base = str(tmp_path / "doc")
+        build_database("<a><b/><c/><b/></a>", base)
+        record_size = ArbDatabase.open(base).record_size
+        sibling_bit = flag_masks(record_size)[1]
+        with open(base + ".arb", "r+b") as handle:
+            handle.seek(record * record_size)
+            value = int.from_bytes(handle.read(record_size), "big")
+            value = value | sibling_bit if set_bit else value & ~sibling_bit
+            handle.seek(record * record_size)
+            handle.write(value.to_bytes(record_size, "big"))
+        with pytest.raises(StorageError, match="corrupt database"):
+            ArbDatabase.open(base).to_binary_tree()
+        with pytest.raises(StorageError, match="corrupt database"):
+            Database.open(base).query("QUERY :- V.Label[b];", engine="memory")
+
+    def test_streamed_and_tree_builds_write_the_same_files(self, tmp_path):
+        """A generator's event stream and its tree build one database: the
+        builder consumes the same event walk either way, and both remove
+        their temporary event file."""
+        from repro.datasets import generate_swissprot, generate_swissprot_events
+
+        streamed, from_tree = str(tmp_path / "streamed"), str(tmp_path / "tree")
+        DatabaseBuilder().build_from_events(generate_swissprot_events(6, seed=2), streamed)
+        DatabaseBuilder().build_from_tree(generate_swissprot(6, seed=2), from_tree)
+        for suffix in (".arb", ".lab", ".meta"):
+            with open(streamed + suffix, "rb") as a, open(from_tree + suffix, "rb") as b:
+                assert a.read() == b.read(), suffix
+        assert not os.path.exists(streamed + ".evt")
+        assert not os.path.exists(from_tree + ".evt")
+
     def test_a_missing_meta_is_a_storage_error_naming_it(self, tmp_path):
         """No builder or commit writes a generation without its `.meta`; a
         guess at the sizes (k = 2, nodes from the file size) misreads every

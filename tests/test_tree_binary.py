@@ -147,6 +147,15 @@ class TestBinaryEncoding:
         assert binary.labels == [node.label for node in tree.iter_nodes()]
 
     @given(nested_trees())
+    def test_a_reverse_id_scan_visits_children_before_parents(self, spec):
+        """Phase 1 runs bottom-up by walking ids from the last to the first:
+        every binary child must carry a larger id than its parent."""
+        binary = BinaryTree.from_unranked(UnrankedTree.from_nested(spec))
+        for node in range(len(binary)):
+            for child in (binary.first_child[node], binary.second_child[node]):
+                assert child == NO_NODE or child > node
+
+    @given(nested_trees())
     def test_unranked_depth_matches(self, spec):
         tree = UnrankedTree.from_nested(spec)
         binary = BinaryTree.from_unranked(tree)

@@ -348,6 +348,67 @@ def test_client_gives_up_on_a_server_that_never_answers():
     assert elapsed < 2
 
 
+def test_request_many_gives_up_and_hangs_up_on_a_server_that_never_answers():
+    async def scenario():
+        hung_up = asyncio.Event()
+
+        async def connection(reader, writer):
+            await reader.read()  # returns once the client hangs up
+            hung_up.set()
+            writer.close()
+
+        server = await asyncio.start_server(connection, "127.0.0.1", 0)
+        host, port = server.sockets[0].getsockname()[:2]
+        loop = asyncio.get_running_loop()
+        started = loop.time()
+        try:
+            with pytest.raises(BackendUnavailableError, match="did not answer"):
+                await request_many(host, port, [READ, READ], timeout=0.5)
+            elapsed = loop.time() - started
+            await asyncio.wait_for(hung_up.wait(), 5)
+        finally:
+            server.close()
+            await server.wait_closed()
+        return elapsed
+
+    assert asyncio.run(scenario()) < 2
+
+
+def test_client_gives_up_on_a_server_that_never_reads(monkeypatch):
+    """A line larger than the socket buffers stalls ``drain`` on a peer that
+    never reads: the send is bounded by the request's deadline, and the
+    close that follows by ``CLOSE_TIMEOUT`` (the unsent bytes would keep
+    ``wait_closed`` waiting for ever)."""
+    monkeypatch.setattr("repro.wire.CLOSE_TIMEOUT", 0.2)
+
+    async def scenario():
+        release = asyncio.Event()
+
+        async def connection(reader, writer):
+            await release.wait()  # reads nothing
+            writer.close()
+
+        server = await asyncio.start_server(connection, "127.0.0.1", 0)
+        host, port = server.sockets[0].getsockname()[:2]
+        client = LineClient(host, port)
+        loop = asyncio.get_running_loop()
+        started = loop.time()
+        try:
+            with pytest.raises(BackendUnavailableError, match="did not answer") as stalled:
+                await client.request({**READ, "padding": "x" * (32 << 20)}, timeout=0.5)
+            await client.close()
+            elapsed = loop.time() - started
+        finally:
+            release.set()
+            server.close()
+            await server.wait_closed()
+        return stalled.value.sent, elapsed
+
+    sent, elapsed = asyncio.run(scenario())
+    assert sent  # part of the line may have left
+    assert elapsed < 2
+
+
 def test_every_wire_wait_has_a_finite_default():
     assert math.isfinite(DEFAULT_REQUEST_TIMEOUT) and DEFAULT_REQUEST_TIMEOUT > 0
     assert math.isfinite(CLOSE_TIMEOUT) and CLOSE_TIMEOUT > 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import random
 
 import pytest
 
@@ -15,6 +16,8 @@ from repro.tree import (
     serialize_with_selection,
     serialize_xml,
 )
+from repro.tree.unranked import UnrankedNode, UnrankedTree
+from tests.conftest import random_unranked_tree
 
 
 class TestParsing:
@@ -92,6 +95,30 @@ class TestTreeEvents:
             (1, "c", False),
             (1, "a", False),
         ]
+
+
+    def test_events_rebuild_the_tree(self):
+        """The stream carries everything a build needs: replaying it with a
+        stack gives back the tree, character flags included."""
+        rng = random.Random(11)
+        for _ in range(20):
+            tree = random_unranked_tree(rng, max_nodes=40, labels=("a", "b", "x"))
+            for node in tree.iter_nodes():
+                node.is_text = node.label == "x" and not node.children
+            stack: list[UnrankedNode] = [UnrankedNode("#document")]
+            for kind, label, is_text in events_from_tree(tree):
+                if kind == 0:
+                    node = UnrankedNode(label, is_text=is_text)
+                    stack[-1].add_child(node)
+                    stack.append(node)
+                else:
+                    assert stack.pop().label == label
+            (root,) = stack[0].children
+            rebuilt = UnrankedTree(root)
+            assert rebuilt.equals(tree)
+            assert [node.is_text for node in rebuilt.iter_nodes()] == [
+                node.is_text for node in tree.iter_nodes()
+            ]
 
 
 class TestSerialisation:
