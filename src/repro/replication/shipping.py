@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from repro.errors import ServiceError
 from repro.storage.generations import export_generation
-from repro.wire import DEFAULT_STREAM_LIMIT, LineClient
+from repro.wire import DEFAULT_SHIP_TIMEOUT, DEFAULT_STREAM_LIMIT, LineClient
 
 __all__ = [
     "DEFAULT_SHIP_TIMEOUT",
@@ -42,9 +42,6 @@ __all__ = [
     "ReplicaSet",
     "ship_snapshot",
 ]
-
-#: How long one replica may take to install a shipped generation.
-DEFAULT_SHIP_TIMEOUT = 60.0
 
 
 async def ship_snapshot(

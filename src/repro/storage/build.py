@@ -56,16 +56,10 @@ from repro.storage.records import (
     encode_node,
     record_struct,
 )
-from repro.tree.unranked import UnrankedTree, events_from_tree
+from repro.tree.unranked import BEGIN, END, UnrankedTree, events_from_tree
 from repro.tree.xml_io import parse_xml
 
 __all__ = ["BuildStatistics", "DatabaseBuilder", "build_database"]
-
-#: Event kinds of the build event stream (see
-#: :func:`~repro.tree.unranked.events_from_tree`).
-_BEGIN = 0
-_END = 1
-
 
 @dataclass
 class BuildStatistics:
@@ -153,8 +147,8 @@ class DatabaseBuilder:
         with PagedWriter(evt_path, self.page_size, stats=stats.io) as evt_writer:
             for kind, label, is_text in events:
                 index = labels.index_of(label, is_text=is_text)
-                evt_writer.write(encode_event(index, kind == _END, self.record_size))
-                if kind == _BEGIN:
+                evt_writer.write(encode_event(index, kind == END, self.record_size))
+                if kind == BEGIN:
                     n_nodes += 1
                     if labels.is_character_index(index):
                         stats.char_nodes += 1

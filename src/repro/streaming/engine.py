@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.errors import XPathUnsupportedError
-from repro.tree.unranked import UnrankedTree, events_from_tree
+from repro.tree.unranked import BEGIN, UnrankedTree, events_from_tree
 from repro.xpath.ast import LocationPath
 from repro.xpath.parser import parse_xpath
 
@@ -124,11 +124,12 @@ class StreamingEngine:
 
     def select(self, events: Iterable[tuple[int, str, bool]]) -> Iterator[int]:
         """Yield ids (document order) of selected nodes, in one pass over
-        ``(kind, label, is_text)`` events (kind 0 begins a node, 1 ends it)."""
+        ``(kind, label, is_text)`` events (:data:`~repro.tree.unranked.BEGIN`
+        begins a node, :data:`~repro.tree.unranked.END` ends it)."""
         stack: list[frozenset[int]] = [self.query.initial_state()]
         node_id = -1
         for kind, label, _ in events:
-            if kind == 0:
+            if kind == BEGIN:
                 node_id += 1
                 states = self._advance(stack[-1], label)
                 stack.append(states)

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator
 
 from repro.errors import TreeError
 
-__all__ = ["UnrankedNode", "UnrankedTree", "events_from_tree"]
+__all__ = ["BEGIN", "END", "UnrankedNode", "UnrankedTree", "events_from_tree"]
 
 
 class UnrankedNode:
@@ -153,11 +153,16 @@ class UnrankedTree:
         return f"UnrankedTree({self.node_count()} nodes)"
 
 
+#: The ``kind`` of an event of :func:`events_from_tree`: a node begins / ends.
+BEGIN = 0
+END = 1
+
+
 def events_from_tree(tree: UnrankedTree) -> Iterator[tuple[int, str, bool]]:
     """Yield ``(kind, label, is_text)`` events for every node of ``tree``.
 
-    ``kind`` is 0 when a node begins (on the way down) and 1 when it ends
-    (on the way back up), so a tree of ``n`` nodes yields ``2 n`` events in
+    ``kind`` is :data:`BEGIN` when a node begins (on the way down) and
+    :data:`END` when it ends (on the way back up), so a tree of ``n`` nodes yields ``2 n`` events in
     document order.  This is the event stream a `.arb` build consumes
     (:mod:`repro.storage.build`) and the streaming baseline runs over.
     """
@@ -165,9 +170,9 @@ def events_from_tree(tree: UnrankedTree) -> Iterator[tuple[int, str, bool]]:
     while stack:
         node, closing = stack.pop()
         if closing:
-            yield 1, node.label, node.is_text
+            yield END, node.label, node.is_text
             continue
-        yield 0, node.label, node.is_text
+        yield BEGIN, node.label, node.is_text
         stack.append((node, True))
         stack.extend((child, False) for child in reversed(node.children))
 

@@ -25,8 +25,10 @@ is the handler's business: :mod:`repro.service.server` has the catalogue.
 
 No await on the wire is unbounded: a request's connect, send and reply share
 one deadline (:data:`DEFAULT_REQUEST_TIMEOUT` unless the caller passes
-another), and closing a connection or stopping a server waits at most
-:data:`CLOSE_TIMEOUT` for what is still running, then cancels it.
+another), and closing a connection, or stopping a server, waits at most
+:data:`CLOSE_TIMEOUT` for a peer that does not take what was written to it,
+then aborts the connection.  A handler's own work is not on the wire: a
+stopping server lets every handler run to its end.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ __all__ = [
     "BackendUnavailableError",
     "CLOSE_TIMEOUT",
     "DEFAULT_REQUEST_TIMEOUT",
+    "DEFAULT_SHIP_TIMEOUT",
     "DEFAULT_STREAM_LIMIT",
     "LineClient",
     "LineServer",
@@ -53,12 +56,20 @@ __all__ = [
 #: carrying a base64-encoded generation, or a long list of selected ids.
 DEFAULT_STREAM_LIMIT = 256 * 1024 * 1024
 
+#: How long (seconds) one replica may take to install a shipped generation
+#: (:mod:`repro.replication.shipping`).
+DEFAULT_SHIP_TIMEOUT = 60.0
+
 #: Deadline (seconds) of one request: connect, send and reply together.  A
 #: wedged peer turns into a :class:`BackendUnavailableError`, not a hang.
-DEFAULT_REQUEST_TIMEOUT = 60.0
+#: A sync-mode update answers only after its ship, so the deadline is a full
+#: ship plus as long again for the commit and the export, which take well
+#: under a second in the benchmark's update workloads.  Read at call time.
+DEFAULT_REQUEST_TIMEOUT = 2 * DEFAULT_SHIP_TIMEOUT
 
-#: How long (seconds) closing a connection, or stopping a server, waits for
-#: what is still running before it cancels it.  Read at call time.
+#: How long (seconds) closing a connection, or stopping a server, waits on a
+#: peer that does not take what was written to it before it aborts the
+#: connection.  Read at call time.
 CLOSE_TIMEOUT = 10.0
 
 
@@ -80,14 +91,19 @@ async def _close(writer: asyncio.StreamWriter) -> None:
         pass
 
 
-async def _settle(tasks) -> None:
-    """Wait up to :data:`CLOSE_TIMEOUT` for ``tasks``, cancel the rest, and
-    wait for the cancellations to land."""
-    if tasks:
-        _, running = await asyncio.wait(tasks, timeout=CLOSE_TIMEOUT)
-        for task in running:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
+async def _finish(tasks, writers) -> None:
+    """Wait for ``tasks`` to end.  If some still run after
+    :data:`CLOSE_TIMEOUT`, abort each of ``writers`` whose peer has not taken
+    everything written to it -- a send or a close blocked on such a peer
+    then fails at once -- and wait for the rest without a bound."""
+    if not tasks:
+        return
+    _, running = await asyncio.wait(tasks, timeout=CLOSE_TIMEOUT)
+    if running:
+        for writer in writers:
+            if writer.transport.get_write_buffer_size():
+                writer.transport.abort()
+        await asyncio.wait(running)
 
 
 class LineServer:
@@ -121,18 +137,20 @@ class LineServer:
         """Stop listening, answer what is in flight, hang up, wait for it.
 
         Returning while a connection task is still closing would leave it to
-        be cancelled at loop teardown, which asyncio logs as an error.  Each
-        wait is bounded by :data:`CLOSE_TIMEOUT`; a request still running
-        after it is cancelled unanswered.
+        be cancelled at loop teardown, which asyncio logs as an error.  Every
+        request handler runs to its end -- an update's ack, and a primary's
+        ship of what it committed, must not be cut off by the shutdown --
+        and only the waits on peers are bounded (see :func:`_finish`).
         """
         if self._server is None:
             return
         self._server.close()
         connections = dict(self._connections)
-        await _settle([task for _, requests in connections.values() for task in requests])
-        for writer, _ in connections.values():
+        writers = [writer for writer, _ in connections.values()]
+        await _finish([task for _, requests in connections.values() for task in requests], writers)
+        for writer in writers:
             writer.close()  # EOF for the read loop, which then finishes normally
-        await _settle(list(connections))
+        await _finish(list(connections), writers)
         with contextlib.suppress(TimeoutError):
             await asyncio.wait_for(self._server.wait_closed(), CLOSE_TIMEOUT)
         self._server = None
@@ -337,17 +355,20 @@ class LineClient:
             await _close(self._writer)
             self._writer = None
 
-    async def request(self, message: dict, *, timeout: float | None = DEFAULT_REQUEST_TIMEOUT) -> dict:
+    async def request(self, message: dict, *, timeout: float | None = None) -> dict:
         """Send ``message`` and await its reply, which echoes ``message``'s id.
 
         On the wire the id is this client's own counter -- always unique, so
         a duplicate or colliding caller-supplied id can never make two
         answers land on one pending key; the caller's id is restored on the
         way out.  ``timeout`` bounds connect, send and reply together
-        (``None``: no bound).  Raises :class:`BackendUnavailableError`.
+        (``None``: :data:`DEFAULT_REQUEST_TIMEOUT`).  Raises
+        :class:`BackendUnavailableError`.
         """
+        if timeout is None:
+            timeout = DEFAULT_REQUEST_TIMEOUT
         loop = asyncio.get_running_loop()
-        deadline = None if timeout is None else loop.time() + timeout
+        deadline = loop.time() + timeout
         late = f"{self.name} did not answer within {timeout}s"
         async with self._send_lock:
             try:
@@ -382,22 +403,19 @@ class LineClient:
         return reply
 
 
-async def request_many(
-    host: str, port: int, messages: list[dict], *, timeout: float | None = DEFAULT_REQUEST_TIMEOUT
-) -> list[dict]:
+async def request_many(host: str, port: int, messages: list[dict]) -> list[dict]:
     """Send ``messages`` concurrently over one connection; answers in order.
 
     A message without an ``id`` is answered under its list index; the
     returned list is aligned with the input whatever order the server
-    answered in.  Each message has ``timeout`` seconds (see
-    :meth:`LineClient.request`).  This is the client used by ``arb client``
-    and the tests.
+    answered in.  Each message has :data:`DEFAULT_REQUEST_TIMEOUT`.  This is
+    the client used by ``arb client`` and the tests.
     """
     client = LineClient(host, port)
     try:
         # Every line leaves before the first answer is awaited, so the server
         # can coalesce the burst.
-        replies = await asyncio.gather(*(client.request(m, timeout=timeout) for m in messages))
+        replies = await asyncio.gather(*(client.request(m) for m in messages))
     finally:
         await client.close()
     for index, (message, reply) in enumerate(zip(messages, replies)):

@@ -32,7 +32,7 @@ from repro.storage.generations import (
     read_pointer,
 )
 from repro.storage.update import Relabel
-from repro.wire import LineServer
+from repro.wire import DEFAULT_REQUEST_TIMEOUT, DEFAULT_SHIP_TIMEOUT, LineClient, LineServer
 
 DOCUMENT = "<lib><book><t>x</t></book><book><t>y</t></book><dvd/></lib>"
 
@@ -290,6 +290,84 @@ def test_an_unconnectable_replica_fails_in_the_ledger_not_in_the_ack(tmp_path, e
     assert update["ok"] and update["counter"] == read_pointer(base).counter == 2
     assert (update["replication"]["shipped"], update["replication"]["failed"]) == (0, 1)
     assert "unreachable" in update["replication"]["replicas"][0]["last_error"]
+
+
+def test_a_sync_update_to_a_silent_replica_is_acknowledged(tmp_path, monkeypatch):
+    """A sync-mode update answers only after its ship gives up on a replica
+    that never answers; the client's default deadline outlasts that ship,
+    so the committed update is acked, not reported as failed.  Both bounds
+    are scaled down in the ratio of their defaults."""
+    ship_timeout = 1.0
+    monkeypatch.setattr(
+        "repro.wire.DEFAULT_REQUEST_TIMEOUT", DEFAULT_REQUEST_TIMEOUT / DEFAULT_SHIP_TIMEOUT * ship_timeout
+    )
+    base, _ = _build_pair(tmp_path)
+
+    async def silent(reader, writer):
+        await reader.read()  # takes the snapshot, never answers
+        writer.close()
+
+    async def scenario():
+        replica = await asyncio.start_server(silent, "127.0.0.1", 0)
+        try:
+            async with ArbServer(_open_served(base), replication_mode="sync") as primary:
+                primary.replicas.timeout = ship_timeout
+                primary.replicas.register(*replica.sockets[0].getsockname()[:2])
+                return (await request_many(primary.host, primary.port, [
+                    {"op": "update", "ops": [{"kind": "relabel", "node": 2, "label": "tome"}]},
+                ]))[0]
+        finally:
+            replica.close()
+            await replica.wait_closed()
+
+    update = asyncio.run(scenario())
+    assert update["ok"] and update["counter"] == read_pointer(base).counter == 2
+    assert (update["replication"]["shipped"], update["replication"]["failed"]) == (0, 1)
+    assert "did not answer" in update["replication"]["replicas"][0]["last_error"]
+
+
+def test_a_stopping_primary_ships_an_update_held_past_the_close_timeout(tmp_path, monkeypatch):
+    """Stopping an async-mode primary while an update's handler is still
+    running past ``CLOSE_TIMEOUT`` neither drops the ack of the committed
+    update nor the ship of its generation to the replica."""
+    monkeypatch.setattr("repro.wire.CLOSE_TIMEOUT", 0.2)
+    primary_base, _ = _build_pair(tmp_path)
+    replica_base = _clone_base(primary_base, tmp_path / "r0")
+
+    async def scenario():
+        async with ArbServer(_open_served(replica_base)) as replica:
+            primary = ArbServer(_open_served(primary_base))
+            await primary.start()
+            primary.replicas.register(replica.host, replica.port)
+            gate = asyncio.Event()
+            apply = primary.service.apply
+
+            async def commit_then_hold(*args, **kwargs):
+                result = await apply(*args, **kwargs)
+                await gate.wait()
+                return result
+
+            primary.service.apply = commit_then_hold
+            client = LineClient(primary.host, primary.port)
+            ack = asyncio.ensure_future(client.request(
+                {"op": "update", "ops": [{"kind": "relabel", "node": 2, "label": "tome"}]}
+            ))
+            while not any(requests for _, requests in primary._connections.values()):
+                await asyncio.sleep(0.01)  # until the update is in flight
+            stopping = asyncio.ensure_future(primary.stop())
+            await asyncio.sleep(0.5)  # past the close timeout
+            gate.set()
+            await asyncio.wait_for(stopping, 10)
+            reply = await asyncio.wait_for(ack, 10)
+            await client.close()
+            (read,) = await request_many(replica.host, replica.port, [
+                {"query": "//tome", "language": "xpath"},
+            ])
+            return reply, read
+
+    reply, read = asyncio.run(scenario())
+    assert reply["ok"] and reply["counter"] == read_pointer(primary_base).counter == 2
+    assert read["ok"] and read["count"] == 1 and read["counter"] == reply["counter"]
 
 
 def test_replicas_prune_with_the_retain_their_primary_used(tmp_path):
